@@ -15,10 +15,12 @@ from itertools import combinations
 
 from . import linalg
 from .cotangent import CotangentError, cotangent_trunc2
+from .groebner import ideal_groebner, poly_normal_form
 from .kahler import jacobian_matrix, kahler_oracle_via_diagonal, kahler_presentation
-from .modules import FPModule, koszul_complex, koszul_homology_all_vanish
+from .modules import (FPModule, koszul_complex, koszul_homology_all_vanish,
+                      matrix_columns)
 from .orders import MonomialOrder
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra
 
 
@@ -26,17 +28,13 @@ class ClassifyError(AlgebraError):
     pass
 
 
-# Truncated complexes are pure functions of the map, so repeated point
-# queries against the same AlgebraMap object share one computation.
-_TRUNC_CACHE: dict[int, tuple] = {}
-
-
 def _trunc2(phi: AlgebraMap):
-    entry = _TRUNC_CACHE.get(id(phi))
-    if entry is not None and entry[0] is phi:
-        return entry[1]
-    trunc = cotangent_trunc2(phi)
-    _TRUNC_CACHE[id(phi)] = (phi, trunc)
+    """Truncated complexes are pure functions of the map, so repeated point
+    queries against the same AlgebraMap object share one computation.  The
+    memo lives on the map, so it is freed with the map."""
+    trunc = getattr(phi, "_trunc2_memo", None)
+    if trunc is None:
+        trunc = phi._trunc2_memo = cotangent_trunc2(phi)
     return trunc
 
 
@@ -87,12 +85,6 @@ def _evaluated_columns(columns, point, algebra) -> list[list]:
             for col in columns]
 
 
-def _column_rank(field, cols, length: int) -> int:
-    if not cols or length == 0:
-        return 0
-    return linalg.rank(field, [[c[i] for c in cols] for i in range(length)])
-
-
 # -- smooth / unramified / etale ----------------------------------------------
 
 
@@ -115,11 +107,10 @@ def is_smooth_at(phi: AlgebraMap, point: dict) -> dict:
     field = rp.algebra.field
     jac = jacobian_matrix(rp)
     rank_j = linalg.rank(
-        field, [[e.evaluate(alt_pt) for e in row] for row in jac]) \
-        if jac and jac[0] else 0
+        field, [[e.evaluate(alt_pt) for e in row] for row in jac])
     m = len(stage.generators)
     d2 = _evaluated_columns(stage.syzygy_vectors, alt_pt, rp.algebra)
-    local_gens = m - _column_rank(field, d2, m)
+    local_gens = m - linalg.rank(field, d2)
     oracle = rank_j == local_gens
 
     if primary != oracle:
@@ -167,7 +158,7 @@ def _spanning_subsets(m: int, eliminated, field, size: int):
             col = [field.zero()] * m
             col[i] = field.one()
             cols.append(col)
-        if _column_rank(field, cols + eliminated, m) == m:
+        if linalg.rank(field, cols + eliminated) == m:
             yield subset
 
 
@@ -187,7 +178,7 @@ def _regular_sequence_oracle(stage, point: dict, limit: int = 5):
     field = P.field
     pt = P.parse_point(point)
     d2 = _evaluated_columns(stage.syzygy_vectors, pt, P)
-    mu = m - _column_rank(field, d2, m)
+    mu = m - linalg.rank(field, d2)
     if mu == 0:
         return True
     for subset in _spanning_subsets(m, d2, field, mu):
@@ -277,14 +268,8 @@ def enveloping_multiplication(eta: AlgebraMap):
     """
     S = eta.target
     ring = S.ring
-    copies = []
-    taken = set(ring.variables)
-    for v in ring.variables:
-        name = v + "_r"
-        while name in taken:
-            name += "r"
-        taken.add(name)
-        copies.append(name)
+    copies = fresh_names([v + "_r" for v in ring.variables], ring.variables,
+                         "r")
     big = ring.extended(tuple(copies))
     copy_of = dict(zip(ring.variables, copies))
     rels = [r.rename_into(big) for r in S.relations]
@@ -385,8 +370,7 @@ def module_k_dimension(module: FPModule) -> int:
                 for ee, c in p.terms.items():
                     row[slot * len(basis) + index[ee]] = c
             rows.append(row)
-    rank = linalg.rank(field, rows) if rows else 0
-    return total - rank
+    return total - linalg.rank(field, rows)
 
 
 def minimal_polynomial(algebra: PresentedAlgebra, var: str):
@@ -404,8 +388,8 @@ def minimal_polynomial(algebra: PresentedAlgebra, var: str):
         row = [field.zero()] * len(basis)
         for e, c in algebra.normal_form(power).terms.items():
             row[index[e]] = c
-        cols = [[r[i] for r in rows + [row]] for i in range(len(basis))]
-        dep = linalg.nullspace(field, cols, len(rows) + 1)
+        dep = linalg.nullspace(field, matrix_columns(rows + [row]),
+                               len(rows) + 1)
         if dep:
             # first dependence must involve the newest power
             c = dep[0]
@@ -516,53 +500,15 @@ def _gcd(a: int, b: int) -> int:
     return abs(a)
 
 
-def _gf_trim(field, a):
-    a = list(a)
-    while a and field.is_zero(a[-1]):
-        a.pop()
-    return a
-
-
-def _gf_rem(field, a, mod):
-    a = _gf_trim(field, a)
-    mod = _gf_trim(field, mod)
-    dm = len(mod) - 1
-    inv = field.inv(mod[-1])
-    while a and len(a) - 1 >= dm:
-        c = field.mul(a[-1], inv)
-        shift = len(a) - 1 - dm
-        for i, m in enumerate(mod):
-            a[shift + i] = field.sub(a[shift + i], field.mul(c, m))
-        a = _gf_trim(field, a)
-    return a
-
-
-def _gf_mul(field, a, b, mod):
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if field.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return _gf_rem(field, out, mod)
-
-
-def _gf_gcd(field, a, b):
-    a, b = _gf_trim(field, a), _gf_trim(field, b)
-    while b:
-        a, b = b, _gf_rem(field, a, b)
-    return a
-
-
-def _gf_powmod_x(field, e: int, mod):
-    result = [field.one()]
-    base = _gf_rem(field, [field.zero(), field.one()], mod)
+def _gf_powmod(base: Polynomial, e: int, f: Polynomial) -> Polynomial:
+    """base^e modulo the univariate f, by square and multiply."""
+    ring = f.ring
+    result = ring.one()
+    base = poly_normal_form(base, [f], ring)
     while e:
         if e & 1:
-            result = _gf_mul(field, result, base, mod)
-        base = _gf_mul(field, base, base, mod)
+            result = poly_normal_form(result * base, [f], ring)
+        base = poly_normal_form(base * base, [f], ring)
         e >>= 1
     return result
 
@@ -574,13 +520,13 @@ def _gf_irreducible(field, coeffs) -> bool:
         raise ClassifyError("constant polynomial")
     if deg == 1:
         return True
+    ring = PolyRing(field, ("x",))
+    x = ring.var("x")
+    f = ring.from_terms({(k,): c for k, c in enumerate(coeffs)})
     p = field.characteristic
     for i in range(1, deg // 2 + 1):
-        probe = _gf_powmod_x(field, p ** i, coeffs)
-        while len(probe) < 2:
-            probe.append(field.zero())
-        probe[1] = field.sub(probe[1], field.one())
-        if len(_gf_gcd(field, coeffs, probe)) - 1 >= 1:
+        probe = _gf_powmod(x, p ** i, f) - x
+        if ideal_groebner([f, probe], ring) != [ring.one()]:
             return False
     return True
 

@@ -22,12 +22,13 @@ from .modules import (
     FreeComplex,
     Matrix,
     dense_to_vp,
+    matrix_columns,
     matrix_from_columns,
     matrix_to_json,
     syzygies,
     tensor_with_module,
 )
-from .poly import Polynomial
+from .poly import Polynomial, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra, compose, point_to_json
 from .simplicial import (
     FreeExtensionLevelwise,
@@ -58,12 +59,6 @@ def _int_to_poly(algebra: PresentedAlgebra, c: int) -> Polynomial:
     if c == 0:
         return algebra.ring.zero()
     return one if c == 1 else -one
-
-
-def _rank_at(field, matrix) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return linalg.rank(field, matrix)
 
 
 def _same_presentation(a: PresentedAlgebra, b: PresentedAlgebra) -> bool:
@@ -226,14 +221,14 @@ def cotangent_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:
     if g and m:
         diffs[1] = jacobian_matrix(rp)
     if m and s:
-        diffs[2] = matrix_from_columns(data.syzygy_vectors, m, S)
+        diffs[2] = matrix_from_columns(data.syzygy_vectors, m)
     complex = FreeComplex(S, ranks, diffs, check=True)
     top = data.top_relation_columns()
     if s and top:
         h_ranks = dict(ranks)
         h_ranks[3] = len(top)
         h_diffs = dict(diffs)
-        h_diffs[3] = matrix_from_columns(top, s, S)
+        h_diffs[3] = matrix_from_columns(top, s)
         homology_complex = FreeComplex(S, h_ranks, h_diffs, check=True)
     else:
         homology_complex = complex
@@ -252,9 +247,10 @@ def cotangent_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:
 
 
 def _verify_resolution(ext: FreeExtensionLevelwise, cutoff: int):
-    if not ext.simplicial_identities_hold():
+    ok, failures = ext.simplicial_identities_hold()
+    if not ok:
         raise CotangentError("refusing an unverified resolution: "
-                             "simplicial identities fail")
+                             f"simplicial identities fail ({failures[0]})")
     try:
         pis = homotopy_modules(ext, max(1, cutoff - 1))
     except SimplicialError as exc:
@@ -357,7 +353,7 @@ def rank_exactness_check(L: FreeComplex, sample_points) -> dict:
             dn = [[e.evaluate(pt) for e in row] for row in L.differential(n)]
             dn1 = [[e.evaluate(pt) for e in row] for row in L.differential(n + 1)]
             lhs = L.rank(n)
-            rhs = _rank_at(field, dn) + _rank_at(field, dn1)
+            rhs = linalg.rank(field, dn) + linalg.rank(field, dn1)
             ok = lhs == rhs
             passes = passes and ok
             rows.append({"degree": n, "rank": lhs, "split": rhs, "ok": ok})
@@ -474,10 +470,7 @@ def _hom_dual_complex(fc: FreeComplex) -> tuple[FreeComplex, int]:
         n = top - i + 1
         if fc.rank(n) == 0 or fc.rank(n - 1) == 0:
             continue
-        mat = fc.differential(n)
-        rows = len(mat[0])
-        cols = len(mat)
-        diffs[i] = [[mat[c][r] for c in range(cols)] for r in range(rows)]
+        diffs[i] = matrix_columns(fc.differential(n))
     return FreeComplex(fc.algebra, ranks, diffs, check=True), top
 
 
@@ -565,11 +558,11 @@ def tor_modules(phi: AlgebraMap, n_max: int = 3) -> TorTable:
     if m:
         diffs[1] = [list(fs)]
     if s1:
-        diffs[2] = matrix_from_columns(s1, m, S)
+        diffs[2] = matrix_from_columns(s1, m)
     if s2:
-        diffs[3] = matrix_from_columns(s2, len(s1), S)
+        diffs[3] = matrix_from_columns(s2, len(s1))
     if s3:
-        diffs[4] = matrix_from_columns(s3, len(s2), S)
+        diffs[4] = matrix_from_columns(s3, len(s2))
     complex = FreeComplex(S, ranks, diffs, check=True)
     return TorTable(phi, complex, data)
 
@@ -593,7 +586,6 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
     trunc = cotangent_trunc2(phi)
     S = data.rp.algebra
     field = S.field
-    s = len(data.syzygy_vectors)
     lam_cols = [c for c in data.koszul_lifts if c]
     m3_cols = [list(r) for r in data.second_syzygies]
     per_point = []
@@ -608,11 +600,7 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
                    for col in m3_cols]
         both_eval = m3_eval + [[S.normal_form(p).evaluate(pt) for p in col]
                                for col in lam_cols]
-        rank_m3 = _rank_at(field, [[col[i] for col in m3_eval]
-                                   for i in range(s)]) if m3_eval else 0
-        rank_both = _rank_at(field, [[col[i] for col in both_eval]
-                                     for i in range(s)]) if both_eval else 0
-        rank_w = rank_both - rank_m3
+        rank_w = linalg.rank(field, both_eval) - linalg.rank(field, m3_eval)
         ok = (aq2 == tor2 - rank_w) and (aq1 == tor1)
         passes = passes and ok
         per_point.append({
@@ -627,13 +615,6 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
 # -- base change, retracts, and the Jacobi-Zariski window -------------------------
 
 
-def _fresh(name: str, taken) -> str:
-    cand = name
-    while cand in taken:
-        cand = cand + "_b"
-    return cand
-
-
 def pushout_map(phi_prime: AlgebraMap, rho: AlgebraMap):
     """Extend scalars: the induced map rho.target -> target(phi') tensor rho.
 
@@ -644,12 +625,7 @@ def pushout_map(phi_prime: AlgebraMap, rho: AlgebraMap):
         raise CotangentError("maps must share their source")
     rp = relative_presentation(phi_prime)
     R = rho.target
-    taken = set(R.ring.variables)
-    fresh = []
-    for y in rp.adjoined:
-        name = _fresh(y, taken)
-        taken.add(name)
-        fresh.append(name)
+    fresh = fresh_names(rp.adjoined, R.ring.variables, "_b")
     new_ring = R.ring.extended(tuple(fresh))
     images = {}
     for w in phi_prime.source.variables:
@@ -715,7 +691,7 @@ def retract_check(S: PresentedAlgebra, points, var_name: str = "x") -> dict:
     points = list(points)
     if not points:
         raise CotangentError("retract check needs at least one point")
-    u = _fresh(var_name, set(S.ring.variables))
+    (u,) = fresh_names([var_name], S.ring.variables, "_b")
     r_ring = S.ring.extended((u,))
     R = PresentedAlgebra(r_ring, [r.rename_into(r_ring) for r in S.relations])
     inclusion = AlgebraMap(S, R, {})

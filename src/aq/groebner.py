@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 
-from .orders import mono_deg, mono_div, mono_divides, mono_lcm, mono_mul
+from .orders import mono_deg, mono_div, mono_divides, mono_lcm
 from .poly import Polynomial, PolyRing
 
 VP = dict  # {component: Polynomial}, zero polys never stored
@@ -55,17 +55,6 @@ def vp_scale(v: VP, coeff, ring: PolyRing) -> VP:
     return {c: p.scale(coeff) for c, p in v.items()}
 
 
-def vp_mul_poly(v: VP, poly: Polynomial) -> VP:
-    if poly.is_zero():
-        return {}
-    out = {}
-    for c, p in v.items():
-        q = p * poly
-        if not q.is_zero():
-            out[c] = q
-    return out
-
-
 def vp_mul_monomial(v: VP, expo, coeff) -> VP:
     return {c: p.mul_monomial(expo, coeff) for c, p in v.items()}
 
@@ -80,20 +69,6 @@ def vp_lead(v: VP, ring: PolyRing):
 
 def vp_from_poly(poly: Polynomial, comp: int) -> VP:
     return {} if poly.is_zero() else {comp: poly}
-
-
-def vp_entries(v: VP, rank: int, ring: PolyRing):
-    """Dense list of component polynomials."""
-    return [v.get(i, ring.zero()) for i in range(rank)]
-
-
-def vp_map(v: VP, fn) -> VP:
-    out = {}
-    for c, p in v.items():
-        q = fn(p)
-        if not q.is_zero():
-            out[c] = q
-    return out
 
 
 def _lead_key(v: VP, ring: PolyRing):

@@ -18,25 +18,13 @@ from .modules import (
     matrix_columns,
     syzygies,
 )
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra, compose
 from . import linalg
 
 
 class KahlerError(AlgebraError):
     pass
-
-
-def _fresh_names(wanted, taken):
-    out = []
-    taken = set(taken)
-    for name in wanted:
-        cand = name
-        while cand in taken:
-            cand = cand + "_t"
-        taken.add(cand)
-        out.append(cand)
-    return out
 
 
 @dataclass
@@ -100,7 +88,7 @@ def relative_presentation(phi: AlgebraMap) -> RelativePresentation:
             relation_polys=tuple(rels),
             target_renaming={},
         )
-    fresh = _fresh_names(tgt.variables, src.variables)
+    fresh = fresh_names(tgt.variables, src.variables, "_t")
     renaming = dict(zip(tgt.variables, fresh))
     ambient = PolyRing(
         src.field, tuple(src.variables) + tuple(fresh), src.ring.order.plain()
@@ -178,7 +166,8 @@ def kahler_oracle_via_diagonal(phi: AlgebraMap):
     doubled-variable algebra used for the computation)."""
     rp = relative_presentation(phi)
     amb = rp.ambient
-    doubled_names = _fresh_names([y + "_r" for y in rp.adjoined], amb.variables)
+    doubled_names = fresh_names([y + "_r" for y in rp.adjoined], amb.variables,
+                                "_t")
     big = PolyRing(amb.field, amb.variables + tuple(doubled_names), amb.order.plain())
     copy_of = dict(zip(rp.adjoined, doubled_names))
     rels = [r.rename_into(big) for r in rp.algebra.relations]
@@ -477,54 +466,6 @@ def conormal_sequence(psi: AlgebraMap, ideal_gens) -> ExactSequenceReport:
     )
 
 
-def kahler_of_tensor_product(phi_s: AlgebraMap, phi_t: AlgebraMap):
-    """Omega_{S ox_R T | R} compared with (Omega_S ox T) + (S ox Omega_T).
-
-    Returns (tensor algebra U, Omega_U module, report dict). The tensor
-    product is the disjoint-variable union of relative presentations.
-    """
-    if phi_s.source != phi_t.source:
-        raise KahlerError("tensor factors must share the source")
-    rp_s = relative_presentation(phi_s)
-    rp_t = relative_presentation(phi_t)
-    src = phi_s.source
-    names_s = _fresh_names(rp_s.adjoined, src.variables)
-    taken = list(src.variables) + names_s
-    names_t = _fresh_names(rp_t.adjoined, taken)
-    ambient = PolyRing(src.field, tuple(src.variables) + tuple(names_s) + tuple(names_t),
-                       src.ring.order.plain())
-    ren_s = dict(zip(rp_s.adjoined, names_s))
-    # rp ambients contain source vars plus adjoined; rename adjoined only
-    rels = [r.rename_into(ambient) for r in src.relations]
-    f_s = [f.rename_into(ambient, ren_s) for f in rp_s.relation_polys]
-    ren_t = dict(zip(rp_t.adjoined, names_t))
-    f_t = [f.rename_into(ambient, ren_t) for f in rp_t.relation_polys]
-    U = PresentedAlgebra(ambient, rels + f_s + f_t)
-    adjoined = names_s + names_t
-    all_rels = f_s + f_t
-    jac = [[U.normal_form(p.derivative(v)) for p in all_rels] for v in adjoined]
-    omega_u = FPModule(U, len(adjoined), matrix_columns(jac))
-    # factor presentations tensored up to U
-    jac_s = [[U.normal_form(p.derivative(v)) for p in f_s] for v in names_s]
-    jac_t = [[U.normal_form(p.derivative(v)) for p in f_t] for v in names_t]
-    # direct sum presentation equals the joint Jacobian up to column split
-    cols_joint = matrix_columns(jac)
-    zero = ambient.zero()
-    sum_cols = []
-    for col in matrix_columns(jac_s):
-        sum_cols.append(col + [zero] * len(names_t))
-    for col in matrix_columns(jac_t):
-        sum_cols.append([zero] * len(names_s) + col)
-    iso = _span_contains(U, len(adjoined), sum_cols + [[zero] * len(adjoined)], cols_joint) and \
-        _span_contains(U, len(adjoined), cols_joint + [[zero] * len(adjoined)], sum_cols)
-    report = {
-        "tensor_algebra": U.to_json(),
-        "natural_map_is_identity_on_generators": True,
-        "relation_spans_agree": iso,
-    }
-    return U, omega_u, report
-
-
 # -- derivations --------------------------------------------------------------
 
 
@@ -536,17 +477,7 @@ def derivation_basis_at_point(phi: AlgebraMap, target_point: dict):
     field = rp.algebra.field
     jac = [[e.evaluate(pt) for e in row] for row in kd.jacobian]
     # relations: J^T v = 0 where v assigns a value to each dy
-    rows = len(kd.jacobian[0]) if kd.jacobian and kd.jacobian[0] else 0
-    if rp.num_adjoined() == 0:
-        return kd, []
-    if rows == 0:
-        basis = [
-            [field.one() if i == j else field.zero() for i in range(rp.num_adjoined())]
-            for j in range(rp.num_adjoined())
-        ]
-        return kd, basis
-    jt = [[jac[i][r] for i in range(rp.num_adjoined())] for r in range(rows)]
-    return kd, linalg.nullspace(field, jt)
+    return kd, linalg.nullspace(field, matrix_columns(jac), rp.num_adjoined())
 
 
 def derivation_value(kd: KahlerDifferentials, values, element, target_point: dict):

@@ -78,6 +78,9 @@ def rref(field: Field, matrix):
 
 
 def rank(field: Field, matrix) -> int:
+    """Rank of a list of vectors of one length, read as rows or as
+    columns alike (rank(M) = rank(M^T)); 0 when there are no vectors or
+    they have length 0."""
     if not matrix or not matrix[0]:
         return 0
     return len(rref(field, matrix)[1])
@@ -124,19 +127,6 @@ def solve(field: Field, matrix, rhs):
     return x
 
 
-def column_space_rank(field: Field, vectors, length: int) -> int:
-    """Rank of the span of the given column vectors."""
-    if not vectors:
-        return 0
-    matrix = [[v[i] for v in vectors] for i in range(length)]
-    return rank(field, matrix)
-
-
 def intersect_nullspaces(field: Field, matrices, cols: int):
     """Basis of the intersection of the kernels of several matrices."""
-    stacked = []
-    for m in matrices:
-        stacked.extend(m)
-    if not stacked:
-        return nullspace(field, [], cols)
-    return nullspace(field, stacked, cols)
+    return nullspace(field, [row for m in matrices for row in m], cols)

@@ -12,11 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import linalg
-from .groebner import (
-    SubmoduleEngine,
-    vp_from_poly,
-    vp_lead,
-)
+from .groebner import SubmoduleEngine, vp_lead
 from .poly import Polynomial
 from .rings import AlgebraError, PresentedAlgebra
 
@@ -60,9 +56,7 @@ def matrix_columns(m: Matrix) -> list[list[Polynomial]]:
     return [[m[i][j] for i in range(rows)] for j in range(cols)]
 
 
-def matrix_from_columns(cols: list[list[Polynomial]], rows: int, algebra) -> Matrix:
-    if not cols:
-        return [[] for _ in range(rows)]
+def matrix_from_columns(cols: list[list[Polynomial]], rows: int) -> Matrix:
     return [[col[i] for col in cols] for i in range(rows)]
 
 
@@ -76,10 +70,6 @@ def matrix_to_json(m: Matrix) -> list:
 
 def dense_to_vp(vec: list[Polynomial]):
     return {i: p for i, p in enumerate(vec) if not p.is_zero()}
-
-
-def vp_to_dense(v, rank: int, algebra: PresentedAlgebra) -> list[Polynomial]:
-    return [v.get(i, algebra.ring.zero()) for i in range(rank)]
 
 
 def _canonical_vectors(vectors, rank: int, algebra: PresentedAlgebra):
@@ -191,14 +181,6 @@ class FPModule:
         one = self.algebra.ring.one()
         return all(engine.contains({i: one}) for i in range(self.gens))
 
-    def generator_is_zero(self, index: int) -> bool:
-        return self._rel_engine().contains({index: self.algebra.ring.one()})
-
-    def element_is_zero(self, coeffs) -> bool:
-        """Is sum coeffs_i * gen_i zero in the module?"""
-        v = {i: p for i, p in enumerate(coeffs) if not p.is_zero()}
-        return self._rel_engine().contains(v)
-
     def free_rank(self):
         """gens when the presentation has no nonzero relations, else None."""
         return self.gens if not self.relations else None
@@ -206,14 +188,10 @@ class FPModule:
     def dim_at_point(self, point: dict) -> int:
         """dim over k of M tensor k(point)."""
         pt = self.algebra.parse_point(point)
-        field = self.algebra.field
         if self.gens == 0:
             return 0
         cols = [[p.evaluate(pt) for p in rel] for rel in self.relations]
-        if not cols:
-            return self.gens
-        matrix = [[col[i] for col in cols] for i in range(self.gens)]
-        return self.gens - linalg.rank(field, matrix)
+        return self.gens - linalg.rank(self.algebra.field, cols)
 
     def annihilator_of_generator(self, index: int):
         unit = [self.algebra.ring.zero()] * self.gens
@@ -222,7 +200,7 @@ class FPModule:
 
     def presentation_matrix(self) -> Matrix:
         """gens x (#relations) matrix whose columns are the relations."""
-        return matrix_from_columns(self.relations, self.gens, self.algebra)
+        return matrix_from_columns(self.relations, self.gens)
 
     def to_json(self) -> dict:
         return {
@@ -275,9 +253,6 @@ class FreeComplex:
 
     def degrees(self):
         return sorted(self.ranks)
-
-    def min_degree(self) -> int:
-        return min(self.ranks) if self.ranks else 0
 
     def max_degree(self) -> int:
         return max(self.ranks) if self.ranks else 0
@@ -338,12 +313,6 @@ class FreeComplex:
         rank_out = linalg.rank(field, self.evaluate_differential(n + 1, pt)) if self.rank(n + 1) else 0
         return rn - rank_in - rank_out
 
-    def differential_rank_at_point(self, n: int, point: dict) -> int:
-        pt = self.algebra.parse_point(point)
-        if self.rank(n) == 0 or self.rank(n - 1) == 0:
-            return 0
-        return linalg.rank(self.algebra.field, self.evaluate_differential(n, pt))
-
     def to_json(self) -> dict:
         return {
             "ring": self.algebra.to_json(),
@@ -357,10 +326,6 @@ class FreeComplex:
     def __repr__(self):
         ranks = ", ".join(f"{n}:{r}" for n, r in sorted(self.ranks.items()))
         return f"FreeComplex({ranks} over {self.algebra.describe()})"
-
-
-def complex_homology(complex_or_tensored, n: int) -> FPModule:
-    return complex_or_tensored.homology(n)
 
 
 class TensoredComplex:

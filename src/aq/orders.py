@@ -39,12 +39,6 @@ class MonomialOrder:
         # exponent decides with reversed sign.
         return (sum(q), tuple(-e for e in reversed(q)))
 
-    def greater(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return self.key(a) > self.key(b)
-
-    def sorted_desc(self, monos):
-        return sorted(monos, key=self.key, reverse=True)
-
     def describe(self) -> str:
         if self.priority is None:
             return self.name

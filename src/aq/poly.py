@@ -8,7 +8,7 @@ iteration always follow the ring's monomial order.
 
 from __future__ import annotations
 
-from .fields import Field, FieldError, QQ
+from .fields import Field, FieldError
 from .orders import MonomialOrder, mono_deg, mono_mul
 
 
@@ -122,15 +122,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(mono_deg(e) == 0 for e in self.terms)
 
-    def total_degree(self) -> int:
-        """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_deg(e) for e in self.terms)
-
-    def constant_coeff(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero())
-
     def sorted_terms(self):
         """Terms as (expo, coeff), descending in the ring order."""
         key = self.ring.order.key
@@ -143,15 +134,6 @@ class Polynomial:
 
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]
-
-    def support_vars(self) -> tuple[int, ...]:
-        """Indices of variables that actually occur."""
-        seen = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    seen.add(i)
-        return tuple(sorted(seen))
 
     # -- arithmetic --------------------------------------------------
 
@@ -377,6 +359,19 @@ class Polynomial:
             else:
                 out += " + " + piece
         return out
+
+
+def fresh_names(wanted, taken, suffix: str) -> list[str]:
+    """Each wanted name, with `suffix` appended until it differs from every
+    name in `taken` and from every name returned before it."""
+    taken = set(taken)
+    out = []
+    for name in wanted:
+        while name in taken:
+            name += suffix
+        taken.add(name)
+        out.append(name)
+    return out
 
 
 def stable_str(p: Polynomial) -> str:

@@ -61,9 +61,6 @@ class PresentedAlgebra:
         gb = self.groebner()
         return any(g.is_constant() and not g.is_zero() for g in gb)
 
-    def is_polynomial_ring(self) -> bool:
-        return not self.relations
-
     def is_ground_field(self) -> bool:
         return self.ring.nvars == 0
 
@@ -101,13 +98,6 @@ class PresentedAlgebra:
             if not field.is_zero(rel.evaluate(point)):
                 raise PointError("not a rational point")
         return point
-
-    def is_rational_point(self, assignments: dict) -> bool:
-        try:
-            self.parse_point(assignments)
-        except PointError:
-            return False
-        return True
 
     # -- identity -----------------------------------------------------------
 
@@ -227,23 +217,6 @@ def compose(second: AlgebraMap, first: AlgebraMap) -> AlgebraMap:
         raise AlgebraError("maps do not compose")
     images = {v: second.apply(first.images[v]) for v in first.source.variables}
     return AlgebraMap(first.source, second.target, images, check=False)
-
-
-def groebner_basis(generators, algebra: PresentedAlgebra) -> list[Polynomial]:
-    """Reduced Groebner basis of (generators) + algebra's relations."""
-    gens = []
-    for g in generators:
-        if isinstance(g, str):
-            g = algebra.poly(g)
-        gens.append(g)
-    return ideal_groebner(list(gens) + list(algebra.relations), algebra.ring)
-
-
-def normal_form(p, generators, algebra: PresentedAlgebra) -> Polynomial:
-    """Canonical representative of p modulo (generators) + relations."""
-    if isinstance(p, str):
-        p = algebra.poly(p)
-    return poly_normal_form(p, groebner_basis(generators, algebra), algebra.ring)
 
 
 def point_to_json(point: dict, algebra: PresentedAlgebra) -> dict:

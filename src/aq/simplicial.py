@@ -22,9 +22,10 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra
-from .modules import FPModule, koszul_complex, syzygies
+from .modules import (FPModule, koszul_complex, matrix_columns,
+                      matrix_from_columns, syzygies)
 
 
 class SimplicialError(AlgebraError):
@@ -219,48 +220,18 @@ class FreeExtensionLevelwise:
         Returns (ok, failure descriptions).
         """
         L = self.max_level if up_to is None else min(up_to, self.max_level)
+        maps = {"d": self.face_map, "s": self.degeneracy_map}
         bad = []
-
-        def check(n_target, lhs, rhs, tag):
-            alg = self.algebra(n_target)
-            if not alg.normal_form(lhs - rhs).is_zero():
-                bad.append(tag)
-
-        for n in range(2, L + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    di, dj = self.face_map(n - 1, i), self.face_map(n, j)
-                    dj1, di2 = self.face_map(n - 1, j - 1), self.face_map(n, i)
-                    for x in self.levels[n]:
-                        xv = self.ring(n).var(x)
-                        check(n - 2, di.apply(dj.apply(xv)), dj1.apply(di2.apply(xv)),
-                              f"d{i} d{j} level {n} on {x}")
-        for n in range(0, L - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    si, sj = self.degeneracy_map(n + 1, i), self.degeneracy_map(n, j)
-                    sj1, si2 = self.degeneracy_map(n + 1, j + 1), self.degeneracy_map(n, i)
-                    for x in self.levels[n]:
-                        xv = self.ring(n).var(x)
-                        check(n + 2, si.apply(sj.apply(xv)), sj1.apply(si2.apply(xv)),
-                              f"s{i} s{j} level {n} on {x}")
-        for n in range(0, L):
-            for j in range(n + 1):
-                sj = self.degeneracy_map(n, j)
-                for i in range(n + 2):
-                    di = self.face_map(n + 1, i)
-                    for x in self.levels[n]:
-                        xv = self.ring(n).var(x)
-                        got = di.apply(sj.apply(xv))
-                        if i == j or i == j + 1:
-                            want = xv
-                        elif i < j:
-                            want = self.degeneracy_map(n - 1, j - 1).apply(
-                                self.face_map(n, i).apply(xv))
-                        else:
-                            want = self.degeneracy_map(n - 1, j).apply(
-                                self.face_map(n, i - 1).apply(xv))
-                        check(n, got, want, f"d{i} s{j} level {n} on {x}")
+        for tag, n, lhs, rhs in _simplicial_identities(L):
+            outer, inner = (maps[k](m, i) for k, m, i in lhs)
+            if rhs is not None:
+                r_outer, r_inner = (maps[k](m, i) for k, m, i in rhs)
+            for x in self.levels[n]:
+                xv = self.ring(n).var(x)
+                got = outer.apply(inner.apply(xv))
+                want = xv if rhs is None else r_outer.apply(r_inner.apply(xv))
+                if not outer.target.normal_form(got - want).is_zero():
+                    bad.append(f"{tag} on {x}")
         return (not bad, bad)
 
     def to_json(self) -> dict:
@@ -278,6 +249,36 @@ class FreeExtensionLevelwise:
                 for (n, j) in sorted(self._degeneracies)
             },
         }
+
+
+def _simplicial_identities(L: int):
+    """Every simplicial identity among the operators of levels 0..L, in a
+    fixed order, as (tag, source level n, lhs, rhs).  Each side is an
+    (outer, inner) pair of operators ("d" or "s", source level, index),
+    inner applied first; rhs is None where the identity is d_i s_j = id."""
+    for n in range(2, L + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                yield (f"d{i} d{j} level {n}", n,
+                       (("d", n - 1, i), ("d", n, j)),
+                       (("d", n - 1, j - 1), ("d", n, i)))
+    for n in range(0, L - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                yield (f"s{i} s{j} level {n}", n,
+                       (("s", n + 1, i), ("s", n, j)),
+                       (("s", n + 1, j + 1), ("s", n, i)))
+    for n in range(0, L):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                if i == j or i == j + 1:
+                    rhs = None
+                elif i < j:
+                    rhs = (("s", n - 1, j - 1), ("d", n, i))
+                else:
+                    rhs = (("s", n - 1, j), ("d", n, i - 1))
+                yield (f"d{i} s{j} level {n}", n,
+                       (("d", n + 1, i), ("s", n, j)), rhs)
 
 
 def apply_surjection_contravariant(ext: FreeExtensionLevelwise, u: OrdinalMap,
@@ -442,17 +443,10 @@ def tensor_resolutions(left: FreeExtensionLevelwise, right: FreeExtensionLevelwi
         raise SimplicialError("tensor factors must share the base")
     L = min(left.max_level, right.max_level)
     left_names = set().union(*(set(left.levels[n]) for n in range(L + 1)))
-    rename = {}
-    taken = set(left.base.ring.variables) | left_names
-    for n in range(L + 1):
-        for x in right.levels[n]:
-            if x in rename:
-                continue
-            cand = x
-            while cand in taken:
-                cand = cand + "_b"
-            rename[x] = cand
-            taken.add(cand)
+    right_names = list(dict.fromkeys(
+        x for n in range(L + 1) for x in right.levels[n]))
+    rename = dict(zip(right_names, fresh_names(
+        right_names, set(left.base.ring.variables) | left_names, "_b")))
     levels = {
         n: left.levels[n] + tuple(rename[x] for x in right.levels[n])
         for n in range(L + 1)
@@ -722,36 +716,15 @@ class SimplicialModuleFR:
                         bad.append(tag)
                         return
 
-        L = self.max_level
-        for n in range(2, L + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    eq(linalg.mat_mul(F, self.faces[(n - 1, i)], self.faces[(n, j)]),
-                       linalg.mat_mul(F, self.faces[(n - 1, j - 1)], self.faces[(n, i)]),
-                       f"d{i} d{j} level {n}")
-        for n in range(0, L - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    eq(linalg.mat_mul(F, self.degeneracies[(n + 1, i)],
-                                      self.degeneracies[(n, j)]),
-                       linalg.mat_mul(F, self.degeneracies[(n + 1, j + 1)],
-                                      self.degeneracies[(n, i)]),
-                       f"s{i} s{j} level {n}")
-        for n in range(0, L):
-            ident = linalg.identity_matrix(F, self.dims[n])
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    got = linalg.mat_mul(F, self.faces[(n + 1, i)],
-                                         self.degeneracies[(n, j)])
-                    if i == j or i == j + 1:
-                        want = ident
-                    elif i < j:
-                        want = linalg.mat_mul(F, self.degeneracies[(n - 1, j - 1)],
-                                              self.faces[(n, i)])
-                    else:
-                        want = linalg.mat_mul(F, self.degeneracies[(n - 1, j)],
-                                              self.faces[(n, i - 1)])
-                    eq(got, want, f"d{i} s{j} level {n}")
+        ops = {"d": self.faces, "s": self.degeneracies}
+
+        def composite(side):
+            (k, m, i), (k2, m2, i2) = side
+            return linalg.mat_mul(F, ops[k][(m, i)], ops[k2][(m2, i2)])
+
+        for tag, n, lhs, rhs in _simplicial_identities(self.max_level):
+            eq(composite(lhs), linalg.identity_matrix(F, self.dims[n])
+               if rhs is None else composite(rhs), tag)
         return (not bad, bad)
 
     # three homology computations that must agree
@@ -777,9 +750,9 @@ class SimplicialModuleFR:
                 knd = len(bn)
             else:
                 d0b = [linalg.mat_vec(F, self.faces[(n, 0)], v) for v in bn]
-                knd = len(bn) - linalg.rank(F, _cols_to_matrix(F, d0b, self.dims[n - 1]))
+                knd = len(bn) - linalg.rank(F, d0b)
             d0b1 = [linalg.mat_vec(F, self.faces[(n + 1, 0)], v) for v in bn1]
-            img = linalg.rank(F, _cols_to_matrix(F, d0b1, self.dims[n]))
+            img = linalg.rank(F, d0b1)
             dims[n] = knd - img
         return dims
 
@@ -819,8 +792,7 @@ class SimplicialModuleFR:
             degen = []
             if n >= 1:
                 for j in range(n):
-                    for col in _matrix_cols(self.degeneracies[(n - 1, j)]):
-                        degen.append(col)
+                    degen.extend(matrix_columns(self.degeneracies[(n - 1, j)]))
             if not degen:
                 reducers[n] = ([], [])
                 qdims[n] = self.dims[n]
@@ -854,7 +826,7 @@ class SimplicialModuleFR:
                 unit[i] = F.one()
                 img = linalg.mat_vec(F, full, unit)
                 cols.append(reduce_vec(n - 1, img))
-            diffs[n] = _cols_to_matrix(F, cols, qdims[n - 1])
+            diffs[n] = matrix_from_columns(cols, qdims[n - 1])
         return qdims, diffs
 
     def normalized_homology_dims(self, up_to: int):
@@ -868,18 +840,6 @@ class SimplicialModuleFR:
             rk_n1 = linalg.rank(F, diffs[n + 1])
             dims[n] = qdims[n] - rk_n - rk_n1
         return dims
-
-
-def _matrix_cols(m):
-    if not m:
-        return []
-    return [[m[r][c] for r in range(len(m))] for c in range(len(m[0]))]
-
-
-def _cols_to_matrix(F, cols, length: int):
-    if not cols:
-        return [[F.zero()] * 0 for _ in range(length)]
-    return [[col[r] for col in cols] for r in range(length)]
 
 
 # -- structural comparison of the two chain models ---------------------------

@@ -106,8 +106,7 @@ def suite_conormal_degree_one() -> dict:
             pt = stage.rp.transport_point(q)
             cols = [[P.normal_form(p).evaluate(pt) for p in col]
                     for col in stage.syzygy_vectors]
-            rows = [[col[i] for col in cols] for i in range(m)]
-            conormal = m - linalg.rank(P.field, rows)
+            conormal = m - linalg.rank(P.field, cols)
             aq1 = trunc.homology_dim(1, q)
             tor1 = tor.dim_at_point(1, q)
             ok = ok and aq1 == conormal == tor1

@@ -1,5 +1,9 @@
 """Classification predicates, their oracles, and the zero-dimensional helpers."""
 
+import gc
+import itertools
+import weakref
+
 import pytest
 
 from aq.fields import QQ, GF
@@ -145,6 +149,15 @@ def test_module_level_vanishing_alone_does_not_certify_smoothness():
     assert report.global_flag == "sampled-only"
 
 
+def test_truncation_memo_is_freed_with_the_map():
+    phi = inclusion_from_ground(cusp())
+    assert not is_smooth_at(phi, {"x": 0, "y": 0})["verdict"]
+    ref = weakref.ref(phi)
+    del phi
+    gc.collect()
+    assert ref() is None
+
+
 def test_unknown_property_lists_the_valid_ones():
     with pytest.raises(ClassifyError, match="unknown property"):
         classification_report("flat", inclusion_from_ground(cusp()),
@@ -216,6 +229,33 @@ def test_irreducibility_over_prime_fields():
     assert univariate_irreducible(F3, [1, 0, 1])
     # Artin-Schreier x^5 - x - 1 is irreducible over GF(5)
     assert univariate_irreducible(F5, [4, 4, 0, 0, 0, 1])
+
+
+def _trial_division_irreducible(f, p):
+    """Reference: no monic g with 1 <= deg g <= deg f / 2 divides f;
+    coefficient lists are integers mod p, low degree first."""
+    deg = len(f) - 1
+    for d in range(1, deg // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            g = list(low) + [1]
+            r = list(f)
+            for shift in range(deg - d, -1, -1):
+                c = r[shift + d]
+                for i, gi in enumerate(g):
+                    r[shift + i] = (r[shift + i] - c * gi) % p
+            if not any(r):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_irreducibility_matches_trial_division(p):
+    F = GF(p)
+    for deg in (2, 3, 4):
+        for low in itertools.product(range(p), repeat=deg):
+            f = list(low) + [1]
+            assert univariate_irreducible(F, [F.from_int(c) for c in f]) \
+                == _trial_division_irreducible(f, p), f
 
 
 # -- imperfection ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from aq.cotangent import (
 )
 from aq.fields import GF, QQ
 from aq.rings import AlgebraMap, compose
-from aq.simplicial import hypersurface_resolution
+from aq.simplicial import bar_construction, hypersurface_resolution
 
 ORIGIN = {"x": 0, "y": 0}
 
@@ -104,6 +104,17 @@ def test_closed_form_differentials_square_to_zero():
 def test_epsilon_rank_table_values():
     assert [hypersurface_rank_table(n) for n in range(2, 7)] == [0, 2, 1, 3, 2]
     assert epsilon_entry(0, 1) == 0  # degree-2 differential vanishes
+
+
+def test_resolution_failing_its_identities_is_refused():
+    line = algebra(QQ, ("x",))
+    ext = bar_construction(line, "x", 4)
+    # the correct s_0 sends x1_0 to x2_1
+    ext.set_degeneracy(1, 0, {"x1_0": ext.ring(2).var("x2_0")})
+    ok, failures = ext.simplicial_identities_hold()
+    assert not ok and failures
+    with pytest.raises(CotangentError, match="simplicial identities fail"):
+        cotangent_from_resolution(ext, 3)
 
 
 def test_rank_exactness_certificate():

@@ -63,6 +63,17 @@ def test_rank_nullity(rows):
     assert r + nullity == 3
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, GF(5)]), st.integers(0, 4),
+       st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                max_size=4))
+def test_rank_reads_rows_or_columns(field, length, rows):
+    # empty lists and vectors of length 0 included
+    vecs = [[field.from_int(e) for e in row[:length]] for row in rows]
+    transpose = [[v[i] for v in vecs] for i in range(length)]
+    assert linalg.rank(field, vecs) == linalg.rank(field, transpose)
+
+
 def test_rank_over_gf2_differs_from_qq():
     rows = [[1, 1], [1, -1]]
     assert linalg.rank(QQ, qmat(rows)) == 2

@@ -7,6 +7,7 @@ from aq.corpus import algebra
 from aq.fields import GF, QQ
 from aq.simplicial import (
     SimplicialError,
+    SimplicialModuleFR,
     augmentation,
     augmentation_of_level,
     bar_construction,
@@ -128,6 +129,19 @@ def test_chain_models_agree_on_kill_cycle():
     ext = kill_cycle(constant_extension(line(), 4), "y^2", 1)
     result = homology_models_agree(ext, {"y": 0}, max_degree=2)
     assert result["ok"], result
+
+
+def test_both_identity_checks_flag_the_same_identities():
+    ext = bar_construction(line(), "y", 4)
+    # the correct s_0 sends x1_0 to x2_1
+    ext.set_degeneracy(1, 0, {"x1_0": ext.ring(2).var("x2_0")})
+    ok, failures = ext.simplicial_identities_hold()
+    ok_fr, failures_fr = SimplicialModuleFR.from_extension(
+        ext, {"y": 0}, max_degree=2).validate()
+    assert not ok and not ok_fr
+    assert "s0 s0 level 1 on x1_0" in failures
+    assert list(dict.fromkeys(f.split(" on ")[0] for f in failures)) \
+        == failures_fr
 
 
 def test_bar_equals_killing_the_variable():
