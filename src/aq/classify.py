@@ -17,8 +17,8 @@ from . import linalg
 from .cotangent import CotangentError, cotangent_trunc2
 from .groebner import ideal_groebner, poly_normal_form
 from .kahler import jacobian_matrix, kahler_oracle_via_diagonal, kahler_presentation
-from .modules import (FPModule, koszul_complex, koszul_homology_all_vanish,
-                      matrix_columns)
+from .modules import (FPModule, evaluate_matrix, koszul_complex,
+                      koszul_homology_all_vanish, matrix_columns)
 from .orders import MonomialOrder
 from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra
@@ -80,11 +80,6 @@ def _vanishes_locally(module: FPModule, point: dict) -> bool:
     return True
 
 
-def _evaluated_columns(columns, point, algebra) -> list[list]:
-    return [[algebra.normal_form(p).evaluate(point) for p in col]
-            for col in columns]
-
-
 # -- smooth / unramified / etale ----------------------------------------------
 
 
@@ -106,10 +101,9 @@ def is_smooth_at(phi: AlgebraMap, point: dict) -> dict:
     alt_pt = rp.transport_point(pt)
     field = rp.algebra.field
     jac = jacobian_matrix(rp)
-    rank_j = linalg.rank(
-        field, [[e.evaluate(alt_pt) for e in row] for row in jac])
+    rank_j = linalg.rank(field, evaluate_matrix(jac, alt_pt))
     m = len(stage.generators)
-    d2 = _evaluated_columns(stage.syzygy_vectors, alt_pt, rp.algebra)
+    d2 = evaluate_matrix(stage.syzygy_vectors, alt_pt)
     local_gens = m - linalg.rank(field, d2)
     oracle = rank_j == local_gens
 
@@ -152,12 +146,9 @@ def is_etale_at(phi: AlgebraMap, point: dict) -> dict:
 def _spanning_subsets(m: int, eliminated, field, size: int):
     """Size-`size` subsets of the m generators whose images, together with
     the eliminated columns, span the full fiber k^m."""
+    units = linalg.unit_vectors(field.zero(), field.one(), m)
     for subset in combinations(range(m), size):
-        cols = []
-        for i in subset:
-            col = [field.zero()] * m
-            col[i] = field.one()
-            cols.append(col)
+        cols = [units[i] for i in subset]
         if linalg.rank(field, cols + eliminated) == m:
             yield subset
 
@@ -177,7 +168,7 @@ def _regular_sequence_oracle(stage, point: dict, limit: int = 5):
         return None
     field = P.field
     pt = P.parse_point(point)
-    d2 = _evaluated_columns(stage.syzygy_vectors, pt, P)
+    d2 = evaluate_matrix(stage.syzygy_vectors, pt)
     mu = m - linalg.rank(field, d2)
     if mu == 0:
         return True

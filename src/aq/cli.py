@@ -49,7 +49,7 @@ def _run_homology(session: Session, payload) -> tuple[bool, dict, dict]:
         if (not phi.source.relations and phi.is_canonical_surjection()
                 and len(phi.target.relations) == 1):
             resolution = hypersurface_resolution(
-                phi.source, phi.target.relations[0], maxdeg + 2)
+                phi.source, phi.target.relations[0], maxdeg + 1)
         # otherwise let aq_homology refuse with its own message
     if coeff[0] == "residue":
         _, pt = session.points[coeff[1]]

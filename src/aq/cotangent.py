@@ -22,11 +22,11 @@ from .modules import (
     FreeComplex,
     Matrix,
     dense_to_vp,
+    evaluate_matrix,
     matrix_columns,
     matrix_from_columns,
     matrix_to_json,
     syzygies,
-    tensor_with_module,
 )
 from .poly import Polynomial, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra, compose, point_to_json
@@ -113,10 +113,10 @@ class CotangentComplexTrunc:
             return rp.transport_point(point)
         return self.algebra.parse_point(point)
 
-    def transport_module(self, module: FPModule | None) -> FPModule:
-        if module is None:
-            return FPModule(self.algebra, 1, [])
-        if module.algebra == self.algebra:
+    def transport_module(self, module: FPModule | None) -> FPModule | None:
+        """The module over this complex's algebra; None (the algebra
+        itself) stays None."""
+        if module is None or module.algebra == self.algebra:
             return module
         rp = self.provenance.get("relative")
         if rp is not None and module.algebra == self.phi.target:
@@ -140,10 +140,8 @@ class CotangentComplexTrunc:
         if n < 0:
             return FPModule(self.algebra, 0, [])
         self._check_degree(n)
-        mod = self.transport_module(coefficients)
-        if mod.free_rank() == 1 and not mod.relations:
-            return self.homology_complex.homology(n)
-        return tensor_with_module(self.homology_complex, mod).homology(n)
+        return self.homology_complex.homology(
+            n, self.transport_module(coefficients))
 
     def dims_through(self, point: dict, n_max: int) -> list[int]:
         return [self.homology_dim(n, point) for n in range(n_max + 1)]
@@ -287,14 +285,14 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise,
         if not rows or not cols:
             continue
         push = aug_maps[n - 1]
+        faces = {x: [ext.face_map(n, i).apply(ext.ring(n).var(x))
+                     for i in range(n + 1)] for x in cols}
         matrix = []
         for w in rows:
             row = []
             for x in cols:
                 acc = aug.ring.zero()
-                xv = ext.ring(n).var(x)
-                for i in range(n + 1):
-                    img = ext.face_map(n, i).apply(xv)
+                for i, img in enumerate(faces[x]):
                     term = push.apply(img.derivative(w))
                     acc = acc + term if i % 2 == 0 else acc - term
                 row.append(acc)
@@ -350,8 +348,8 @@ def rank_exactness_check(L: FreeComplex, sample_points) -> dict:
         pt = L.algebra.parse_point(q)
         rows = []
         for n in range(2, top):
-            dn = [[e.evaluate(pt) for e in row] for row in L.differential(n)]
-            dn1 = [[e.evaluate(pt) for e in row] for row in L.differential(n + 1)]
+            dn = evaluate_matrix(L.differential(n), pt)
+            dn1 = evaluate_matrix(L.differential(n + 1), pt)
             lhs = L.rank(n)
             rhs = linalg.rank(field, dn) + linalg.rank(field, dn1)
             ok = lhs == rhs
@@ -439,6 +437,24 @@ def _resolve_trunc(phi, n_max: int, resolution) -> CotangentComplexTrunc:
     return trunc
 
 
+def _report(phi, trunc: CotangentComplexTrunc, complex: FreeComplex,
+            position, mode: str, coefficients, n_max: int) -> HomologyReport:
+    """Degrees 0..n_max, degree n read off `complex` at position(n)."""
+    degrees = range(n_max + 1)
+    if isinstance(coefficients, dict):
+        pt = trunc.transport_point(coefficients)
+        entries = [{"n": n, "dim": complex.homology_dim_at_point(position(n), pt)}
+                   for n in degrees]
+    else:
+        mod = trunc.transport_module(coefficients)
+        entries = [{"n": n, "module": complex.homology(position(n), mod)}
+                   for n in degrees]
+    report_map = trunc.phi if phi is None else phi
+    return HomologyReport(report_map.to_json(),
+                          _coefficient_descriptor(coefficients, trunc),
+                          mode, trunc.cutoff, entries)
+
+
 def aq_homology(phi: AlgebraMap | None, coefficients=None, n_max: int = 2,
                 resolution=None) -> HomologyReport:
     """Homology of the truncated cotangent complex with the given coefficients.
@@ -448,17 +464,8 @@ def aq_homology(phi: AlgebraMap | None, coefficients=None, n_max: int = 2,
     reported).  Degrees above 2 require an explicit resolution.
     """
     trunc = _resolve_trunc(phi, n_max, resolution)
-    entries = []
-    for n in range(n_max + 1):
-        if isinstance(coefficients, dict):
-            entries.append({"n": n, "dim": trunc.homology_dim(n, coefficients)})
-        else:
-            mod = trunc.homology_module(n, coefficients)
-            entries.append({"n": n, "module": mod})
-    report_map = trunc.phi if phi is None else phi
-    return HomologyReport(report_map.to_json(),
-                          _coefficient_descriptor(coefficients, trunc),
-                          trunc.mode, trunc.cutoff, entries)
+    return _report(phi, trunc, trunc.homology_complex, lambda n: n,
+                   trunc.mode, coefficients, n_max)
 
 
 def _hom_dual_complex(fc: FreeComplex) -> tuple[FreeComplex, int]:
@@ -479,24 +486,8 @@ def aq_cohomology(phi: AlgebraMap | None, coefficients=None, n_max: int = 2,
     """Derivation-side reports: transposed differentials, same degree range."""
     trunc = _resolve_trunc(phi, n_max, resolution)
     dual, top = _hom_dual_complex(trunc.homology_complex)
-    entries = []
-    for n in range(n_max + 1):
-        pos = top - n
-        if isinstance(coefficients, dict):
-            pt = trunc.transport_point(coefficients)
-            entries.append({"n": n, "dim": dual.homology_dim_at_point(pos, pt)})
-        else:
-            mod = trunc.transport_module(coefficients)
-            if mod.free_rank() == 1 and not mod.relations:
-                entries.append({"n": n, "module": dual.homology(pos)})
-            else:
-                entries.append(
-                    {"n": n,
-                     "module": tensor_with_module(dual, mod).homology(pos)})
-    report_map = trunc.phi if phi is None else phi
-    return HomologyReport(report_map.to_json(),
-                          _coefficient_descriptor(coefficients, trunc),
-                          trunc.mode + "-dual", trunc.cutoff, entries)
+    return _report(phi, trunc, dual, lambda n: top - n,
+                   trunc.mode + "-dual", coefficients, n_max)
 
 
 # -- Tor via iterated syzygies ----------------------------------------------------
@@ -512,21 +503,6 @@ class TorTable:
     def dim_at_point(self, n: int, point: dict) -> int:
         pt = self.stages.rp.transport_point(point)
         return self.complex.homology_dim_at_point(n, pt)
-
-    def dims_through(self, point: dict, n_max: int) -> list[int]:
-        return [self.dim_at_point(n, point) for n in range(n_max + 1)]
-
-    def module(self, n: int, coefficients: FPModule | None = None) -> FPModule:
-        if coefficients is None:
-            return self.complex.homology(n)
-        return tensor_with_module(self.complex, coefficients).homology(n)
-
-    def to_json(self) -> dict:
-        return {
-            "map": self.phi.to_json(),
-            "ranks": {str(n): self.complex.rank(n)
-                      for n in self.complex.degrees()},
-        }
 
 
 def _surjective_stages(phi: AlgebraMap) -> _Trunc2Data:
@@ -596,10 +572,8 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
         aq2 = trunc.homology_dim(2, q)
         tor1 = tor.dim_at_point(1, q)
         tor2 = tor.dim_at_point(2, q)
-        m3_eval = [[S.normal_form(p).evaluate(pt) for p in col]
-                   for col in m3_cols]
-        both_eval = m3_eval + [[S.normal_form(p).evaluate(pt) for p in col]
-                               for col in lam_cols]
+        m3_eval = evaluate_matrix(m3_cols, pt)
+        both_eval = m3_eval + evaluate_matrix(lam_cols, pt)
         rank_w = linalg.rank(field, both_eval) - linalg.rank(field, m3_eval)
         ok = (aq2 == tor2 - rank_w) and (aq1 == tor1)
         passes = passes and ok

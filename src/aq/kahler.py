@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from .modules import (
     FPModule,
     Matrix,
+    evaluate_matrix,
     matrix_columns,
     syzygies,
 )
@@ -335,33 +336,19 @@ def jacobi_zariski_right_exact(psi: AlgebraMap, phi: AlgebraMap) -> ExactSequenc
     omega_top = FPModule(S, ny, matrix_columns(jac_top))
     zero = S.ring.zero()
     one = S.ring.one()
-    # alpha: dz -> dz (inclusion); beta: dz -> d_phi(z) = 0, dy -> dy
-    alpha_cols = []
-    for i in range(nz):
-        col = [zero] * (nz + ny)
-        col[i] = one
-        alpha_cols.append(col)
-    beta = [[zero] * (nz + ny) for _ in range(ny)]
-    for j in range(ny):
-        beta[j][nz + j] = one
+    # alpha: dz -> dz (inclusion); beta: dz -> d_phi(z) = 0, dy -> dy.
+    # The columns of alpha and the rows of beta are unit vectors.
+    units = linalg.unit_vectors(zero, one, nz + ny)
+    alpha_cols, beta = units[:nz], units[nz:]
     # surjectivity: every generator dy of Omega_phi is hit
     if ny == 0:
         surj = True
     else:
         hits = matrix_columns(beta) + omega_top.relations
-        units = []
-        for j in range(ny):
-            col = [zero] * ny
-            col[j] = one
-            units.append(col)
-        surj = _span_contains(S, ny, hits, units)
+        surj = _span_contains(S, ny, hits, linalg.unit_vectors(zero, one, ny))
     # exactness at the middle
     if ny == 0:
-        ker_beta = []
-        for i in range(nz):
-            col = [zero] * nz
-            col[i] = one
-            ker_beta.append(col)
+        ker_beta = linalg.unit_vectors(zero, one, nz)
     else:
         ker_beta = preimage_kernel(matrix_columns(beta), omega_top.relations, ny, S)
     middle_haystack = alpha_cols + omega_comp.relations
@@ -418,27 +405,23 @@ def conormal_sequence(psi: AlgebraMap, ideal_gens) -> ExactSequenceReport:
     g_mid = rp1.relation_polys
     jac_mid = [[S.normal_form(p.derivative(z)) for p in g_mid] for z in Z]
     omega_mid = FPModule(S, nz, matrix_columns(jac_mid))
-    # zeta: class of f_i -> d_psi(f_i); alpha: identity on the dz generators
+    # zeta: class of f_i -> d_psi(f_i); alpha: identity on the dz generators,
+    # whose columns are the unit vectors
     zeta_cols = [[S.normal_form(fi.derivative(z)) for z in Z] for fi in lifted]
     comp_rels = list(g_mid) + lifted
     jac_comp = [[S.normal_form(p.derivative(z)) for p in comp_rels] for z in Z]
     omega_comp = FPModule(S, nz, matrix_columns(jac_comp))
     zero = S.ring.zero()
     one = S.ring.one()
-    alpha = [[one if i == j else zero for j in range(nz)] for i in range(nz)]
-    units = []
-    for j in range(nz):
-        col = [zero] * nz
-        col[j] = one
-        units.append(col)
+    alpha = linalg.unit_vectors(zero, one, nz)
     if nz == 0:
         surj = True
         middle = True
         well_defined = True
         ker_alpha = []
     else:
-        surj = _span_contains(S, nz, matrix_columns(alpha) + omega_comp.relations, units)
-        ker_alpha = preimage_kernel(matrix_columns(alpha), omega_comp.relations, nz, S)
+        surj = _span_contains(S, nz, alpha + omega_comp.relations, alpha)
+        ker_alpha = preimage_kernel(alpha, omega_comp.relations, nz, S)
         middle = _span_contains(S, nz, zeta_cols + omega_mid.relations, ker_alpha)
         # relations of I/I^2 must map into the relations of Omega_mid
         images = []
@@ -475,7 +458,7 @@ def derivation_basis_at_point(phi: AlgebraMap, target_point: dict):
     rp = kd.presentation
     pt = rp.transport_point(target_point)
     field = rp.algebra.field
-    jac = [[e.evaluate(pt) for e in row] for row in kd.jacobian]
+    jac = evaluate_matrix(kd.jacobian, pt)
     # relations: J^T v = 0 where v assigns a value to each dy
     return kd, linalg.nullspace(field, matrix_columns(jac), rp.num_adjoined())
 

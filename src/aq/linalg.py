@@ -18,11 +18,11 @@ def zero_matrix(field: Field, rows: int, cols: int):
     return [[z] * cols for _ in range(rows)]
 
 
-def identity_matrix(field: Field, n: int):
-    m = zero_matrix(field, n, n)
-    for i in range(n):
-        m[i][i] = field.one()
-    return m
+def unit_vectors(zero, one, n: int):
+    """The n unit vectors of length n; as rows, the identity matrix.
+
+    `zero` and `one` may be field elements or polynomials."""
+    return [[one if i == j else zero for i in range(n)] for j in range(n)]
 
 
 def mat_mul(field: Field, a, b):
@@ -93,18 +93,13 @@ def nullspace(field: Field, matrix, cols: int | None = None):
         cols = len(matrix[0]) if rows else 0
     if cols == 0:
         return []
-    if rows == 0:
-        return [
-            [field.one() if i == j else field.zero() for i in range(cols)]
-            for j in range(cols)
-        ]
-    red, pivots = rref(field, matrix)
+    # no rows: every column is free, and the basis is the unit vectors
+    red, pivots = rref(field, matrix) if rows else ([], [])
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [field.zero()] * cols
-        v[fc] = field.one()
+    for fc, v in enumerate(unit_vectors(field.zero(), field.one(), cols)):
+        if fc in pivot_set:
+            continue
         for r, pc in enumerate(pivots):
             v[pc] = field.neg(red[r][fc])
         basis.append(v)

@@ -2,9 +2,12 @@
 
 Matrices over a presented algebra are lists of rows of ambient
 polynomials acting on column vectors. Kernels and syzygies reduce to the
-elimination engine in groebner.py; homology of a free complex is the
-subquotient presentation ker(d_n)/im(d_{n+1}), and at a rational point
-it is plain exact linear algebra over the coefficient field.
+elimination engine in groebner.py.  The homology of a free complex C
+with coefficients in a finitely presented module N is H_n(C tensor N),
+presented as the subquotient ker(d_n tensor N)/im(d_{n+1} tensor N);
+N = A, the algebra itself, is the default.  At a rational point,
+homology with residue-field coefficients is plain exact linear algebra
+over the coefficient field.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ def matrix_from_columns(cols: list[list[Polynomial]], rows: int) -> Matrix:
     return [[col[i] for col in cols] for i in range(rows)]
 
 
-def evaluate_matrix(algebra: PresentedAlgebra, m: Matrix, point: dict):
+def evaluate_matrix(m: Matrix, point: dict):
+    """Entries evaluated at a point: a matrix over the coefficient field."""
     return [[entry.evaluate(point) for entry in row] for row in m]
 
 
@@ -114,21 +118,6 @@ def syzygies(vectors, rank: int, algebra: PresentedAlgebra):
     return _canonical_vectors(out, len(vps), algebra)
 
 
-def kernel_generators(m: Matrix, algebra: PresentedAlgebra):
-    """Column vectors spanning ker(A^cols -> A^rows)."""
-    rows, cols = matrix_shape(m)
-    if cols == 0:
-        return []
-    if rows == 0:
-        unit = []
-        for j in range(cols):
-            v = [algebra.ring.zero()] * cols
-            v[j] = algebra.ring.one()
-            unit.append(v)
-        return unit
-    return syzygies(matrix_columns(m), rows, algebra)
-
-
 def annihilator(vector, rank: int, denominators, algebra: PresentedAlgebra):
     """Generators of {a in A : a*vector lies in span(denominators) + I}."""
     vecs = [vector] + list(denominators)
@@ -150,7 +139,7 @@ def annihilator(vector, rank: int, denominators, algebra: PresentedAlgebra):
 class FPModule:
     """Cokernel presentation: A^k --relations--> A^gens -> M -> 0."""
 
-    def __init__(self, algebra: PresentedAlgebra, gens: int, relations=(), cycle_reps=None):
+    def __init__(self, algebra: PresentedAlgebra, gens: int, relations=()):
         self.algebra = algebra
         self.gens = gens
         rels = []
@@ -160,8 +149,6 @@ class FPModule:
                 raise ModuleError("relation length does not match generator count")
             rels.append(vec)
         self.relations = _canonical_vectors(rels, gens, algebra)
-        # optional: ambient representatives of the generators (set by homology)
-        self.cycle_reps = cycle_reps
         self._engine: SubmoduleEngine | None = None
 
     def _rel_engine(self) -> SubmoduleEngine:
@@ -190,7 +177,7 @@ class FPModule:
         pt = self.algebra.parse_point(point)
         if self.gens == 0:
             return 0
-        cols = [[p.evaluate(pt) for p in rel] for rel in self.relations]
+        cols = evaluate_matrix(self.relations, pt)
         return self.gens - linalg.rank(self.algebra.field, cols)
 
     def annihilator_of_generator(self, index: int):
@@ -225,7 +212,7 @@ def present_subquotient(algebra, ambient_rank, numerators, denominators) -> FPMo
     syz = syzygies(vecs, ambient_rank, algebra)
     k = len(nums)
     relations = [row[:k] for row in syz]
-    return FPModule(algebra, k, relations, cycle_reps=nums)
+    return FPModule(algebra, k, relations)
 
 
 # -- free complexes ----------------------------------------------------------
@@ -282,25 +269,58 @@ class FreeComplex:
                     if not self.algebra.normal_form(s).is_zero():
                         raise ModuleError(f"d_{n} . d_{n + 1} != 0 at entry ({i},{j})")
 
-    def homology(self, n: int) -> FPModule:
-        """ker(d_n)/im(d_{n+1}) as a finitely presented module."""
-        if self.rank(n) == 0:
+    def homology(self, n: int, coefficients: FPModule | None = None) -> FPModule:
+        """H_n(C tensor N) = ker(d_n tensor N)/im(d_{n+1} tensor N).
+
+        N is `coefficients`, a module over this complex's algebra with g
+        generators, or the algebra itself (g = 1, no relations) for None.
+        C_n tensor N is presented on rank(n) * g generators, where slot j,
+        generator t of N sits at index j * g + t.  Cycles are the syzygies
+        of the columns of d_n tensor id_N together with the relations of N
+        in every slot of degree n - 1; the boundaries are the columns of
+        d_{n+1} tensor id_N and the relations of N in degree n.
+        """
+        if coefficients is None:
+            g, rels = 1, []
+        elif coefficients.algebra != self.algebra:
+            raise ModuleError("coefficient module over a different algebra")
+        else:
+            g, rels = coefficients.gens, coefficients.relations
+        ambient = self.rank(n) * g
+        if ambient == 0:
             return FPModule(self.algebra, 0, [])
+        zero, one = self.algebra.ring.zero(), self.algebra.ring.one()
+
+        def tensored_columns(k: int):
+            """Columns of d_k tensor id_N."""
+            mat = self.differential(k)
+            cols = []
+            for j in range(self.rank(k)):
+                for t in range(g):
+                    col = [zero] * (self.rank(k - 1) * g)
+                    col[t::g] = [row[j] for row in mat]
+                    cols.append(col)
+            return cols
+
+        def relation_columns(k: int):
+            """The relations of N, in each slot of C_k tensor N."""
+            cols = []
+            for slot in range(self.rank(k)):
+                for rel in rels:
+                    col = [zero] * (self.rank(k) * g)
+                    col[slot * g:(slot + 1) * g] = rel
+                    cols.append(col)
+            return cols
+
         if self.rank(n - 1) == 0:
             # everything is a cycle; the empty matrix cannot say so
-            zero, one = self.algebra.ring.zero(), self.algebra.ring.one()
-            cycles = []
-            for j in range(self.rank(n)):
-                v = [zero] * self.rank(n)
-                v[j] = one
-                cycles.append(v)
+            cycles = linalg.unit_vectors(zero, one, ambient)
         else:
-            cycles = kernel_generators(self.differential(n), self.algebra)
-        boundaries = matrix_columns(self.differential(n + 1))
-        return present_subquotient(self.algebra, self.rank(n), cycles, boundaries)
-
-    def evaluate_differential(self, n: int, point: dict):
-        return evaluate_matrix(self.algebra, self.differential(n), point)
+            vecs = tensored_columns(n) + relation_columns(n - 1)
+            syz = syzygies(vecs, self.rank(n - 1) * g, self.algebra)
+            cycles = [row[:ambient] for row in syz]
+        boundaries = tensored_columns(n + 1) + relation_columns(n)
+        return present_subquotient(self.algebra, ambient, cycles, boundaries)
 
     def homology_dim_at_point(self, n: int, point: dict) -> int:
         """dim_k H_n(C tensor k(point)); exact linear algebra."""
@@ -309,8 +329,11 @@ class FreeComplex:
         rn = self.rank(n)
         if rn == 0:
             return 0
-        rank_in = linalg.rank(field, self.evaluate_differential(n, pt)) if self.rank(n - 1) else 0
-        rank_out = linalg.rank(field, self.evaluate_differential(n + 1, pt)) if self.rank(n + 1) else 0
+        rank_in = rank_out = 0
+        if self.rank(n - 1):
+            rank_in = linalg.rank(field, evaluate_matrix(self.differential(n), pt))
+        if self.rank(n + 1):
+            rank_out = linalg.rank(field, evaluate_matrix(self.differential(n + 1), pt))
         return rn - rank_in - rank_out
 
     def to_json(self) -> dict:
@@ -326,84 +349,6 @@ class FreeComplex:
     def __repr__(self):
         ranks = ", ".join(f"{n}:{r}" for n, r in sorted(self.ranks.items()))
         return f"FreeComplex({ranks} over {self.algebra.describe()})"
-
-
-class TensoredComplex:
-    """A free complex with coefficients in a finitely presented module.
-
-    Degree-n term is N^{rank_n}; homology is computed by blocking the
-    differentials with the coefficient presentation.
-    """
-
-    def __init__(self, base: FreeComplex, coefficients: FPModule):
-        if coefficients.algebra != base.algebra:
-            raise ModuleError("coefficient module over a different algebra")
-        self.base = base
-        self.coefficients = coefficients
-        self.algebra = base.algebra
-
-    def rank(self, n: int) -> int:
-        return self.base.rank(n) * self.coefficients.gens
-
-    def _blocked_columns(self, n: int):
-        """Columns of d_n tensor id_N, then the relation block of the target."""
-        g = self.coefficients.gens
-        src = self.base.rank(n)
-        tgt = self.base.rank(n - 1)
-        mat = self.base.differential(n)
-        zero = self.algebra.ring.zero()
-        cols = []
-        for j in range(src):
-            for t in range(g):
-                col = [zero] * (tgt * g)
-                for i in range(tgt):
-                    col[i * g + t] = mat[i][j]
-                cols.append(col)
-        return cols
-
-    def _relation_block(self, n: int):
-        g = self.coefficients.gens
-        r = self.base.rank(n)
-        zero = self.algebra.ring.zero()
-        cols = []
-        for slot in range(r):
-            for rel in self.coefficients.relations:
-                col = [zero] * (r * g)
-                for t in range(g):
-                    col[slot * g + t] = rel[t]
-                cols.append(col)
-        return cols
-
-    def homology(self, n: int) -> FPModule:
-        g = self.coefficients.gens
-        rn = self.base.rank(n)
-        if rn == 0 or g == 0:
-            return FPModule(self.algebra, 0, [])
-        ambient = rn * g
-        if self.base.rank(n - 1) == 0:
-            cycles = []
-            one = self.algebra.ring.one()
-            zero = self.algebra.ring.zero()
-            for j in range(ambient):
-                v = [zero] * ambient
-                v[j] = one
-                cycles.append(v)
-        else:
-            down_cols = self._blocked_columns(n)
-            target_rels = self._relation_block(n - 1)
-            vecs = down_cols + target_rels
-            syz = syzygies(vecs, self.base.rank(n - 1) * g, self.algebra)
-            cycles = [row[:ambient] for row in syz]
-        boundaries = self._blocked_columns(n + 1) if self.base.rank(n + 1) else []
-        boundaries = boundaries + self._relation_block(n)
-        return present_subquotient(self.algebra, ambient, cycles, boundaries)
-
-
-def tensor_with_module(base: FreeComplex, coefficients) -> TensoredComplex:
-    """Complex with coefficients; accepts an FPModule over the same algebra."""
-    if not isinstance(coefficients, FPModule):
-        raise ModuleError("coefficients must be an FPModule")
-    return TensoredComplex(base, coefficients)
 
 
 # -- Koszul complexes ----------------------------------------------------------

@@ -723,7 +723,8 @@ class SimplicialModuleFR:
             return linalg.mat_mul(F, ops[k][(m, i)], ops[k2][(m2, i2)])
 
         for tag, n, lhs, rhs in _simplicial_identities(self.max_level):
-            eq(composite(lhs), linalg.identity_matrix(F, self.dims[n])
+            eq(composite(lhs),
+               linalg.unit_vectors(F.zero(), F.one(), self.dims[n])
                if rhs is None else composite(rhs), tag)
         return (not bad, bad)
 
@@ -734,10 +735,7 @@ class SimplicialModuleFR:
         basis = {}
         for n in range(0, min(up_to + 1, self.max_level) + 1):
             if n == 0:
-                basis[0] = [
-                    [F.one() if i == j else F.zero() for i in range(self.dims[0])]
-                    for j in range(self.dims[0])
-                ]
+                basis[0] = linalg.unit_vectors(F.zero(), F.one(), self.dims[0])
             else:
                 mats = [self.faces[(n, i)] for i in range(1, n + 1)]
                 basis[n] = linalg.intersect_nullspaces(F, mats, self.dims[n])
@@ -820,12 +818,8 @@ class SimplicialModuleFR:
             full = self.alternating_differential(n)
             _, pivots = reducers[n]
             free_src = [i for i in range(self.dims[n]) if i not in set(pivots)]
-            cols = []
-            for i in free_src:
-                unit = [F.zero()] * self.dims[n]
-                unit[i] = F.one()
-                img = linalg.mat_vec(F, full, unit)
-                cols.append(reduce_vec(n - 1, img))
+            cols = [reduce_vec(n - 1, [row[i] for row in full])
+                    for i in free_src]
             diffs[n] = matrix_from_columns(cols, qdims[n - 1])
         return qdims, diffs
 

@@ -21,7 +21,7 @@ from .cotangent import (
     tor_modules,
 )
 from .kahler import kahler_oracle_via_diagonal, kahler_presentation
-from .modules import koszul_homology_all_vanish
+from .modules import evaluate_matrix, koszul_homology_all_vanish
 from .rings import AlgebraError
 from .simplicial import (
     bar_construction,
@@ -104,8 +104,7 @@ def suite_conormal_degree_one() -> dict:
         ok = True
         for q in case["points"]:
             pt = stage.rp.transport_point(q)
-            cols = [[P.normal_form(p).evaluate(pt) for p in col]
-                    for col in stage.syzygy_vectors]
+            cols = evaluate_matrix(stage.syzygy_vectors, pt)
             conormal = m - linalg.rank(P.field, cols)
             aq1 = trunc.homology_dim(1, q)
             tor1 = tor.dim_at_point(1, q)

@@ -1,8 +1,11 @@
 """Truncated cotangent complexes: both construction modes, their
 cross-agreement, Tor comparisons, and the structural checks."""
 
+from itertools import product
+
 import pytest
 
+from aq import corpus
 from aq.corpus import algebra, canonical_surjection, inclusion_from_ground
 from aq.cotangent import (
     CotangentError,
@@ -21,7 +24,8 @@ from aq.cotangent import (
     tor_modules,
 )
 from aq.fields import GF, QQ
-from aq.rings import AlgebraMap, compose
+from aq.modules import FPModule
+from aq.rings import AlgebraMap, PointError, compose
 from aq.simplicial import bar_construction, hypersurface_resolution
 
 ORIGIN = {"x": 0, "y": 0}
@@ -207,3 +211,55 @@ def test_window_composite_agrees_with_direct():
     chi = compose(phi, psi)
     direct = cotangent_trunc2(chi)
     assert direct.dims_through(ORIGIN, 2) == [2, 1, 0]
+
+
+# -- coefficients and resolution length -----------------------------------------
+
+
+@pytest.mark.parametrize("make_map, point, dims", [
+    (inclusion_from_ground, ORIGIN, [2, 1, 0]),
+    (inclusion_from_ground, {"x": 1, "y": 1}, [1, 0, 0]),
+    (canonical_surjection, ORIGIN, [0, 1, 0]),
+    (canonical_surjection, {"x": 1, "y": 1}, [0, 1, 0]),
+])
+def test_residue_field_as_a_module_gives_the_point_dims(make_map, point, dims):
+    S = cusp()
+    phi = make_map(S)
+    residue = FPModule(S, 1, [[S.poly(f"x - {point['x']}")],
+                              [S.poly(f"y - {point['y']}")]])
+    assert aq_homology(phi, point).dims() == dict(enumerate(dims))
+    for report in (aq_homology, aq_cohomology):
+        want = report(phi, point).dims()
+        got = {e["n"]: e["module"].dim_at_point(point)
+               for e in report(phi, residue).entries}
+        assert got == want
+
+
+def _rational_point(algebra):
+    """A point with coordinates in -2..2, or None."""
+    for values in product(range(-2, 3), repeat=len(algebra.variables)):
+        try:
+            return algebra.parse_point(dict(zip(algebra.variables, values)))
+        except PointError:
+            continue
+    return None
+
+
+@pytest.mark.parametrize("case", corpus.hypersurface_instances(),
+                         ids=lambda case: case["name"])
+def test_one_level_past_the_degree_is_enough(case):
+    """Homology through degree d from a (d+1)-level resolution equals that
+    from a (d+2)-level one."""
+    truncs = {}
+    for level in range(4, 9):
+        ext = hypersurface_resolution(case["algebra"], case["element"], level)
+        truncs[level] = cotangent_from_resolution(ext)
+    point = _rational_point(truncs[4].algebra)
+    for d in range(3, 7):
+        short, long = truncs[d + 1], truncs[d + 2]
+        a = aq_homology(None, None, n_max=d, resolution=short).to_json()
+        b = aq_homology(None, None, n_max=d, resolution=long).to_json()
+        assert a["degrees"] == b["degrees"]
+        if point is not None:
+            assert (aq_homology(None, point, n_max=d, resolution=short).dims()
+                    == aq_homology(None, point, n_max=d, resolution=long).dims())

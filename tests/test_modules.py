@@ -181,3 +181,36 @@ def test_homology_dims_at_point_fiberwise():
     # away from the vanishing locus everything dies
     dims = [kc.homology_dim_at_point(n, {"x": 1, "y": 1}) for n in range(3)]
     assert dims == [0, 0, 0]
+
+
+def test_nullspace_without_rows_is_the_unit_vectors():
+    assert linalg.nullspace(QQ, [], 3) == linalg.unit_vectors(q(0), q(1), 3)
+    assert linalg.unit_vectors(q(0), q(1), 2) == qmat([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("point", [{"x": 0, "y": 0}, {"x": 1, "y": 2}])
+def test_homology_with_residue_field_coefficients(point):
+    # H_n(K tensor k(p)) is a k(p)-vector space of the fiberwise dimension
+    A = plane()
+    kc = koszul_complex(A, [A.poly("x"), A.poly("y")])
+    residue = FPModule(A, 1, [[A.poly(f"x - {point['x']}")],
+                              [A.poly(f"y - {point['y']}")]])
+    for n in range(3):
+        module = kc.homology(n, residue)
+        assert module.dim_at_point(point) == kc.homology_dim_at_point(n, point)
+
+
+def test_homology_with_the_algebra_as_coefficients():
+    A = plane()
+    kc = koszul_complex(A, [A.poly("x"), A.poly("x*y")])
+    for n in range(3):
+        assert (kc.homology(n, FPModule(A, 1, [])).to_json()
+                == kc.homology(n).to_json())
+
+
+def test_coefficients_over_another_algebra_are_refused():
+    A = plane()
+    B = PresentedAlgebra(PolyRing(QQ, ("x", "y")), [A.poly("x")])
+    kc = koszul_complex(A, [A.poly("x")])
+    with pytest.raises(ModuleError, match="different algebra"):
+        kc.homology(0, FPModule(B, 1, []))

@@ -189,6 +189,17 @@ def test_high_degree_homology_with_automatic_resolution():
     assert dims["1"] == 1 and dims["2"] == 0
 
 
+def test_automatic_resolution_stops_one_level_past_maxdeg():
+    # the complex is reliable through cutoff - 1, so maxdeg 5 needs cutoff 6
+    text = ("field QQ\nring P = poly(x, y)\nring C = P/(x^3 - y^2)\n"
+            "map inc : P -> C\npoint o on C (x=0, y=0)\n"
+            "task homology inc coeff residue o maxdeg 5\n")
+    code, summary = run_session(text)
+    assert code == 0
+    report = summary["informational"]["task_details"][0]["report"]
+    assert report["cutoff"] == 6
+
+
 def test_level_cap_clamps_resolve_tasks():
     text = ("field QQ\nring P = poly(x)\n"
             "task resolve bar P x levels 6\n")
