@@ -285,7 +285,7 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise,
         if not rows or not cols:
             continue
         push = aug_maps[n - 1]
-        faces = {x: [ext.face_map(n, i).apply(ext.ring(n).var(x))
+        faces = {x: [ext.operator("d", n, i).apply(ext.ring(n).var(x))
                      for i in range(n + 1)] for x in cols}
         matrix = []
         for w in rows:

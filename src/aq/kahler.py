@@ -146,12 +146,15 @@ class KahlerDifferentials:
         }
 
 
+def jacobian(algebra: PresentedAlgebra, polys, variables) -> Matrix:
+    """One row per variable v, one column per p: the normal form of dp/dv."""
+    return [[algebra.normal_form(p.derivative(v)) for p in polys]
+            for v in variables]
+
+
 def jacobian_matrix(rp: RelativePresentation) -> Matrix:
     """Columns are d(f_i) expanded over the adjoined variables."""
-    rows = []
-    for y in rp.adjoined:
-        rows.append([rp.algebra.normal_form(f.derivative(y)) for f in rp.relation_polys])
-    return rows
+    return jacobian(rp.algebra, rp.relation_polys, rp.adjoined)
 
 
 def kahler_presentation(phi: AlgebraMap) -> KahlerDifferentials:
@@ -209,12 +212,8 @@ def jacobian_of_map(psi: AlgebraMap):
     ]
     src_own = [v for v in psi.source.variables if v not in base]
     tgt_own = [v for v in psi.target.variables if v not in base]
-    matrix = []
-    for z in tgt_own:
-        matrix.append(
-            [psi.target.normal_form(psi.images[y].derivative(z)) for y in src_own]
-        )
-    return tgt_own, src_own, matrix
+    return tgt_own, src_own, jacobian(
+        psi.target, [psi.images[y] for y in src_own], tgt_own)
 
 
 def jacobian_chain_rule_holds(psi: AlgebraMap, sigma: AlgebraMap) -> bool:
@@ -324,16 +323,11 @@ def jacobi_zariski_right_exact(psi: AlgebraMap, phi: AlgebraMap) -> ExactSequenc
     Z, Y = tower.mid_adjoined, tower.top_adjoined
     g, f = tower.mid_relations, tower.top_relations
     nz, ny = len(Z), len(Y)
-    comp_rels = list(g) + list(f)
     # presentations: Omega_psi ox S on dZ; Omega_{phi psi} on dZ+dY; Omega_phi on dY
-    jac_mid = [[S.normal_form(p.derivative(z)) for p in g] for z in Z]
-    jac_comp = [
-        [S.normal_form(p.derivative(v)) for p in comp_rels] for v in list(Z) + list(Y)
-    ]
-    jac_top = [[S.normal_form(p.derivative(y)) for p in f] for y in Y]
-    omega_mid = FPModule(S, nz, matrix_columns(jac_mid))
-    omega_comp = FPModule(S, nz + ny, matrix_columns(jac_comp))
-    omega_top = FPModule(S, ny, matrix_columns(jac_top))
+    omega_mid = FPModule(S, nz, matrix_columns(jacobian(S, g, Z)))
+    omega_comp = FPModule(S, nz + ny, matrix_columns(
+        jacobian(S, list(g) + list(f), list(Z) + list(Y))))
+    omega_top = FPModule(S, ny, matrix_columns(jacobian(S, f, Y)))
     zero = S.ring.zero()
     one = S.ring.one()
     # alpha: dz -> dz (inclusion); beta: dz -> d_phi(z) = 0, dy -> dy.
@@ -403,14 +397,13 @@ def conormal_sequence(psi: AlgebraMap, ideal_gens) -> ExactSequenceReport:
         [[S.normal_form(p) for p in row[:ng]] for row in syz],
     )
     g_mid = rp1.relation_polys
-    jac_mid = [[S.normal_form(p.derivative(z)) for p in g_mid] for z in Z]
-    omega_mid = FPModule(S, nz, matrix_columns(jac_mid))
-    # zeta: class of f_i -> d_psi(f_i); alpha: identity on the dz generators,
-    # whose columns are the unit vectors
-    zeta_cols = [[S.normal_form(fi.derivative(z)) for z in Z] for fi in lifted]
-    comp_rels = list(g_mid) + lifted
-    jac_comp = [[S.normal_form(p.derivative(z)) for p in comp_rels] for z in Z]
-    omega_comp = FPModule(S, nz, matrix_columns(jac_comp))
+    omega_mid = FPModule(S, nz, matrix_columns(jacobian(S, g_mid, Z)))
+    # zeta: class of f_i -> d_psi(f_i), one (possibly empty) column per f_i;
+    # alpha: identity on the dz generators, whose columns are the unit vectors
+    zeta_cols = (matrix_columns(jacobian(S, lifted, Z)) if Z
+                 else [[] for _ in lifted])
+    omega_comp = FPModule(S, nz, matrix_columns(
+        jacobian(S, list(g_mid) + lifted, Z)))
     zero = S.ring.zero()
     one = S.ring.one()
     alpha = linalg.unit_vectors(zero, one, nz)

@@ -181,8 +181,8 @@ class FPModule:
         return self.gens - linalg.rank(self.algebra.field, cols)
 
     def annihilator_of_generator(self, index: int):
-        unit = [self.algebra.ring.zero()] * self.gens
-        unit[index] = self.algebra.ring.one()
+        ring = self.algebra.ring
+        unit = linalg.unit_vectors(ring.zero(), ring.one(), self.gens)[index]
         return annihilator(unit, self.gens, self.relations, self.algebra)
 
     def presentation_matrix(self) -> Matrix:

@@ -188,6 +188,15 @@ class _Cursor:
             self.error(f"a {what} cannot start with a digit", start)
         return word
 
+    def declared(self, table: dict, what: str) -> tuple[str, int]:
+        """Read a name that must be a key of `table`, with its column."""
+        self.skip_ws()
+        col = self.pos
+        word = self.name(f"{what} name")
+        if word not in table:
+            self.error(f"unknown {what} {word!r}", col)
+        return word, col
+
     def integer(self, what: str = "integer") -> int:
         self.skip_ws()
         start = self.pos
@@ -340,15 +349,9 @@ def _parse_map(cur: _Cursor, session: Session):
     name = cur.name("map name")
     _require_new(cur, session, name, col)
     cur.take(":")
-    scol = cur.pos
-    src_name = cur.name("ring name")
-    if src_name not in session.rings:
-        cur.error(f"unknown ring {src_name!r}", scol)
+    src_name, _ = cur.declared(session.rings, "ring")
     cur.take("->")
-    tcol = cur.pos
-    tgt_name = cur.name("ring name")
-    if tgt_name not in session.rings:
-        cur.error(f"unknown ring {tgt_name!r}", tcol)
+    tgt_name, _ = cur.declared(session.rings, "ring")
     source = session.rings[src_name]
     target = session.rings[tgt_name]
     images = {}
@@ -394,10 +397,7 @@ def _parse_point(cur: _Cursor, session: Session):
     name = cur.name("point name")
     _require_new(cur, session, name, col)
     cur.keyword("on")
-    rcol = cur.pos
-    ring_name = cur.name("ring name")
-    if ring_name not in session.rings:
-        cur.error(f"unknown ring {ring_name!r}", rcol)
+    ring_name, _ = cur.declared(session.rings, "ring")
     algebra = session.rings[ring_name]
     inner, inner_col = cur.paren_group()
     raw = {}
@@ -437,18 +437,12 @@ def _parse_task(cur: _Cursor, session: Session):
         cur.error(f"unknown task {kind!r}; valid tasks: "
                   f"{', '.join(VALID_TASKS)}", kcol)
     if kind == "homology":
-        mcol = cur.pos
-        map_name = cur.name("map name")
-        if map_name not in session.maps:
-            cur.error(f"unknown map {map_name!r}", mcol)
+        map_name, _ = cur.declared(session.maps, "map")
         cur.keyword("coeff")
         ccol = cur.pos
         word = cur.name("coefficient spec")
         if word == "residue":
-            pcol = cur.pos
-            pt_name = cur.name("point name")
-            if pt_name not in session.points:
-                cur.error(f"unknown point {pt_name!r}", pcol)
+            pt_name, pcol = cur.declared(session.points, "point")
             _check_point_on(cur, session, pt_name,
                             session.maps[map_name].target, pcol)
             coeff = ("residue", pt_name)
@@ -473,23 +467,16 @@ def _parse_task(cur: _Cursor, session: Session):
         if prop not in CLASSIFY_PROPERTIES:
             cur.error(f"unknown property {prop!r}; expected one of "
                       f"{', '.join(CLASSIFY_PROPERTIES)}", pcol)
-        scol = cur.pos
-        subject = cur.name("map or ring name")
         if prop in RING_PROPERTIES:
-            if subject not in session.rings:
-                cur.error(f"unknown ring {subject!r}", scol)
+            subject, _ = cur.declared(session.rings, "ring")
             target = session.rings[subject]
         else:
-            if subject not in session.maps:
-                cur.error(f"unknown map {subject!r}", scol)
+            subject, _ = cur.declared(session.maps, "map")
             target = session.maps[subject].target
         cur.keyword("at")
         names = []
         while True:
-            ncol = cur.pos
-            pt_name = cur.name("point name")
-            if pt_name not in session.points:
-                cur.error(f"unknown point {pt_name!r}", ncol)
+            pt_name, ncol = cur.declared(session.points, "point")
             _check_point_on(cur, session, pt_name, target, ncol)
             names.append(pt_name)
             if not cur.try_take(","):
@@ -504,10 +491,7 @@ def _parse_task(cur: _Cursor, session: Session):
         if rkind not in RESOLVE_KINDS:
             cur.error(f"unknown construction {rkind!r}; expected one of "
                       f"{', '.join(RESOLVE_KINDS)}", rcol)
-        gcol = cur.pos
-        ring_name = cur.name("ring name")
-        if ring_name not in session.rings:
-            cur.error(f"unknown ring {ring_name!r}", gcol)
+        ring_name, _ = cur.declared(session.rings, "ring")
         algebra = session.rings[ring_name]
         if rkind == "bar":
             vcol = cur.pos

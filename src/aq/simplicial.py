@@ -2,8 +2,10 @@
 
 An extension stores, for every level n up to a cap, the variables adjoined
 over a constant base algebra together with the face and degeneracy images
-of those variables. All simplicial identities are checked exactly on
-generators. Constructions provided:
+of those variables. Every operator is keyed by one triple (kind, level,
+index): ("d", n, i) is the face d_i out of level n and ("s", n, j) the
+degeneracy s_j out of level n. All simplicial identities are checked
+exactly on generators. Constructions provided:
 
 - bar_construction / hypersurface_resolution: one new variable chain
   resolving base/(element),
@@ -143,10 +145,8 @@ class FreeExtensionLevelwise:
                         f"level {n} variable {name!r} collides with the base")
         self._rings: dict[int, PolyRing] = {}
         self._algebras: dict[int, PresentedAlgebra] = {}
-        self._faces: dict[tuple[int, int], dict[str, Polynomial]] = {}
-        self._degeneracies: dict[tuple[int, int], dict[str, Polynomial]] = {}
-        self._face_maps: dict[tuple[int, int], AlgebraMap] = {}
-        self._deg_maps: dict[tuple[int, int], AlgebraMap] = {}
+        self._images: dict[tuple[str, int, int], dict[str, Polynomial]] = {}
+        self._maps: dict[tuple[str, int, int], AlgebraMap] = {}
 
     # structure access
 
@@ -169,41 +169,30 @@ class FreeExtensionLevelwise:
             )
         return self._algebras[n]
 
-    def set_face(self, n: int, i: int, images: dict[str, Polynomial]):
+    def _target_level(self, kind: str, n: int, i: int) -> int:
+        """The level that operator (kind, n, i) lands in, if it exists."""
+        if kind == "d" and 1 <= n <= self.max_level and 0 <= i <= n:
+            return n - 1
+        if kind == "s" and 0 <= n < self.max_level and 0 <= i <= n:
+            return n + 1
+        raise SimplicialError(f"no operator {kind}_{i} at level {n}")
+
+    def set_operator(self, kind: str, n: int, i: int, images: dict[str, Polynomial]):
+        self._target_level(kind, n, i)
         if set(images) != set(self.levels[n]):
-            raise SimplicialError("face images must cover the level variables")
-        self._faces[(n, i)] = images
+            raise SimplicialError("operator images must cover the level variables")
+        self._images[(kind, n, i)] = images
+        self._maps.pop((kind, n, i), None)
 
-    def set_degeneracy(self, n: int, j: int, images: dict[str, Polynomial]):
-        if set(images) != set(self.levels[n]):
-            raise SimplicialError("degeneracy images must cover the level variables")
-        self._degeneracies[(n, j)] = images
-
-    def face_map(self, n: int, i: int) -> AlgebraMap:
-        key = (n, i)
-        if key not in self._face_maps:
-            if not (1 <= n <= self.max_level and 0 <= i <= n):
-                raise SimplicialError(f"no face d_{i} at level {n}")
-            images = self._faces.get(key)
+    def operator(self, kind: str, n: int, i: int) -> AlgebraMap:
+        key = (kind, n, i)
+        if key not in self._maps:
+            m = self._target_level(kind, n, i)
+            images = self._images.get(key)
             if images is None:
-                raise SimplicialError(f"face d_{i} at level {n} is not defined")
-            self._face_maps[key] = AlgebraMap(
-                self.algebra(n), self.algebra(n - 1), dict(images)
-            )
-        return self._face_maps[key]
-
-    def degeneracy_map(self, n: int, j: int) -> AlgebraMap:
-        key = (n, j)
-        if key not in self._deg_maps:
-            if not (0 <= n < self.max_level and 0 <= j <= n):
-                raise SimplicialError(f"no degeneracy s_{j} at level {n}")
-            images = self._degeneracies.get(key)
-            if images is None:
-                raise SimplicialError(f"degeneracy s_{j} at level {n} is not defined")
-            self._deg_maps[key] = AlgebraMap(
-                self.algebra(n), self.algebra(n + 1), dict(images)
-            )
-        return self._deg_maps[key]
+                raise SimplicialError(f"operator {kind}_{i} at level {n} is not defined")
+            self._maps[key] = AlgebraMap(self.algebra(n), self.algebra(m), dict(images))
+        return self._maps[key]
 
     def parse_level_element(self, n: int, source) -> Polynomial:
         if isinstance(source, Polynomial):
@@ -220,12 +209,11 @@ class FreeExtensionLevelwise:
         Returns (ok, failure descriptions).
         """
         L = self.max_level if up_to is None else min(up_to, self.max_level)
-        maps = {"d": self.face_map, "s": self.degeneracy_map}
         bad = []
         for tag, n, lhs, rhs in _simplicial_identities(L):
-            outer, inner = (maps[k](m, i) for k, m, i in lhs)
+            outer, inner = (self.operator(*op) for op in lhs)
             if rhs is not None:
-                r_outer, r_inner = (maps[k](m, i) for k, m, i in rhs)
+                r_outer, r_inner = (self.operator(*op) for op in rhs)
             for x in self.levels[n]:
                 xv = self.ring(n).var(x)
                 got = outer.apply(inner.apply(xv))
@@ -233,22 +221,6 @@ class FreeExtensionLevelwise:
                 if not outer.target.normal_form(got - want).is_zero():
                     bad.append(f"{tag} on {x}")
         return (not bad, bad)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "base": self.base.to_json(),
-            "max_level": self.max_level,
-            "levels": {str(n): list(self.levels[n]) for n in range(self.max_level + 1)},
-            "faces": {
-                f"{n},{i}": {x: str(p) for x, p in sorted(self._faces[(n, i)].items())}
-                for (n, i) in sorted(self._faces)
-            },
-            "degeneracies": {
-                f"{n},{j}": {x: str(p) for x, p in sorted(self._degeneracies[(n, j)].items())}
-                for (n, j) in sorted(self._degeneracies)
-            },
-        }
 
 
 def _simplicial_identities(L: int):
@@ -281,6 +253,17 @@ def _simplicial_identities(L: int):
                        (("d", n + 1, i), ("s", n, j)), rhs)
 
 
+def _operators(L: int):
+    """Every operator among levels 0..L once, faces first, as
+    (kind, source level, index, target level)."""
+    for n in range(1, L + 1):
+        for i in range(n + 1):
+            yield ("d", n, i, n - 1)
+    for n in range(0, L):
+        for j in range(n + 1):
+            yield ("s", n, j, n + 1)
+
+
 def apply_surjection_contravariant(ext: FreeExtensionLevelwise, u: OrdinalMap,
                                    element: Polynomial) -> Polynomial:
     """Action of a monotone surjection u: [a] ->> [b] on a level-b element,
@@ -289,7 +272,7 @@ def apply_surjection_contravariant(ext: FreeExtensionLevelwise, u: OrdinalMap,
         return element
     j = next(i for i in range(u.src) if u.values[i] == u.values[i + 1])
     lower = apply_surjection_contravariant(ext, _drop_duplicate(u, j), element)
-    return ext.degeneracy_map(u.src - 1, j).apply(lower)
+    return ext.operator("s", u.src - 1, j).apply(lower)
 
 
 # -- constructions ------------------------------------------------------------
@@ -297,12 +280,8 @@ def apply_surjection_contravariant(ext: FreeExtensionLevelwise, u: OrdinalMap,
 
 def constant_extension(base: PresentedAlgebra, max_level: int) -> FreeExtensionLevelwise:
     ext = FreeExtensionLevelwise(base, max_level, {}, {"construction": "constant"})
-    for n in range(1, max_level + 1):
-        for i in range(n + 1):
-            ext.set_face(n, i, {})
-    for n in range(0, max_level):
-        for j in range(n + 1):
-            ext.set_degeneracy(n, j, {})
+    for kind, n, i, _ in _operators(max_level):
+        ext.set_operator(kind, n, i, {})
     return ext
 
 
@@ -323,7 +302,7 @@ def _bar_like(base: PresentedAlgebra, element: Polynomial, max_level: int,
                     images[name] = rng.var(f"x{n-1}_{k-1}" if i <= k else f"x{n-1}_{k}")
                 else:
                     images[name] = rng.zero() if k == n - 1 else rng.var(f"x{n-1}_{k}")
-            ext.set_face(n, i, images)
+            ext.set_operator("d", n, i, images)
     for n in range(0, max_level):
         rng = ext.ring(n + 1)
         for j in range(n + 1):
@@ -331,7 +310,7 @@ def _bar_like(base: PresentedAlgebra, element: Polynomial, max_level: int,
             for k in range(n):
                 name = f"x{n}_{k}"
                 images[name] = rng.var(f"x{n+1}_{k+1}" if j <= k else f"x{n+1}_{k}")
-            ext.set_degeneracy(n, j, images)
+            ext.set_operator("s", n, j, images)
     return ext
 
 
@@ -375,7 +354,7 @@ def kill_cycle(ext: FreeExtensionLevelwise, cycle, degree: int,
     z = ext.parse_level_element(d - 1, cycle)
     if d >= 2:
         for i in range(d):
-            img = ext.face_map(d - 1, i).apply(z)
+            img = ext.operator("d", d - 1, i).apply(z)
             if not img.is_zero():
                 raise SimplicialError(f"face d_{i} of the cycle is nonzero: {img}")
     taken = set(ext.base.ring.variables)
@@ -390,49 +369,35 @@ def kill_cycle(ext: FreeExtensionLevelwise, cycle, degree: int,
     for n in range(L + 1):
         extra = tuple(_cell_name(prefix, t) for t in cells.get(n, []))
         levels[n] = ext.levels[n] + extra
-    kind = {
+    new = FreeExtensionLevelwise(ext.base, L, levels, {
         "construction": "kill_cycle",
         "degree": d,
         "cycle": str(z),
         "base_kind": ext.kind,
-    }
-    new = FreeExtensionLevelwise(ext.base, L, levels, kind)
-    for n in range(1, L + 1):
-        rng = new.ring(n - 1)
-        for i in range(n + 1):
-            images = {}
-            old = ext._faces[(n, i)]
-            for x in ext.levels[n]:
-                images[x] = old[x].rename_into(rng)
-            for t in cells.get(n, []):
-                v = t.compose(coface(n, i))
-                if v.is_surjective():
-                    images[_cell_name(prefix, t)] = rng.var(_cell_name(prefix, v))
-                else:
-                    missing = v.missing_values()
-                    if len(missing) != 1:
-                        raise SimplicialError(
-                            "face of a surjection missed more than one value")
-                    j = missing[0]
-                    if j == 0:
-                        u = OrdinalMap(n - 1, d - 1,
-                                       tuple(w - 1 if w > 0 else w for w in v.values))
-                        moved = apply_surjection_contravariant(ext, u, z)
-                        images[_cell_name(prefix, t)] = moved.rename_into(rng)
-                    else:
-                        images[_cell_name(prefix, t)] = rng.zero()
-            new.set_face(n, i, images)
-    for n in range(0, L):
-        rng = new.ring(n + 1)
-        for j in range(n + 1):
-            images = {}
-            old = ext._degeneracies[(n, j)]
-            for x in ext.levels[n]:
-                images[x] = old[x].rename_into(rng)
-            for t in cells.get(n, []):
-                w = t.compose(codegeneracy(n, j))
-                images[_cell_name(prefix, t)] = rng.var(_cell_name(prefix, w))
-            new.set_degeneracy(n, j, images)
+    })
+    for kind, n, i, m in _operators(L):
+        rng = new.ring(m)
+        old = ext._images[(kind, n, i)]
+        images = {x: old[x].rename_into(rng) for x in ext.levels[n]}
+        arrow = coface(n, i) if kind == "d" else codegeneracy(n, i)
+        for t in cells.get(n, []):
+            v = t.compose(arrow)
+            if v.is_surjective():
+                images[_cell_name(prefix, t)] = rng.var(_cell_name(prefix, v))
+                continue
+            # t after a codegeneracy is always surjective: only faces get here
+            missing = v.missing_values()
+            if len(missing) != 1:
+                raise SimplicialError(
+                    "face of a surjection missed more than one value")
+            if missing[0] == 0:
+                u = OrdinalMap(n - 1, d - 1,
+                               tuple(w - 1 if w > 0 else w for w in v.values))
+                moved = apply_surjection_contravariant(ext, u, z)
+                images[_cell_name(prefix, t)] = moved.rename_into(rng)
+            else:
+                images[_cell_name(prefix, t)] = rng.zero()
+        new.set_operator(kind, n, i, images)
     return new
 
 
@@ -451,26 +416,16 @@ def tensor_resolutions(left: FreeExtensionLevelwise, right: FreeExtensionLevelwi
         n: left.levels[n] + tuple(rename[x] for x in right.levels[n])
         for n in range(L + 1)
     }
-    kind = {"construction": "tensor", "factors": [left.kind, right.kind]}
-    new = FreeExtensionLevelwise(left.base, L, levels, kind)
-    for n in range(1, L + 1):
-        rng = new.ring(n - 1)
-        for i in range(n + 1):
-            images = {}
-            for x in left.levels[n]:
-                images[x] = left._faces[(n, i)][x].rename_into(rng)
-            for x in right.levels[n]:
-                images[rename[x]] = right._faces[(n, i)][x].rename_into(rng, rename)
-            new.set_face(n, i, images)
-    for n in range(0, L):
-        rng = new.ring(n + 1)
-        for j in range(n + 1):
-            images = {}
-            for x in left.levels[n]:
-                images[x] = left._degeneracies[(n, j)][x].rename_into(rng)
-            for x in right.levels[n]:
-                images[rename[x]] = right._degeneracies[(n, j)][x].rename_into(rng, rename)
-            new.set_degeneracy(n, j, images)
+    new = FreeExtensionLevelwise(
+        left.base, L, levels,
+        {"construction": "tensor", "factors": [left.kind, right.kind]})
+    for kind, n, i, m in _operators(L):
+        rng = new.ring(m)
+        lhs, rhs = left._images[(kind, n, i)], right._images[(kind, n, i)]
+        images = {x: lhs[x].rename_into(rng) for x in left.levels[n]}
+        for x in right.levels[n]:
+            images[rename[x]] = rhs[x].rename_into(rng, rename)
+        new.set_operator(kind, n, i, images)
     return new
 
 
@@ -483,7 +438,7 @@ def augmentation(ext: FreeExtensionLevelwise) -> PresentedAlgebra:
     if ext.max_level < 1:
         return a0
     diffs = []
-    d0, d1 = ext.face_map(1, 0), ext.face_map(1, 1)
+    d0, d1 = ext.operator("d", 1, 0), ext.operator("d", 1, 1)
     for x in ext.levels[1]:
         xv = ext.ring(1).var(x)
         p = a0.normal_form(d0.apply(xv) - d1.apply(xv))
@@ -499,7 +454,7 @@ def augmentation_of_level(ext: FreeExtensionLevelwise, n: int) -> AlgebraMap:
     for x in ext.levels[n]:
         p = ext.ring(n).var(x)
         for m in range(n, 0, -1):
-            p = ext.face_map(m, 0).apply(p)
+            p = ext.operator("d", m, 0).apply(p)
         images[x] = aug.normal_form(p.rename_into(aug.ring))
     return AlgebraMap(ext.algebra(n), aug, images)
 
@@ -592,19 +547,16 @@ class SimplicialModuleFR:
     """Levelwise finite-dimensional simplicial vector space.
 
     Face and degeneracy operators are explicit matrices over the field
-    (columns act on the source basis).
+    (columns act on the source basis), keyed by (kind, level, index) as in
+    the extension they come from.
     """
 
     def __init__(self, field, dims: dict[int, int],
-                 faces: dict[tuple[int, int], list],
-                 degeneracies: dict[tuple[int, int], list],
-                 max_level: int, labels=None):
+                 operators: dict[tuple[str, int, int], list], max_level: int):
         self.field = field
         self.dims = dict(dims)
-        self.faces = faces
-        self.degeneracies = degeneracies
+        self.operators = operators
         self.max_level = max_level
-        self.labels = labels or {}
 
     @classmethod
     def from_extension(cls, ext: FreeExtensionLevelwise, base_point: dict,
@@ -686,19 +638,11 @@ class SimplicialModuleFR:
                     mat[index[n_dst][mono]][ci] = c
             return mat
 
-        faces = {}
-        for n in range(1, L + 1):
-            for i in range(n + 1):
-                imgs = {x: push_small(p, n - 1)
-                        for x, p in ext._faces[(n, i)].items()}
-                faces[(n, i)] = operator_matrix(n, n - 1, imgs)
-        degs = {}
-        for n in range(0, L):
-            for j in range(n + 1):
-                imgs = {x: push_small(p, n + 1)
-                        for x, p in ext._degeneracies[(n, j)].items()}
-                degs[(n, j)] = operator_matrix(n, n + 1, imgs)
-        return cls(field, dims, faces, degs, L, labels=bases)
+        operators = {
+            (kind, n, i): operator_matrix(n, m, {
+                x: push_small(p, m) for x, p in ext._images[(kind, n, i)].items()})
+            for kind, n, i, m in _operators(L)}
+        return cls(field, dims, operators, L)
 
     # identities as matrix equations
 
@@ -716,11 +660,9 @@ class SimplicialModuleFR:
                         bad.append(tag)
                         return
 
-        ops = {"d": self.faces, "s": self.degeneracies}
-
         def composite(side):
-            (k, m, i), (k2, m2, i2) = side
-            return linalg.mat_mul(F, ops[k][(m, i)], ops[k2][(m2, i2)])
+            outer, inner = side
+            return linalg.mat_mul(F, self.operators[outer], self.operators[inner])
 
         for tag, n, lhs, rhs in _simplicial_identities(self.max_level):
             eq(composite(lhs),
@@ -737,7 +679,7 @@ class SimplicialModuleFR:
             if n == 0:
                 basis[0] = linalg.unit_vectors(F.zero(), F.one(), self.dims[0])
             else:
-                mats = [self.faces[(n, i)] for i in range(1, n + 1)]
+                mats = [self.operators[("d", n, i)] for i in range(1, n + 1)]
                 basis[n] = linalg.intersect_nullspaces(F, mats, self.dims[n])
         dims = {}
         for n in range(0, up_to + 1):
@@ -747,9 +689,9 @@ class SimplicialModuleFR:
             if n == 0:
                 knd = len(bn)
             else:
-                d0b = [linalg.mat_vec(F, self.faces[(n, 0)], v) for v in bn]
+                d0b = [linalg.mat_vec(F, self.operators[("d", n, 0)], v) for v in bn]
                 knd = len(bn) - linalg.rank(F, d0b)
-            d0b1 = [linalg.mat_vec(F, self.faces[(n + 1, 0)], v) for v in bn1]
+            d0b1 = [linalg.mat_vec(F, self.operators[("d", n + 1, 0)], v) for v in bn1]
             img = linalg.rank(F, d0b1)
             dims[n] = knd - img
         return dims
@@ -760,7 +702,7 @@ class SimplicialModuleFR:
         out = [[F.zero()] * cols for _ in range(rows)]
         sign = F.one()
         for i in range(n + 1):
-            m = self.faces[(n, i)]
+            m = self.operators[("d", n, i)]
             for r in range(rows):
                 row_m = m[r]
                 row_o = out[r]
@@ -790,7 +732,7 @@ class SimplicialModuleFR:
             degen = []
             if n >= 1:
                 for j in range(n):
-                    degen.extend(matrix_columns(self.degeneracies[(n - 1, j)]))
+                    degen.extend(matrix_columns(self.operators[("s", n - 1, j)]))
             if not degen:
                 reducers[n] = ([], [])
                 qdims[n] = self.dims[n]
@@ -874,20 +816,11 @@ def bar_kill_equivalence_holds(base: PresentedAlgebra, var_name: str,
         for k in range(n):
             t = OrdinalMap(n, 1, (0,) * (k + 1) + (1,) * (n - k))
             maps[f"x{n}_{k}"] = killed.levels[n][cells.index(t)]
-    for n in range(1, max_level + 1):
-        rng = killed.ring(n - 1)
-        for i in range(n + 1):
-            for x in bar.levels[n]:
-                want = killed._faces[(n, i)][maps[x]]
-                got = bar._faces[(n, i)][x].rename_into(rng, maps)
-                if not killed.algebra(n - 1).normal_form(want - got).is_zero():
-                    return False
-    for n in range(0, max_level):
-        rng = killed.ring(n + 1)
-        for j in range(n + 1):
-            for x in bar.levels[n]:
-                want = killed._degeneracies[(n, j)][maps[x]]
-                got = bar._degeneracies[(n, j)][x].rename_into(rng, maps)
-                if not killed.algebra(n + 1).normal_form(want - got).is_zero():
-                    return False
+    for kind, n, i, m in _operators(max_level):
+        rng = killed.ring(m)
+        for x in bar.levels[n]:
+            want = killed._images[(kind, n, i)][maps[x]]
+            got = bar._images[(kind, n, i)][x].rename_into(rng, maps)
+            if not killed.algebra(m).normal_form(want - got).is_zero():
+                return False
     return True

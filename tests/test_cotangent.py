@@ -114,7 +114,7 @@ def test_resolution_failing_its_identities_is_refused():
     line = algebra(QQ, ("x",))
     ext = bar_construction(line, "x", 4)
     # the correct s_0 sends x1_0 to x2_1
-    ext.set_degeneracy(1, 0, {"x1_0": ext.ring(2).var("x2_0")})
+    ext.set_operator("s", 1, 0, {"x1_0": ext.ring(2).var("x2_0")})
     ok, failures = ext.simplicial_identities_hold()
     assert not ok and failures
     with pytest.raises(CotangentError, match="simplicial identities fail"):

@@ -128,3 +128,10 @@ def test_conormal_sequence_on_cusp():
     psi = inclusion_from_ground(plane)
     report = conormal_sequence(psi, ["x^3 - y^2"])
     assert report.ok
+
+
+def test_conormal_zeta_keeps_a_column_per_generator_without_adjoined_variables():
+    plane = algebra(QQ, ("x", "y"))
+    report = conormal_sequence(AlgebraMap(plane, plane, {}), ["x", "y^2"])
+    assert report.maps["zeta_columns"] == [[], []]
+    assert report.ok

@@ -5,19 +5,25 @@ from pathlib import Path
 
 import pytest
 
+from aq.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _python_blocks() -> list[str]:
-    blocks, current = [], None
+def _blocks(language: str) -> list[str]:
+    """The fenced blocks whose opening fence names `language` ("" for none)."""
+    blocks, current, inside = [], None, False
     for line in README.read_text().splitlines():
-        if current is None and line.strip() == "```python":
-            current = []
-        elif current is not None and line.strip() == "```":
-            blocks.append("\n".join(current))
-            current = None
-        elif current is not None:
-            current.append(line)
+        fence = line.strip()
+        if not fence.startswith("```"):
+            if current is not None:
+                current.append(line)
+        elif inside:
+            if current is not None:
+                blocks.append("\n".join(current))
+            inside, current = False, None
+        else:
+            inside, current = True, [] if fence[3:] == language else None
     return blocks
 
 
@@ -40,7 +46,7 @@ def test_readme_has_commented_values():
     assert commented >= 3
 
 
-BLOCKS = _python_blocks()
+BLOCKS = _blocks("python")
 
 
 @pytest.mark.parametrize("block", BLOCKS,
@@ -58,3 +64,20 @@ def test_readme_block_runs_and_its_values_hold(block):
         expected = _expected_value(lines, stmt)
         if expected is not None:
             assert value == expected, ast.unparse(stmt)
+
+
+def test_readme_session_runs_from_the_command_line(tmp_path):
+    (session,) = _blocks("")
+    path = tmp_path / "readme.aq"
+    path.write_text(session + "\n")
+    canonical = {}
+    for order in (None, "degrevlex", "lex"):
+        out = tmp_path / str(order)
+        flags = [] if order is None else ["--order", order]
+        assert main(["run", str(path), "--out", str(out)] + flags) == 0
+        written = {p.name for p in out.iterdir()}
+        assert {"task-001-homology.json", "task-002-classify.json",
+                "task-003-resolve.json", "task-004-check.json",
+                "canonical.json", "summary.json"} <= written
+        canonical[order] = (out / "canonical.json").read_bytes()
+    assert canonical[None] == canonical["degrevlex"] == canonical["lex"]

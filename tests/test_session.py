@@ -122,6 +122,30 @@ def test_classify_point_must_live_on_the_subject():
     assert "lives on P" in e.message
 
 
+DECLARED = ("field QQ\nring P = poly(x)\nring Q = poly(y)\n"
+            "map f : P -> Q [x -> y]\npoint p on P (x=0)\npoint o on Q (y=0)\n")
+
+
+@pytest.mark.parametrize("line, name, message", [
+    ("map g : Zed -> Q", "Zed", "unknown ring"),
+    ("map g : P -> Zed", "Zed", "unknown ring"),
+    ("point q on Zed (x=0)", "Zed", "unknown ring"),
+    ("task homology Zed coeff self maxdeg 2", "Zed", "unknown map"),
+    ("task homology f coeff residue Zed maxdeg 2", "Zed", "unknown point"),
+    ("task homology f coeff residue p maxdeg 2", "p", "lives on P"),
+    ("task classify regular Zed at o", "Zed", "unknown ring"),
+    ("task classify smooth Zed at o", "Zed", "unknown map"),
+    ("task classify smooth f at o,Zed", "Zed", "unknown point"),
+    ("task classify smooth f at o, p", "p", "lives on P"),
+    ("task resolve bar Zed x levels 2", "Zed", "unknown ring"),
+])
+def test_name_errors_point_at_the_name(line, name, message):
+    e = err(DECLARED + line + "\n")
+    assert message in e.message
+    # 1-based column of the name's first character, not of the space before
+    assert (e.line, e.col) == (7, line.rindex(name) + 1)
+
+
 def test_hypersurface_resolve_takes_one_element():
     e = err("field QQ\nring P = poly(x, y)\n"
             "task resolve hypersurface P (x, y) levels 3\n")

@@ -8,6 +8,8 @@ from aq.fields import GF, QQ
 from aq.simplicial import (
     SimplicialError,
     SimplicialModuleFR,
+    _operators,
+    _simplicial_identities,
     augmentation,
     augmentation_of_level,
     bar_construction,
@@ -114,7 +116,7 @@ def test_augmentation_of_level_commutes_with_faces():
     aug1 = augmentation_of_level(ext, 1)
     for x in ext.levels[2]:
         xv = ext.ring(2).var(x)
-        via_face = aug1.apply(ext.face_map(2, 0).apply(xv))
+        via_face = aug1.apply(ext.operator("d", 2, 0).apply(xv))
         assert via_face == aug2.apply(xv)
 
 
@@ -134,7 +136,7 @@ def test_chain_models_agree_on_kill_cycle():
 def test_both_identity_checks_flag_the_same_identities():
     ext = bar_construction(line(), "y", 4)
     # the correct s_0 sends x1_0 to x2_1
-    ext.set_degeneracy(1, 0, {"x1_0": ext.ring(2).var("x2_0")})
+    ext.set_operator("s", 1, 0, {"x1_0": ext.ring(2).var("x2_0")})
     ok, failures = ext.simplicial_identities_hold()
     ok_fr, failures_fr = SimplicialModuleFR.from_extension(
         ext, {"y": 0}, max_degree=2).validate()
@@ -142,6 +144,38 @@ def test_both_identity_checks_flag_the_same_identities():
     assert "s0 s0 level 1 on x1_0" in failures
     assert list(dict.fromkeys(f.split(" on ")[0] for f in failures)) \
         == failures_fr
+
+
+def test_reassigning_an_operator_drops_its_map():
+    ext = bar_construction(line(), "y", 4)
+    assert ext.simplicial_identities_hold() == (True, [])
+    # the correct s_0 sends x1_0 to x2_1
+    ext.set_operator("s", 1, 0, {"x1_0": ext.ring(2).var("x2_0")})
+    ok, failures = ext.simplicial_identities_hold()
+    assert not ok
+    assert "s0 s0 level 1 on x1_0" in failures
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_identities_name_exactly_the_operators(L):
+    named = set()
+    for _, _, lhs, rhs in _simplicial_identities(L):
+        named.update(lhs)
+        named.update(rhs or ())
+    listed = [(kind, n, i) for kind, n, i, _ in _operators(L)]
+    assert len(listed) == len(set(listed)) == L * L + 2 * L
+    assert named == set(listed)
+
+
+def test_operators_outside_the_table_are_refused():
+    L = 3
+    ext = bar_construction(line(), "y", L)
+    with pytest.raises(SimplicialError):
+        ext.operator("d", 0, 0)
+    with pytest.raises(SimplicialError):
+        ext.operator("s", L, 0)
+    with pytest.raises(SimplicialError, match="cover"):
+        ext.set_operator("d", 2, 0, {"x2_0": ext.ring(1).var("x1_0")})
 
 
 def test_bar_equals_killing_the_variable():
