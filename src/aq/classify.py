@@ -10,6 +10,7 @@ itself) backs them, otherwise "sampled-only".
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,16 +27,6 @@ from .rings import AlgebraError, AlgebraMap, PresentedAlgebra
 
 class ClassifyError(AlgebraError):
     pass
-
-
-def _trunc2(phi: AlgebraMap):
-    """Truncated complexes are pure functions of the map, so repeated point
-    queries against the same AlgebraMap object share one computation.  The
-    memo lives on the map, so it is freed with the map."""
-    trunc = getattr(phi, "_trunc2_memo", None)
-    if trunc is None:
-        trunc = phi._trunc2_memo = cotangent_trunc2(phi)
-    return trunc
 
 
 # -- point plumbing ---------------------------------------------------------
@@ -90,13 +81,13 @@ def is_smooth_at(phi: AlgebraMap, point: dict) -> dict:
     relation generators, with every ingredient recomputed under lex.
     """
     pt = _require_rational(phi.target, point)
-    trunc = _trunc2(phi)
+    trunc = cotangent_trunc2(phi)
     aq1 = trunc.homology_dim(1, pt)
     aq2 = trunc.homology_dim(2, pt)
     primary = aq1 == 0
 
     alt = _with_order(phi, "lex")
-    stage = _trunc2(alt).provenance["stages"]
+    stage = cotangent_trunc2(alt).provenance["stages"]
     rp = stage.rp
     alt_pt = rp.transport_point(pt)
     field = rp.algebra.field
@@ -187,7 +178,7 @@ def is_lci_at(phi: AlgebraMap, point: dict) -> dict:
     generators, with depth measured by localized Koszul homology.
     """
     pt = _require_rational(phi.target, point)
-    trunc = _trunc2(phi)
+    trunc = cotangent_trunc2(phi)
     aq1 = trunc.homology_dim(1, pt)
     aq2 = trunc.homology_dim(2, pt)
     primary = aq2 == 0
@@ -222,7 +213,7 @@ def is_regular_local(R: PresentedAlgebra, point: dict) -> dict:
     """
     pt = _require_rational(R, point)
     eps = residue_surjection(R, pt)
-    trunc = _trunc2(eps)
+    trunc = cotangent_trunc2(eps)
     aq1 = trunc.homology_dim(1, pt)
     aq2 = trunc.homology_dim(2, pt)
     primary = aq2 == 0
@@ -441,22 +432,14 @@ def _monic_quartic_quadratic_free(A: list[int]) -> bool:
                 continue
             # b^2 - A3 b + (A2 - 2c) = 0 over the integers
             disc = A3 * A3 - 4 * (A2 - 2 * c)
-            s = _int_sqrt(disc)
-            if s is None:
+            if disc < 0:
+                continue
+            s = math.isqrt(disc)
+            if s * s != disc:
                 continue
             if (A3 + s) % 2 == 0 or (A3 - s) % 2 == 0:
                 return False
     return True
-
-
-def _int_sqrt(n: int):
-    if n < 0:
-        return None
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
 
 
 def _rational_irreducible(coeffs: list[Fraction]) -> bool:
@@ -465,13 +448,9 @@ def _rational_irreducible(coeffs: list[Fraction]) -> bool:
         raise ClassifyError("constant polynomial")
     if deg == 1:
         return True
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = _gcd(content, c)
+    content = math.gcd(*ints)
     ints = [c // content for c in ints]
     if ints[0] == 0:
         return False  # divisible by y
@@ -483,12 +462,6 @@ def _rational_irreducible(coeffs: list[Fraction]) -> bool:
     a4 = ints[4]
     A = [ints[0] * a4 ** 3, ints[1] * a4 ** 2, ints[2] * a4, ints[3]]
     return _monic_quartic_quadratic_free(A)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _gf_powmod(base: Polynomial, e: int, f: Polynomial) -> Polynomial:
@@ -562,14 +535,14 @@ def module_of_imperfection(phi: AlgebraMap) -> dict:
         if primitive is not None and d > 1 and \
                 not univariate_irreducible(S.field, primitive):
             raise ClassifyError("the presented quotient is not a field")
-        h1 = _trunc2(phi).homology_module(1)
+        h1 = cotangent_trunc2(phi).homology_module(1)
         total = module_k_dimension(h1)
         if total % d:
             raise ClassifyError("inconsistent dimension count")
         return {"dimension": total // d, "degree": d, "mode": "field"}
 
-    trunc = _trunc2(phi)
-    rp = trunc.provenance["relative"]
+    trunc = cotangent_trunc2(phi)
+    rp = trunc.provenance["stages"].rp
     if phi.source.relations or len(rp.adjoined) != 1 or \
             len(rp.relation_polys) != 1:
         raise ClassifyError(
@@ -618,6 +591,7 @@ _RINGWISE = {
 }
 
 PROPERTIES = sorted(list(_POINTWISE) + list(_RINGWISE))
+RING_PROPERTIES = tuple(_RINGWISE)
 
 
 def _certified_globally(prop: str, phi: AlgebraMap) -> bool:
@@ -643,14 +617,14 @@ def _certified_globally(prop: str, phi: AlgebraMap) -> bool:
         if prop == "unramified":
             return omega_zero
         if prop == "lci":
-            rp = _trunc2(phi).provenance["stages"].rp
+            rp = cotangent_trunc2(phi).provenance["stages"].rp
             ok, _ = koszul_homology_all_vanish(rp.base_algebra,
                                                list(rp.relation_polys))
             return ok
         omega_projective = omega_zero or kd.free_rank() is not None
         if not omega_projective:
             return False
-        h1_zero = _trunc2(phi).homology_module(1).is_zero()
+        h1_zero = cotangent_trunc2(phi).homology_module(1).is_zero()
         if prop == "smooth":
             return h1_zero
         if prop == "etale":

@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .classify import ClassifyError, classification_report
+from .classify import RING_PROPERTIES, ClassifyError, classification_report
 from .cotangent import CotangentError, aq_homology
 from .modules import koszul_complex, koszul_homology_all_vanish
 from .rings import AlgebraError
@@ -75,7 +75,7 @@ def _run_homology(session: Session, payload) -> tuple[bool, dict, dict]:
 
 def _run_classify(session: Session, payload) -> tuple[bool, dict, dict]:
     prop, subject_name, pt_names = payload
-    if prop in ("regular", "ci"):
+    if prop in RING_PROPERTIES:
         subject = session.rings[subject_name]
     else:
         subject = session.maps[subject_name]

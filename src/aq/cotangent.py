@@ -6,7 +6,9 @@ the level-n variables and the differential is the alternating sum of face
 Jacobians pushed to the augmentation.  Mode "general-trunc2" builds the
 degree-<=2 truncation from a relative presentation: generators f, their
 syzygies, and the Koszul syzygies f_i e_j - f_j e_i, the latter lifted and
-recorded as relations on the degree-2 term.
+recorded as relations on the degree-2 term.  The truncation is a pure
+function of the map, so it is built once per map and kept on the map: Tor
+and the five-term check read the same presentation stages.
 
 Coefficients are finitely presented modules over the target, or residue
 fields at rational points.  Every emitted complex is checked for dd = 0.
@@ -52,13 +54,6 @@ def epsilon_entry(l: int, m: int) -> int:
     if m < l:
         return 0
     return 0 if (m - l) % 2 else (-1) ** l
-
-
-def _int_to_poly(algebra: PresentedAlgebra, c: int) -> Polynomial:
-    one = algebra.ring.one()
-    if c == 0:
-        return algebra.ring.zero()
-    return one if c == 1 else -one
 
 
 def _same_presentation(a: PresentedAlgebra, b: PresentedAlgebra) -> bool:
@@ -108,9 +103,9 @@ class CotangentComplexTrunc:
                 f"{self.max_reliable_degree()})")
 
     def transport_point(self, point: dict) -> dict:
-        rp = self.provenance.get("relative")
-        if rp is not None:
-            return rp.transport_point(point)
+        stages = self.provenance.get("stages")
+        if stages is not None:
+            return stages.rp.transport_point(point)
         return self.algebra.parse_point(point)
 
     def transport_module(self, module: FPModule | None) -> FPModule | None:
@@ -118,9 +113,10 @@ class CotangentComplexTrunc:
         itself) stays None."""
         if module is None or module.algebra == self.algebra:
             return module
-        rp = self.provenance.get("relative")
-        if rp is not None and module.algebra == self.phi.target:
-            rels = [[rp.lift_target(p) for p in rel] for rel in module.relations]
+        stages = self.provenance.get("stages")
+        if stages is not None and module.algebra == self.phi.target:
+            rels = [[stages.rp.lift_target(p) for p in rel]
+                    for rel in module.relations]
             return FPModule(self.algebra, module.gens, rels)
         if module.algebra.ring.variables == self.algebra.ring.variables:
             rels = [[p.rename_into(self.algebra.ring) for p in rel]
@@ -207,7 +203,19 @@ class _Trunc2Data:
 
 
 def cotangent_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:
-    """Degrees 0..2: relation syzygies into relation symbols into differentials."""
+    """Degrees 0..2: relation syzygies into relation symbols into differentials.
+
+    The truncation is a pure function of the map, so it is built once per
+    map and kept on the map (freed with it); every later call, including
+    those of `tor_modules` and `five_term_check`, returns the same object.
+    """
+    trunc = getattr(phi, "_trunc2_memo", None)
+    if trunc is None:
+        trunc = phi._trunc2_memo = _build_trunc2(phi)
+    return trunc
+
+
+def _build_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:
     rp = relative_presentation(phi)
     data = _Trunc2Data(rp)
     S = rp.algebra
@@ -230,15 +238,8 @@ def cotangent_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:
         homology_complex = FreeComplex(S, h_ranks, h_diffs, check=True)
     else:
         homology_complex = complex
-    provenance = {
-        "relative": rp,
-        "generators": data.generators,
-        "syzygies": data.syzygy_vectors,
-        "koszul-pairs": data.koszul_pairs,
-        "stages": data,
-    }
     return CotangentComplexTrunc(phi, MODE_TRUNC2, complex, homology_complex,
-                                 provenance, cutoff=2)
+                                 {"stages": data}, cutoff=2)
 
 
 # -- mode 1: complexes from explicit resolutions --------------------------------
@@ -300,10 +301,8 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise,
         diffs[n] = matrix
     complex = FreeComplex(aug, ranks, diffs, check=True)
     phi = AlgebraMap(ext.base, aug, {})
-    provenance = {"construction": ext.kind.get("construction"),
-                  "cutoff": cutoff}
     return CotangentComplexTrunc(phi, MODE_RESOLUTION, complex, complex,
-                                 provenance, cutoff=cutoff)
+                                 {}, cutoff=cutoff)
 
 
 # -- hypersurface closed forms ---------------------------------------------------
@@ -321,13 +320,13 @@ def hypersurface_closed_form_differential(algebra: PresentedAlgebra,
     """The (n-1) x n matrix with partial alternating-sum entries."""
     if n < 1:
         raise CotangentError("closed form needs n >= 1")
-    matrix = [[_int_to_poly(algebra, 0) for _ in range(n)]
-              for _ in range(n - 1)]
+    ring = algebra.ring
+    matrix = [[ring.zero() for _ in range(n)] for _ in range(n - 1)]
     for k in range(n):
         if k >= 1:
-            matrix[k - 1][k] = _int_to_poly(algebra, epsilon_entry(0, k))
+            matrix[k - 1][k] = ring.from_int(epsilon_entry(0, k))
         if k <= n - 2:
-            matrix[k][k] = _int_to_poly(algebra, epsilon_entry(k + 1, n))
+            matrix[k][k] = ring.from_int(epsilon_entry(k + 1, n))
     return matrix
 
 
@@ -494,9 +493,7 @@ def aq_cohomology(phi: AlgebraMap | None, coefficients=None, n_max: int = 2,
 
 
 class TorTable:
-    def __init__(self, phi: AlgebraMap, complex: FreeComplex,
-                 stages: _Trunc2Data):
-        self.phi = phi
+    def __init__(self, complex: FreeComplex, stages: _Trunc2Data):
         self.complex = complex
         self.stages = stages
 
@@ -505,23 +502,19 @@ class TorTable:
         return self.complex.homology_dim_at_point(n, pt)
 
 
-def _surjective_stages(phi: AlgebraMap) -> _Trunc2Data:
-    rp = relative_presentation(phi)
-    if rp.num_adjoined():
-        raise CotangentError(
-            "needs a surjective map presented as a quotient of its source")
-    return _Trunc2Data(rp)
-
-
 def tor_modules(phi: AlgebraMap, n_max: int = 3) -> TorTable:
     """Tor_n(target, -) over the source, n <= n_max, for quotient maps.
 
     The resolution is by iterated syzygies: relations, their syzygies, and
-    so on, for n_max + 1 stages.
+    so on, for n_max + 1 stages.  The first stages are those of the map's
+    truncation (`cotangent_trunc2`).
     """
     if n_max > 3:
         raise CotangentError("Tor table built through degree 3 only")
-    data = _surjective_stages(phi)
+    data = cotangent_trunc2(phi).provenance["stages"]
+    if data.rp.num_adjoined():
+        raise CotangentError(
+            "needs a surjective map presented as a quotient of its source")
     S = data.rp.algebra
     P = data.base
     fs = data.generators
@@ -540,7 +533,7 @@ def tor_modules(phi: AlgebraMap, n_max: int = 3) -> TorTable:
     if s3:
         diffs[4] = matrix_from_columns(s3, len(s2))
     complex = FreeComplex(S, ranks, diffs, check=True)
-    return TorTable(phi, complex, data)
+    return TorTable(complex, data)
 
 
 # -- the five-term tail -----------------------------------------------------------
@@ -551,8 +544,10 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
 
     w sends a wedge of two relation symbols to the lift of their Koszul
     syzygy; its rank is measured inside Tor_2 by comparing against the
-    third resolution stage.  AQ dims come from the degree-<=2 truncation,
-    an independent code path.
+    third resolution stage.  Both sides read one set of presentation
+    stages, the map's truncation; what is independent is the two complexes
+    over them: AQ dims come from the degree-<=2 truncation (with the lifted
+    Koszul relations on top), Tor dims from the iterated-syzygy resolution.
     """
     points = list(points)
     if not points:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classify import PROPERTIES, RING_PROPERTIES
 from .fields import FieldError, field_from_spec
 from .orders import MonomialOrder
 from .poly import ParseError, PolyRing, parse_polynomial, stable_str
 from .rings import AlgebraError, AlgebraMap, PointError, PresentedAlgebra, parse_scalar
 
 VALID_TASKS = ("check", "classify", "homology", "resolve")
-CLASSIFY_PROPERTIES = ("smooth", "unramified", "etale", "lci", "regular", "ci")
-RING_PROPERTIES = ("regular", "ci")
 RESOLVE_KINDS = ("bar", "koszul", "hypersurface", "killcycles")
 
 
@@ -141,6 +140,7 @@ class _Cursor:
         self.text = text
         self.line = line
         self.pos = 0
+        self.word_col = 0  # where the last name or integer read starts
 
     def error(self, message: str, col: int | None = None, exit_code: int = 1):
         raise SessionError(message, self.line,
@@ -177,40 +177,37 @@ class _Cursor:
 
     def name(self, what: str = "name") -> str:
         self.skip_ws()
-        start = self.pos
+        self.word_col = self.pos
         while self.pos < len(self.text) and (
                 self.text[self.pos].isalnum() or self.text[self.pos] in "_-"):
             self.pos += 1
-        if start == self.pos:
+        if self.word_col == self.pos:
             self.error(f"expected a {what}")
-        word = self.text[start:self.pos]
+        word = self.text[self.word_col:self.pos]
         if word[0].isdigit():
-            self.error(f"a {what} cannot start with a digit", start)
+            self.error(f"a {what} cannot start with a digit", self.word_col)
         return word
 
-    def declared(self, table: dict, what: str) -> tuple[str, int]:
-        """Read a name that must be a key of `table`, with its column."""
-        self.skip_ws()
-        col = self.pos
+    def declared(self, table: dict, what: str) -> str:
+        """Read a name that must be a key of `table`."""
         word = self.name(f"{what} name")
         if word not in table:
-            self.error(f"unknown {what} {word!r}", col)
-        return word, col
+            self.error(f"unknown {what} {word!r}", self.word_col)
+        return word
 
     def integer(self, what: str = "integer") -> int:
         self.skip_ws()
-        start = self.pos
+        self.word_col = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if start == self.pos:
+        if self.word_col == self.pos:
             self.error(f"expected {what}")
-        return int(self.text[start:self.pos])
+        return int(self.text[self.word_col:self.pos])
 
     def keyword(self, word: str):
         got = self.name(f"keyword {word!r}")
         if got != word:
-            self.error(f"expected {word!r}, found {got!r}",
-                       self.pos - len(got))
+            self.error(f"expected {word!r}, found {got!r}", self.word_col)
 
     def paren_group(self) -> tuple[str, int]:
         """Raw text between balanced parens, with the inner start column."""
@@ -273,35 +270,34 @@ def _parse_field(cur: _Cursor, session: Session):
         session.field = field_from_spec("QQ")
         decl = FieldDecl("QQ", 0)
     elif kind == "GF":
-        col = cur.pos
         p = cur.integer("a prime")
         try:
             session.field = field_from_spec("GF", p)
         except FieldError as exc:
-            cur.error(str(exc), col)
+            cur.error(str(exc), cur.word_col)
         decl = FieldDecl("GF", p)
     else:
         cur.error(f"unknown field {kind!r}; expected QQ or GF <p>",
-                  cur.pos - len(kind))
+                  cur.word_col)
     cur.expect_end()
     session.statements.append(decl)
 
 
-def _require_new(cur: _Cursor, session: Session, name: str, col: int):
+def _new_name(cur: _Cursor, session: Session, what: str) -> str:
+    """Read the name a statement declares; it must not be taken yet."""
+    name = cur.name(what)
     if name in session.rings or name in session.maps or name in session.points:
-        cur.error(f"name {name!r} already declared", col)
+        cur.error(f"name {name!r} already declared", cur.word_col)
+    return name
 
 
 def _parse_ring(cur: _Cursor, session: Session):
     if session.field is None:
         cur.error("declare a field before rings")
-    col = cur.pos
-    name = cur.name("ring name")
-    _require_new(cur, session, name, col)
+    name = _new_name(cur, session, "ring name")
     cur.take("=")
-    cur.skip_ws()
-    head_col = cur.pos
     head = cur.name("ring expression")
+    head_col = cur.word_col
     if head == "poly":
         inner, inner_col = cur.paren_group()
         variables = []
@@ -345,13 +341,12 @@ def _parse_ring(cur: _Cursor, session: Session):
 
 
 def _parse_map(cur: _Cursor, session: Session):
-    col = cur.pos
-    name = cur.name("map name")
-    _require_new(cur, session, name, col)
+    name = _new_name(cur, session, "map name")
+    col = cur.word_col
     cur.take(":")
-    src_name, _ = cur.declared(session.rings, "ring")
+    src_name = cur.declared(session.rings, "ring")
     cur.take("->")
-    tgt_name, _ = cur.declared(session.rings, "ring")
+    tgt_name = cur.declared(session.rings, "ring")
     source = session.rings[src_name]
     target = session.rings[tgt_name]
     images = {}
@@ -393,11 +388,9 @@ def _parse_map(cur: _Cursor, session: Session):
 
 
 def _parse_point(cur: _Cursor, session: Session):
-    col = cur.pos
-    name = cur.name("point name")
-    _require_new(cur, session, name, col)
+    name = _new_name(cur, session, "point name")
     cur.keyword("on")
-    ring_name, _ = cur.declared(session.rings, "ring")
+    ring_name = cur.declared(session.rings, "ring")
     algebra = session.rings[ring_name]
     inner, inner_col = cur.paren_group()
     raw = {}
@@ -431,20 +424,19 @@ def _parse_point(cur: _Cursor, session: Session):
 
 
 def _parse_task(cur: _Cursor, session: Session):
-    kcol = cur.pos
     kind = cur.name("task kind")
     if kind not in VALID_TASKS:
         cur.error(f"unknown task {kind!r}; valid tasks: "
-                  f"{', '.join(VALID_TASKS)}", kcol)
+                  f"{', '.join(VALID_TASKS)}", cur.word_col)
     if kind == "homology":
-        map_name, _ = cur.declared(session.maps, "map")
+        map_name = cur.declared(session.maps, "map")
         cur.keyword("coeff")
-        ccol = cur.pos
         word = cur.name("coefficient spec")
+        ccol = cur.word_col
         if word == "residue":
-            pt_name, pcol = cur.declared(session.points, "point")
+            pt_name = cur.declared(session.points, "point")
             _check_point_on(cur, session, pt_name,
-                            session.maps[map_name].target, pcol)
+                            session.maps[map_name].target)
             coeff = ("residue", pt_name)
         elif word == "self":
             coeff = ("module", "self")
@@ -462,22 +454,21 @@ def _parse_task(cur: _Cursor, session: Session):
             TaskDecl("homology", (map_name, coeff, maxdeg)))
         return
     if kind == "classify":
-        pcol = cur.pos
         prop = cur.name("property")
-        if prop not in CLASSIFY_PROPERTIES:
+        if prop not in PROPERTIES:
             cur.error(f"unknown property {prop!r}; expected one of "
-                      f"{', '.join(CLASSIFY_PROPERTIES)}", pcol)
+                      f"{', '.join(PROPERTIES)}", cur.word_col)
         if prop in RING_PROPERTIES:
-            subject, _ = cur.declared(session.rings, "ring")
+            subject = cur.declared(session.rings, "ring")
             target = session.rings[subject]
         else:
-            subject, _ = cur.declared(session.maps, "map")
+            subject = cur.declared(session.maps, "map")
             target = session.maps[subject].target
         cur.keyword("at")
         names = []
         while True:
-            pt_name, ncol = cur.declared(session.points, "point")
-            _check_point_on(cur, session, pt_name, target, ncol)
+            pt_name = cur.declared(session.points, "point")
+            _check_point_on(cur, session, pt_name, target)
             names.append(pt_name)
             if not cur.try_take(","):
                 break
@@ -486,18 +477,17 @@ def _parse_task(cur: _Cursor, session: Session):
             TaskDecl("classify", (prop, subject, tuple(names))))
         return
     if kind == "resolve":
-        rcol = cur.pos
         rkind = cur.name("construction")
         if rkind not in RESOLVE_KINDS:
             cur.error(f"unknown construction {rkind!r}; expected one of "
-                      f"{', '.join(RESOLVE_KINDS)}", rcol)
-        ring_name, _ = cur.declared(session.rings, "ring")
+                      f"{', '.join(RESOLVE_KINDS)}", cur.word_col)
+        ring_name = cur.declared(session.rings, "ring")
         algebra = session.rings[ring_name]
         if rkind == "bar":
-            vcol = cur.pos
             var = cur.name("variable")
             if var not in algebra.ring._var_index:
-                cur.error(f"{var!r} is not a variable of {ring_name}", vcol)
+                cur.error(f"{var!r} is not a variable of {ring_name}",
+                          cur.word_col)
             detail = var
         else:
             inner, inner_col = cur.paren_group()
@@ -530,11 +520,12 @@ def _parse_task(cur: _Cursor, session: Session):
 
 
 def _check_point_on(cur: _Cursor, session: Session, pt_name: str,
-                    algebra: PresentedAlgebra, col: int):
+                    algebra: PresentedAlgebra):
+    """The point just read must live on `algebra`."""
     ring_name, _ = session.points[pt_name]
     if session.rings[ring_name] != algebra:
         cur.error(f"point {pt_name!r} lives on {ring_name}, not on the "
-                  "task's algebra", col)
+                  "task's algebra", cur.word_col)
 
 
 _STATEMENTS = {
@@ -559,7 +550,6 @@ def parse_session(text: str, order_name: str = "degrevlex") -> Session:
         parser = _STATEMENTS.get(head)
         if parser is None:
             cur.error(f"unknown statement {head!r}; expected one of "
-                      f"{', '.join(sorted(_STATEMENTS))}",
-                      cur.pos - len(head))
+                      f"{', '.join(sorted(_STATEMENTS))}", cur.word_col)
         parser(cur, session)
     return session

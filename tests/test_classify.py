@@ -10,6 +10,7 @@ from aq.fields import QQ, GF
 from aq.rings import PresentedAlgebra, AlgebraMap
 from aq.corpus import (algebra, ground, inclusion_from_ground,
                        canonical_surjection, classifier_corpus, hkr_instances)
+from aq.cotangent import five_term_check, tor_modules
 from aq.classify import (
     ClassifyError, PROPERTIES,
     is_smooth_at, is_unramified_at, is_etale_at, is_lci_at,
@@ -152,10 +153,15 @@ def test_module_level_vanishing_alone_does_not_certify_smoothness():
 def test_truncation_memo_is_freed_with_the_map():
     phi = inclusion_from_ground(cusp())
     assert not is_smooth_at(phi, {"x": 0, "y": 0})["verdict"]
+    surj = canonical_surjection(cusp())
+    assert five_term_check(surj, [{"x": 0, "y": 0}])["passes"]
+    assert tor_modules(surj).dim_at_point(1, {"x": 0, "y": 0}) == 1
     ref = weakref.ref(phi)
-    del phi
+    surj_ref = weakref.ref(surj)
+    del phi, surj
     gc.collect()
     assert ref() is None
+    assert surj_ref() is None
 
 
 def test_unknown_property_lists_the_valid_ones():
@@ -214,6 +220,14 @@ def test_quartic_irreducibility_over_the_rationals():
     assert univariate_irreducible(QQ, [one, zero, zero, zero, one])
     assert univariate_irreducible(QQ, [QQ.from_int(-2), zero, one])
     assert not univariate_irreducible(QQ, [QQ.from_int(-1), zero, one])
+
+
+@pytest.mark.parametrize("b", [2**60 + 3, 10**200],
+                         ids=["2^60+3", "10^200"])
+def test_quartic_with_huge_middle_coefficient_factors(b):
+    # y^4 + (14 - b^2) y^2 + 49 = (y^2 + b y + 7)(y^2 - b y + 7)
+    coeffs = [QQ.from_int(c) for c in (49, 0, 14 - b * b, 0, 1)]
+    assert not univariate_irreducible(QQ, coeffs)
 
 
 def test_rational_check_refuses_high_degree():

@@ -177,6 +177,34 @@ def test_five_term_identity_on_fat_point():
     assert row["aq2"] == row["tor2"] - row["rank_w"]
 
 
+# -- one truncation per map ----------------------------------------------------
+
+
+def test_truncation_is_built_once_per_map():
+    phi = canonical_surjection(fat_point())
+    assert cotangent_trunc2(phi) is cotangent_trunc2(phi)
+
+
+def test_tor_reads_the_stages_of_the_truncation():
+    phi = canonical_surjection(fat_point())
+    assert tor_modules(phi).stages is \
+        cotangent_trunc2(phi).provenance["stages"]
+
+
+def test_five_term_check_builds_the_stages_once(monkeypatch):
+    from aq.cotangent import _Trunc2Data
+    built = []
+    init = _Trunc2Data.__init__
+
+    def counting_init(self, rp):
+        built.append(rp)
+        init(self, rp)
+
+    monkeypatch.setattr(_Trunc2Data, "__init__", counting_init)
+    assert five_term_check(canonical_surjection(cusp()), [ORIGIN])["passes"]
+    assert len(built) == 1
+
+
 # -- base change, retracts, composite windows -------------------------------------
 
 

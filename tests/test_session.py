@@ -82,7 +82,7 @@ def test_non_prime_field_is_exit_one():
     e = err("field GF 4\n")
     assert e.exit_code == 1
     assert "prime" in e.message
-    assert e.line == 1 and e.col == 9
+    assert e.line == 1 and e.col == 10
 
 
 def test_off_variety_point_is_exit_two():
@@ -138,6 +138,15 @@ DECLARED = ("field QQ\nring P = poly(x)\nring Q = poly(y)\n"
     ("task classify smooth f at o,Zed", "Zed", "unknown point"),
     ("task classify smooth f at o, p", "p", "lives on P"),
     ("task resolve bar Zed x levels 2", "Zed", "unknown ring"),
+    ("task frobnicate", "frobnicate", "unknown task"),
+    ("task classify flat f at o", "flat", "unknown property"),
+    ("task resolve tower P (x) levels 2", "tower", "unknown construction"),
+    ("task resolve bar P zz levels 2", "zz", "is not a variable"),
+    ("task homology f coeff Zed maxdeg 2", "Zed", "unknown coefficient spec"),
+    ("task homology f coeff P maxdeg 2", "P", "must be the map's target"),
+    ("ring P = poly(z)", "P", "already declared"),
+    ("point f on Q (y=0)", "f", "already declared"),
+    ("map h : P -> Q", "h", "no image given"),
 ])
 def test_name_errors_point_at_the_name(line, name, message):
     e = err(DECLARED + line + "\n")
