@@ -139,12 +139,7 @@ def _random_poly(rng: random.Random, ring: PolyRing,
         c = rng.randint(-bound if not field.characteristic else 1, bound)
         key = tuple(e)
         terms[key] = terms.get(key, 0) + c
-    clean = {}
-    for e, c in terms.items():
-        fc = field.from_int(c)
-        if not field.is_zero(fc):
-            clean[e] = fc
-    return ring.from_terms(clean)
+    return ring.from_terms({e: field.from_int(c) for e, c in terms.items()})
 
 
 def _random_point(rng: random.Random, ring: PolyRing) -> dict:

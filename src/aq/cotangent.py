@@ -286,8 +286,8 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise,
         if not rows or not cols:
             continue
         push = aug_maps[n - 1]
-        faces = {x: [ext.operator("d", n, i).apply(ext.ring(n).var(x))
-                     for i in range(n + 1)] for x in cols}
+        faces = {x: [ext.operator("d", n, i).images[x] for i in range(n + 1)]
+                 for x in cols}
         matrix = []
         for w in rows:
             row = []

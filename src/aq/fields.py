@@ -120,10 +120,11 @@ class PrimeField(Field):
     kind = "GF"
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise FieldError("characteristic must be prime")
+        # bound first: trial division of a large p would not finish
         if p >= 2**31:
             raise FieldError("characteristic must be < 2^31")
+        if not _is_prime(p):
+            raise FieldError("characteristic must be prime")
         self.p = p
         self.characteristic = p
 

@@ -106,22 +106,6 @@ def nullspace(field: Field, matrix, cols: int | None = None):
     return basis
 
 
-def solve(field: Field, matrix, rhs):
-    """One solution of Mx = rhs, or None if inconsistent."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [matrix[i][:] + [rhs[i]] for i in range(rows)]
-    red, pivots = rref(field, aug)
-    for r, pc in enumerate(pivots):
-        if pc == cols:
-            return None
-    x = [field.zero()] * cols
-    for r, pc in enumerate(pivots):
-        if pc < cols:
-            x[pc] = red[r][cols]
-    return x
-
-
 def intersect_nullspaces(field: Field, matrices, cols: int):
     """Basis of the intersection of the kernels of several matrices."""
     return nullspace(field, [row for m in matrices for row in m], cols)

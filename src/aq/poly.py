@@ -16,6 +16,31 @@ class PolyError(ValueError):
     pass
 
 
+def _add_terms(out: dict, terms, field: Field) -> dict:
+    """Add (monomial, coefficient) pairs into the term map `out` in place,
+    dropping each sum that cancels; returns `out`.  Coefficients arriving
+    at an empty slot must be nonzero."""
+    add, is_zero = field.add, field.is_zero
+    for e, c in terms:
+        prev = out.get(e)
+        if prev is None:
+            out[e] = c
+        else:
+            s = add(prev, c)
+            if is_zero(s):
+                del out[e]
+            else:
+                out[e] = s
+    return out
+
+
+def _mul_terms(a: dict, b: dict, field: Field) -> dict:
+    """Product of two term maps."""
+    mul = field.mul
+    return _add_terms({}, ((mono_mul(e1, e2), mul(c1, c2))
+                           for e1, c1 in a.items() for e2, c2 in b.items()), field)
+
+
 class ParseError(PolyError):
     def __init__(self, message: str, line: int = 1, col: int = 1):
         super().__init__(f"{message} (line {line}, col {col})")
@@ -145,15 +170,8 @@ class Polynomial:
         if isinstance(other, int):
             other = self.ring.from_int(other)
         self._check(other)
-        F = self.ring.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = F.add(out.get(e, F.zero()), c)
-            if F.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _add_terms(dict(self.terms), other.terms.items(),
+                                                self.ring.field))
 
     def __neg__(self):
         F = self.ring.field
@@ -168,17 +186,7 @@ class Polynomial:
         if isinstance(other, int):
             other = self.ring.from_int(other)
         self._check(other)
-        F = self.ring.field
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                s = F.add(out.get(e, F.zero()), F.mul(c1, c2))
-                if F.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _mul_terms(self.terms, other.terms, self.ring.field))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -203,8 +211,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c) -> "Polynomial":
@@ -233,45 +242,45 @@ class Polynomial:
         i = self.ring.var_index(var)
         F = self.ring.field
         out: dict = {}
+        # distinct monomials have distinct partial derivatives: no collisions
         for e, c in self.terms.items():
             k = e[i]
-            if k == 0:
-                continue
-            nc = F.mul(c, F.from_int(k))
-            if F.is_zero(nc):
-                continue
-            ne = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-            prev = out.get(ne)
-            s = F.add(prev, nc) if prev is not None else nc
-            if F.is_zero(s):
-                out.pop(ne, None)
-            else:
-                out[ne] = s
+            if k:
+                nc = F.mul(c, F.from_int(k))
+                if not F.is_zero(nc):
+                    out[e[:i] + (k - 1,) + e[i + 1:]] = nc
         return Polynomial(self.ring, out)
 
     def substitute(self, target: PolyRing, images: dict[str, "Polynomial"]) -> "Polynomial":
         """Ring map into `target` sending each variable to its image.
 
-        Variables missing from `images` map to the same-named variable of
-        the target (which must exist).
+        A variable missing from `images` maps to the same-named variable of
+        the target.  Only the variables some term uses are looked up, so an
+        unused variable needs neither an image nor a namesake; a used image
+        must live in `target`.  Each (variable, exponent) power is built
+        once per call, and all terms are summed into one term map.
         """
-        cache: list[Polynomial | None] = []
-        for v in self.ring.variables:
-            if v in images:
-                img = images[v]
+        F = target.field
+        powers: dict = {}
+
+        def power(i: int, k: int) -> dict:
+            if (i, k) not in powers:
+                v = self.ring.variables[i]
+                img = images[v] if v in images else target.var(v)
                 if img.ring != target:
                     raise PolyError("substitution image in wrong ring")
-                cache.append(img)
-            else:
-                cache.append(target.var(v))
-        result = target.zero()
+                powers[(i, k)] = (img if k == 1 else img ** k).terms
+            return powers[(i, k)]
+
+        one = (0,) * target.nvars
+        out: dict = {}
         for e, c in self.terms.items():
-            term = target.const(c)
+            term = {one: c}
             for i, k in enumerate(e):
                 if k:
-                    term = term * cache[i] ** k
-            result = result + term
-        return result
+                    term = _mul_terms(term, power(i, k), F)
+            _add_terms(out, term.items(), F)
+        return Polynomial(target, out)
 
     def rename_into(self, target: PolyRing, renaming: dict[str, str] | None = None) -> "Polynomial":
         """Variable-by-name transport into another ring.
@@ -279,24 +288,17 @@ class Polynomial:
         The renaming need not be injective; colliding monomials are added.
         """
         renaming = renaming or {}
-        F = target.field
         idx = [target.var_index(renaming.get(v, v)) for v in self.ring.variables]
-        out = {}
-        for e, c in self.terms.items():
+
+        def moved(e):
             ne = [0] * target.nvars
             for i, k in enumerate(e):
                 if k:
                     ne[idx[i]] += k
-            key = tuple(ne)
-            if key in out:
-                s = F.add(out[key], c)
-                if F.is_zero(s):
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = c
-        return Polynomial(target, out)
+            return tuple(ne)
+
+        return Polynomial(target, _add_terms(
+            {}, ((moved(e), c) for e, c in self.terms.items()), target.field))
 
     def evaluate(self, point: dict[str, object]):
         """Value at a point given as {var name: field element}."""
@@ -391,6 +393,11 @@ def stable_str(p: Polynomial) -> str:
 
 _OPS = set("+-*^()/,=")
 
+# Each level of parentheses costs the recursive parser four stack frames;
+# this bound keeps the deepest accepted input well inside the interpreter's
+# default recursion limit.
+MAX_NESTING = 100
+
 
 def tokenize(src: str, line: int = 1, col0: int = 0):
     """Tokens: INT, NAME, or single-char operators, with positions."""
@@ -425,6 +432,7 @@ def tokenize(src: str, line: int = 1, col0: int = 0):
 class _PolyParser:
     """expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := ('-')* atom ('^' INT)?; atom := INT ('/' INT)? | NAME | '(' expr ')'
+    with parentheses nested at most MAX_NESTING deep.
     """
 
     def __init__(self, tokens, ring: PolyRing, line: int = 1):
@@ -432,6 +440,7 @@ class _PolyParser:
         self.pos = 0
         self.ring = ring
         self.line = line
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -449,6 +458,12 @@ class _PolyParser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
         return tok
 
+    def integer(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # past the interpreter's digit limit
+            raise ParseError("integer has too many digits", tok[2], tok[3]) from None
+
     def parse(self) -> Polynomial:
         p = self.expr()
         tok = self.peek()
@@ -457,14 +472,7 @@ class _PolyParser:
         return p
 
     def expr(self) -> Polynomial:
-        first = self.peek()
-        negate = False
-        if first is not None and first[0] == "-":
-            self.next()
-            negate = True
         p = self.term()
-        if negate:
-            p = -p
         while True:
             tok = self.peek()
             if tok is None or tok[0] not in "+-":
@@ -483,28 +491,27 @@ class _PolyParser:
             p = p * self.factor()
 
     def factor(self) -> Polynomial:
-        tok = self.peek()
-        if tok is not None and tok[0] == "-":
+        negate = False
+        while (tok := self.peek()) is not None and tok[0] == "-":
             self.next()
-            return -self.factor()
+            negate = not negate
         p = self.atom()
         tok = self.peek()
         if tok is not None and tok[0] == "^":
             self.next()
-            exp = self.expect("INT")
-            p = p ** int(exp[1])
-        return p
+            p = p ** self.integer(self.expect("INT"))
+        return -p if negate else p
 
     def atom(self) -> Polynomial:
         tok = self.next()
         if tok[0] == "INT":
-            num = int(tok[1])
+            num = self.integer(tok)
             nxt = self.peek()
             if nxt is not None and nxt[0] == "/":
                 self.next()
                 den = self.expect("INT")
                 try:
-                    c = self.ring.field.fraction(num, int(den[1]))
+                    c = self.ring.field.fraction(num, self.integer(den))
                 except FieldError as exc:
                     raise ParseError(str(exc), den[2], den[3]) from None
                 return self.ring.const(c)
@@ -514,7 +521,12 @@ class _PolyParser:
                 raise ParseError(f"unknown variable {tok[1]!r}", tok[2], tok[3])
             return self.ring.var(tok[1])
         if tok[0] == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {MAX_NESTING} deep",
+                                 tok[2], tok[3])
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             self.expect(")")
             return p
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])

@@ -202,7 +202,10 @@ class _Cursor:
             self.pos += 1
         if self.word_col == self.pos:
             self.error(f"expected {what}")
-        return int(self.text[self.word_col:self.pos])
+        try:
+            return int(self.text[self.word_col:self.pos])
+        except ValueError:  # past the interpreter's digit limit
+            self.error(f"{what} has too many digits", self.word_col)
 
     def keyword(self, word: str):
         got = self.name(f"keyword {word!r}")

@@ -206,6 +206,8 @@ class FreeExtensionLevelwise:
     def simplicial_identities_hold(self, up_to: int | None = None):
         """Exact generator-level check of all simplicial identities.
 
+        The inner operator of each composite sends a generator x to its
+        stored image, already in normal form; the outer one is applied.
         Returns (ok, failure descriptions).
         """
         L = self.max_level if up_to is None else min(up_to, self.max_level)
@@ -215,9 +217,9 @@ class FreeExtensionLevelwise:
             if rhs is not None:
                 r_outer, r_inner = (self.operator(*op) for op in rhs)
             for x in self.levels[n]:
-                xv = self.ring(n).var(x)
-                got = outer.apply(inner.apply(xv))
-                want = xv if rhs is None else r_outer.apply(r_inner.apply(xv))
+                got = outer.apply(inner.images[x])
+                want = (self.ring(n).var(x) if rhs is None
+                        else r_outer.apply(r_inner.images[x]))
                 if not outer.target.normal_form(got - want).is_zero():
                     bad.append(f"{tag} on {x}")
         return (not bad, bad)
@@ -440,8 +442,7 @@ def augmentation(ext: FreeExtensionLevelwise) -> PresentedAlgebra:
     diffs = []
     d0, d1 = ext.operator("d", 1, 0), ext.operator("d", 1, 1)
     for x in ext.levels[1]:
-        xv = ext.ring(1).var(x)
-        p = a0.normal_form(d0.apply(xv) - d1.apply(xv))
+        p = d0.images[x] - d1.images[x]  # both normal forms in a0
         if not p.is_zero():
             diffs.append(p)
     return PresentedAlgebra(a0.ring, list(a0.relations) + diffs)
@@ -565,83 +566,41 @@ class SimplicialModuleFR:
         """Evaluate base variables at a point and keep level-variable
         monomials of bounded degree.
 
+        Each operator image is moved into a ring of the target level's
+        variables, sending the base variables to the point; the column of a
+        basis monomial is that monomial substituted by those images.
         Requires every operator image to be affine in the level variables,
         which makes the bounded-degree span an honest simplicial subspace.
         """
         L = ext.max_level if up_to is None else min(up_to, ext.max_level)
         field = ext.base.field
         pt = ext.base.parse_point(base_point)
-
-        def push_small(poly: Polynomial, n: int):
-            """Coefficient dict {level exponent tuple: field value}."""
-            ring = ext.ring(n)
-            nbase = len(ext.base.ring.variables)
-            out: dict = {}
-            for e, c in poly.terms.items():
-                val = c
-                for b in range(nbase):
-                    if e[b]:
-                        base_val = pt[ext.base.ring.variables[b]]
-                        for _ in range(e[b]):
-                            val = field.mul(val, base_val)
-                lev = tuple(e[nbase:])
-                if sum(lev) > 1:
-                    raise SimplicialError(
-                        "operator image is not affine in the level variables")
-                if lev in out:
-                    s = field.add(out[lev], val)
-                    if field.is_zero(s):
-                        del out[lev]
-                    else:
-                        out[lev] = s
-                elif not field.is_zero(val):
-                    out[lev] = val
-            return out
-
+        nbase = ext.base.ring.nvars
+        rings = {n: PolyRing(field, ext.levels[n]) for n in range(L + 1)}
         bases = {n: _monomial_basis(len(ext.levels[n]), max_degree)
                  for n in range(L + 1)}
         index = {n: {e: i for i, e in enumerate(bases[n])} for n in range(L + 1)}
         dims = {n: len(bases[n]) for n in range(L + 1)}
 
-        def operator_matrix(n_src: int, n_dst: int, images: dict[str, dict]):
-            """Matrix of the multiplicative extension of affine variable images."""
-            rows, cols = dims[n_dst], dims[n_src]
-            zero = field.zero()
-            mat = [[zero] * cols for _ in range(rows)]
-            var_images = [images[x] for x in ext.levels[n_src]]
-            for ci, expo in enumerate(bases[n_src]):
-                # product of affine images, expanded over target monomials
-                acc = {(0,) * len(ext.levels[n_dst]): field.one()}
-                for vi, e in enumerate(expo):
-                    for _ in range(e):
-                        nxt: dict = {}
-                        for mono, c in acc.items():
-                            for m2, c2 in var_images[vi].items():
-                                key = tuple(a + b for a, b in zip(mono, m2))
-                                v = field.mul(c, c2)
-                                if key in nxt:
-                                    s = field.add(nxt[key], v)
-                                    if field.is_zero(s):
-                                        del nxt[key]
-                                    else:
-                                        nxt[key] = s
-                                elif not field.is_zero(v):
-                                    nxt[key] = v
-                        acc = nxt
-                        if not acc:
-                            break
-                    if not acc:
-                        break
-                for mono, c in acc.items():
+        def operator_matrix(n: int, m: int, images: dict[str, Polynomial]):
+            at_point = {b: rings[m].const(v) for b, v in pt.items()}
+            affine = {}
+            for x, p in images.items():
+                if any(sum(e[nbase:]) > 1 for e in p.terms):
+                    raise SimplicialError(
+                        "operator image is not affine in the level variables")
+                affine[x] = p.substitute(rings[m], at_point)
+            mat = [[field.zero()] * dims[n] for _ in range(dims[m])]
+            for ci, expo in enumerate(bases[n]):
+                col = rings[n].monomial(expo).substitute(rings[m], affine)
+                for mono, c in col.terms.items():
                     if sum(mono) > max_degree:
                         raise SimplicialError("image degree exceeded the cap")
-                    mat[index[n_dst][mono]][ci] = c
+                    mat[index[m][mono]][ci] = c
             return mat
 
-        operators = {
-            (kind, n, i): operator_matrix(n, m, {
-                x: push_small(p, m) for x, p in ext._images[(kind, n, i)].items()})
-            for kind, n, i, m in _operators(L)}
+        operators = {(kind, n, i): operator_matrix(n, m, ext._images[(kind, n, i)])
+                     for kind, n, i, m in _operators(L)}
         return cls(field, dims, operators, L)
 
     # identities as matrix equations

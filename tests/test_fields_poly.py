@@ -1,11 +1,11 @@
 """Field arithmetic, polynomial arithmetic, parsing, and term orders."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aq.fields import GF, QQ, FieldError, field_from_spec
 from aq.orders import MonomialOrder
-from aq.poly import ParseError, PolyRing, parse_polynomial, stable_str
+from aq.poly import ParseError, PolyError, PolyRing, parse_polynomial, stable_str
 
 
 def ring(field, *names, order=None):
@@ -165,3 +165,88 @@ def test_stable_str_ignores_ambient_order():
     p_lex, p_grl = lex.poly("x - y^2"), grl.poly("x - y^2")
     assert stable_str(p_lex) == stable_str(p_grl) == "-y^2 + x"
     assert str(p_lex) == "x - y^2"
+
+
+# -- substitution, renaming and powers -------------------------------------
+
+
+GF5 = GF(5)
+
+
+def field_polys(field, variables, max_exponent=2, max_size=4):
+    """Polynomials in `variables` with small integer coefficients."""
+    R = PolyRing(field, variables)
+    return st.dictionaries(
+        st.tuples(*(st.integers(0, max_exponent) for _ in variables)),
+        st.integers(-4, 4), max_size=max_size,
+    ).map(lambda terms: R.from_terms(
+        {e: field.from_int(c) for e, c in terms.items()}))
+
+
+SOURCE_VARS = ("x", "y", "z")
+TARGET_VARS = ("x", "y", "z", "u", "v")
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["QQ", "GF5"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_substitute_then_evaluate_is_evaluate_at_the_images(field, data):
+    T = PolyRing(field, TARGET_VARS)
+    p = data.draw(field_polys(field, SOURCE_VARS, max_exponent=3))
+    # a variable left out of the images goes to its namesake in the target
+    mapped = data.draw(st.sets(st.sampled_from(SOURCE_VARS)))
+    imgs = {v: data.draw(field_polys(field, TARGET_VARS)) for v in sorted(mapped)}
+    pt = {v: field.from_int(data.draw(st.integers(-3, 3)))
+          for v in TARGET_VARS}
+    pulled = {v: imgs[v].evaluate(pt) if v in imgs else pt[v]
+              for v in SOURCE_VARS}
+    assert p.substitute(T, imgs).evaluate(pt) == p.evaluate(pulled)
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["QQ", "GF5"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rename_into_is_substitution_by_variables(field, data):
+    p = data.draw(field_polys(field, SOURCE_VARS, max_exponent=3, max_size=6))
+    T = PolyRing(field, ("u", "w"))
+    renaming = {v: data.draw(st.sampled_from(T.variables))
+                for v in SOURCE_VARS}
+    by_vars = {v: T.var(w) for v, w in renaming.items()}
+    assert p.rename_into(T, renaming) == p.substitute(T, by_vars)
+
+
+def test_colliding_renamed_terms_add_and_cancel():
+    R = ring(QQ, "x", "y")
+    T = ring(QQ, "z")
+    onto_z = {"x": "z", "y": "z"}
+    assert R.poly("x + y").rename_into(T, onto_z) == T.poly("2*z")
+    assert R.poly("x*y - y^2 + x").rename_into(T, onto_z) == T.poly("z")
+    assert R.poly("x - y").rename_into(T, onto_z).is_zero()
+    assert R.poly("x - y").substitute(T, {"x": T.var("z"),
+                                          "y": T.var("z")}).is_zero()
+
+
+def test_substitute_refuses_a_used_image_from_another_ring():
+    R = ring(QQ, "x", "y")
+    T = ring(QQ, "x", "y", "t")
+    other = ring(QQ, "t")
+    with pytest.raises(PolyError, match="wrong ring"):
+        R.poly("x^2 + y").substitute(T, {"x": other.var("t")})
+
+
+def test_derivative_keeps_every_term():
+    R = ring(GF(3), "x", "y")
+    p = R.poly("x^3*y + 2*x^2*y + x*y^2 + y + 1")
+    assert p.derivative("x") == R.poly("x*y + y^2")
+    assert p.derivative("y") == R.poly("x^3 + 2*x^2 + 2*x*y + 1")
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["QQ", "GF5"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_power_is_repeated_product(field, data):
+    p = data.draw(field_polys(field, ("x", "y")))
+    product = p.ring.one()
+    for k in range(7):
+        assert p ** k == product
+        product = product * p

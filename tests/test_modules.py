@@ -46,13 +46,6 @@ def test_nullspace_vectors_annihilate():
         assert all(QQ.is_zero(e) for e in linalg.mat_vec(QQ, m, v))
 
 
-def test_solve_finds_witness_or_none():
-    m = qmat([[1, 1], [0, 1]])
-    x = linalg.solve(QQ, m, [q(3), q(1)])
-    assert linalg.mat_vec(QQ, m, x) == [q(3), q(1)]
-    assert linalg.solve(QQ, qmat([[1, 1], [1, 1]]), [q(0), q(1)]) is None
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
                 min_size=1, max_size=4))

@@ -172,6 +172,66 @@ def test_order_name_is_validated():
     assert "order" in e.message
 
 
+# -- hostile input ends in a positioned error -------------------------------------
+
+
+HOSTILE_HEAD = "field QQ\nring P = poly(x)\n"
+DEEP = "(" * 3000 + "x" + ")" * 3000
+LONG = "7" * 5000  # past the interpreter's limit for int() on a string
+
+
+@pytest.mark.parametrize("line", [
+    f"ring C = P/({DEEP})",
+    f"map f : P -> P [x -> {DEEP}]",
+    f"task resolve hypersurface P ({DEEP}) levels 2",
+], ids=["relation", "map-image", "resolve"])
+def test_deep_parentheses_are_a_positioned_error(line):
+    e = err(HOSTILE_HEAD + line + "\n")
+    assert e.exit_code == 1 and e.line == 3
+    assert "nested" in e.message
+    assert line[e.col - 1] == "("
+
+
+@pytest.mark.parametrize("count, image", [(5000, "x"), (5001, "-x")])
+def test_long_runs_of_unary_minus_parse(count, image):
+    s = parse_session(HOSTILE_HEAD + f"ring C = P/({'-' * count}x)\n"
+                      f"map f : P -> P [x -> {'-' * count}x]\n")
+    lines = s.canonical_lines()
+    assert lines[2] == f"ring C = P/({image})"
+    assert lines[3] == f"map f : P -> P [x -> {image}]"
+
+
+@pytest.mark.parametrize("line", [
+    f"ring C = P/(x - {LONG})",
+    f"ring C = P/(x - 1/{LONG})",
+    f"ring C = P/(x^{LONG})",
+    f"map f : P -> P [x -> {LONG}*x]",
+    f"task resolve bar P x levels {LONG}",
+    f"map f : P -> P\ntask homology f coeff self maxdeg {LONG}",
+], ids=["literal", "denominator", "exponent", "map-image", "levels",
+        "maxdeg"])
+def test_overlong_integers_are_a_positioned_error(line):
+    e = err(HOSTILE_HEAD + line + "\n")
+    assert e.exit_code == 1
+    assert "digits" in e.message
+    last = line.split("\n")[-1]
+    assert e.line == 2 + line.count("\n") + 1
+    assert e.col == last.index(LONG) + 1
+
+
+def test_overlong_field_characteristic_is_a_positioned_error():
+    e = err(f"field GF {LONG}\n")
+    assert e.exit_code == 1 and "digits" in e.message
+    assert (e.line, e.col) == (1, 10)
+
+
+def test_large_field_characteristic_is_refused_before_the_primality_test():
+    # trial division up to the square root of this number would not finish
+    e = err("field GF 1000000000000000000000000000057\n")
+    assert e.exit_code == 1 and "2^31" in e.message
+    assert (e.line, e.col) == (1, 10)
+
+
 # -- execution ------------------------------------------------------------------
 
 
@@ -306,6 +366,19 @@ def test_main_propagates_parse_exit_codes(tmp_path, capsys):
     off = write_session(tmp_path, "field QQ\nring C = poly(x)\n"
                                   "ring D = C/(x^2 - 1)\npoint p on D (x=2)\n")
     assert main(["run", str(off)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    HOSTILE_HEAD + f"ring C = P/({DEEP})\n",
+    HOSTILE_HEAD + f"ring C = P/(x^{LONG})\n",
+    f"field GF {LONG}\n",
+], ids=["deep", "long-exponent", "long-characteristic"])
+def test_main_turns_hostile_text_into_exit_one(tmp_path, capsys, text):
+    f = write_session(tmp_path, text)
+    assert main(["run", str(f)]) == 1
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("error: ") and "(line " in err_text
+    assert "Traceback" not in err_text
 
 
 def test_main_reports_missing_files(tmp_path, capsys):

@@ -181,3 +181,35 @@ def test_operators_outside_the_table_are_refused():
 def test_bar_equals_killing_the_variable():
     assert bar_kill_equivalence_holds(line(), "y", 5)
     assert bar_kill_equivalence_holds(algebra(GF(5), ("t",)), "t", 4)
+
+
+def cusp():
+    return algebra(QQ, ("x", "y"), ["x^3 - y^2"])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bar_construction(line(), "y", 4),
+    lambda: bar_construction(cusp(), "x", 4),
+    lambda: hypersurface_resolution(plane(), "x^3 - y^2", 4),
+    lambda: hypersurface_resolution(cusp(), "x*y + y", 4),
+    lambda: kill_cycle(constant_extension(plane(), 4), "x*y", 1),
+    lambda: kill_cycle(constant_extension(algebra(GF(3), ("x", "y")), 4),
+                       "x^2 - y", 1),
+    lambda: tensor_resolutions(bar_construction(plane(), "x", 4),
+                               bar_construction(plane(), "y", 4)),
+], ids=["bar-line", "bar-cusp", "hypersurface-cusp", "hypersurface-on-cusp",
+        "kill-qq", "kill-gf3", "tensor"])
+def test_an_operator_sends_a_generator_to_its_stored_image(build):
+    ext = build()
+    for kind, n, i, _ in _operators(ext.max_level):
+        op = ext.operator(kind, n, i)
+        for x in ext.levels[n]:
+            assert op.apply(ext.ring(n).var(x)) == op.images[x]
+
+
+def test_finite_rank_model_refuses_a_nonaffine_image():
+    ext = bar_construction(line(), "y", 3)
+    x1 = ext.ring(1).var("x1_0")
+    ext.set_operator("d", 2, 0, {"x2_0": x1 * x1, "x2_1": x1})
+    with pytest.raises(SimplicialError, match="not affine"):
+        SimplicialModuleFR.from_extension(ext, {"y": 0}, max_degree=2)
