@@ -8,6 +8,11 @@ unit vector in a tracking block of components placed after the real
 block, so elements whose lead lands in the tracking block are exactly
 the syzygies.
 
+Reduction works in place on one mutable work map {component: {monomial:
+coefficient}}: its lead is the largest monomial of the lowest component,
+the first basis element (in basis order) whose lead divides it cancels
+it, and a lead that no basis lead divides moves into the result.
+
 Pair selection is the normal strategy (minimal lcm degree, then creation
 order), which together with full tail reduction and final inter-reduction
 makes every returned basis deterministic.
@@ -17,46 +22,10 @@ from __future__ import annotations
 
 import heapq
 
-from .orders import mono_deg, mono_div, mono_divides, mono_lcm
-from .poly import Polynomial, PolyRing
+from .orders import mono_deg, mono_div, mono_divides, mono_lcm, mono_mul
+from .poly import Polynomial, PolyRing, _add_terms
 
 VP = dict  # {component: Polynomial}, zero polys never stored
-
-
-def vp_is_zero(v: VP) -> bool:
-    return not v
-
-
-def vp_add(v: VP, w: VP) -> VP:
-    out = dict(v)
-    for c, p in w.items():
-        if c in out:
-            s = out[c] + p
-            if s.is_zero():
-                del out[c]
-            else:
-                out[c] = s
-        else:
-            out[c] = p
-    return out
-
-
-def vp_neg(v: VP) -> VP:
-    return {c: -p for c, p in v.items()}
-
-
-def vp_sub(v: VP, w: VP) -> VP:
-    return vp_add(v, vp_neg(w))
-
-
-def vp_scale(v: VP, coeff, ring: PolyRing) -> VP:
-    if ring.field.is_zero(coeff):
-        return {}
-    return {c: p.scale(coeff) for c, p in v.items()}
-
-
-def vp_mul_monomial(v: VP, expo, coeff) -> VP:
-    return {c: p.mul_monomial(expo, coeff) for c, p in v.items()}
 
 
 def vp_lead(v: VP, ring: PolyRing):
@@ -76,53 +45,76 @@ def _lead_key(v: VP, ring: PolyRing):
     return (-c, ring.order.key(m))
 
 
+def _sub_multiple(work: dict, g: VP, q, factor, field) -> None:
+    """Subtract factor * x^q * g from the work map in place, dropping the
+    components that cancel."""
+    mul, neg_factor = field.mul, field.neg(factor)
+    for c, p in g.items():
+        row = work.setdefault(c, {})
+        _add_terms(row, ((mono_mul(e, q), mul(neg_factor, k))
+                         for e, k in p.terms.items()), field)
+        if not row:
+            del work[c]
+
+
+def _monic(v: VP, ring: PolyRing) -> VP:
+    _, _, lc = vp_lead(v, ring)
+    inv = ring.field.inv(lc)
+    return {c: p.scale(inv) for c, p in v.items()}
+
+
 def vp_normal_form(v: VP, basis: list[VP], ring: PolyRing) -> VP:
-    """Full normal form of v against basis (every term reduced)."""
-    field = ring.field
-    # index reducers by lead component for quick lookup
+    """Full normal form of v against basis (every term reduced).
+
+    The remainder lives in one work map {component: {monomial: coeff}}.
+    Its lead (lowest component, largest monomial there) is cancelled by
+    the first basis element, in basis order, whose lead divides it, or
+    else moved into the result.
+    """
+    field, key = ring.field, ring.order.key
     by_comp: dict[int, list] = {}
     for g in basis:
         c, m, lc = vp_lead(g, ring)
         by_comp.setdefault(c, []).append((m, lc, g))
-    result: VP = {}
-    work = dict(v)
+    work = {c: dict(p.terms) for c, p in v.items()}
+    result: dict = {}
     while work:
-        c, m, coeff = vp_lead(work, ring)
-        reduced = False
+        c = min(work)
+        row = work[c]
+        m = max(row, key=key)
+        coeff = row[m]
         for gm, glc, g in by_comp.get(c, ()):
             if mono_divides(gm, m):
-                factor = field.div(coeff, glc)
-                work = vp_sub(work, vp_mul_monomial(g, mono_div(m, gm), factor))
-                reduced = True
+                _sub_multiple(work, g, mono_div(m, gm), field.div(coeff, glc), field)
                 break
-        if not reduced:
-            # move the irreducible lead term into the result
-            term = vp_from_poly(ring.monomial(m, coeff), c)
-            result = vp_add(result, term)
-            work = vp_sub(work, term)
-    return result
+        else:
+            result.setdefault(c, {})[m] = coeff
+            del row[m]
+            if not row:
+                del work[c]
+    return {c: Polynomial(ring, terms) for c, terms in result.items()}
 
 
 def _spair(f: VP, g: VP, ring: PolyRing) -> VP:
     field = ring.field
-    cf, mf, lf = vp_lead(f, ring)
-    cg, mg, lg = vp_lead(g, ring)
+    _, mf, lf = vp_lead(f, ring)
+    _, mg, lg = vp_lead(g, ring)
     lcm = mono_lcm(mf, mg)
-    a = vp_mul_monomial(f, mono_div(lcm, mf), field.inv(lf))
-    b = vp_mul_monomial(g, mono_div(lcm, mg), field.inv(lg))
-    return vp_sub(a, b)
+    work: dict = {}
+    _sub_multiple(work, f, mono_div(lcm, mf), field.neg(field.inv(lf)), field)
+    _sub_multiple(work, g, mono_div(lcm, mg), field.inv(lg), field)
+    return {c: Polynomial(ring, terms) for c, terms in work.items()}
 
 
 def module_groebner(generators: list[VP], ring: PolyRing) -> list[VP]:
     """Reduced monic Groebner basis of the submodule the generators span."""
     basis: list[VP] = []
     for gen in generators:
-        if vp_is_zero(gen):
+        if not gen:
             continue
         nf = vp_normal_form(gen, basis, ring)
-        if not vp_is_zero(nf):
-            _, _, lc = vp_lead(nf, ring)
-            basis.append(vp_scale(nf, ring.field.inv(lc), ring))
+        if nf:
+            basis.append(_monic(nf, ring))
 
     pairs: list = []
     counter = 0
@@ -145,10 +137,9 @@ def module_groebner(generators: list[VP], ring: PolyRing) -> list[VP]:
         _, _, i, j = heapq.heappop(pairs)
         s = _spair(basis[i], basis[j], ring)
         nf = vp_normal_form(s, basis, ring)
-        if vp_is_zero(nf):
+        if not nf:
             continue
-        _, _, lc = vp_lead(nf, ring)
-        basis.append(vp_scale(nf, ring.field.inv(lc), ring))
+        basis.append(_monic(nf, ring))
         push_pairs(len(basis) - 1)
 
     return _interreduce(basis, ring)
@@ -176,9 +167,8 @@ def _interreduce(basis: list[VP], ring: PolyRing) -> list[VP]:
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
         nf = vp_normal_form(g, others, ring)
-        if not vp_is_zero(nf):
-            _, _, lc = vp_lead(nf, ring)
-            out.append(vp_scale(nf, ring.field.inv(lc), ring))
+        if nf:
+            out.append(_monic(nf, ring))
     out.sort(key=lambda v: _lead_key(v, ring), reverse=True)
     return out
 
@@ -238,14 +228,11 @@ class SubmoduleEngine:
 
     def contains(self, v: VP) -> bool:
         real, _ = self.reduce(v)
-        return vp_is_zero(real)
+        return not real
 
     def lift(self, v: VP):
         real, lift = self.reduce(v)
-        return None if not vp_is_zero(real) else lift
-
-    def normal_form(self, v: VP) -> VP:
-        return self.reduce(v)[0]
+        return None if real else lift
 
     def syzygies(self) -> list[list[Polynomial]]:
         """Coefficient vectors c with sum(c_i * vectors_i) = 0 mod I·A^rank."""
@@ -253,6 +240,6 @@ class SubmoduleEngine:
         k = len(self.vectors)
         for g in self._gb:
             real, track = self._split(g)
-            if vp_is_zero(real) and track:
+            if not real and track:
                 out.append([track.get(i, self.ring.zero()) for i in range(k)])
         return out

@@ -227,13 +227,6 @@ class Polynomial:
             return self
         return self.scale(self.ring.field.inv(self.leading_coeff()))
 
-    def mul_monomial(self, expo: tuple[int, ...], coeff=None) -> "Polynomial":
-        F = self.ring.field
-        c = F.one() if coeff is None else coeff
-        return Polynomial(
-            self.ring, {mono_mul(e, expo): F.mul(c, k) for e, k in self.terms.items()}
-        )
-
     # -- calculus and substitution ------------------------------------
 
     def derivative(self, var: str) -> "Polynomial":
@@ -398,6 +391,10 @@ _OPS = set("+-*^()/,=")
 # default recursion limit.
 MAX_NESTING = 100
 
+# Powers are computed while parsing, and `evaluate` multiplies once per unit
+# of exponent, so an exponent past this bound is refused at its column.
+MAX_EXPONENT = 1000
+
 
 def tokenize(src: str, line: int = 1, col0: int = 0):
     """Tokens: INT, NAME, or single-char operators, with positions."""
@@ -432,7 +429,8 @@ def tokenize(src: str, line: int = 1, col0: int = 0):
 class _PolyParser:
     """expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := ('-')* atom ('^' INT)?; atom := INT ('/' INT)? | NAME | '(' expr ')'
-    with parentheses nested at most MAX_NESTING deep.
+    with parentheses nested at most MAX_NESTING deep and exponents at most
+    MAX_EXPONENT.
     """
 
     def __init__(self, tokens, ring: PolyRing, line: int = 1):
@@ -499,7 +497,11 @@ class _PolyParser:
         tok = self.peek()
         if tok is not None and tok[0] == "^":
             self.next()
-            p = p ** self.integer(self.expect("INT"))
+            exp = self.expect("INT")
+            n = self.integer(exp)
+            if n > MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}", exp[2], exp[3])
+            p = p ** n
         return -p if negate else p
 
     def atom(self) -> Polynomial:

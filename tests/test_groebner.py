@@ -7,11 +7,14 @@ from aq.fields import GF, QQ
 from aq.groebner import (
     SubmoduleEngine,
     ideal_groebner,
+    module_groebner,
     poly_normal_form,
     vp_from_poly,
+    vp_lead,
+    vp_normal_form,
 )
-from aq.orders import MonomialOrder
-from aq.poly import PolyRing
+from aq.orders import MonomialOrder, mono_div, mono_divides, mono_lcm, mono_mul
+from aq.poly import Polynomial, PolyRing
 from aq.rings import PresentedAlgebra
 
 
@@ -153,3 +156,166 @@ def test_membership_respects_quotient_relations():
                              relations=[R.poly("x^2")])
     assert engine.contains(vp_from_poly(R.poly("x + x^2"), 0))
     assert not engine.contains(vp_from_poly(R.poly("1"), 0))
+
+
+# -- a copying reference reducer and a Groebner certificate ------------------
+
+
+def _ref_add(v, w):
+    out = dict(v)
+    for c, p in w.items():
+        if c in out:
+            s = out[c] + p
+            if s.is_zero():
+                del out[c]
+            else:
+                out[c] = s
+        else:
+            out[c] = p
+    return out
+
+
+def _ref_sub(v, w):
+    return _ref_add(v, {c: -p for c, p in w.items()})
+
+
+def _ref_mul_monomial(v, expo, coeff):
+    out = {}
+    for c, p in v.items():
+        F = p.ring.field
+        out[c] = Polynomial(p.ring, {mono_mul(e, expo): F.mul(coeff, k)
+                                     for e, k in p.terms.items()})
+    return out
+
+
+def reference_normal_form(v, basis, ring):
+    """Normal form that rebuilds the whole vector at every step: the
+    same lead and reducer choice as `vp_normal_form`, none of its state."""
+    field = ring.field
+    by_comp = {}
+    for g in basis:
+        c, m, lc = vp_lead(g, ring)
+        by_comp.setdefault(c, []).append((m, lc, g))
+    result = {}
+    work = dict(v)
+    while work:
+        c, m, coeff = vp_lead(work, ring)
+        for gm, glc, g in by_comp.get(c, ()):
+            if mono_divides(gm, m):
+                factor = field.div(coeff, glc)
+                work = _ref_sub(work, _ref_mul_monomial(g, mono_div(m, gm), factor))
+                break
+        else:
+            term = vp_from_poly(ring.monomial(m, coeff), c)
+            result = _ref_add(result, term)
+            work = _ref_sub(work, term)
+    return result
+
+
+def _ref_spair(f, g, ring):
+    field = ring.field
+    _, mf, lf = vp_lead(f, ring)
+    _, mg, lg = vp_lead(g, ring)
+    lcm = mono_lcm(mf, mg)
+    return _ref_sub(_ref_mul_monomial(f, mono_div(lcm, mf), field.inv(lf)),
+                    _ref_mul_monomial(g, mono_div(lcm, mg), field.inv(lg)))
+
+
+def verify_groebner(gb, gens, ring):
+    """Certificate that gb is the reduced monic Groebner basis of gens,
+    checked with the reference reducer."""
+    one = ring.field.one()
+    leads = [vp_lead(g, ring) for g in gb]
+    for gen in gens:
+        assert reference_normal_form(gen, gb, ring) == {}, "generator survives"
+    for i, f in enumerate(gb):
+        for j in range(i):
+            if leads[i][0] == leads[j][0]:
+                s = _ref_spair(gb[j], f, ring)
+                assert reference_normal_form(s, gb, ring) == {}, "S-pair survives"
+    for (_, _, lc), g in zip(leads, gb):
+        assert lc == one, "not monic"
+        for (cj, mj, _), h in zip(leads, gb):
+            if h is g or cj not in g:
+                continue
+            assert not any(mono_divides(mj, e) for e in g[cj].terms), \
+                "not reduced"
+
+
+ORDERS = (MonomialOrder(), MonomialOrder("lex"))
+TERM = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3),
+                 st.integers(1, 3))
+
+
+def poly_from(R, terms):
+    F = R.field
+    out = R.zero()
+    for a, b, num, den in terms:
+        c = F.div(F.from_int(num), F.from_int(den))
+        out = out + R.monomial((a, b), c)
+    return out
+
+
+def vector(R, entries):
+    """{component: polynomial} from (component, term list) pairs, zeros
+    dropped."""
+    v = {}
+    for comp, terms in entries:
+        p = poly_from(R, terms)
+        if comp in v:
+            p = p + v.pop(comp)
+        if not p.is_zero():
+            v[comp] = p
+    return v
+
+
+def entries(rank):
+    return st.lists(st.tuples(st.integers(0, rank - 1),
+                              st.lists(TERM, max_size=3)), max_size=rank)
+
+
+FIELDS = st.sampled_from([QQ, GF(5)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(FIELDS, st.sampled_from(ORDERS), st.integers(1, 3).flatmap(
+    lambda r: st.tuples(entries(r), st.lists(entries(r), max_size=4))))
+def test_normal_form_matches_the_copying_reference(field, order, data):
+    """Any basis, Groebner or not: the in-place reducer agrees with the
+    copying one component by component."""
+    R = PolyRing(field, ("x", "y"), order)
+    v_entries, basis_entries = data
+    v = vector(R, v_entries)
+    basis = [b for b in (vector(R, e) for e in basis_entries) if b]
+    got = vp_normal_form(v, basis, R)
+    want = reference_normal_form(v, basis, R)
+    assert got == want
+    assert list(got) == list(want)
+
+
+def test_normal_form_edge_cases():
+    R = PolyRing(QQ, ("x", "y"))
+    g = {0: R.poly("x^2 - y"), 2: R.poly("3*y")}
+    h = {1: R.poly("x*y + 1/2")}
+    assert vp_normal_form({}, [g, h], R) == {}
+    v = {0: R.poly("x + y^3"), 1: R.poly("2*x^2*y")}
+    assert vp_normal_form(v, [], R) == v == reference_normal_form(v, [], R)
+    assert vp_normal_form(g, [g, h], R) == {}
+    assert vp_normal_form(h, [g, h], R) == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(FIELDS, st.sampled_from(ORDERS),
+       st.lists(st.lists(TERM, min_size=1, max_size=3), min_size=1, max_size=3))
+def test_ideal_groebner_is_certified(field, order, gens):
+    R = PolyRing(field, ("x", "y"), order)
+    vps = [vp_from_poly(poly_from(R, t), 0) for t in gens]
+    verify_groebner(module_groebner(vps, R), vps, R)
+
+
+@settings(max_examples=40, deadline=None)
+@given(FIELDS, st.sampled_from(ORDERS), st.lists(entries(2), max_size=3))
+def test_rank_two_module_groebner_is_certified(field, order, gens):
+    R = PolyRing(field, ("x", "y"), order)
+    vps = [vector(R, e) for e in gens]
+    verify_groebner(module_groebner(vps, R), vps, R)

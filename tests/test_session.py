@@ -219,6 +219,28 @@ def test_overlong_integers_are_a_positioned_error(line):
     assert e.col == last.index(LONG) + 1
 
 
+HUGE = "99999999999"  # parses at once; evaluating x^HUGE multiplies 10^11 times
+
+
+@pytest.mark.parametrize("line", [
+    f"ring C = P/(x^{HUGE} - 1)",
+    f"map f : P -> P [x -> x^{HUGE}]",
+    f"task resolve hypersurface P (x^{HUGE}) levels 2",
+], ids=["relation", "map-image", "resolve"])
+def test_huge_exponents_are_a_positioned_error(line):
+    e = err(HOSTILE_HEAD + line + "\n")
+    assert e.exit_code == 1 and e.line == 3
+    assert "exponent" in e.message and "1000" in e.message
+    assert e.col == line.index(HUGE) + 1
+
+
+def test_exponent_at_the_cap_is_accepted():
+    s = parse_session("field QQ\nring P = poly(x, y)\n"
+                      "ring C = P/(x^1000*y^1000 - 1)\n"
+                      "point o on C (x=1, y=-1)\n")
+    assert s.canonical_lines()[2] == "ring C = P/(x^1000*y^1000 - 1)"
+
+
 def test_overlong_field_characteristic_is_a_positioned_error():
     e = err(f"field GF {LONG}\n")
     assert e.exit_code == 1 and "digits" in e.message
@@ -372,7 +394,9 @@ def test_main_propagates_parse_exit_codes(tmp_path, capsys):
     HOSTILE_HEAD + f"ring C = P/({DEEP})\n",
     HOSTILE_HEAD + f"ring C = P/(x^{LONG})\n",
     f"field GF {LONG}\n",
-], ids=["deep", "long-exponent", "long-characteristic"])
+    f"field QQ\nring P = poly(x, y)\nring C = P/(x^{HUGE} - y)\n"
+    "point o on C (x=1, y=1)\n",
+], ids=["deep", "long-exponent", "long-characteristic", "huge-exponent"])
 def test_main_turns_hostile_text_into_exit_one(tmp_path, capsys, text):
     f = write_session(tmp_path, text)
     assert main(["run", str(f)]) == 1
