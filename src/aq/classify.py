@@ -217,7 +217,7 @@ def is_regular_local(R: PresentedAlgebra, point: dict) -> dict:
     aq1 = trunc.homology_dim(1, pt)
     aq2 = trunc.homology_dim(2, pt)
     primary = aq2 == 0
-    ground = PresentedAlgebra(PolyRing(R.field, (), R.ring.order.plain()), [])
+    ground = PresentedAlgebra(PolyRing(R.field, (), R.ring.order), [])
     smooth = is_smooth_at(AlgebraMap(ground, R, {}), pt)
     if smooth["verdict"] and not primary:
         raise ClassifyError(
@@ -612,15 +612,15 @@ def _certified_globally(prop: str, phi: AlgebraMap) -> bool:
       shifted free module.
     """
     try:
-        kd = kahler_presentation(phi).module
-        omega_zero = kd.is_zero()
-        if prop == "unramified":
-            return omega_zero
         if prop == "lci":
             rp = cotangent_trunc2(phi).provenance["stages"].rp
             ok, _ = koszul_homology_all_vanish(rp.base_algebra,
                                                list(rp.relation_polys))
             return ok
+        kd = kahler_presentation(phi).module
+        omega_zero = kd.is_zero()
+        if prop == "unramified":
+            return omega_zero
         omega_projective = omega_zero or kd.free_rank() is not None
         if not omega_projective:
             return False

@@ -228,14 +228,14 @@ def _build_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:
         diffs[1] = jacobian_matrix(rp)
     if m and s:
         diffs[2] = matrix_from_columns(data.syzygy_vectors, m)
-    complex = FreeComplex(S, ranks, diffs, check=True)
+    complex = FreeComplex(S, ranks, diffs)
     top = data.top_relation_columns()
     if s and top:
         h_ranks = dict(ranks)
         h_ranks[3] = len(top)
         h_diffs = dict(diffs)
         h_diffs[3] = matrix_from_columns(top, s)
-        homology_complex = FreeComplex(S, h_ranks, h_diffs, check=True)
+        homology_complex = FreeComplex(S, h_ranks, h_diffs)
     else:
         homology_complex = complex
     return CotangentComplexTrunc(phi, MODE_TRUNC2, complex, homology_complex,
@@ -266,9 +266,11 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise,
                               cutoff: int | None = None) -> CotangentComplexTrunc:
     """Alternating sums of face Jacobians over the augmentation.
 
-    The extension must actually resolve its augmentation; acyclicity is
-    checked through the closed-form homotopy of the known constructions
-    and anything unrecognized is refused.
+    The extension must actually resolve its augmentation.  Acyclicity is
+    checked through the Koszul rule: an extension that contracts r_1..r_c
+    (its `killed`) has pi_n = H_n(K(r)), which must vanish for n >= 1.
+    An extension whose `killed` is None is refused, as is one whose
+    simplicial identities fail.
     """
     if cutoff is None:
         cutoff = ext.max_level
@@ -299,7 +301,7 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise,
                 row.append(acc)
             matrix.append(row)
         diffs[n] = matrix
-    complex = FreeComplex(aug, ranks, diffs, check=True)
+    complex = FreeComplex(aug, ranks, diffs)
     phi = AlgebraMap(ext.base, aug, {})
     return CotangentComplexTrunc(phi, MODE_RESOLUTION, complex, complex,
                                  {}, cutoff=cutoff)
@@ -477,7 +479,7 @@ def _hom_dual_complex(fc: FreeComplex) -> tuple[FreeComplex, int]:
         if fc.rank(n) == 0 or fc.rank(n - 1) == 0:
             continue
         diffs[i] = matrix_columns(fc.differential(n))
-    return FreeComplex(fc.algebra, ranks, diffs, check=True), top
+    return FreeComplex(fc.algebra, ranks, diffs), top
 
 
 def aq_cohomology(phi: AlgebraMap | None, coefficients=None, n_max: int = 2,
@@ -532,7 +534,7 @@ def tor_modules(phi: AlgebraMap, n_max: int = 3) -> TorTable:
         diffs[3] = matrix_from_columns(s2, len(s1))
     if s3:
         diffs[4] = matrix_from_columns(s3, len(s2))
-    complex = FreeComplex(S, ranks, diffs, check=True)
+    complex = FreeComplex(S, ranks, diffs)
     return TorTable(complex, data)
 
 

@@ -92,7 +92,7 @@ def relative_presentation(phi: AlgebraMap) -> RelativePresentation:
     fresh = fresh_names(tgt.variables, src.variables, "_t")
     renaming = dict(zip(tgt.variables, fresh))
     ambient = PolyRing(
-        src.field, tuple(src.variables) + tuple(fresh), src.ring.order.plain()
+        src.field, tuple(src.variables) + tuple(fresh), src.ring.order
     )
     base_rels = [r.rename_into(ambient) for r in src.relations]
     rels = [t.rename_into(ambient, renaming) for t in tgt.relations]
@@ -172,7 +172,7 @@ def kahler_oracle_via_diagonal(phi: AlgebraMap):
     amb = rp.ambient
     doubled_names = fresh_names([y + "_r" for y in rp.adjoined], amb.variables,
                                 "_t")
-    big = PolyRing(amb.field, amb.variables + tuple(doubled_names), amb.order.plain())
+    big = PolyRing(amb.field, amb.variables + tuple(doubled_names), amb.order)
     copy_of = dict(zip(rp.adjoined, doubled_names))
     rels = [r.rename_into(big) for r in rp.algebra.relations]
     for f in rp.relation_polys:

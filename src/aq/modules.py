@@ -219,10 +219,13 @@ def present_subquotient(algebra, ambient_rank, numerators, denominators) -> FPMo
 
 
 class FreeComplex:
-    """Bounded complex of free modules; diffs[n] maps degree n to n-1."""
+    """Bounded complex of free modules; diffs[n] maps degree n to n-1.
+
+    dd = 0 is checked on construction.
+    """
 
     def __init__(self, algebra: PresentedAlgebra, ranks: dict[int, int],
-                 diffs: dict[int, Matrix], check: bool = True):
+                 diffs: dict[int, Matrix]):
         self.algebra = algebra
         self.ranks = {n: r for n, r in ranks.items() if r > 0}
         self.diffs = {}
@@ -235,8 +238,7 @@ class FreeComplex:
                     f"{self.rank(n - 1)}x{self.rank(n)}"
                 )
             self.diffs[n] = mat
-        if check:
-            self.check_dd_zero()
+        self.check_dd_zero()
 
     def degrees(self):
         return sorted(self.ranks)

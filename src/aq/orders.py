@@ -1,61 +1,53 @@
 """Monomial orders on exponent vectors.
 
-Monomials are tuples of non-negative ints, one slot per ring variable.
-An order exposes a sort key; larger key = larger monomial. Both orders
-accept a variable priority permutation (indices, most significant first)
-so "lex with y > x" is expressible without renaming variables.
+Monomials are tuples of non-negative ints, one slot per ring variable,
+and the variables rank in ring order: the first is most significant.
+An order exposes a sort key; larger key = larger monomial.  The key is
+one of two module-level functions, bound once when the order is built.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class OrderError(ValueError):
     pass
 
 
-class MonomialOrder:
-    """degrevlex (default) or lex, with an optional variable priority."""
+def _lex_key(expo: tuple[int, ...]):
+    return expo
 
-    def __init__(self, name: str = "degrevlex", priority: tuple[int, ...] | None = None):
-        if name not in ("degrevlex", "lex"):
+
+def _degrevlex_key(expo: tuple[int, ...]):
+    # total degree, then the last differing exponent decides with reversed sign
+    return (sum(expo), tuple(map(operator.neg, reversed(expo))))
+
+
+_KEYS = {"degrevlex": _degrevlex_key, "lex": _lex_key}
+
+
+class MonomialOrder:
+    """degrevlex (default) or lex."""
+
+    # No variable priority exists; kept because the benchmark's tracer
+    # reads `order.priority` when it keys rings.
+    priority = None
+
+    def __init__(self, name: str = "degrevlex"):
+        if name not in _KEYS:
             raise OrderError(f"unknown monomial order {name!r}")
         self.name = name
-        self.priority = tuple(priority) if priority is not None else None
-
-    def plain(self) -> "MonomialOrder":
-        """Same order family without the variable priority (for derived rings)."""
-        return MonomialOrder(self.name) if self.priority is not None else self
-
-    def _permuted(self, expo: tuple[int, ...]) -> tuple[int, ...]:
-        if self.priority is None:
-            return expo
-        return tuple(expo[i] for i in self.priority)
-
-    def key(self, expo: tuple[int, ...]):
-        q = self._permuted(expo)
-        if self.name == "lex":
-            return q
-        # degrevlex: total degree, then the last differing permuted
-        # exponent decides with reversed sign.
-        return (sum(q), tuple(-e for e in reversed(q)))
-
-    def describe(self) -> str:
-        if self.priority is None:
-            return self.name
-        return f"{self.name}[{','.join(map(str, self.priority))}]"
+        self.key = _KEYS[name]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and other.name == self.name
-            and other.priority == self.priority
-        )
+        return isinstance(other, MonomialOrder) and other.name == self.name
 
     def __hash__(self):
-        return hash((self.name, self.priority))
+        return hash(self.name)
 
     def __repr__(self):
-        return f"MonomialOrder({self.describe()})"
+        return f"MonomialOrder({self.name})"
 
 
 def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -58,10 +58,6 @@ class PolyRing:
         if len(set(self.variables)) != len(self.variables):
             raise PolyError("duplicate variable names")
         self.order = order if order is not None else MonomialOrder()
-        if self.order.priority is not None and len(self.order.priority) != len(
-            self.variables
-        ):
-            raise PolyError("order priority does not match the variable count")
         self._var_index = {v: i for i, v in enumerate(self.variables)}
 
     @property
@@ -110,15 +106,10 @@ class PolyRing:
         return PolyRing(self.field, self.variables, order)
 
     def extended(self, new_vars) -> "PolyRing":
-        new_vars = tuple(new_vars)
-        order = self.order
-        if order.priority is not None:
-            extra = range(self.nvars, self.nvars + len(new_vars))
-            order = MonomialOrder(order.name, order.priority + tuple(extra))
-        return PolyRing(self.field, self.variables + new_vars, order)
+        return PolyRing(self.field, self.variables + tuple(new_vars), self.order)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, PolyRing)
             and other.field == self.field
             and other.variables == self.variables
@@ -129,7 +120,7 @@ class PolyRing:
         return hash((self.field, self.variables, self.order))
 
     def __repr__(self):
-        return f"PolyRing({self.field}, {list(self.variables)}, {self.order.describe()})"
+        return f"PolyRing({self.field}, {list(self.variables)}, {self.order.name})"
 
 
 class Polynomial:
@@ -376,7 +367,7 @@ def stable_str(p: Polynomial) -> str:
     through this instead of str().
     """
     order = p.ring.order
-    if order.name == "degrevlex" and order.priority is None:
+    if order.name == "degrevlex":
         return str(p)
     clone = PolyRing(p.ring.field, p.ring.variables, MonomialOrder())
     return str(p.rename_into(clone))

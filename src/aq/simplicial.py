@@ -1,17 +1,25 @@
 """Simplicial polynomial algebras that are free on variables level by level.
 
 An extension stores, for every level n up to a cap, the variables adjoined
-over a constant base algebra together with the face and degeneracy images
-of those variables. Every operator is keyed by one triple (kind, level,
+over a constant base algebra together with one AlgebraMap per face and
+degeneracy operator. Every operator is keyed by one triple (kind, level,
 index): ("d", n, i) is the face d_i out of level n and ("s", n, j) the
 degeneracy s_j out of level n. All simplicial identities are checked
-exactly on generators. Constructions provided:
+exactly on generators.
 
+Each extension names in `killed` the base elements r_1..r_c it contracts
+when its normalized chains are the Koszul complex K(r) over the level-0
+algebra, so that pi_n = H_n(K(r)); `killed` is None when no such closed
+form is known. Constructions provided:
+
+- constant_extension: contracts nothing, killed = ();
 - bar_construction / hypersurface_resolution: one new variable chain
-  resolving base/(element),
+  resolving base/(element), killed = (element,);
 - kill_cycle: attach cells along monotone surjections to kill a strict
-  cycle in a chosen degree,
-- tensor_resolutions: levelwise tensor product over the shared base.
+  cycle in a chosen degree; killed = (cycle,) in degree one over a
+  constant extension, None otherwise;
+- tensor_resolutions: levelwise tensor product over the shared base; by
+  Eilenberg-Zilber its killed is the factors' concatenated.
 
 A finite-rank simplicial vector space can be extracted by evaluating base
 variables at a rational point and truncating to a monomial degree; its
@@ -27,7 +35,7 @@ from . import linalg
 from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra
 from .modules import (FPModule, koszul_complex, matrix_columns,
-                      matrix_from_columns, syzygies)
+                      matrix_from_columns)
 
 
 class SimplicialError(AlgebraError):
@@ -130,14 +138,19 @@ def _drop_duplicate(u: OrdinalMap, j: int) -> OrdinalMap:
 
 
 class FreeExtensionLevelwise:
-    """Simplicial algebra free over a constant base in each level."""
+    """Simplicial algebra free over a constant base in each level.
+
+    `killed` is the tuple of base polynomials whose Koszul complex the
+    normalized chains are, or None when that is unknown.
+    """
 
     def __init__(self, base: PresentedAlgebra, max_level: int,
-                 levels: dict[int, tuple[str, ...]], kind: dict):
+                 levels: dict[int, tuple[str, ...]],
+                 killed: tuple[Polynomial, ...] | None):
         self.base = base
         self.max_level = max_level
         self.levels = {n: tuple(levels.get(n, ())) for n in range(max_level + 1)}
-        self.kind = dict(kind)
+        self.killed = killed
         for n, names in self.levels.items():
             for name in names:
                 if name in base.ring._var_index:
@@ -145,7 +158,6 @@ class FreeExtensionLevelwise:
                         f"level {n} variable {name!r} collides with the base")
         self._rings: dict[int, PolyRing] = {}
         self._algebras: dict[int, PresentedAlgebra] = {}
-        self._images: dict[tuple[str, int, int], dict[str, Polynomial]] = {}
         self._maps: dict[tuple[str, int, int], AlgebraMap] = {}
 
     # structure access
@@ -157,7 +169,7 @@ class FreeExtensionLevelwise:
             self._rings[n] = PolyRing(
                 self.base.field,
                 self.base.ring.variables + self.levels[n],
-                self.base.ring.order.plain(),
+                self.base.ring.order,
             )
         return self._rings[n]
 
@@ -178,21 +190,16 @@ class FreeExtensionLevelwise:
         raise SimplicialError(f"no operator {kind}_{i} at level {n}")
 
     def set_operator(self, kind: str, n: int, i: int, images: dict[str, Polynomial]):
-        self._target_level(kind, n, i)
+        m = self._target_level(kind, n, i)
         if set(images) != set(self.levels[n]):
             raise SimplicialError("operator images must cover the level variables")
-        self._images[(kind, n, i)] = images
-        self._maps.pop((kind, n, i), None)
+        self._maps[(kind, n, i)] = AlgebraMap(self.algebra(n), self.algebra(m), images)
 
     def operator(self, kind: str, n: int, i: int) -> AlgebraMap:
-        key = (kind, n, i)
-        if key not in self._maps:
-            m = self._target_level(kind, n, i)
-            images = self._images.get(key)
-            if images is None:
-                raise SimplicialError(f"operator {kind}_{i} at level {n} is not defined")
-            self._maps[key] = AlgebraMap(self.algebra(n), self.algebra(m), dict(images))
-        return self._maps[key]
+        op = self._maps.get((kind, n, i))
+        if op is None:
+            raise SimplicialError(f"no operator {kind}_{i} at level {n}")
+        return op
 
     def parse_level_element(self, n: int, source) -> Polynomial:
         if isinstance(source, Polynomial):
@@ -281,16 +288,16 @@ def apply_surjection_contravariant(ext: FreeExtensionLevelwise, u: OrdinalMap,
 
 
 def constant_extension(base: PresentedAlgebra, max_level: int) -> FreeExtensionLevelwise:
-    ext = FreeExtensionLevelwise(base, max_level, {}, {"construction": "constant"})
+    ext = FreeExtensionLevelwise(base, max_level, {}, ())
     for kind, n, i, _ in _operators(max_level):
         ext.set_operator(kind, n, i, {})
     return ext
 
 
-def _bar_like(base: PresentedAlgebra, element: Polynomial, max_level: int,
-              kind: dict) -> FreeExtensionLevelwise:
+def _bar_like(base: PresentedAlgebra, element: Polynomial,
+              max_level: int) -> FreeExtensionLevelwise:
     levels = {n: tuple(f"x{n}_{k}" for k in range(n)) for n in range(1, max_level + 1)}
-    ext = FreeExtensionLevelwise(base, max_level, levels, kind)
+    ext = FreeExtensionLevelwise(base, max_level, levels, (element,))
     for n in range(1, max_level + 1):
         rng = ext.ring(n - 1)
         elem = element.rename_into(rng)
@@ -321,8 +328,7 @@ def bar_construction(base: PresentedAlgebra, var_name: str,
     """Resolution of base/(v) obtained by freely contracting the variable v."""
     if var_name not in base.ring._var_index:
         raise SimplicialError(f"{var_name!r} is not a variable of the base")
-    return _bar_like(base, base.ring.var(var_name), max_level,
-                     {"construction": "bar", "element": var_name})
+    return _bar_like(base, base.ring.var(var_name), max_level)
 
 
 def hypersurface_resolution(base: PresentedAlgebra, element, max_level: int
@@ -330,9 +336,7 @@ def hypersurface_resolution(base: PresentedAlgebra, element, max_level: int
     """Same chain of cells as the bar construction, contracting an element."""
     if isinstance(element, str):
         element = base.poly(element)
-    element = base.normal_form(element)
-    return _bar_like(base, element, max_level,
-                     {"construction": "hypersurface", "element": str(element)})
+    return _bar_like(base, base.normal_form(element), max_level)
 
 
 def _cell_name(prefix: str, t: OrdinalMap) -> str:
@@ -346,6 +350,8 @@ def kill_cycle(ext: FreeExtensionLevelwise, cycle, degree: int,
     The cycle must live at level degree-1 and all its faces must vanish.
     New cells are indexed by monotone surjections [n] ->> [degree]; the only
     nonzero face of the top cell is d_0, which maps it to the cycle.
+    Only a degree-one cell over a constant extension has a known closed
+    form (killed = (cycle,)); every other attachment has killed = None.
     """
     d = degree
     if d < 1:
@@ -371,15 +377,11 @@ def kill_cycle(ext: FreeExtensionLevelwise, cycle, degree: int,
     for n in range(L + 1):
         extra = tuple(_cell_name(prefix, t) for t in cells.get(n, []))
         levels[n] = ext.levels[n] + extra
-    new = FreeExtensionLevelwise(ext.base, L, levels, {
-        "construction": "kill_cycle",
-        "degree": d,
-        "cycle": str(z),
-        "base_kind": ext.kind,
-    })
+    killed = (z,) if d == 1 and ext.killed == () else None
+    new = FreeExtensionLevelwise(ext.base, L, levels, killed)
     for kind, n, i, m in _operators(L):
         rng = new.ring(m)
-        old = ext._images[(kind, n, i)]
+        old = ext.operator(kind, n, i).images
         images = {x: old[x].rename_into(rng) for x in ext.levels[n]}
         arrow = coface(n, i) if kind == "d" else codegeneracy(n, i)
         for t in cells.get(n, []):
@@ -405,7 +407,10 @@ def kill_cycle(ext: FreeExtensionLevelwise, cycle, degree: int,
 
 def tensor_resolutions(left: FreeExtensionLevelwise, right: FreeExtensionLevelwise
                        ) -> FreeExtensionLevelwise:
-    """Levelwise tensor product over the shared constant base."""
+    """Levelwise tensor product over the shared constant base.
+
+    It contracts what both factors contract, when both are known.
+    """
     if left.base != right.base:
         raise SimplicialError("tensor factors must share the base")
     L = min(left.max_level, right.max_level)
@@ -418,12 +423,13 @@ def tensor_resolutions(left: FreeExtensionLevelwise, right: FreeExtensionLevelwi
         n: left.levels[n] + tuple(rename[x] for x in right.levels[n])
         for n in range(L + 1)
     }
-    new = FreeExtensionLevelwise(
-        left.base, L, levels,
-        {"construction": "tensor", "factors": [left.kind, right.kind]})
+    killed = (None if left.killed is None or right.killed is None
+              else left.killed + right.killed)
+    new = FreeExtensionLevelwise(left.base, L, levels, killed)
     for kind, n, i, m in _operators(L):
         rng = new.ring(m)
-        lhs, rhs = left._images[(kind, n, i)], right._images[(kind, n, i)]
+        lhs = left.operator(kind, n, i).images
+        rhs = right.operator(kind, n, i).images
         images = {x: lhs[x].rename_into(rng) for x in left.levels[n]}
         for x in right.levels[n]:
             images[rename[x]] = rhs[x].rename_into(rng, rename)
@@ -460,71 +466,32 @@ def augmentation_of_level(ext: FreeExtensionLevelwise, n: int) -> AlgebraMap:
     return AlgebraMap(ext.algebra(n), aug, images)
 
 
-def _kill_element(ext_kind: dict):
-    """The contracted element for the closed-form constructions, or None."""
-    c = ext_kind.get("construction")
-    if c in ("bar", "hypersurface"):
-        return ext_kind["element"]
-    if c == "kill_cycle" and ext_kind.get("degree") == 1 and \
-            ext_kind.get("base_kind", {}).get("construction") == "constant":
-        return ext_kind["cycle"]
-    return None
-
-
 def homotopy_modules(ext: FreeExtensionLevelwise, max_degree: int
                      ) -> dict[int, FPModule]:
-    """Homotopy of the known constructions, as modules over pi_0.
+    """Homotopy as modules over pi_0, read off the Koszul rule.
 
     pi_0 is returned as the free rank-one module over the augmentation.
-    Beyond the closed-form cases only degree 0 is available.
+    An extension that contracts r_1..r_c (its `killed`) has normalized
+    chains K(r), the Koszul complex over the level-0 algebra, so pi_n is
+    H_n(K(r)) pushed to the augmentation.  When `killed` is None only
+    degree 0 is available.
     """
     aug = augmentation(ext)
     out = {0: FPModule(aug, 1, [])}
     if max_degree == 0:
         return out
-    kind = ext.kind
-    elem = _kill_element(kind)
-    if elem is not None:
-        a0 = ext.algebra(0)
-        r = a0.normal_form(a0.poly(elem) if isinstance(elem, str) else elem)
-        ann_rows = syzygies([[r]], 1, a0)
-        ann = [row[0] for row in ann_rows if not row[0].is_zero()]
-        if not ann:
-            pi1 = FPModule(aug, 0, [])
-        else:
-            rel_rows = syzygies([[a] for a in ann], 1, a0)
-            pi1 = FPModule(
-                aug, len(ann),
-                [[aug.normal_form(p.rename_into(aug.ring)) for p in row]
-                 for row in rel_rows],
-            )
-        out[1] = pi1
-        for n in range(2, max_degree + 1):
-            out[n] = FPModule(aug, 0, [])
-        return out
-    if kind.get("construction") == "constant":
-        for n in range(1, max_degree + 1):
-            out[n] = FPModule(aug, 0, [])
-        return out
-    if kind.get("construction") == "tensor":
-        elems = [_kill_element(k) for k in kind["factors"]]
-        if all(e is not None for e in elems):
-            a0 = ext.algebra(0)
-            kz = koszul_complex(a0, [a0.poly(e) if isinstance(e, str) else e
-                                     for e in elems])
-            for n in range(1, max_degree + 1):
-                if n > kz.max_degree():
-                    out[n] = FPModule(aug, 0, [])
-                    continue
-                h = kz.homology(n)
-                out[n] = FPModule(
-                    aug, h.gens,
-                    [[aug.normal_form(p.rename_into(aug.ring)) for p in rel]
-                     for rel in h.relations],
-                )
-            return out
-    raise SimplicialError(
-        "homotopy beyond degree 0 needs a closed-form construction")
+    if ext.killed is None:
+        raise SimplicialError(
+            "homotopy beyond degree 0 needs a closed-form construction")
+    kz = koszul_complex(ext.algebra(0), ext.killed)
+    for n in range(1, max_degree + 1):
+        h = kz.homology(n)
+        out[n] = FPModule(
+            aug, h.gens,
+            [[aug.normal_form(p.rename_into(aug.ring)) for p in rel]
+             for rel in h.relations],
+        )
+    return out
 
 
 # -- finite-rank simplicial vector spaces -------------------------------------
@@ -582,10 +549,11 @@ class SimplicialModuleFR:
         index = {n: {e: i for i, e in enumerate(bases[n])} for n in range(L + 1)}
         dims = {n: len(bases[n]) for n in range(L + 1)}
 
-        def operator_matrix(n: int, m: int, images: dict[str, Polynomial]):
+        def operator_matrix(n: int, m: int, op: AlgebraMap):
             at_point = {b: rings[m].const(v) for b, v in pt.items()}
             affine = {}
-            for x, p in images.items():
+            for x in ext.levels[n]:
+                p = op.images[x]
                 if any(sum(e[nbase:]) > 1 for e in p.terms):
                     raise SimplicialError(
                         "operator image is not affine in the level variables")
@@ -599,7 +567,7 @@ class SimplicialModuleFR:
                     mat[index[m][mono]][ci] = c
             return mat
 
-        operators = {(kind, n, i): operator_matrix(n, m, ext._images[(kind, n, i)])
+        operators = {(kind, n, i): operator_matrix(n, m, ext.operator(kind, n, i))
                      for kind, n, i, m in _operators(L)}
         return cls(field, dims, operators, L)
 
@@ -778,8 +746,8 @@ def bar_kill_equivalence_holds(base: PresentedAlgebra, var_name: str,
     for kind, n, i, m in _operators(max_level):
         rng = killed.ring(m)
         for x in bar.levels[n]:
-            want = killed._images[(kind, n, i)][maps[x]]
-            got = bar._images[(kind, n, i)][x].rename_into(rng, maps)
+            want = killed.operator(kind, n, i).images[maps[x]]
+            got = bar.operator(kind, n, i).images[x].rename_into(rng, maps)
             if not killed.algebra(m).normal_form(want - got).is_zero():
                 return False
     return True

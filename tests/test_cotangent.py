@@ -26,7 +26,8 @@ from aq.cotangent import (
 from aq.fields import GF, QQ
 from aq.modules import FPModule
 from aq.rings import AlgebraMap, PointError, compose
-from aq.simplicial import bar_construction, hypersurface_resolution
+from aq.simplicial import (bar_construction, constant_extension,
+                           hypersurface_resolution, tensor_resolutions)
 
 ORIGIN = {"x": 0, "y": 0}
 
@@ -119,6 +120,17 @@ def test_resolution_failing_its_identities_is_refused():
     assert not ok and failures
     with pytest.raises(CotangentError, match="simplicial identities fail"):
         cotangent_from_resolution(ext, 3)
+
+
+def test_a_constant_tensor_factor_changes_nothing():
+    # K(nothing) is the algebra itself, so the tensor resolves like bar alone
+    plane = algebra(QQ, ("x", "y"))
+    bar = bar_construction(plane, "y", 4)
+    ext = tensor_resolutions(constant_extension(plane, 4), bar)
+    for coefficients in (None, {"x": 1, "y": 0}):
+        want = aq_homology(None, coefficients, n_max=3, resolution=bar)
+        got = aq_homology(None, coefficients, n_max=3, resolution=ext)
+        assert got.to_json() == want.to_json()
 
 
 def test_rank_exactness_certificate():

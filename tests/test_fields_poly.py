@@ -153,12 +153,6 @@ def test_degrevlex_vs_lex_leading_terms():
     assert lex.poly("x - y^3").leading_monomial() == (1, 0)
 
 
-def test_lex_priority_reorders():
-    R = ring(QQ, "x", "y", order=MonomialOrder("lex", priority=(1, 0)))
-    # y outranks x
-    assert R.poly("x^5 - y").leading_monomial() == (0, 1)
-
-
 def test_stable_str_ignores_ambient_order():
     lex = ring(QQ, "x", "y", order=MonomialOrder("lex"))
     grl = ring(QQ, "x", "y")

@@ -131,8 +131,7 @@ def test_differential_composition_enforced():
     A = plane()
     one = A.poly("1")
     with pytest.raises(ModuleError, match=r"d_1 \. d_2 != 0"):
-        FreeComplex(A, {0: 1, 1: 1, 2: 1}, {1: [[one]], 2: [[one]]},
-                    check=True)
+        FreeComplex(A, {0: 1, 1: 1, 2: 1}, {1: [[one]], 2: [[one]]})
 
 
 def test_koszul_ranks_are_binomial():

@@ -4,7 +4,9 @@ homotopy closed forms, and the two chain models."""
 import pytest
 
 from aq.corpus import algebra
+from aq.cotangent import CotangentError, cotangent_from_resolution
 from aq.fields import GF, QQ
+from aq.modules import FPModule, koszul_complex
 from aq.simplicial import (
     SimplicialError,
     SimplicialModuleFR,
@@ -108,6 +110,73 @@ def test_homotopy_refuses_unknown_shapes():
     extra = kill_cycle(ext, "y", 1)
     with pytest.raises(SimplicialError, match="closed-form"):
         homotopy_modules(extra, 2)
+
+
+def node():
+    return algebra(QQ, ("x", "y"), ["x*y"])
+
+
+def pushed_koszul_homology(ext, elements, n):
+    """H_n of the Koszul complex on explicit elements over the level-0
+    algebra, pushed to the augmentation, as JSON."""
+    aug = augmentation(ext)
+    h = koszul_complex(ext.algebra(0), elements).homology(n)
+    return FPModule(aug, h.gens,
+                    [[aug.normal_form(p.rename_into(aug.ring)) for p in rel]
+                     for rel in h.relations]).to_json()
+
+
+@pytest.mark.parametrize("build, elements", [
+    (lambda: bar_construction(line(), "y", 4), ["y"]),
+    (lambda: bar_construction(node(), "x", 4), ["x"]),
+    (lambda: hypersurface_resolution(plane(), "x^3 - y^2", 4), ["x^3 - y^2"]),
+    (lambda: hypersurface_resolution(algebra(GF(3), ("x", "y")), "x^2 - y", 4),
+     ["x^2 - y"]),
+    (lambda: kill_cycle(constant_extension(plane(), 4), "x*y", 1), ["x*y"]),
+    (lambda: tensor_resolutions(bar_construction(plane(), "x", 4),
+                                bar_construction(plane(), "y", 4)), ["x", "y"]),
+    (lambda: tensor_resolutions(bar_construction(node(), "x", 4),
+                                bar_construction(node(), "y", 4)), ["x", "y"]),
+], ids=["bar-line", "bar-node", "hypersurface-cusp-element", "hypersurface-gf3",
+        "kill-plane", "tensor-plane", "tensor-node"])
+def test_homotopy_is_koszul_homology(build, elements):
+    ext = build()
+    pis = homotopy_modules(ext, 3)
+    for n in range(1, 4):
+        assert pis[n].to_json() == pushed_koszul_homology(ext, elements, n), n
+
+
+def test_a_nested_tensor_with_a_repeated_element_is_refused():
+    # (x, y, x) is not a regular sequence: H_1 of its Koszul complex survives
+    ext = tensor_resolutions(
+        tensor_resolutions(bar_construction(plane(), "x", 3),
+                           bar_construction(plane(), "y", 3)),
+        bar_construction(plane(), "x", 3))
+    pi1 = homotopy_modules(ext, 1)[1]
+    assert not pi1.is_zero()
+    assert pi1.to_json() == pushed_koszul_homology(ext, ["x", "y", "x"], 1)
+    with pytest.raises(CotangentError, match="does not vanish"):
+        cotangent_from_resolution(ext)
+
+
+def test_each_construction_names_what_it_kills():
+    P = plane()
+    x, y = P.poly("x"), P.poly("y")
+    const = constant_extension(P, 3)
+    assert const.killed == ()
+    assert bar_construction(P, "x", 3).killed == (x,)
+    # the element is kept in normal form, as a polynomial
+    C = cusp()
+    assert hypersurface_resolution(C, "x^3 + x", 3).killed == (C.poly("y^2 + x"),)
+    once = kill_cycle(const, "x*y", 1)
+    assert once.killed == (x * y,)
+    assert kill_cycle(once, "y", 1).killed is None
+    assert kill_cycle(const, "0", 2).killed is None
+    both = tensor_resolutions(bar_construction(P, "x", 3),
+                              bar_construction(P, "y", 3))
+    assert both.killed == (x, y)
+    assert tensor_resolutions(const, both).killed == (x, y)
+    assert tensor_resolutions(both, kill_cycle(once, "y", 1)).killed is None
 
 
 def test_augmentation_of_level_commutes_with_faces():
