@@ -385,8 +385,17 @@ def minimal_polynomial(algebra: PresentedAlgebra, var: str):
 # -- univariate irreducibility (degree <= 4) -------------------------------------------
 
 
+# Largest |n| whose divisors the factor search enumerates: trial division
+# up to sqrt(n) then takes at most about 10^6 steps.
+MAX_DIVISOR_SEARCH = 10 ** 12
+
+
 def _signed_divisors(n: int):
     n = abs(n)
+    if n > MAX_DIVISOR_SEARCH:
+        raise ClassifyError(
+            f"coefficient {n} too large for the exhaustive factor search "
+            f"(bound {MAX_DIVISOR_SEARCH})")
     out = []
     d = 1
     while d * d <= n:
@@ -394,19 +403,6 @@ def _signed_divisors(n: int):
             out.extend([d, -d, n // d, -(n // d)])
         d += 1
     return sorted(set(out))
-
-
-def _int_root_free(coeffs: list[int]) -> bool:
-    """No rational roots, by the rational root theorem."""
-    lead, const = coeffs[-1], coeffs[0]
-    for p in _signed_divisors(const):
-        for q in _signed_divisors(lead):
-            if q <= 0:
-                continue
-            r = Fraction(p, q)
-            if sum(Fraction(c) * r ** i for i, c in enumerate(coeffs)) == 0:
-                return False
-    return True
 
 
 def _monic_quartic_quadratic_free(A: list[int]) -> bool:
@@ -454,14 +450,17 @@ def _rational_irreducible(coeffs: list[Fraction]) -> bool:
     ints = [c // content for c in ints]
     if ints[0] == 0:
         return False  # divisible by y
-    if not _int_root_free(ints):
-        return False
+    # g(z) = a^(d-1) f(z/a) is monic with integer coefficients, irreducible
+    # exactly when f is, and its rational roots are integers dividing g(0);
+    # the list g holds its coefficients below the leading 1
+    a = ints[deg]
+    g = [c * a ** (deg - 1 - i) for i, c in enumerate(ints[:deg])]
+    for r in _signed_divisors(g[0]):
+        if r ** deg + sum(c * r ** i for i, c in enumerate(g)) == 0:
+            return False
     if deg <= 3:
         return True
-    # monic normalization y -> y/a4 preserves irreducibility
-    a4 = ints[4]
-    A = [ints[0] * a4 ** 3, ints[1] * a4 ** 2, ints[2] * a4, ints[3]]
-    return _monic_quartic_quadratic_free(A)
+    return _monic_quartic_quadratic_free(g)
 
 
 def _gf_powmod(base: Polynomial, e: int, f: Polynomial) -> Polynomial:
@@ -497,7 +496,14 @@ def _gf_irreducible(field, coeffs) -> bool:
 
 def univariate_irreducible(field, coeffs) -> bool:
     """coeffs low degree first, as field elements; degree must be <= 4
-    over the rationals (the factor search is exhaustive only there)."""
+    over the rationals (the factor search is exhaustive only there).
+
+    Over the rationals the search runs on the monic integer transform
+    g(z) = a^(d-1) f(z/a) of the primitive integer multiple of f, with
+    leading coefficient a, and enumerates the divisors of g(0).  It raises
+    `ClassifyError` when |g(0)| exceeds `MAX_DIVISOR_SEARCH` (10^12), which
+    bounds its trial division at about 10^6 steps.
+    """
     if field.characteristic == 0:
         if len(coeffs) - 1 > 4:
             raise ClassifyError("irreducibility check limited to degree 4")

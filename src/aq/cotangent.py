@@ -1,14 +1,18 @@
 """Truncated cotangent complexes and Andre-Quillen (co)homology.
 
-Two construction modes feed one report type.  Mode "from-resolution" reads
-the complex off an explicit levelwise-free resolution: degree n is free on
-the level-n variables and the differential is the alternating sum of face
-Jacobians pushed to the augmentation.  Mode "general-trunc2" builds the
-degree-<=2 truncation from a relative presentation: generators f, their
-syzygies, and the Koszul syzygies f_i e_j - f_j e_i, the latter lifted and
-recorded as relations on the degree-2 term.  The truncation is a pure
-function of the map, so it is built once per map and kept on the map: Tor
-and the five-term check read the same presentation stages.
+Two construction modes feed one report type, and each builds one complex.
+Mode "from-resolution" reads the complex off an explicit levelwise-free
+resolution through its `max_level`: degree n is free on the level-n
+variables and the differential is the alternating sum of face Jacobians
+pushed to the augmentation by the extension's augmentation maps.  Mode
+"general-trunc2" builds the degree-<=2 truncation from a relative
+presentation: generators f, their syzygies, and the Koszul syzygies
+f_i e_j - f_j e_i, the latter lifted and attached, with the second
+syzygies, as a degree-3 differential so that degree-2 homology is taken
+against the right quotient.  The truncation is a pure function of the map,
+so it is built once per map and kept on the map: Tor and the five-term
+check read the same presentation stages, and Tor builds only the stages
+its degree range needs.
 
 Coefficients are finitely presented modules over the target, or residue
 fields at rational points.  Every emitted complex is checked for dd = 0.
@@ -35,8 +39,7 @@ from .rings import AlgebraError, AlgebraMap, PresentedAlgebra, compose, point_to
 from .simplicial import (
     FreeExtensionLevelwise,
     SimplicialError,
-    augmentation,
-    augmentation_of_level,
+    augmentation_maps,
     homotopy_modules,
 )
 
@@ -75,17 +78,17 @@ def _same_presentation(a: PresentedAlgebra, b: PresentedAlgebra) -> bool:
 class CotangentComplexTrunc:
     """Free complex over the target with a designated usable degree range.
 
-    `complex` holds the reported terms; `homology_complex` may carry one
-    extra top differential (the lifted Koszul relations of mode trunc2) so
-    that top-degree homology is computed against the correct quotient.
+    Every report reads `complex`.  In mode trunc2 it carries, above the
+    reported degrees 0..2, the lifted Koszul relations and the second
+    syzygies as a degree-3 differential when there are any, so that
+    degree-2 homology is computed against the correct quotient.
     """
 
     def __init__(self, phi, mode: str, complex: FreeComplex,
-                 homology_complex: FreeComplex, provenance: dict, cutoff: int):
+                 provenance: dict, cutoff: int):
         self.phi = phi
         self.mode = mode
         self.complex = complex
-        self.homology_complex = homology_complex
         self.provenance = provenance
         self.cutoff = cutoff
 
@@ -129,15 +132,14 @@ class CotangentComplexTrunc:
         if n < 0:
             return 0
         self._check_degree(n)
-        return self.homology_complex.homology_dim_at_point(
+        return self.complex.homology_dim_at_point(
             n, self.transport_point(point))
 
     def homology_module(self, n: int, coefficients: FPModule | None = None) -> FPModule:
         if n < 0:
             return FPModule(self.algebra, 0, [])
         self._check_degree(n)
-        return self.homology_complex.homology(
-            n, self.transport_module(coefficients))
+        return self.complex.homology(n, self.transport_module(coefficients))
 
     def dims_through(self, point: dict, n_max: int) -> list[int]:
         return [self.homology_dim(n, point) for n in range(n_max + 1)]
@@ -222,39 +224,32 @@ def _build_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:
     g = rp.num_adjoined()
     m = len(data.generators)
     s = len(data.syzygy_vectors)
-    ranks = {0: g, 1: m, 2: s}
+    top = data.top_relation_columns()
+    ranks = {0: g, 1: m, 2: s, 3: len(top)}
     diffs = {}
     if g and m:
         diffs[1] = jacobian_matrix(rp)
     if m and s:
         diffs[2] = matrix_from_columns(data.syzygy_vectors, m)
-    complex = FreeComplex(S, ranks, diffs)
-    top = data.top_relation_columns()
-    if s and top:
-        h_ranks = dict(ranks)
-        h_ranks[3] = len(top)
-        h_diffs = dict(diffs)
-        h_diffs[3] = matrix_from_columns(top, s)
-        homology_complex = FreeComplex(S, h_ranks, h_diffs)
-    else:
-        homology_complex = complex
-    return CotangentComplexTrunc(phi, MODE_TRUNC2, complex, homology_complex,
+    if top:
+        diffs[3] = matrix_from_columns(top, s)
+    return CotangentComplexTrunc(phi, MODE_TRUNC2, FreeComplex(S, ranks, diffs),
                                  {"stages": data}, cutoff=2)
 
 
 # -- mode 1: complexes from explicit resolutions --------------------------------
 
 
-def _verify_resolution(ext: FreeExtensionLevelwise, cutoff: int):
+def _verify_resolution(ext: FreeExtensionLevelwise):
     ok, failures = ext.simplicial_identities_hold()
     if not ok:
         raise CotangentError("refusing an unverified resolution: "
                              f"simplicial identities fail ({failures[0]})")
     try:
-        pis = homotopy_modules(ext, max(1, cutoff - 1))
+        pis = homotopy_modules(ext, max(1, ext.max_level - 1))
     except SimplicialError as exc:
         raise CotangentError(f"refusing an unverified resolution: {exc}")
-    for n in range(1, max(2, cutoff)):
+    for n in range(1, max(2, ext.max_level)):
         mod = pis.get(n)
         if mod is not None and not mod.is_zero():
             raise CotangentError(
@@ -262,9 +257,9 @@ def _verify_resolution(ext: FreeExtensionLevelwise, cutoff: int):
                 "so the extension does not resolve its augmentation")
 
 
-def cotangent_from_resolution(ext: FreeExtensionLevelwise,
-                              cutoff: int | None = None) -> CotangentComplexTrunc:
-    """Alternating sums of face Jacobians over the augmentation.
+def cotangent_from_resolution(ext: FreeExtensionLevelwise) -> CotangentComplexTrunc:
+    """Alternating sums of face Jacobians over the augmentation, in degrees
+    0..max_level of the extension (reliable through max_level - 1).
 
     The extension must actually resolve its augmentation.  Acyclicity is
     checked through the Koszul rule: an extension that contracts r_1..r_c
@@ -272,14 +267,10 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise,
     An extension whose `killed` is None is refused, as is one whose
     simplicial identities fail.
     """
-    if cutoff is None:
-        cutoff = ext.max_level
-    if cutoff > ext.max_level:
-        raise CotangentError(
-            f"resolution built only to level {ext.max_level}, need {cutoff}")
-    _verify_resolution(ext, cutoff)
-    aug = augmentation(ext)
-    aug_maps = {n: augmentation_of_level(ext, n) for n in range(cutoff)}
+    _verify_resolution(ext)
+    cutoff = ext.max_level
+    aug_maps = augmentation_maps(ext)
+    aug = aug_maps[0].target
     ranks = {n: len(ext.levels[n]) for n in range(cutoff + 1)}
     diffs = {}
     for n in range(1, cutoff + 1):
@@ -301,10 +292,9 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise,
                 row.append(acc)
             matrix.append(row)
         diffs[n] = matrix
-    complex = FreeComplex(aug, ranks, diffs)
     phi = AlgebraMap(ext.base, aug, {})
-    return CotangentComplexTrunc(phi, MODE_RESOLUTION, complex, complex,
-                                 {}, cutoff=cutoff)
+    return CotangentComplexTrunc(phi, MODE_RESOLUTION,
+                                 FreeComplex(aug, ranks, diffs), {}, cutoff=cutoff)
 
 
 # -- hypersurface closed forms ---------------------------------------------------
@@ -465,7 +455,7 @@ def aq_homology(phi: AlgebraMap | None, coefficients=None, n_max: int = 2,
     reported).  Degrees above 2 require an explicit resolution.
     """
     trunc = _resolve_trunc(phi, n_max, resolution)
-    return _report(phi, trunc, trunc.homology_complex, lambda n: n,
+    return _report(phi, trunc, trunc.complex, lambda n: n,
                    trunc.mode, coefficients, n_max)
 
 
@@ -486,7 +476,7 @@ def aq_cohomology(phi: AlgebraMap | None, coefficients=None, n_max: int = 2,
                   resolution=None) -> HomologyReport:
     """Derivation-side reports: transposed differentials, same degree range."""
     trunc = _resolve_trunc(phi, n_max, resolution)
-    dual, top = _hom_dual_complex(trunc.homology_complex)
+    dual, top = _hom_dual_complex(trunc.complex)
     return _report(phi, trunc, dual, lambda n: top - n,
                    trunc.mode + "-dual", coefficients, n_max)
 
@@ -495,21 +485,28 @@ def aq_cohomology(phi: AlgebraMap | None, coefficients=None, n_max: int = 2,
 
 
 class TorTable:
-    def __init__(self, complex: FreeComplex, stages: _Trunc2Data):
+    """Tor_n(target, -) for n <= n_max, read off `complex`."""
+
+    def __init__(self, complex: FreeComplex, stages: _Trunc2Data, n_max: int):
         self.complex = complex
         self.stages = stages
+        self.n_max = n_max
 
     def dim_at_point(self, n: int, point: dict) -> int:
+        if n > self.n_max:
+            raise CotangentError(
+                f"Tor table built through degree {self.n_max}, requested {n}")
         pt = self.stages.rp.transport_point(point)
         return self.complex.homology_dim_at_point(n, pt)
 
 
 def tor_modules(phi: AlgebraMap, n_max: int = 3) -> TorTable:
-    """Tor_n(target, -) over the source, n <= n_max, for quotient maps.
+    """Tor_n(target, -) over the source, n <= n_max <= 3, for quotient maps.
 
-    The resolution is by iterated syzygies: relations, their syzygies, and
-    so on, for n_max + 1 stages.  The first stages are those of the map's
-    truncation (`cotangent_trunc2`).
+    The resolution is by iterated syzygies, d_1..d_{n_max+1}: the relations,
+    their syzygies and the second syzygies are the stages of the map's
+    truncation (`cotangent_trunc2`); the third syzygies are computed only
+    when n_max is 3.  Degrees above n_max are refused.
     """
     if n_max > 3:
         raise CotangentError("Tor table built through degree 3 only")
@@ -517,25 +514,19 @@ def tor_modules(phi: AlgebraMap, n_max: int = 3) -> TorTable:
     if data.rp.num_adjoined():
         raise CotangentError(
             "needs a surjective map presented as a quotient of its source")
-    S = data.rp.algebra
-    P = data.base
-    fs = data.generators
-    m = len(fs)
-    s1 = data.syzygy_vectors
-    s2 = data.second_syzygies
-    s3 = syzygies(s2, len(s1), P) if s2 else []
-    ranks = {0: 1, 1: m, 2: len(s1), 3: len(s2), 4: len(s3)}
+    stages = [[[f] for f in data.generators], data.syzygy_vectors,
+              data.second_syzygies]
+    if n_max == 3:
+        s2 = data.second_syzygies
+        stages.append(
+            syzygies(s2, len(data.syzygy_vectors), data.base) if s2 else [])
+    ranks = {0: 1}
     diffs = {}
-    if m:
-        diffs[1] = [list(fs)]
-    if s1:
-        diffs[2] = matrix_from_columns(s1, m)
-    if s2:
-        diffs[3] = matrix_from_columns(s2, len(s1))
-    if s3:
-        diffs[4] = matrix_from_columns(s3, len(s2))
-    complex = FreeComplex(S, ranks, diffs)
-    return TorTable(complex, data)
+    for n, columns in enumerate(stages[:n_max + 1], start=1):
+        ranks[n] = len(columns)
+        if columns:
+            diffs[n] = matrix_from_columns(columns, ranks[n - 1])
+    return TorTable(FreeComplex(data.rp.algebra, ranks, diffs), data, n_max)
 
 
 # -- the five-term tail -----------------------------------------------------------
@@ -652,8 +643,9 @@ def base_change_check(phi_prime: AlgebraMap, rho: AlgebraMap, points) -> dict:
             "pushout": induced.target.describe()}
 
 
-def retract_check(S: PresentedAlgebra, points, var_name: str = "x") -> dict:
-    """Adjoin one variable and retract it to zero; dims must shift by one.
+def retract_check(S: PresentedAlgebra, points) -> dict:
+    """Adjoin one variable x (renamed when S has an x) and retract it to
+    zero; dims must shift by one.
 
     With R = S[x] and the retraction R -> S, the degree-n homology of the
     retraction matches the degree-(n-1) homology of the inclusion for
@@ -662,7 +654,7 @@ def retract_check(S: PresentedAlgebra, points, var_name: str = "x") -> dict:
     points = list(points)
     if not points:
         raise CotangentError("retract check needs at least one point")
-    (u,) = fresh_names([var_name], S.ring.variables, "_b")
+    (u,) = fresh_names(["x"], S.ring.variables, "_b")
     r_ring = S.ring.extended((u,))
     R = PresentedAlgebra(r_ring, [r.rename_into(r_ring) for r in S.relations])
     inclusion = AlgebraMap(S, R, {})

@@ -118,32 +118,9 @@ class KahlerDifferentials:
     module: FPModule
     jacobian: Matrix  # rows = adjoined, cols = relation polys
 
-    @property
-    def algebra(self) -> PresentedAlgebra:
-        return self.presentation.algebra
-
-    def differential(self, element) -> list[Polynomial]:
-        """Universal derivation d: S -> Omega on an ambient element."""
-        rp = self.presentation
-        if isinstance(element, str):
-            element = rp.ambient.poly(element)
-        if element.ring == rp.phi.target.ring and rp.target_renaming:
-            element = rp.lift_target(element)
-        if element.ring != rp.ambient:
-            raise KahlerError("element not in the relative ambient ring")
-        return [
-            self.algebra.normal_form(element.derivative(y)) for y in rp.adjoined
-        ]
-
     def dim_at_point(self, target_point: dict) -> int:
         pt = self.presentation.transport_point(target_point)
         return self.module.dim_at_point(pt)
-
-    def to_json(self) -> dict:
-        return {
-            "generators": [f"d({y})" for y in self.presentation.adjoined],
-            "jacobian": [[str(e) for e in row] for row in self.jacobian],
-        }
 
 
 def jacobian(algebra: PresentedAlgebra, polys, variables) -> Matrix:
@@ -242,17 +219,11 @@ def jacobian_chain_rule_holds(psi: AlgebraMap, sigma: AlgebraMap) -> bool:
 class TowerPresentation:
     """Q -> R -> S with both stages presented in one shared ambient ring."""
 
-    psi: AlgebraMap
-    phi: AlgebraMap
     algebra: PresentedAlgebra            # S
     mid_adjoined: tuple[str, ...]        # Z: presents R over Q
     top_adjoined: tuple[str, ...]        # Y: presents S over R
     mid_relations: tuple[Polynomial, ...]  # g  (R = Q[Z]/(g))
     top_relations: tuple[Polynomial, ...]  # f  (S = R[Y]/(f))
-    rp_top: RelativePresentation
-
-    def transport_point(self, target_point: dict) -> dict:
-        return self.rp_top.transport_point(target_point)
 
 
 def tower_presentation(psi: AlgebraMap, phi: AlgebraMap) -> TowerPresentation:
@@ -273,14 +244,11 @@ def tower_presentation(psi: AlgebraMap, phi: AlgebraMap) -> TowerPresentation:
     ambient = rp2.ambient
     mid_rel = tuple(r.rename_into(ambient) for r in rp1.relation_polys)
     return TowerPresentation(
-        psi=psi,
-        phi=phi,
         algebra=rp2.algebra,
         mid_adjoined=tuple(rp1.adjoined),
         top_adjoined=tuple(rp2.adjoined),
         mid_relations=mid_rel,
         top_relations=tuple(rp2.relation_polys),
-        rp_top=rp2,
     )
 
 

@@ -71,14 +71,6 @@ class PresentedAlgebra:
         ring = self.ring.with_order(order)
         return PresentedAlgebra(ring, [r.rename_into(ring) for r in self.relations])
 
-    def quotient(self, extra_relations) -> "PresentedAlgebra":
-        extra = []
-        for r in extra_relations:
-            if isinstance(r, str):
-                r = self.ring.poly(r)
-            extra.append(r)
-        return PresentedAlgebra(self.ring, list(self.relations) + extra)
-
     # -- points -----------------------------------------------------------
 
     def parse_point(self, assignments: dict) -> dict:
@@ -138,7 +130,7 @@ class AlgebraMap:
     """
 
     def __init__(self, source: PresentedAlgebra, target: PresentedAlgebra,
-                 images: dict[str, Polynomial] | None = None, check: bool = True):
+                 images: dict[str, Polynomial] | None = None):
         self.source = source
         self.target = target
         imgs = {}
@@ -157,10 +149,9 @@ class AlgebraMap:
                     )
                 imgs[v] = target.ring.var(v)
         self.images = imgs
-        if check:
-            bad = self.failing_relation()
-            if bad is not None:
-                raise AlgebraError(f"map does not kill source relation {bad}")
+        bad = self.failing_relation()
+        if bad is not None:
+            raise AlgebraError(f"map does not kill source relation {bad}")
 
     def failing_relation(self):
         for rel in self.source.relations:
@@ -216,7 +207,7 @@ def compose(second: AlgebraMap, first: AlgebraMap) -> AlgebraMap:
     if first.target != second.source:
         raise AlgebraError("maps do not compose")
     images = {v: second.apply(first.images[v]) for v in first.source.variables}
-    return AlgebraMap(first.source, second.target, images, check=False)
+    return AlgebraMap(first.source, second.target, images)
 
 
 def point_to_json(point: dict, algebra: PresentedAlgebra) -> dict:

@@ -1,11 +1,14 @@
 """Simplicial polynomial algebras that are free on variables level by level.
 
-An extension stores, for every level n up to a cap, the variables adjoined
-over a constant base algebra together with one AlgebraMap per face and
-degeneracy operator. Every operator is keyed by one triple (kind, level,
+An extension stores, for every level n up to its `max_level`, the variables
+adjoined over a constant base algebra together with one AlgebraMap per face
+and degeneracy operator. Every operator is keyed by one triple (kind, level,
 index): ("d", n, i) is the face d_i out of level n and ("s", n, j) the
-degeneracy s_j out of level n. All simplicial identities are checked
-exactly on generators.
+degeneracy s_j out of level n. An extension is always checked and read
+through its own `max_level`; no function takes a smaller level cap. All
+simplicial identities are checked exactly on generators, by comparing the
+normal forms of both sides. The augmentation maps A_n -> pi_0 share one
+augmentation and collapse by iterated d_0, level n built on level n - 1.
 
 Each extension names in `killed` the base elements r_1..r_c it contracts
 when its normalized chains are the Koszul complex K(r) over the level-0
@@ -62,9 +65,6 @@ class OrdinalMap:
         self.src = src
         self.dst = dst
         self.values = values
-
-    def __call__(self, i: int) -> int:
-        return self.values[i]
 
     def compose(self, other: "OrdinalMap") -> "OrdinalMap":
         """self after other."""
@@ -210,24 +210,30 @@ class FreeExtensionLevelwise:
 
     # validation
 
-    def simplicial_identities_hold(self, up_to: int | None = None):
-        """Exact generator-level check of all simplicial identities.
+    def simplicial_identities_hold(self):
+        """Exact generator-level check of all simplicial identities through
+        `max_level`.
 
         The inner operator of each composite sends a generator x to its
-        stored image, already in normal form; the outer one is applied.
+        stored image and the outer one is applied, so both sides are normal
+        forms in one algebra and are compared as they stand.  The right
+        side of d_i s_j = id is the normal form of x, computed once per
+        generator.  Exact over every base, the zero ring included.
         Returns (ok, failure descriptions).
         """
-        L = self.max_level if up_to is None else min(up_to, self.max_level)
         bad = []
-        for tag, n, lhs, rhs in _simplicial_identities(L):
+        identity = {n: {x: self.algebra(n).normal_form(self.ring(n).var(x))
+                        for x in self.levels[n]}
+                    for n in range(self.max_level)}
+        for tag, n, lhs, rhs in _simplicial_identities(self.max_level):
             outer, inner = (self.operator(*op) for op in lhs)
             if rhs is not None:
                 r_outer, r_inner = (self.operator(*op) for op in rhs)
             for x in self.levels[n]:
                 got = outer.apply(inner.images[x])
-                want = (self.ring(n).var(x) if rhs is None
+                want = (identity[n][x] if rhs is None
                         else r_outer.apply(r_inner.images[x]))
-                if not outer.target.normal_form(got - want).is_zero():
+                if got != want:
                     bad.append(f"{tag} on {x}")
         return (not bad, bad)
 
@@ -343,9 +349,10 @@ def _cell_name(prefix: str, t: OrdinalMap) -> str:
     return prefix + "".join(str(v) for v in t.values)
 
 
-def kill_cycle(ext: FreeExtensionLevelwise, cycle, degree: int,
-               max_level: int | None = None) -> FreeExtensionLevelwise:
-    """Attach cells in the given degree killing a strict cycle.
+def kill_cycle(ext: FreeExtensionLevelwise, cycle, degree: int
+               ) -> FreeExtensionLevelwise:
+    """Attach cells in the given degree killing a strict cycle, through the
+    extension's own `max_level`.
 
     The cycle must live at level degree-1 and all its faces must vanish.
     New cells are indexed by monotone surjections [n] ->> [degree]; the only
@@ -356,9 +363,7 @@ def kill_cycle(ext: FreeExtensionLevelwise, cycle, degree: int,
     d = degree
     if d < 1:
         raise SimplicialError("cells can only be attached in positive degrees")
-    L = ext.max_level if max_level is None else max_level
-    if L > ext.max_level:
-        raise SimplicialError("cannot extend beyond the underlying level cap")
+    L = ext.max_level
     z = ext.parse_level_element(d - 1, cycle)
     if d >= 2:
         for i in range(d):
@@ -454,16 +459,23 @@ def augmentation(ext: FreeExtensionLevelwise) -> PresentedAlgebra:
     return PresentedAlgebra(a0.ring, list(a0.relations) + diffs)
 
 
-def augmentation_of_level(ext: FreeExtensionLevelwise, n: int) -> AlgebraMap:
-    """A_n -> pi_0, collapsing by iterated d_0."""
+def augmentation_maps(ext: FreeExtensionLevelwise) -> list[AlgebraMap]:
+    """The maps A_n -> pi_0 for n = 0..max_level, all into one augmentation.
+
+    Level 0 sends each variable to its class; level n sends x to the
+    level-(n-1) map applied to d_0(x), so the maps collapse by iterated d_0
+    while each image is substituted once.
+    """
     aug = augmentation(ext)
-    images = {}
-    for x in ext.levels[n]:
-        p = ext.ring(n).var(x)
-        for m in range(n, 0, -1):
-            p = ext.operator("d", m, 0).apply(p)
-        images[x] = aug.normal_form(p.rename_into(aug.ring))
-    return AlgebraMap(ext.algebra(n), aug, images)
+    maps = [AlgebraMap(ext.algebra(0), aug,
+                       {x: aug.ring.var(x) for x in ext.levels[0]})]
+    for n in range(1, ext.max_level + 1):
+        d0, below = ext.operator("d", n, 0), maps[-1]
+        # the map's constructor reduces each image in the augmentation
+        maps.append(AlgebraMap(ext.algebra(n), aug, {
+            x: d0.images[x].substitute(aug.ring, below.images)
+            for x in ext.levels[n]}))
+    return maps
 
 
 def homotopy_modules(ext: FreeExtensionLevelwise, max_degree: int
@@ -528,10 +540,9 @@ class SimplicialModuleFR:
 
     @classmethod
     def from_extension(cls, ext: FreeExtensionLevelwise, base_point: dict,
-                       max_degree: int = 2, up_to: int | None = None
-                       ) -> "SimplicialModuleFR":
+                       max_degree: int = 2) -> "SimplicialModuleFR":
         """Evaluate base variables at a point and keep level-variable
-        monomials of bounded degree.
+        monomials of bounded degree, at every level through `max_level`.
 
         Each operator image is moved into a ring of the target level's
         variables, sending the base variables to the point; the column of a
@@ -539,7 +550,7 @@ class SimplicialModuleFR:
         Requires every operator image to be affine in the level variables,
         which makes the bounded-degree span an honest simplicial subspace.
         """
-        L = ext.max_level if up_to is None else min(up_to, ext.max_level)
+        L = ext.max_level
         field = ext.base.field
         pt = ext.base.parse_point(base_point)
         nbase = ext.base.ring.nvars
@@ -709,9 +720,9 @@ class SimplicialModuleFR:
 
 
 def homology_models_agree(ext: FreeExtensionLevelwise, base_point: dict,
-                          max_degree: int = 2, up_to: int | None = None):
+                          max_degree: int = 2):
     """Moore, unnormalized, and normalized homology dims must coincide."""
-    sm = SimplicialModuleFR.from_extension(ext, base_point, max_degree, up_to)
+    sm = SimplicialModuleFR.from_extension(ext, base_point, max_degree)
     ok_ids, bad = sm.validate()
     top = sm.max_level - 1
     moore = sm.moore_homology_dims(top)

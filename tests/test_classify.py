@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import weakref
 
 import pytest
@@ -12,7 +13,7 @@ from aq.corpus import (algebra, ground, inclusion_from_ground,
                        canonical_surjection, classifier_corpus, hkr_instances)
 from aq.cotangent import five_term_check, tor_modules
 from aq.classify import (
-    ClassifyError, PROPERTIES,
+    ClassifyError, PROPERTIES, _monic_quartic_quadratic_free,
     is_smooth_at, is_unramified_at, is_etale_at, is_lci_at,
     is_regular_local, is_complete_intersection,
     hkr_equivalence_check, classification_report,
@@ -234,6 +235,60 @@ def test_rational_check_refuses_high_degree():
     one = QQ.one()
     with pytest.raises(ClassifyError, match="degree 4"):
         univariate_irreducible(QQ, [one, one, one, one, one, one])
+
+
+def test_rational_factor_search_refuses_huge_constants():
+    coeffs = [QQ.from_int(c) for c in (10**30 + 57, 0, 1)]
+    with pytest.raises(ClassifyError, match="factor search"):
+        univariate_irreducible(QQ, coeffs)
+
+
+def test_rational_factor_search_decides_up_to_its_bound():
+    # 999999^2 = 999998000001 lies just under the 10^12 bound
+    square = [QQ.from_int(c) for c in (-999998000001, 0, 1)]
+    assert not univariate_irreducible(QQ, square)
+    shifted = [QQ.from_int(c) for c in (-999998000002, 0, 1)]
+    assert univariate_irreducible(QQ, shifted)
+
+
+def _divisor_pair_irreducible(ints):
+    """Reference: rational roots p/q over all pairs of divisors of the
+    constant and leading coefficients, then the quartic's quadratic factors
+    on the monic transform.  Integer coefficients, low degree first."""
+    deg = len(ints) - 1
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    if ints[0] == 0:
+        return False
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            for r in (p, -p):
+                # q^deg f(r/q), cleared of denominators
+                if sum(c * r ** i * q ** (deg - i)
+                       for i, c in enumerate(ints)) == 0:
+                    return False
+    if deg <= 3:
+        return True
+    a = ints[4]
+    return _monic_quartic_quadratic_free(
+        [ints[0] * a ** 3, ints[1] * a ** 2, ints[2] * a, ints[3]])
+
+
+def test_rational_irreducibility_matches_divisor_pairs():
+    for deg, bound in ((2, 4), (3, 4), (4, 3)):
+        span = range(-bound, bound + 1)
+        for low in itertools.product(span, repeat=deg):
+            for lead in span:
+                if lead == 0:
+                    continue
+                f = list(low) + [lead]
+                assert univariate_irreducible(
+                    QQ, [QQ.from_int(c) for c in f]) \
+                    == _divisor_pair_irreducible(f), f
 
 
 def test_irreducibility_over_prime_fields():

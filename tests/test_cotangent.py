@@ -24,7 +24,7 @@ from aq.cotangent import (
     tor_modules,
 )
 from aq.fields import GF, QQ
-from aq.modules import FPModule
+from aq.modules import FPModule, FreeComplex
 from aq.rings import AlgebraMap, PointError, compose
 from aq.simplicial import (bar_construction, constant_extension,
                            hypersurface_resolution, tensor_resolutions)
@@ -119,7 +119,7 @@ def test_resolution_failing_its_identities_is_refused():
     ok, failures = ext.simplicial_identities_hold()
     assert not ok and failures
     with pytest.raises(CotangentError, match="simplicial identities fail"):
-        cotangent_from_resolution(ext, 3)
+        cotangent_from_resolution(ext)
 
 
 def test_a_constant_tensor_factor_changes_nothing():
@@ -215,6 +215,44 @@ def test_five_term_check_builds_the_stages_once(monkeypatch):
     monkeypatch.setattr(_Trunc2Data, "__init__", counting_init)
     assert five_term_check(canonical_surjection(cusp()), [ORIGIN])["passes"]
     assert len(built) == 1
+
+
+def test_truncation_builds_one_complex(monkeypatch):
+    built = []
+    init = FreeComplex.__init__
+
+    def counting_init(self, algebra, ranks, diffs):
+        built.append(ranks)
+        init(self, algebra, ranks, diffs)
+
+    monkeypatch.setattr(FreeComplex, "__init__", counting_init)
+    trunc = cotangent_trunc2(canonical_surjection(fat_point()))
+    assert len(built) == 1
+    top = trunc.provenance["stages"].top_relation_columns()
+    assert top and trunc.complex.rank(3) == len(top)
+
+
+def test_tor_builds_only_the_stages_its_degrees_need(monkeypatch):
+    import aq.cotangent
+    origin = {"x": 0, "y": 0, "z": 0}
+    phi = canonical_surjection(algebra(QQ, ("x", "y", "z"), ["x", "y", "z"]))
+    assert cotangent_trunc2(phi).provenance["stages"].second_syzygies
+    calls = []
+    real = aq.cotangent.syzygies
+
+    def counting_syzygies(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(aq.cotangent, "syzygies", counting_syzygies)
+    tor = tor_modules(phi, n_max=1)
+    assert calls == []
+    assert tor.dim_at_point(1, origin) == 3
+    with pytest.raises(CotangentError, match="through degree 1"):
+        tor.dim_at_point(2, origin)
+    # Tor_3(k, k) over k[x, y, z] is one-dimensional
+    assert tor_modules(phi, n_max=3).dim_at_point(3, origin) == 1
+    assert len(calls) == 1
 
 
 # -- base change, retracts, composite windows -------------------------------------

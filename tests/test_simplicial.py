@@ -13,7 +13,7 @@ from aq.simplicial import (
     _operators,
     _simplicial_identities,
     augmentation,
-    augmentation_of_level,
+    augmentation_maps,
     bar_construction,
     bar_kill_equivalence_holds,
     constant_extension,
@@ -181,12 +181,52 @@ def test_each_construction_names_what_it_kills():
 
 def test_augmentation_of_level_commutes_with_faces():
     ext = bar_construction(line(), "y", 3)
-    aug2 = augmentation_of_level(ext, 2)
-    aug1 = augmentation_of_level(ext, 1)
+    aug1, aug2 = augmentation_maps(ext)[1:3]
     for x in ext.levels[2]:
         xv = ext.ring(2).var(x)
         via_face = aug1.apply(ext.operator("d", 2, 0).apply(xv))
         assert via_face == aug2.apply(xv)
+
+
+def _iterated_d0_image(ext, n, x):
+    """Reference: apply d_0 n times to x, then reduce in the augmentation."""
+    aug = augmentation(ext)
+    p = ext.ring(n).var(x)
+    for m in range(n, 0, -1):
+        p = ext.operator("d", m, 0).apply(p)
+    return aug.normal_form(p.rename_into(aug.ring))
+
+
+def _augmentation_cases():
+    plane = algebra(QQ, ("x", "y"))
+    node = algebra(QQ, ("x", "y"), ["x*y"])
+    return {
+        "bar line": bar_construction(line(), "y", 4),
+        "bar node": bar_construction(node, "x", 4),
+        "hypersurface cusp element GF(3)": hypersurface_resolution(
+            algebra(GF(3), ("x", "y")), "x^3 - y^2", 4),
+        "kill plane": kill_cycle(constant_extension(plane, 4), "x*y", 1),
+        "tensor of two bars": tensor_resolutions(
+            bar_construction(plane, "x", 3), bar_construction(plane, "y", 3)),
+        "constant": constant_extension(plane, 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_augmentation_cases()))
+def test_augmentation_maps_collapse_by_iterated_d0(name):
+    ext = _augmentation_cases()[name]
+    maps = augmentation_maps(ext)
+    assert len(maps) == ext.max_level + 1
+    for n, to_aug in enumerate(maps):
+        for x in ext.levels[n]:
+            assert to_aug.images[x] == _iterated_d0_image(ext, n, x), (n, x)
+
+
+def test_identities_hold_over_the_zero_ring():
+    zero_ring = algebra(QQ, ("x", "y"), ["1"])
+    for ext in (bar_construction(zero_ring, "x", 3),
+                hypersurface_resolution(zero_ring, "x^3 - y^2", 3)):
+        assert ext.simplicial_identities_hold() == (True, [])
 
 
 def test_chain_models_agree_on_bar():

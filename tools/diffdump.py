@@ -14,6 +14,10 @@ Sections, in order:
   - the `check_surjection` detail of `random_surjections(100, 1105)`;
   - for each corpus target, its reduced Groebner basis and the syzygies
     of its relations over the ambient polynomial ring;
+  - for each corpus map, the degree-<=2 homology and cohomology reports
+    with coefficients in the target, and the residue-field dims in degrees
+    0..2 at the entry's points, each written as its refusal where the
+    library refuses it;
   - for each simplicial resolution shape with a known homotopy (bar,
     hypersurface, degree-one cell attachment, tensor of two bars, constant),
     the presentations of pi_1..pi_3, the simplicial identity verdict, and
@@ -32,10 +36,12 @@ from workloads import (README_LEVELS, README_SESSION,  # noqa: E402
                        SURJECTION_CORPUS_SEED, SURJECTION_COUNT, _dumps,
                        check_surjection)
 
-from aq import (GF, QQ, SUITES, AlgebraMap, CotangentError,  # noqa: E402
-                PresentedAlgebra, bar_construction, constant_extension,
-                corpus, cotangent_from_resolution, hypersurface_resolution,
-                kill_cycle, run_suite, tensor_resolutions)
+from aq import (GF, QQ, SUITES, AlgebraError, AlgebraMap,  # noqa: E402
+                CotangentError, PresentedAlgebra, aq_cohomology, aq_homology,
+                bar_construction, constant_extension, corpus,
+                cotangent_from_resolution, cotangent_trunc2,
+                hypersurface_resolution, kill_cycle, run_suite,
+                tensor_resolutions)
 from aq.cli import run_session  # noqa: E402
 from aq.groebner import SubmoduleEngine, vp_from_poly  # noqa: E402
 from aq.simplicial import homotopy_modules  # noqa: E402
@@ -56,6 +62,25 @@ def _targets(entry: dict) -> list[tuple[str, PresentedAlgebra]]:
         elif isinstance(value, PresentedAlgebra):
             out.append((key, value))
     return out
+
+
+def _or_refusal(compute):
+    try:
+        return compute()
+    except AlgebraError as exc:
+        return {"refused": f"{type(exc).__name__}: {exc}"}
+
+
+def _homology(phi: AlgebraMap, points: list[dict]) -> dict:
+    """The truncation's reports for one map, refusals as text."""
+    return {
+        "homology": _or_refusal(lambda: aq_homology(phi, None, 2).to_json()),
+        "cohomology": _or_refusal(
+            lambda: aq_cohomology(phi, None, 2).to_json()),
+        "residue dims": [
+            _or_refusal(lambda: cotangent_trunc2(phi).dims_through(q, 2))
+            for q in points],
+    }
 
 
 def _resolutions():
@@ -109,6 +134,14 @@ def sections():
                           for row in engine.syzygies()]
                 yield (f"corpus {family} {entry['name']} {key}",
                        "\n".join(lines) + "\n")
+
+    for family in CORPORA:
+        for entry in getattr(corpus, family)():
+            points = entry.get("points") or [entry.get("point", {})]
+            for key in sorted(entry):
+                if isinstance(entry[key], AlgebraMap):
+                    yield (f"homology {family} {entry['name']} {key}",
+                           _dumps(_homology(entry[key], points)))
 
     for name, ext in _resolutions():
         pis = homotopy_modules(ext, 3)
