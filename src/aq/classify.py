@@ -82,8 +82,7 @@ def is_smooth_at(phi: AlgebraMap, point: dict) -> dict:
     """
     pt = _require_rational(phi.target, point)
     trunc = cotangent_trunc2(phi)
-    aq1 = trunc.homology_dim(1, pt)
-    aq2 = trunc.homology_dim(2, pt)
+    _, aq1, aq2 = trunc.dims_through(pt, 2)
     primary = aq1 == 0
 
     alt = _with_order(phi, "lex")
@@ -179,8 +178,7 @@ def is_lci_at(phi: AlgebraMap, point: dict) -> dict:
     """
     pt = _require_rational(phi.target, point)
     trunc = cotangent_trunc2(phi)
-    aq1 = trunc.homology_dim(1, pt)
-    aq2 = trunc.homology_dim(2, pt)
+    _, aq1, aq2 = trunc.dims_through(pt, 2)
     primary = aq2 == 0
     stage = trunc.provenance["stages"]
     oracle = _regular_sequence_oracle(stage, trunc.transport_point(pt))
@@ -214,8 +212,7 @@ def is_regular_local(R: PresentedAlgebra, point: dict) -> dict:
     pt = _require_rational(R, point)
     eps = residue_surjection(R, pt)
     trunc = cotangent_trunc2(eps)
-    aq1 = trunc.homology_dim(1, pt)
-    aq2 = trunc.homology_dim(2, pt)
+    _, aq1, aq2 = trunc.dims_through(pt, 2)
     primary = aq2 == 0
     ground = PresentedAlgebra(PolyRing(R.field, (), R.ring.order), [])
     smooth = is_smooth_at(AlgebraMap(ground, R, {}), pt)

@@ -100,21 +100,16 @@ def _run_classify(session: Session, payload) -> tuple[bool, dict, dict]:
     return True, canonical, informational
 
 
-def _run_resolve(session: Session, payload,
-                 level_cap: int | None) -> tuple[bool, dict, dict]:
+def _run_resolve(session: Session, payload) -> tuple[bool, dict, dict]:
     rkind, ring_name, detail, levels = payload
     algebra = session.rings[ring_name]
-    effective = levels if level_cap is None else min(levels, level_cap)
-    canonical = {"construction": rkind, "ring": ring_name,
-                 "levels": effective}
+    canonical = {"construction": rkind, "ring": ring_name, "levels": levels}
     informational = {}
-    if level_cap is not None and effective != levels:
-        informational["level_cap"] = level_cap
     if rkind == "koszul":
         elements = [algebra.poly(e) for e in detail]
         complex = koszul_complex(algebra, elements)
         vanish, per_degree = koszul_homology_all_vanish(
-            algebra, elements, max_degree=effective)
+            algebra, elements, max_degree=levels)
         canonical["elements"] = list(detail)
         canonical["ranks"] = [complex.rank(n)
                               for n in range(len(elements) + 1)]
@@ -122,18 +117,18 @@ def _run_resolve(session: Session, payload,
         canonical["per_degree"] = {str(n): v for n, v in per_degree.items()}
         return True, canonical, informational
     if rkind == "bar":
-        ext = bar_construction(algebra, detail, effective)
+        ext = bar_construction(algebra, detail, levels)
         canonical["variable"] = detail
     elif rkind == "hypersurface":
-        ext = hypersurface_resolution(algebra, detail, effective)
+        ext = hypersurface_resolution(algebra, detail, levels)
         canonical["element"] = detail
     else:
-        base = constant_extension(algebra, effective)
+        base = constant_extension(algebra, levels)
         ext = kill_cycle(base, detail, 1)
         canonical["element"] = detail
     ok, failures = ext.simplicial_identities_hold()
     canonical["identities_hold"] = ok
-    canonical["cells"] = [len(ext.levels[n]) for n in range(effective + 1)]
+    canonical["cells"] = [len(ext.levels[n]) for n in range(levels + 1)]
     if failures:
         informational["identity_failures"] = failures
     return ok, canonical, informational
@@ -147,8 +142,7 @@ def _run_check(payload) -> tuple[bool, dict, dict]:
     return result["passed"], canonical, {}
 
 
-def _execute(session: Session, task: TaskDecl,
-             level_cap: int | None) -> dict:
+def _execute(session: Session, task: TaskDecl) -> dict:
     started = time.perf_counter()
     record = {"task": task.canonical(), "kind": task.kind}
     try:
@@ -157,8 +151,7 @@ def _execute(session: Session, task: TaskDecl,
         elif task.kind == "classify":
             ok, canonical, info = _run_classify(session, task.payload)
         elif task.kind == "resolve":
-            ok, canonical, info = _run_resolve(session, task.payload,
-                                               level_cap)
+            ok, canonical, info = _run_resolve(session, task.payload)
         else:
             ok, canonical, info = _run_check(task.payload)
         status = "pass" if ok else "fail"
@@ -180,8 +173,7 @@ def _execute(session: Session, task: TaskDecl,
 
 
 def run_session(text: str, out_dir: str | Path | None = None,
-                order_name: str = "degrevlex",
-                level_cap: int | None = None) -> tuple[int, dict]:
+                order_name: str = "degrevlex") -> tuple[int, dict]:
     """Parse and execute a session; optionally write per-task reports.
 
     Returns (exit code, summary).  Exit 0 means every task passed; 1 means
@@ -189,8 +181,7 @@ def run_session(text: str, out_dir: str | Path | None = None,
     SessionError with their own exit codes instead.
     """
     session = parse_session(text, order_name)
-    records = [_execute(session, task, level_cap)
-               for task in session.tasks()]
+    records = [_execute(session, task) for task in session.tasks()]
     canonical = {
         "session": session.canonical_lines(),
         "tasks": [r["canonical"] for r in records],
@@ -238,8 +229,6 @@ def main(argv=None) -> int:
     runp.add_argument("--order", default="degrevlex",
                       choices=("degrevlex", "lex"),
                       help="ambient monomial order for declared rings")
-    runp.add_argument("--max-level", type=int, default=None,
-                      help="cap simplicial constructions at this level")
     args = parser.parse_args(argv)
 
     path = Path(args.file)
@@ -250,8 +239,7 @@ def main(argv=None) -> int:
         return 1
     out_dir = args.out if args.out is not None else f"{args.file}.out"
     try:
-        code, summary = run_session(text, out_dir, args.order,
-                                    args.max_level)
+        code, summary = run_session(text, out_dir, args.order)
     except SessionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

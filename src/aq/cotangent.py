@@ -12,10 +12,15 @@ syzygies, as a degree-3 differential so that degree-2 homology is taken
 against the right quotient.  The truncation is a pure function of the map,
 so it is built once per map and kept on the map: Tor and the five-term
 check read the same presentation stages, and Tor builds only the stages
-its degree range needs.
+its degree range needs.  The Tor resolution comes back as a complex of
+the same class, in mode "tor".
 
 Coefficients are finitely presented modules over the target, or residue
 fields at rational points.  Every emitted complex is checked for dd = 0.
+Residue-field dimensions have one reader: `CotangentComplexTrunc.dims_through`
+checks the degree bound and transports the point once, then reads every
+degree through `FreeComplex.dims_through`; callers ask for all the degrees
+they need in one call.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ class CotangentError(AlgebraError):
 
 MODE_RESOLUTION = "from-resolution"
 MODE_TRUNC2 = "general-trunc2"
+MODE_TOR = "tor"
 
 
 def epsilon_entry(l: int, m: int) -> int:
@@ -78,10 +84,11 @@ def _same_presentation(a: PresentedAlgebra, b: PresentedAlgebra) -> bool:
 class CotangentComplexTrunc:
     """Free complex over the target with a designated usable degree range.
 
-    Every report reads `complex`.  In mode trunc2 it carries, above the
-    reported degrees 0..2, the lifted Koszul relations and the second
-    syzygies as a degree-3 differential when there are any, so that
-    degree-2 homology is computed against the correct quotient.
+    Every report reads `complex`; the Tor resolution (mode "tor") is read
+    the same way.  In mode trunc2 it carries, above the reported degrees
+    0..2, the lifted Koszul relations and the second syzygies as a
+    degree-3 differential when there are any, so that degree-2 homology is
+    computed against the correct quotient.
     """
 
     def __init__(self, phi, mode: str, complex: FreeComplex,
@@ -100,10 +107,10 @@ class CotangentComplexTrunc:
         return 2 if self.mode == MODE_TRUNC2 else self.cutoff - 1
 
     def _check_degree(self, n: int):
-        if n > self.max_reliable_degree():
+        top = self.max_reliable_degree()
+        if n > top:
             raise CotangentError(
-                f"degree {n} beyond this complex (reliable through "
-                f"{self.max_reliable_degree()})")
+                f"complex built through degree {top}, requested {n}")
 
     def transport_point(self, point: dict) -> dict:
         stages = self.provenance.get("stages")
@@ -127,14 +134,6 @@ class CotangentComplexTrunc:
             return FPModule(self.algebra, module.gens, rels)
         raise CotangentError("coefficient module lives over a different algebra")
 
-    def homology_dim(self, n: int, point: dict) -> int:
-        """dim_k AQ-position n with residue-field coefficients at the point."""
-        if n < 0:
-            return 0
-        self._check_degree(n)
-        return self.complex.homology_dim_at_point(
-            n, self.transport_point(point))
-
     def homology_module(self, n: int, coefficients: FPModule | None = None) -> FPModule:
         if n < 0:
             return FPModule(self.algebra, 0, [])
@@ -142,7 +141,13 @@ class CotangentComplexTrunc:
         return self.complex.homology(n, self.transport_module(coefficients))
 
     def dims_through(self, point: dict, n_max: int) -> list[int]:
-        return [self.homology_dim(n, point) for n in range(n_max + 1)]
+        """dim_k of positions 0..n_max with residue-field coefficients at a
+        point of the map's target: the one residue-field reader of a map."""
+        self._check_degree(n_max)
+        return self.complex.dims_through(self.transport_point(point), n_max)
+
+    def dim_at_point(self, n: int, point: dict) -> int:
+        return self.dims_through(point, n)[n] if n >= 0 else 0
 
 
 # -- mode 2: trunc2 from a relative presentation --------------------------------
@@ -175,17 +180,8 @@ class _Trunc2Data:
     def _lift_koszul(self) -> list[list[Polynomial]]:
         """One coefficient column per pair, over the syzygy generators."""
         m = len(self.generators)
-        s = len(self.syzygy_vectors)
         if not self.koszul_pairs:
             return []
-        if s == 0:
-            # no syzygies at all: every Koszul vector must already be zero
-            for i, j in self.koszul_pairs:
-                for p in self._koszul_vector(i, j):
-                    if not self.base.normal_form(p).is_zero():
-                        raise CotangentError(
-                            "Koszul syzygy outside the syzygy module")
-            return [[] for _ in self.koszul_pairs]
         engine = SubmoduleEngine(
             self.base.ring, m,
             [dense_to_vp(v) for v in self.syzygy_vectors],
@@ -331,21 +327,18 @@ def rank_exactness_check(L: FreeComplex, sample_points) -> dict:
     points = list(sample_points)
     if not points:
         raise CotangentError("rank exactness needs at least one sample point")
-    field = L.algebra.field
     top = L.max_degree()
     per_point = []
     passes = True
     for q in points:
         pt = L.algebra.parse_point(q)
+        dims = L.dims_through(pt, top - 1)
         rows = []
         for n in range(2, top):
-            dn = evaluate_matrix(L.differential(n), pt)
-            dn1 = evaluate_matrix(L.differential(n + 1), pt)
-            lhs = L.rank(n)
-            rhs = linalg.rank(field, dn) + linalg.rank(field, dn1)
-            ok = lhs == rhs
+            ok = dims[n] == 0
             passes = passes and ok
-            rows.append({"degree": n, "rank": lhs, "split": rhs, "ok": ok})
+            rows.append({"degree": n, "rank": L.rank(n),
+                         "split": L.rank(n) - dims[n], "ok": ok})
         per_point.append({"point": point_to_json(pt, L.algebra), "degrees": rows})
     return {
         "passes": passes,
@@ -421,21 +414,21 @@ def _resolve_trunc(phi, n_max: int, resolution) -> CotangentComplexTrunc:
         if not _same_presentation(trunc.phi.target, phi.target) or \
                 not _same_presentation(trunc.phi.source, phi.source):
             raise CotangentError("resolution does not resolve this map")
-    if n_max > trunc.max_reliable_degree():
-        raise CotangentError(
-            f"resolution reliable through degree {trunc.max_reliable_degree()},"
-            f" requested {n_max}")
+    trunc._check_degree(n_max)
     return trunc
 
 
 def _report(phi, trunc: CotangentComplexTrunc, complex: FreeComplex,
             position, mode: str, coefficients, n_max: int) -> HomologyReport:
-    """Degrees 0..n_max, degree n read off `complex` at position(n)."""
+    """Degrees 0..n_max, degree n read off `complex` at position(n); a
+    negative position reads 0."""
     degrees = range(n_max + 1)
     if isinstance(coefficients, dict):
-        pt = trunc.transport_point(coefficients)
-        entries = [{"n": n, "dim": complex.homology_dim_at_point(position(n), pt)}
-                   for n in degrees]
+        positions = [position(n) for n in degrees]
+        dims = complex.dims_through(trunc.transport_point(coefficients),
+                                    max(positions, default=-1))
+        entries = [{"n": n, "dim": dims[p] if p >= 0 else 0}
+                   for n, p in zip(degrees, positions)]
     else:
         mod = trunc.transport_module(coefficients)
         entries = [{"n": n, "module": complex.homology(position(n), mod)}
@@ -484,29 +477,14 @@ def aq_cohomology(phi: AlgebraMap | None, coefficients=None, n_max: int = 2,
 # -- Tor via iterated syzygies ----------------------------------------------------
 
 
-class TorTable:
-    """Tor_n(target, -) for n <= n_max, read off `complex`."""
-
-    def __init__(self, complex: FreeComplex, stages: _Trunc2Data, n_max: int):
-        self.complex = complex
-        self.stages = stages
-        self.n_max = n_max
-
-    def dim_at_point(self, n: int, point: dict) -> int:
-        if n > self.n_max:
-            raise CotangentError(
-                f"Tor table built through degree {self.n_max}, requested {n}")
-        pt = self.stages.rp.transport_point(point)
-        return self.complex.homology_dim_at_point(n, pt)
-
-
-def tor_modules(phi: AlgebraMap, n_max: int = 3) -> TorTable:
+def tor_modules(phi: AlgebraMap, n_max: int = 3) -> CotangentComplexTrunc:
     """Tor_n(target, -) over the source, n <= n_max <= 3, for quotient maps.
 
     The resolution is by iterated syzygies, d_1..d_{n_max+1}: the relations,
     their syzygies and the second syzygies are the stages of the map's
     truncation (`cotangent_trunc2`); the third syzygies are computed only
-    when n_max is 3.  Degrees above n_max are refused.
+    when n_max is 3.  It comes back in mode "tor" with cutoff n_max + 1, so
+    it is read like any truncation and degrees above n_max are refused.
     """
     if n_max > 3:
         raise CotangentError("Tor table built through degree 3 only")
@@ -526,7 +504,9 @@ def tor_modules(phi: AlgebraMap, n_max: int = 3) -> TorTable:
         ranks[n] = len(columns)
         if columns:
             diffs[n] = matrix_from_columns(columns, ranks[n - 1])
-    return TorTable(FreeComplex(data.rp.algebra, ranks, diffs), data, n_max)
+    return CotangentComplexTrunc(
+        phi, MODE_TOR, FreeComplex(data.rp.algebra, ranks, diffs),
+        {"stages": data}, cutoff=n_max + 1)
 
 
 # -- the five-term tail -----------------------------------------------------------
@@ -540,13 +520,14 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
     third resolution stage.  Both sides read one set of presentation
     stages, the map's truncation; what is independent is the two complexes
     over them: AQ dims come from the degree-<=2 truncation (with the lifted
-    Koszul relations on top), Tor dims from the iterated-syzygy resolution.
+    Koszul relations on top), Tor dims from the iterated-syzygy resolution
+    through degree 2, so no third syzygies are computed.
     """
     points = list(points)
     if not points:
         raise CotangentError("five-term check needs at least one sample point")
-    tor = tor_modules(phi, n_max=3)
-    data = tor.stages
+    tor = tor_modules(phi, n_max=2)
+    data = tor.provenance["stages"]
     trunc = cotangent_trunc2(phi)
     S = data.rp.algebra
     field = S.field
@@ -556,10 +537,8 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
     passes = True
     for q in points:
         pt = data.rp.transport_point(q)
-        aq1 = trunc.homology_dim(1, q)
-        aq2 = trunc.homology_dim(2, q)
-        tor1 = tor.dim_at_point(1, q)
-        tor2 = tor.dim_at_point(2, q)
+        _, aq1, aq2 = trunc.dims_through(q, 2)
+        _, tor1, tor2 = tor.dims_through(q, 2)
         m3_eval = evaluate_matrix(m3_cols, pt)
         both_eval = m3_eval + evaluate_matrix(lam_cols, pt)
         rank_w = linalg.rank(field, both_eval) - linalg.rank(field, m3_eval)
@@ -667,12 +646,10 @@ def retract_check(S: PresentedAlgebra, points) -> dict:
         pt = S.parse_point(q)
         r_pt = dict(pt)
         r_pt[u] = S.field.zero()
-        pairs = []
-        for n in (1, 2):
-            left = down.homology_dim(n, pt)
-            right = up.homology_dim(n - 1, r_pt)
-            pairs.append({"n": n, "retraction": left, "inclusion": right,
-                          "ok": left == right})
+        left = down.dims_through(pt, 2)
+        right = up.dims_through(r_pt, 1)
+        pairs = [{"n": n, "retraction": left[n], "inclusion": right[n - 1],
+                  "ok": left[n] == right[n - 1]} for n in (1, 2)]
         ok = all(p["ok"] for p in pairs)
         passes = passes and ok
         per_point.append({"point": point_to_json(pt, S), "pairs": pairs})
@@ -703,16 +680,16 @@ def jacobi_zariski_window(psi: AlgebraMap, phi: AlgebraMap, point: dict) -> dict
     chi = compose(phi, psi)
     pt_s = phi.target.parse_point(point)
     pt_r = phi.pullback_point(pt_s)
-    t_psi = cotangent_trunc2(psi)
-    t_chi = cotangent_trunc2(chi)
-    t_phi = cotangent_trunc2(phi)
+    mid_over_base = cotangent_trunc2(psi).dims_through(pt_r, 1)
+    top_over_base = cotangent_trunc2(chi).dims_through(pt_s, 1)
+    top_over_mid = cotangent_trunc2(phi).dims_through(pt_s, 2)
     dims = {
-        "aq1_mid_over_base": t_psi.homology_dim(1, pt_r),
-        "aq1_top_over_base": t_chi.homology_dim(1, pt_s),
-        "aq1_top_over_mid": t_phi.homology_dim(1, pt_s),
-        "aq0_mid_over_base": t_psi.homology_dim(0, pt_r),
-        "aq0_top_over_base": t_chi.homology_dim(0, pt_s),
-        "aq0_top_over_mid": t_phi.homology_dim(0, pt_s),
+        "aq1_mid_over_base": mid_over_base[1],
+        "aq1_top_over_base": top_over_base[1],
+        "aq1_top_over_mid": top_over_mid[1],
+        "aq0_mid_over_base": mid_over_base[0],
+        "aq0_top_over_base": top_over_base[0],
+        "aq0_top_over_mid": top_over_mid[0],
     }
     window = [
         dims["aq1_mid_over_base"],
@@ -723,8 +700,7 @@ def jacobi_zariski_window(psi: AlgebraMap, phi: AlgebraMap, point: dict) -> dict
         dims["aq0_top_over_mid"],
     ]
     consistent, sums = _suffix_sums_nonnegative(window)
-    aq2 = t_phi.homology_dim(2, pt_s)
-    extended = [aq2] + window
+    extended = [top_over_mid[2]] + window
     ext_consistent, ext_sums = _suffix_sums_nonnegative(extended)
     return {
         "dims": dims,

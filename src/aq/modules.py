@@ -7,7 +7,9 @@ with coefficients in a finitely presented module N is H_n(C tensor N),
 presented as the subquotient ker(d_n tensor N)/im(d_{n+1} tensor N);
 N = A, the algebra itself, is the default.  At a rational point,
 homology with residue-field coefficients is plain exact linear algebra
-over the coefficient field.
+over the coefficient field, and `FreeComplex.dims_through` is its only
+reader: every degree through n_max from one validated point and one rank
+per differential.
 """
 
 from __future__ import annotations
@@ -324,19 +326,22 @@ class FreeComplex:
         boundaries = tensored_columns(n + 1) + relation_columns(n)
         return present_subquotient(self.algebra, ambient, cycles, boundaries)
 
-    def homology_dim_at_point(self, n: int, point: dict) -> int:
-        """dim_k H_n(C tensor k(point)); exact linear algebra."""
+    def dims_through(self, point: dict, n_max: int) -> list[int]:
+        """dim_k H_n(C tensor k(point)) for n = 0..n_max; exact linear algebra.
+
+        This is the one residue-field reader: the point is validated once
+        and each differential d_1..d_{n_max+1} is ranked once, where both
+        of its adjacent ranks are nonzero.
+        """
         pt = self.algebra.parse_point(point)
         field = self.algebra.field
-        rn = self.rank(n)
-        if rn == 0:
-            return 0
-        rank_in = rank_out = 0
-        if self.rank(n - 1):
-            rank_in = linalg.rank(field, evaluate_matrix(self.differential(n), pt))
-        if self.rank(n + 1):
-            rank_out = linalg.rank(field, evaluate_matrix(self.differential(n + 1), pt))
-        return rn - rank_in - rank_out
+        rank_d = [0] * (n_max + 2)
+        for k in range(1, n_max + 2):
+            if self.rank(k - 1) and self.rank(k):
+                rank_d[k] = linalg.rank(
+                    field, evaluate_matrix(self.differential(k), pt))
+        return [self.rank(n) - rank_d[n] - rank_d[n + 1]
+                for n in range(n_max + 1)]
 
     def to_json(self) -> dict:
         return {

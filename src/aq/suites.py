@@ -106,7 +106,7 @@ def suite_conormal_degree_one() -> dict:
             pt = stage.rp.transport_point(q)
             cols = evaluate_matrix(stage.syzygy_vectors, pt)
             conormal = m - linalg.rank(P.field, cols)
-            aq1 = trunc.homology_dim(1, q)
+            aq1 = trunc.dim_at_point(1, q)
             tor1 = tor.dim_at_point(1, q)
             ok = ok and aq1 == conormal == tor1
         if not ok:

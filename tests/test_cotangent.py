@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from aq import corpus
+from aq import corpus, linalg
 from aq.corpus import algebra, canonical_surjection, inclusion_from_ground
 from aq.cotangent import (
     CotangentError,
@@ -24,8 +24,9 @@ from aq.cotangent import (
     tor_modules,
 )
 from aq.fields import GF, QQ
-from aq.modules import FPModule, FreeComplex
-from aq.rings import AlgebraMap, PointError, compose
+from aq.kahler import RelativePresentation
+from aq.modules import FPModule, FreeComplex, evaluate_matrix
+from aq.rings import AlgebraError, AlgebraMap, PointError, compose
 from aq.simplicial import (bar_construction, constant_extension,
                            hypersurface_resolution, tensor_resolutions)
 
@@ -83,8 +84,8 @@ def test_resolution_matches_truncation_on_hypersurface():
     surj = AlgebraMap(plane, algebra(QQ, ("x", "y"), ["x^3 - y^2"]), {})
     tr2 = cotangent_trunc2(surj)
     for q in (ORIGIN, {"x": 1, "y": 1}):
-        assert [res.homology_dim(n, q) for n in range(3)] == \
-               [tr2.homology_dim(n, q) for n in range(3)]
+        assert [res.dim_at_point(n, q) for n in range(3)] == \
+               [tr2.dim_at_point(n, q) for n in range(3)]
 
 
 def test_hypersurface_homology_is_shifted_quotient():
@@ -199,7 +200,7 @@ def test_truncation_is_built_once_per_map():
 
 def test_tor_reads_the_stages_of_the_truncation():
     phi = canonical_surjection(fat_point())
-    assert tor_modules(phi).stages is \
+    assert tor_modules(phi).provenance["stages"] is \
         cotangent_trunc2(phi).provenance["stages"]
 
 
@@ -252,6 +253,112 @@ def test_tor_builds_only_the_stages_its_degrees_need(monkeypatch):
         tor.dim_at_point(2, origin)
     # Tor_3(k, k) over k[x, y, z] is one-dimensional
     assert tor_modules(phi, n_max=3).dim_at_point(3, origin) == 1
+    assert len(calls) == 1
+
+
+def test_five_term_check_reads_tor_through_degree_two(monkeypatch):
+    import aq.cotangent
+    phi = canonical_surjection(algebra(QQ, ("x", "y", "z"), ["x", "y", "z"]))
+    calls = []
+    real = aq.cotangent.syzygies
+
+    def counting_syzygies(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(aq.cotangent, "syzygies", counting_syzygies)
+    assert five_term_check(phi, [{"x": 0, "y": 0, "z": 0}])["passes"]
+    # the relations' syzygies and the second syzygies; no third syzygies
+    assert len(calls) == 2
+
+
+# -- one residue-field reader ----------------------------------------------------
+
+
+def _reference_dim(complex, n, point):
+    """dim_k H_n(C tensor k(point)), one degree at a time, each degree
+    ranking both of its differentials."""
+    pt = complex.algebra.parse_point(point)
+    field = complex.algebra.field
+    rn = complex.rank(n)
+    if rn == 0:
+        return 0
+    rank_in = rank_out = 0
+    if complex.rank(n - 1):
+        rank_in = linalg.rank(
+            field, evaluate_matrix(complex.differential(n), pt))
+    if complex.rank(n + 1):
+        rank_out = linalg.rank(
+            field, evaluate_matrix(complex.differential(n + 1), pt))
+    return rn - rank_in - rank_out
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except AlgebraError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _corpus_maps():
+    for family in ("classifier_corpus", "random_surjections",
+                   "random_base_extensions", "regular_sequence_instances",
+                   "non_regular_sequence_instances", "hypersurface_instances",
+                   "polynomial_extension_instances", "hkr_instances",
+                   "jacobi_zariski_instances"):
+        for entry in getattr(corpus, family)():
+            points = entry.get("points") or [entry.get("point", {})]
+            for key in sorted(entry):
+                if isinstance(entry[key], AlgebraMap):
+                    yield entry[key], points
+
+
+def test_reader_matches_the_per_degree_formula_on_the_corpus():
+    compared = 0
+    for phi, points in _corpus_maps():
+        readers = [(cotangent_trunc2(phi), 2)]
+        tor = _outcome(lambda: tor_modules(phi, 3))
+        if not isinstance(tor, tuple):
+            readers.append((tor, 3))
+        for trunc, top in readers:
+            for q in points:
+                want = _outcome(lambda: [
+                    _reference_dim(trunc.complex, n, trunc.transport_point(q))
+                    for n in range(top + 1)])
+                assert _outcome(lambda: trunc.dims_through(q, top)) == want
+                compared += not isinstance(want, tuple)
+    assert compared > 100
+
+
+def test_reader_matches_the_per_degree_formula_on_resolutions():
+    plane = algebra(QQ, ("x", "y"))
+    exts = [bar_construction(plane, "x", 4),
+            bar_construction(cusp(), "x", 4),
+            hypersurface_resolution(plane, plane.poly("x^3 - y^2"), 4),
+            hypersurface_resolution(plane, plane.poly("x*y"), 4)]
+    for ext in exts:
+        trunc = cotangent_from_resolution(ext)
+        complex = trunc.complex
+        point = _rational_point(complex.algebra)
+        assert point is not None
+        top = trunc.cutoff
+        want = [_reference_dim(complex, n, point) for n in range(top + 1)]
+        assert complex.dims_through(point, top) == want
+        assert trunc.dims_through(point, top - 1) == want[:top]
+
+
+def test_reader_transports_the_point_once(monkeypatch):
+    trunc = cotangent_trunc2(inclusion_from_ground(cusp()))
+    calls = []
+    real = RelativePresentation.transport_point
+
+    def counting_transport(self, point):
+        calls.append(point)
+        return real(self, point)
+
+    monkeypatch.setattr(RelativePresentation, "transport_point",
+                        counting_transport)
+    assert trunc.dims_through(ORIGIN, 2) == [2, 1, 0]
     assert len(calls) == 1
 
 

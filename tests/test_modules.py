@@ -168,10 +168,10 @@ def test_homology_dims_at_point_fiberwise():
     # evaluated Koszul complex at the origin has zero differentials
     A = plane()
     kc = koszul_complex(A, [A.poly("x"), A.poly("y")])
-    dims = [kc.homology_dim_at_point(n, {"x": 0, "y": 0}) for n in range(3)]
+    dims = kc.dims_through({"x": 0, "y": 0}, 2)
     assert dims == [1, 2, 1]
     # away from the vanishing locus everything dies
-    dims = [kc.homology_dim_at_point(n, {"x": 1, "y": 1}) for n in range(3)]
+    dims = kc.dims_through({"x": 1, "y": 1}, 2)
     assert dims == [0, 0, 0]
 
 
@@ -189,7 +189,7 @@ def test_homology_with_residue_field_coefficients(point):
                               [A.poly(f"y - {point['y']}")]])
     for n in range(3):
         module = kc.homology(n, residue)
-        assert module.dim_at_point(point) == kc.homology_dim_at_point(n, point)
+        assert module.dim_at_point(point) == kc.dims_through(point, n)[n]
 
 
 def test_homology_with_the_algebra_as_coefficients():

@@ -315,16 +315,6 @@ def test_automatic_resolution_stops_one_level_past_maxdeg():
     assert report["cutoff"] == 6
 
 
-def test_level_cap_clamps_resolve_tasks():
-    text = ("field QQ\nring P = poly(x)\n"
-            "task resolve bar P x levels 6\n")
-    code, summary = run_session(text, level_cap=2)
-    assert code == 0
-    task = summary["canonical"]["tasks"][0]
-    assert task["levels"] == 2
-    assert len(task["cells"]) == 3
-
-
 def test_classify_task_canonical_section():
     code, summary = run_session(BASIC)
     quotient = summary["canonical"]["tasks"][2]

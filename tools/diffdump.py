@@ -15,9 +15,10 @@ Sections, in order:
   - for each corpus target, its reduced Groebner basis and the syzygies
     of its relations over the ambient polynomial ring;
   - for each corpus map, the degree-<=2 homology and cohomology reports
-    with coefficients in the target, and the residue-field dims in degrees
-    0..2 at the entry's points, each written as its refusal where the
-    library refuses it;
+    with coefficients in the target, the residue-field dims in degrees
+    0..2 and the dims of Tor_0..Tor_3 (`tor_modules(phi, n_max=3)`) at the
+    entry's points, each written as its refusal where the library refuses
+    it;
   - for each simplicial resolution shape with a known homotopy (bar,
     hypersurface, degree-one cell attachment, tensor of two bars, constant),
     the presentations of pi_1..pi_3, the simplicial identity verdict, and
@@ -41,7 +42,7 @@ from aq import (GF, QQ, SUITES, AlgebraError, AlgebraMap,  # noqa: E402
                 bar_construction, constant_extension, corpus,
                 cotangent_from_resolution, cotangent_trunc2,
                 hypersurface_resolution, kill_cycle, run_suite,
-                tensor_resolutions)
+                tensor_resolutions, tor_modules)
 from aq.cli import run_session  # noqa: E402
 from aq.groebner import SubmoduleEngine, vp_from_poly  # noqa: E402
 from aq.simplicial import homotopy_modules  # noqa: E402
@@ -71,8 +72,17 @@ def _or_refusal(compute):
         return {"refused": f"{type(exc).__name__}: {exc}"}
 
 
+def _tor_dims(phi: AlgebraMap, points: list[dict]):
+    """dim Tor_n at each point for n = 0..3, refusals as text."""
+    tor = _or_refusal(lambda: tor_modules(phi, n_max=3))
+    if isinstance(tor, dict):
+        return tor
+    return [_or_refusal(lambda: [tor.dim_at_point(n, q) for n in range(4)])
+            for q in points]
+
+
 def _homology(phi: AlgebraMap, points: list[dict]) -> dict:
-    """The truncation's reports for one map, refusals as text."""
+    """The truncation's reports and Tor for one map, refusals as text."""
     return {
         "homology": _or_refusal(lambda: aq_homology(phi, None, 2).to_json()),
         "cohomology": _or_refusal(
@@ -80,6 +90,7 @@ def _homology(phi: AlgebraMap, points: list[dict]) -> dict:
         "residue dims": [
             _or_refusal(lambda: cotangent_trunc2(phi).dims_through(q, 2))
             for q in points],
+        "tor dims": _tor_dims(phi, points),
     }
 
 
