@@ -178,10 +178,10 @@ def is_lci_at(phi: AlgebraMap, point: dict) -> dict:
     """
     pt = _require_rational(phi.target, point)
     trunc = cotangent_trunc2(phi)
-    _, aq1, aq2 = trunc.dims_through(pt, 2)
+    ambient_pt = trunc.transport_point(pt)
+    _, aq1, aq2 = trunc.complex.dims_through(ambient_pt, 2)
     primary = aq2 == 0
-    stage = trunc.provenance["stages"]
-    oracle = _regular_sequence_oracle(stage, trunc.transport_point(pt))
+    oracle = _regular_sequence_oracle(trunc.provenance["stages"], ambient_pt)
     if oracle is not None and oracle != primary:
         raise ClassifyError(
             f"lci oracle disagreement at {point}: homology says {primary}, "

@@ -537,8 +537,8 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
     passes = True
     for q in points:
         pt = data.rp.transport_point(q)
-        _, aq1, aq2 = trunc.dims_through(q, 2)
-        _, tor1, tor2 = tor.dims_through(q, 2)
+        _, aq1, aq2 = trunc.complex.dims_through(pt, 2)
+        _, tor1, tor2 = tor.complex.dims_through(pt, 2)
         m3_eval = evaluate_matrix(m3_cols, pt)
         both_eval = m3_eval + evaluate_matrix(lam_cols, pt)
         rank_w = linalg.rank(field, both_eval) - linalg.rank(field, m3_eval)

@@ -59,6 +59,10 @@ class PolyRing:
             raise PolyError("duplicate variable names")
         self.order = order if order is not None else MonomialOrder()
         self._var_index = {v: i for i, v in enumerate(self.variables)}
+        # exponent tuple of each variable -> its name: one lookup tells a
+        # generator from any other monomial
+        self.unit_names = {tuple(int(j == i) for j in range(len(self.variables))): v
+                           for i, v in enumerate(self.variables)}
 
     @property
     def nvars(self) -> int:

@@ -149,6 +149,7 @@ class AlgebraMap:
                     )
                 imgs[v] = target.ring.var(v)
         self.images = imgs
+        self._generator_images: dict[str, Polynomial] = {}
         bad = self.failing_relation()
         if bad is not None:
             raise AlgebraError(f"map does not kill source relation {bad}")
@@ -160,9 +161,27 @@ class AlgebraMap:
         return None
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """Image of a source element, normalized in the target."""
+        """Image of a source element, normalized in the target.
+
+        A generator (one term of total degree 1 with coefficient one) is
+        read from a per-map table of the normal forms of the images, filled
+        the first time each generator is applied; every other element is
+        substituted and reduced.  The table holds normal forms, not the
+        stored images: an omitted image defaults to the same-named target
+        variable unreduced, which is not canonical when a target relation
+        has that variable as its lead term.
+        """
         if p.ring != self.source.ring:
             raise AlgebraError("element from a different ambient ring")
+        if len(p.terms) == 1:
+            (e, c), = p.terms.items()
+            v = self.source.ring.unit_names.get(e)
+            if v is not None and c == 1:
+                img = self._generator_images.get(v)
+                if img is None:
+                    img = self.target.normal_form(self.images[v])
+                    self._generator_images[v] = img
+                return img
         img = p.substitute(self.target.ring, self.images)
         return self.target.normal_form(img)
 

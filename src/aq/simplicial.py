@@ -7,8 +7,10 @@ index): ("d", n, i) is the face d_i out of level n and ("s", n, j) the
 degeneracy s_j out of level n. An extension is always checked and read
 through its own `max_level`; no function takes a smaller level cap. All
 simplicial identities are checked exactly on generators, by comparing the
-normal forms of both sides. The augmentation maps A_n -> pi_0 share one
-augmentation and collapse by iterated d_0, level n built on level n - 1.
+normal forms of both sides. The augmentation pi_0 is built once and kept
+on the extension (`pi_0`); the augmentation maps A_n -> pi_0 and the
+homotopy modules share it, and the maps collapse by iterated d_0, level n
+built on level n - 1.
 
 Each extension names in `killed` the base elements r_1..r_c it contracts
 when its normalized chains are the Koszul complex K(r) over the level-0
@@ -159,6 +161,7 @@ class FreeExtensionLevelwise:
         self._rings: dict[int, PolyRing] = {}
         self._algebras: dict[int, PresentedAlgebra] = {}
         self._maps: dict[tuple[str, int, int], AlgebraMap] = {}
+        self._pi_0: PresentedAlgebra | None = None
 
     # structure access
 
@@ -194,12 +197,21 @@ class FreeExtensionLevelwise:
         if set(images) != set(self.levels[n]):
             raise SimplicialError("operator images must cover the level variables")
         self._maps[(kind, n, i)] = AlgebraMap(self.algebra(n), self.algebra(m), images)
+        if kind == "d" and n == 1:
+            self._pi_0 = None
 
     def operator(self, kind: str, n: int, i: int) -> AlgebraMap:
         op = self._maps.get((kind, n, i))
         if op is None:
             raise SimplicialError(f"no operator {kind}_{i} at level {n}")
         return op
+
+    def pi_0(self) -> PresentedAlgebra:
+        """The augmentation, built by `augmentation` once and dropped when a
+        level-1 face is reassigned."""
+        if self._pi_0 is None:
+            self._pi_0 = augmentation(self)
+        return self._pi_0
 
     def parse_level_element(self, n: int, source) -> Polynomial:
         if isinstance(source, Polynomial):
@@ -466,7 +478,7 @@ def augmentation_maps(ext: FreeExtensionLevelwise) -> list[AlgebraMap]:
     level-(n-1) map applied to d_0(x), so the maps collapse by iterated d_0
     while each image is substituted once.
     """
-    aug = augmentation(ext)
+    aug = ext.pi_0()
     maps = [AlgebraMap(ext.algebra(0), aug,
                        {x: aug.ring.var(x) for x in ext.levels[0]})]
     for n in range(1, ext.max_level + 1):
@@ -488,7 +500,7 @@ def homotopy_modules(ext: FreeExtensionLevelwise, max_degree: int
     H_n(K(r)) pushed to the augmentation.  When `killed` is None only
     degree 0 is available.
     """
-    aug = augmentation(ext)
+    aug = ext.pi_0()
     out = {0: FPModule(aug, 1, [])}
     if max_degree == 0:
         return out

@@ -272,6 +272,26 @@ def test_five_term_check_reads_tor_through_degree_two(monkeypatch):
     assert len(calls) == 2
 
 
+def test_each_point_is_transported_once(monkeypatch):
+    from aq.classify import is_lci_at
+    calls = []
+    real = RelativePresentation.transport_point
+
+    def counting_transport(self, point):
+        calls.append(point)
+        return real(self, point)
+
+    monkeypatch.setattr(RelativePresentation, "transport_point",
+                        counting_transport)
+    points = [ORIGIN, {"x": 1, "y": 1}]
+    phi = canonical_surjection(cusp())
+    assert five_term_check(phi, points)["passes"]
+    assert len(calls) == len(points)
+    calls.clear()
+    assert is_lci_at(phi, ORIGIN)["verdict"]
+    assert len(calls) == 1
+
+
 # -- one residue-field reader ----------------------------------------------------
 
 

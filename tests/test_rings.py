@@ -1,0 +1,68 @@
+"""Maps of presented algebras: a generator's image comes from the map's
+table of normal forms, and agrees with substituting and reducing."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from aq.fields import GF, QQ
+from aq.orders import MonomialOrder
+from aq.poly import PolyRing
+from aq.rings import AlgebraMap, PresentedAlgebra
+
+GF5 = GF(5)
+SOURCE_VARS = ("x", "y", "z")
+TARGET_VARS = ("x", "y", "u")
+
+
+def small_polys(ring, max_exponent=2, max_size=3):
+    """Polynomials of `ring` with small integer coefficients."""
+    field = ring.field
+    return st.dictionaries(
+        st.tuples(*(st.integers(0, max_exponent) for _ in ring.variables)),
+        st.integers(-3, 3), max_size=max_size,
+    ).map(lambda terms: ring.from_terms(
+        {e: field.from_int(c) for e, c in terms.items()}))
+
+
+def source_elements(ring):
+    """A generator, 2*x, a constant, x^2, or a sum of terms."""
+    gen = st.sampled_from(ring.variables).map(ring.var)
+    return st.one_of(
+        gen,
+        gen.map(lambda x: x * 2),
+        st.integers(-3, 3).map(ring.from_int),
+        gen.map(lambda x: x ** 2),
+        small_polys(ring),
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["QQ", "GF5"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_apply_agrees_with_substituting_and_reducing(field, data):
+    S = PresentedAlgebra(PolyRing(field, SOURCE_VARS))
+    T_ring = PolyRing(field, TARGET_VARS)
+    relations = data.draw(st.lists(small_polys(T_ring), max_size=2))
+    # a relation led by a variable makes that variable's default image
+    # differ from its normal form
+    led = data.draw(st.sampled_from([None, "x - y", "y - u"]))
+    if led is not None:
+        relations.append(T_ring.poly(led))
+    T = PresentedAlgebra(T_ring, relations)
+    # x and y may default to their namesakes; z has none in the target
+    given_names = ["z"] + sorted(data.draw(st.sets(st.sampled_from(["x", "y"]))))
+    phi = AlgebraMap(S, T, {v: data.draw(small_polys(T_ring)) for v in given_names})
+    # the second round reads what the first round put in the table
+    elements = data.draw(st.lists(source_elements(S.ring), min_size=1, max_size=6))
+    for p in elements + elements:
+        assert phi.apply(p) == T.normal_form(p.substitute(T.ring, phi.images))
+
+
+def test_a_defaulted_generator_led_by_a_relation_is_reduced():
+    ring = PolyRing(QQ, ("x", "y"), MonomialOrder("degrevlex"))
+    T = PresentedAlgebra(ring, ["x - y"])
+    phi = AlgebraMap(PresentedAlgebra(ring), T)
+    x = ring.var("x")
+    assert phi.images["x"] == x
+    assert phi.apply(x) == ring.var("y")
+    assert phi.apply(x) == ring.var("y")

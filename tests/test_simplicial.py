@@ -7,6 +7,7 @@ from aq.corpus import algebra
 from aq.cotangent import CotangentError, cotangent_from_resolution
 from aq.fields import GF, QQ
 from aq.modules import FPModule, koszul_complex
+from aq.rings import AlgebraMap
 from aq.simplicial import (
     SimplicialError,
     SimplicialModuleFR,
@@ -263,6 +264,54 @@ def test_reassigning_an_operator_drops_its_map():
     ok, failures = ext.simplicial_identities_hold()
     assert not ok
     assert "s0 s0 level 1 on x1_0" in failures
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bar_construction(line(), "y", 4),
+    lambda: kill_cycle(constant_extension(plane(), 4), "x*y", 1),
+], ids=["bar", "kill-cycle"])
+def test_the_identity_check_applies_every_composite(build, monkeypatch):
+    ext = build()
+    # per identity: the left side on each generator, and the right side too
+    # unless it is the identity
+    want = sum(len(ext.levels[n]) * (1 if rhs is None else 2)
+               for _, n, _, rhs in _simplicial_identities(ext.max_level))
+    calls = []
+    real = AlgebraMap.apply
+
+    def counting_apply(self, p):
+        calls.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(AlgebraMap, "apply", counting_apply)
+    assert ext.simplicial_identities_hold() == (True, [])
+    assert len(calls) == want > 0
+
+
+def test_a_resolution_builds_its_augmentation_once(monkeypatch):
+    import aq.simplicial
+    built = []
+    real = aq.simplicial.augmentation
+
+    def counting_augmentation(ext):
+        built.append(ext)
+        return real(ext)
+
+    monkeypatch.setattr(aq.simplicial, "augmentation", counting_augmentation)
+    cotangent_from_resolution(hypersurface_resolution(plane(), "x^3 - y^2", 6))
+    assert len(built) == 1
+
+
+def test_reassigning_a_level_one_face_drops_the_augmentation():
+    ext = bar_construction(line(), "y", 3)
+    killed_y = ext.pi_0()
+    assert killed_y is ext.pi_0()
+    ext.set_operator("s", 0, 0, {})
+    assert ext.pi_0() is killed_y
+    # with d_0 = d_1 on x1_0 nothing is identified: pi_0 is the line
+    ext.set_operator("d", 1, 0, {"x1_0": ext.operator("d", 1, 1).images["x1_0"]})
+    assert ext.pi_0() == line()
+    assert augmentation_maps(ext)[0].target == line()
 
 
 @pytest.mark.parametrize("L", range(1, 7))
