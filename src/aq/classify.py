@@ -3,23 +3,27 @@ complete intersection, the diagonal smoothness criterion, and imperfection.
 
 Each verdict is a pure function of homology dimensions at a rational point
 and travels with an independently computed oracle value; a primary/oracle
-disagreement is a hard error, never a warning.  Global claims are labeled
-"certified" only when a module-level vanishing (coefficients in the target
-itself) backs them, otherwise "sampled-only".
+disagreement is a hard error, never a warning.  The lci oracle is one
+count per point: with relations f_1..f_m over P whose syzygy matrix has
+rank r at the point, the ideal is locally generated by a regular sequence
+exactly when dim_k H_1(K(f)) tensor k(pt) = r, since locally H_1(K(f)) =
+H_1(K(g)) + (P/I)^r for a minimal generating set g (Bruns-Herzog 1.6) and,
+by Nakayama, H_1(K(g)) vanishes locally exactly when its fiber does.
+Global claims are labeled "certified" only when a module-level vanishing
+(coefficients in the target itself) backs them, otherwise "sampled-only".
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
 from . import linalg
 from .cotangent import CotangentError, cotangent_trunc2
 from .groebner import ideal_groebner, poly_normal_form
 from .kahler import jacobian_matrix, kahler_oracle_via_diagonal, kahler_presentation
-from .modules import (FPModule, evaluate_matrix, koszul_complex,
-                      koszul_homology_all_vanish, matrix_columns)
+from .modules import (FPModule, evaluate_matrix, koszul_homology_all_vanish,
+                      matrix_columns)
 from .orders import MonomialOrder
 from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra
@@ -51,24 +55,6 @@ def _with_order(phi: AlgebraMap, name: str) -> AlgebraMap:
     images = {v: phi.images[v].rename_into(tgt.ring)
               for v in phi.source.variables}
     return AlgebraMap(src, tgt, images)
-
-
-# -- localized vanishing -----------------------------------------------------
-
-
-def _vanishes_locally(module: FPModule, point: dict) -> bool:
-    """M localized at the point is zero: every generator is killed by
-    something invertible there."""
-    if module.gens == 0:
-        return True
-    algebra = module.algebra
-    pt = algebra.parse_point(point)
-    field = algebra.field
-    for i in range(module.gens):
-        ann = module.annihilator_of_generator(i)
-        if not any(not field.is_zero(a.evaluate(pt)) for a in ann):
-            return False
-    return True
 
 
 # -- smooth / unramified / etale ----------------------------------------------
@@ -133,48 +119,29 @@ def is_etale_at(phi: AlgebraMap, point: dict) -> dict:
 # -- lci ------------------------------------------------------------------------
 
 
-def _spanning_subsets(m: int, eliminated, field, size: int):
-    """Size-`size` subsets of the m generators whose images, together with
-    the eliminated columns, span the full fiber k^m."""
-    units = linalg.unit_vectors(field.zero(), field.one(), m)
-    for subset in combinations(range(m), size):
-        cols = [units[i] for i in subset]
-        if linalg.rank(field, cols + eliminated) == m:
-            yield subset
+# The Koszul complex on m relations has 2^m generators; above this many
+# relations the lci oracle answers None.
+MAX_ORACLE_RELATIONS = 5
 
 
-def _regular_sequence_oracle(stage, point: dict, limit: int = 5):
-    """Search the relation generators for a local regular sequence.
-
-    Returns True/False, or None when there are too many generators to
-    search.  A candidate subset must span the relation fiber (Nakayama:
-    then it generates the relation ideal locally) and have first Koszul
-    homology vanishing after localization at the point.
-    """
-    P = stage.base
-    fs = stage.generators
-    m = len(fs)
-    if m > limit:
+def _regular_sequence_oracle(stage, point: dict):
+    """Whether the relations generate the ideal by a regular sequence near
+    the point, by the count dim_k H_1(K(f)) tensor k(pt) = r of the module
+    docstring; None above `MAX_ORACLE_RELATIONS` relations.  H_1(K(f)) is
+    built once per map, from the Koszul complex itself."""
+    if len(stage.generators) > MAX_ORACLE_RELATIONS:
         return None
-    field = P.field
+    P = stage.base
     pt = P.parse_point(point)
-    d2 = evaluate_matrix(stage.syzygy_vectors, pt)
-    mu = m - linalg.rank(field, d2)
-    if mu == 0:
-        return True
-    for subset in _spanning_subsets(m, d2, field, mu):
-        seq = [fs[i] for i in subset]
-        h1 = koszul_complex(P, seq).homology(1)
-        if _vanishes_locally(h1, pt):
-            return True
-    return False
+    r = linalg.rank(P.field, evaluate_matrix(stage.syzygy_vectors, pt))
+    return stage.koszul_h1.dim_at_point(pt) == r
 
 
 def is_lci_at(phi: AlgebraMap, point: dict) -> dict:
     """Degree-2 homology vanishes at the point.
 
-    Oracle: an explicit regular-sequence search among the relation
-    generators, with depth measured by localized Koszul homology.
+    Oracle: the classical definition, a local regular sequence generating
+    the relation ideal, read off the first Koszul homology of the relations.
     """
     pt = _require_rational(phi.target, point)
     trunc = cotangent_trunc2(phi)
@@ -185,7 +152,7 @@ def is_lci_at(phi: AlgebraMap, point: dict) -> dict:
     if oracle is not None and oracle != primary:
         raise ClassifyError(
             f"lci oracle disagreement at {point}: homology says {primary}, "
-            f"regular-sequence search says {oracle}")
+            f"regular-sequence test says {oracle}")
     return {"verdict": primary, "aq1": aq1, "aq2": aq2,
             "oracle": None if oracle is None else
             {"regular_sequence_found": oracle, "agrees": True}}

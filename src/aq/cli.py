@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 from .classify import RING_PROPERTIES, ClassifyError, classification_report
 from .cotangent import CotangentError, aq_homology
-from .modules import koszul_complex, koszul_homology_all_vanish
+from .modules import koszul_homology_all_vanish
 from .rings import AlgebraError
 from .session import Session, SessionError, TaskDecl, parse_session
 from .simplicial import (
@@ -107,11 +108,11 @@ def _run_resolve(session: Session, payload) -> tuple[bool, dict, dict]:
     informational = {}
     if rkind == "koszul":
         elements = [algebra.poly(e) for e in detail]
-        complex = koszul_complex(algebra, elements)
         vanish, per_degree = koszul_homology_all_vanish(
             algebra, elements, max_degree=levels)
         canonical["elements"] = list(detail)
-        canonical["ranks"] = [complex.rank(n)
+        # the Koszul complex on c elements has rank C(c, n) in degree n
+        canonical["ranks"] = [math.comb(len(elements), n)
                               for n in range(len(elements) + 1)]
         canonical["all_vanish"] = vanish
         canonical["per_degree"] = {str(n): v for n, v in per_degree.items()}

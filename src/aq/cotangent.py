@@ -10,10 +10,12 @@ presentation: generators f, their syzygies, and the Koszul syzygies
 f_i e_j - f_j e_i, the latter lifted and attached, with the second
 syzygies, as a degree-3 differential so that degree-2 homology is taken
 against the right quotient.  The truncation is a pure function of the map,
-so it is built once per map and kept on the map: Tor and the five-term
-check read the same presentation stages, and Tor builds only the stages
-its degree range needs.  The Tor resolution comes back as a complex of
-the same class, in mode "tor".
+so it is built once per map and kept on the map: Tor, the five-term
+check and the lci oracle read the same presentation stages.  The stages
+keep, each built on first use, the Tor resolution through degree 2 and
+the first Koszul homology of the relations; only Tor in degree 3 computes
+third syzygies.  The Tor resolution comes back as a complex of the same
+class, in mode "tor".
 
 Coefficients are finitely presented modules over the target, or residue
 fields at rational points.  Every emitted complex is checked for dd = 0.
@@ -25,6 +27,8 @@ they need in one call.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import linalg
 from .groebner import SubmoduleEngine
 from .kahler import jacobian_matrix, relative_presentation, RelativePresentation
@@ -34,6 +38,7 @@ from .modules import (
     Matrix,
     dense_to_vp,
     evaluate_matrix,
+    koszul_complex,
     matrix_columns,
     matrix_from_columns,
     matrix_to_json,
@@ -198,6 +203,17 @@ class _Trunc2Data:
         cols = [list(c) for c in self.koszul_lifts if c]
         cols.extend([list(r) for r in self.second_syzygies])
         return cols
+
+    @cached_property
+    def tor_complex(self) -> FreeComplex:
+        """The Tor resolution through degree 2, built on first use."""
+        return _tor_resolution(self)
+
+    @cached_property
+    def koszul_h1(self) -> FPModule:
+        """First Koszul homology of the relations over the base, built on
+        first use, independently of the lifted Koszul syzygies."""
+        return koszul_complex(self.base, self.generators).homology(1)
 
 
 def cotangent_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:
@@ -477,13 +493,27 @@ def aq_cohomology(phi: AlgebraMap | None, coefficients=None, n_max: int = 2,
 # -- Tor via iterated syzygies ----------------------------------------------------
 
 
+def _tor_resolution(data: _Trunc2Data, *more) -> FreeComplex:
+    """d_1..d_3 from the relations, their syzygies and the second
+    syzygies, then one differential per list of columns in `more`."""
+    stages = [[[f] for f in data.generators], data.syzygy_vectors,
+              data.second_syzygies, *more]
+    ranks = {0: 1}
+    diffs = {}
+    for n, columns in enumerate(stages, start=1):
+        ranks[n] = len(columns)
+        if columns:
+            diffs[n] = matrix_from_columns(columns, ranks[n - 1])
+    return FreeComplex(data.rp.algebra, ranks, diffs)
+
+
 def tor_modules(phi: AlgebraMap, n_max: int = 3) -> CotangentComplexTrunc:
     """Tor_n(target, -) over the source, n <= n_max <= 3, for quotient maps.
 
-    The resolution is by iterated syzygies, d_1..d_{n_max+1}: the relations,
-    their syzygies and the second syzygies are the stages of the map's
-    truncation (`cotangent_trunc2`); the third syzygies are computed only
-    when n_max is 3.  It comes back in mode "tor" with cutoff n_max + 1, so
+    The resolution is by iterated syzygies over the stages of the map's
+    truncation (`cotangent_trunc2`): n_max <= 2 reads the one complex
+    through d_3 kept there, and n_max = 3 builds its own with the third
+    syzygies as d_4.  It comes back in mode "tor" with cutoff n_max + 1, so
     it is read like any truncation and degrees above n_max are refused.
     """
     if n_max > 3:
@@ -492,21 +522,14 @@ def tor_modules(phi: AlgebraMap, n_max: int = 3) -> CotangentComplexTrunc:
     if data.rp.num_adjoined():
         raise CotangentError(
             "needs a surjective map presented as a quotient of its source")
-    stages = [[[f] for f in data.generators], data.syzygy_vectors,
-              data.second_syzygies]
-    if n_max == 3:
+    if n_max < 3:
+        complex = data.tor_complex
+    else:
         s2 = data.second_syzygies
-        stages.append(
-            syzygies(s2, len(data.syzygy_vectors), data.base) if s2 else [])
-    ranks = {0: 1}
-    diffs = {}
-    for n, columns in enumerate(stages[:n_max + 1], start=1):
-        ranks[n] = len(columns)
-        if columns:
-            diffs[n] = matrix_from_columns(columns, ranks[n - 1])
-    return CotangentComplexTrunc(
-        phi, MODE_TOR, FreeComplex(data.rp.algebra, ranks, diffs),
-        {"stages": data}, cutoff=n_max + 1)
+        s3 = syzygies(s2, len(data.syzygy_vectors), data.base) if s2 else []
+        complex = _tor_resolution(data, s3)
+    return CotangentComplexTrunc(phi, MODE_TOR, complex, {"stages": data},
+                                 cutoff=n_max + 1)
 
 
 # -- the five-term tail -----------------------------------------------------------

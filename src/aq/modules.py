@@ -120,21 +120,6 @@ def syzygies(vectors, rank: int, algebra: PresentedAlgebra):
     return _canonical_vectors(out, len(vps), algebra)
 
 
-def annihilator(vector, rank: int, denominators, algebra: PresentedAlgebra):
-    """Generators of {a in A : a*vector lies in span(denominators) + I}."""
-    vecs = [vector] + list(denominators)
-    syz = syzygies(vecs, rank, algebra)
-    out = [row[0] for row in syz if not row[0].is_zero()]
-    gens = []
-    seen = set()
-    for g in sorted(out, key=lambda p: algebra.ring.order.key(p.leading_monomial()), reverse=True):
-        s = str(g.monic())
-        if s not in seen:
-            seen.add(s)
-            gens.append(g.monic())
-    return gens
-
-
 # -- finitely presented modules ---------------------------------------------
 
 
@@ -181,11 +166,6 @@ class FPModule:
             return 0
         cols = evaluate_matrix(self.relations, pt)
         return self.gens - linalg.rank(self.algebra.field, cols)
-
-    def annihilator_of_generator(self, index: int):
-        ring = self.algebra.ring
-        unit = linalg.unit_vectors(ring.zero(), ring.one(), self.gens)[index]
-        return annihilator(unit, self.gens, self.relations, self.algebra)
 
     def presentation_matrix(self) -> Matrix:
         """gens x (#relations) matrix whose columns are the relations."""

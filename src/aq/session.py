@@ -20,6 +20,11 @@ from .rings import AlgebraError, AlgebraMap, PointError, PresentedAlgebra, parse
 VALID_TASKS = ("check", "classify", "homology", "resolve")
 RESOLVE_KINDS = ("bar", "koszul", "hypersurface", "killcycles")
 
+# Bounds on the work of one task: its cost grows about as the fourth power
+# of `levels` or `maxdeg`, and as 2^c in the c elements of a Koszul complex.
+MAX_LEVEL = 20
+MAX_KOSZUL_ELEMENTS = 8
+
 
 class SessionError(ValueError):
     def __init__(self, message: str, line: int = 1, col: int = 1,
@@ -211,6 +216,14 @@ class _Cursor:
         got = self.name(f"keyword {word!r}")
         if got != word:
             self.error(f"expected {word!r}, found {got!r}", self.word_col)
+
+    def bound(self, word: str, what: str) -> int:
+        """`word n`, where n above MAX_LEVEL is refused at its column."""
+        self.keyword(word)
+        n = self.integer(what)
+        if n > MAX_LEVEL:
+            self.error(f"{word} {n} is above {MAX_LEVEL}", self.word_col)
+        return n
 
     def paren_group(self) -> tuple[str, int]:
         """Raw text between balanced parens, with the inner start column."""
@@ -450,8 +463,7 @@ def _parse_task(cur: _Cursor, session: Session):
             if session.rings[word] != session.maps[map_name].target:
                 cur.error("coefficient ring must be the map's target", ccol)
             coeff = ("module", word)
-        cur.keyword("maxdeg")
-        maxdeg = cur.integer("a degree bound")
+        maxdeg = cur.bound("maxdeg", "a degree bound")
         cur.expect_end()
         session.statements.append(
             TaskDecl("homology", (map_name, coeff, maxdeg)))
@@ -494,8 +506,13 @@ def _parse_task(cur: _Cursor, session: Session):
             detail = var
         else:
             inner, inner_col = cur.paren_group()
+            pieces = _split_top_commas(inner, inner_col)
+            if rkind == "koszul" and len(pieces) > MAX_KOSZUL_ELEMENTS:
+                piece, pcol = pieces[MAX_KOSZUL_ELEMENTS]
+                cur.error(f"koszul takes at most {MAX_KOSZUL_ELEMENTS} "
+                          "elements", pcol + len(piece) - len(piece.lstrip()))
             polys = []
-            for piece, pcol in _split_top_commas(inner, inner_col):
+            for piece, pcol in pieces:
                 try:
                     polys.append(stable_str(parse_polynomial(
                         piece, algebra.ring, cur.line, pcol)))
@@ -510,8 +527,7 @@ def _parse_task(cur: _Cursor, session: Session):
                         f"{rkind} takes exactly one element",
                         cur.line, inner_col)
                 detail = polys[0]
-        cur.keyword("levels")
-        levels = cur.integer("a level bound")
+        levels = cur.bound("levels", "a level bound")
         cur.expect_end()
         session.statements.append(
             TaskDecl("resolve", (rkind, ring_name, detail, levels)))

@@ -272,6 +272,25 @@ def test_five_term_check_reads_tor_through_degree_two(monkeypatch):
     assert len(calls) == 2
 
 
+def test_five_term_check_and_degree_one_tor_build_one_tor_complex(
+        monkeypatch):
+    import aq.cotangent
+    phi = canonical_surjection(cusp())
+    cotangent_trunc2(phi)
+    built = []
+
+    class CountingComplex(FreeComplex):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(aq.cotangent, "FreeComplex", CountingComplex)
+    assert five_term_check(phi, [ORIGIN, {"x": 1, "y": 1}])["passes"]
+    # one relation: Tor_1 at the origin is the fiber of the ideal
+    assert tor_modules(phi, n_max=1).dim_at_point(1, ORIGIN) == 1
+    assert len(built) == 1
+
+
 def test_each_point_is_transported_once(monkeypatch):
     from aq.classify import is_lci_at
     calls = []

@@ -1,0 +1,182 @@
+"""The lci oracle's one Koszul count against the subset search it replaced.
+
+`reference_oracle` keeps the earlier oracle: search the size-mu subsets of
+the relations that span the relation fiber (mu = the local number of
+generators), and accept one whose first Koszul homology vanishes after
+localization, tested generator by generator with an annihilator.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from aq import linalg
+from aq.classify import (_regular_sequence_oracle, classification_report,
+                         enveloping_multiplication, is_lci_at)
+from aq.corpus import (algebra, canonical_surjection, classifier_corpus,
+                       hkr_instances, random_surjections)
+from aq.cotangent import cotangent_trunc2
+from aq.fields import GF, QQ
+from aq.modules import evaluate_matrix, koszul_complex, syzygies
+from aq.poly import PolyRing
+from aq.rings import AlgebraMap, PresentedAlgebra
+
+
+def _annihilator_meets_units(module, i, pt) -> bool:
+    """Some element killing generator i of the module is nonzero at pt."""
+    A = module.algebra
+    unit = linalg.unit_vectors(A.ring.zero(), A.ring.one(), module.gens)[i]
+    syz = syzygies([unit] + list(module.relations), module.gens, A)
+    return any(not A.field.is_zero(row[0].evaluate(pt)) for row in syz)
+
+
+def _vanishes_locally(module, pt) -> bool:
+    return all(_annihilator_meets_units(module, i, pt)
+               for i in range(module.gens))
+
+
+def reference_oracle(stage, point):
+    """The subset search: True/False, or None above five relations."""
+    P = stage.base
+    fs = stage.generators
+    m = len(fs)
+    if m > 5:
+        return None
+    field = P.field
+    pt = P.parse_point(point)
+    d2 = evaluate_matrix(stage.syzygy_vectors, pt)
+    mu = m - linalg.rank(field, d2)
+    if mu == 0:
+        return True
+    units = linalg.unit_vectors(field.zero(), field.one(), m)
+    for subset in combinations(range(m), mu):
+        if linalg.rank(field, [units[i] for i in subset] + d2) != m:
+            continue
+        h1 = koszul_complex(P, [fs[i] for i in subset]).homology(1)
+        if _vanishes_locally(h1, pt):
+            return True
+    return False
+
+
+def assert_oracles_agree(phi, point):
+    trunc = cotangent_trunc2(phi)
+    stage = trunc.provenance["stages"]
+    pt = trunc.transport_point(point)
+    new = _regular_sequence_oracle(stage, pt)
+    assert new == reference_oracle(stage, pt), (phi.to_json(), point)
+    # the primary verdict agrees as well, or is_lci_at raises
+    is_lci_at(phi, point)
+    return new
+
+
+def _ambient_map(R):
+    return AlgebraMap(PresentedAlgebra(R.ring, []), R, {})
+
+
+@pytest.mark.parametrize("case", [
+    c for c in classifier_corpus() if c["property"] in ("lci", "ci")
+], ids=lambda c: c["name"])
+def test_oracles_agree_on_the_classifier_corpus(case):
+    subject = case["subject"]
+    phi = subject if case["property"] == "lci" else _ambient_map(subject)
+    for q in case["points"]:
+        assert_oracles_agree(phi, q)
+
+
+@pytest.mark.parametrize("case", hkr_instances(), ids=lambda c: c["name"])
+def test_oracles_agree_on_diagonal_points(case):
+    eta = case["map"]
+    _, mu, copy_of = enveloping_multiplication(eta)
+    for q in case["points"]:
+        diag = dict(q)
+        diag.update({c: q[v] for v, c in copy_of.items()})
+        assert_oracles_agree(mu, diag)
+
+
+def test_oracles_agree_on_random_surjections():
+    for case in random_surjections():
+        for q in case["points"]:
+            assert_oracles_agree(case["map"], q)
+
+
+def test_a_non_lci_point_is_found_by_both():
+    fat = algebra(QQ, ("x", "y"), ["x^2", "x*y", "y^2"])
+    assert assert_oracles_agree(canonical_surjection(fat),
+                                {"x": 0, "y": 0}) is False
+
+
+# -- ideals at the origin --------------------------------------------------------
+
+
+NAMES = ("x", "y", "z")
+
+
+@st.composite
+def ideals_at_origin(draw):
+    """Up to four generators vanishing at the origin, some of them
+    monomials in m^2, plus sometimes the redundant g_1*h + g_last."""
+    field = draw(st.sampled_from([QQ, GF(3), GF(5)]))
+    ring = PolyRing(field, NAMES[:draw(st.integers(1, 3))])
+    n = ring.nvars
+    deep = exponents_of_degree(n, 2)
+    exponents = exponents_of_degree(n, 1) + deep
+
+    def poly(monomials):
+        terms = draw(st.dictionaries(st.sampled_from(monomials),
+                                     st.integers(-2, 2), min_size=1,
+                                     max_size=3))
+        return ring.from_terms({e: field.from_int(c)
+                                for e, c in terms.items()})
+
+    gens = [poly(exponents)]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            gens.append(ring.monomial(draw(st.sampled_from(deep))))
+        else:
+            gens.append(poly(exponents))
+    if draw(st.booleans()):
+        h = poly(exponents + [(0,) * n])
+        gens.append(gens[0] * h + gens[-1])
+    gens = [g for g in gens if not g.is_zero()]
+    return ring, gens
+
+
+def exponents_of_degree(n, total):
+    """Exponent tuples of length n summing to total."""
+    if n == 1:
+        return [(total,)]
+    return [(k,) + rest for k in range(total + 1)
+            for rest in exponents_of_degree(n - 1, total - k)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals_at_origin())
+def test_oracles_agree_on_ideals_at_the_origin(ideal):
+    ring, gens = ideal
+    if not gens:
+        return
+    phi = canonical_surjection(PresentedAlgebra(ring, gens))
+    assert_oracles_agree(phi, {v: 0 for v in ring.variables})
+
+
+# -- H_1 is built once per map ---------------------------------------------------
+
+
+def test_a_two_point_lci_report_builds_koszul_h1_once(monkeypatch):
+    import aq.cotangent
+    built = []
+    real = aq.cotangent.koszul_complex
+
+    def counting_koszul_complex(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(aq.cotangent, "koszul_complex",
+                        counting_koszul_complex)
+    cusp = algebra(QQ, ("x", "y"), ["x^3 - y^2"])
+    report = classification_report("lci", canonical_surjection(cusp),
+                                   [{"x": 0, "y": 0}, {"x": 1, "y": 1}])
+    assert [row["oracle"]["regular_sequence_found"]
+            for row in report.rows] == [True, True]
+    assert len(built) == 1

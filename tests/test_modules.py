@@ -103,13 +103,6 @@ def test_unit_relation_kills_module():
     assert N.free_rank() == 1
 
 
-def test_annihilator_of_generator():
-    A = plane()
-    M = FPModule(A, 1, [[A.poly("x")]])
-    ann = M.annihilator_of_generator(0)
-    assert any(str(p) == "x" for p in ann)
-
-
 def test_relation_length_checked():
     A = plane()
     with pytest.raises(ModuleError, match="relation length"):

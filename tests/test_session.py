@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from aq.session import SessionError, parse_session
+from aq.session import (MAX_KOSZUL_ELEMENTS, MAX_LEVEL, SessionError,
+                        parse_session)
 from aq.cli import main, run_session
 
 
@@ -254,6 +255,40 @@ def test_large_field_characteristic_is_refused_before_the_primality_test():
     assert (e.line, e.col) == (1, 10)
 
 
+BOUND_HEAD = "field QQ\nring P = poly(x, y)\nmap id : P -> P\n"
+
+
+@pytest.mark.parametrize("line, word", [
+    ("task resolve bar P x levels 21", "levels"),
+    ("task resolve koszul P (x, y) levels 60", "levels"),
+    ("task homology id coeff self maxdeg 21", "maxdeg"),
+], ids=["bar-levels", "koszul-levels", "maxdeg"])
+def test_levels_and_degrees_above_the_bound_are_refused(line, word):
+    e = err(BOUND_HEAD + line + "\n")
+    assert e.exit_code == 1 and e.line == 4
+    assert word in e.message and str(MAX_LEVEL) in e.message
+    number = line.rsplit(" ", 1)[1]
+    assert e.col == line.rindex(number) + 1
+
+
+def test_levels_and_degrees_at_the_bound_parse():
+    s = parse_session(BOUND_HEAD + f"task resolve bar P x levels {MAX_LEVEL}\n"
+                      f"task homology id coeff self maxdeg {MAX_LEVEL}\n")
+    assert len(s.tasks()) == 2
+
+
+def test_koszul_on_too_many_elements_is_refused_at_the_first_extra_one():
+    elements = ", ".join(["x"] * MAX_KOSZUL_ELEMENTS + ["x*y", "y"])
+    line = f"task resolve koszul P ({elements}) levels 1"
+    e = err(BOUND_HEAD + line + "\n")
+    assert e.exit_code == 1 and e.line == 4
+    assert str(MAX_KOSZUL_ELEMENTS) in e.message
+    assert e.col == line.index("x*y") + 1
+    at_bound = ", ".join(["x"] * MAX_KOSZUL_ELEMENTS)
+    assert parse_session(
+        BOUND_HEAD + f"task resolve koszul P ({at_bound}) levels 1\n").tasks()
+
+
 # -- execution ------------------------------------------------------------------
 
 
@@ -313,6 +348,27 @@ def test_automatic_resolution_stops_one_level_past_maxdeg():
     assert code == 0
     report = summary["informational"]["task_details"][0]["report"]
     assert report["cutoff"] == 6
+
+
+def test_koszul_resolve_builds_its_complex_once(monkeypatch):
+    import aq.modules
+    built = []
+
+    class CountingComplex(aq.modules.FreeComplex):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(aq.modules, "FreeComplex", CountingComplex)
+    code, summary = run_session("field QQ\nring P = poly(x, y)\n"
+                                "task resolve koszul P (x, x*y) levels 1\n")
+    assert code == 0
+    task = summary["canonical"]["tasks"][0]
+    assert task["ranks"] == [1, 2, 1]
+    # levels 1 reads degree 1 only: H_1(K(x, x*y)) holds y*e_1 - e_2
+    assert task["per_degree"] == {"1": False}
+    assert task["all_vanish"] is False
+    assert len(built) == 1
 
 
 def test_classify_task_canonical_section():

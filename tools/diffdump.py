@@ -16,9 +16,10 @@ Sections, in order:
     of its relations over the ambient polynomial ring;
   - for each corpus map, the degree-<=2 homology and cohomology reports
     with coefficients in the target, the residue-field dims in degrees
-    0..2 and the dims of Tor_0..Tor_3 (`tor_modules(phi, n_max=3)`) at the
-    entry's points, each written as its refusal where the library refuses
-    it;
+    0..2, the dims of Tor_0..Tor_3 (`tor_modules(phi, n_max=3)`) and the
+    lci classification's oracle dict (`regular_sequence_found`, or None)
+    at the entry's points, each written as its refusal where the library
+    refuses it;
   - for each simplicial resolution shape with a known homotopy (bar,
     hypersurface, degree-one cell attachment, tensor of two bars, constant),
     the presentations of pi_1..pi_3, the simplicial identity verdict, and
@@ -41,7 +42,7 @@ from aq import (GF, QQ, SUITES, AlgebraError, AlgebraMap,  # noqa: E402
                 CotangentError, PresentedAlgebra, aq_cohomology, aq_homology,
                 bar_construction, constant_extension, corpus,
                 cotangent_from_resolution, cotangent_trunc2,
-                hypersurface_resolution, kill_cycle, run_suite,
+                hypersurface_resolution, is_lci_at, kill_cycle, run_suite,
                 tensor_resolutions, tor_modules)
 from aq.cli import run_session  # noqa: E402
 from aq.groebner import SubmoduleEngine, vp_from_poly  # noqa: E402
@@ -82,7 +83,8 @@ def _tor_dims(phi: AlgebraMap, points: list[dict]):
 
 
 def _homology(phi: AlgebraMap, points: list[dict]) -> dict:
-    """The truncation's reports and Tor for one map, refusals as text."""
+    """The truncation's reports, Tor and the lci oracle for one map,
+    refusals as text."""
     return {
         "homology": _or_refusal(lambda: aq_homology(phi, None, 2).to_json()),
         "cohomology": _or_refusal(
@@ -91,6 +93,8 @@ def _homology(phi: AlgebraMap, points: list[dict]) -> dict:
             _or_refusal(lambda: cotangent_trunc2(phi).dims_through(q, 2))
             for q in points],
         "tor dims": _tor_dims(phi, points),
+        "lci oracle": [_or_refusal(lambda: is_lci_at(phi, q)["oracle"])
+                       for q in points],
     }
 
 
