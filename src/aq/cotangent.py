@@ -11,11 +11,14 @@ f_i e_j - f_j e_i, the latter lifted and attached, with the second
 syzygies, as a degree-3 differential so that degree-2 homology is taken
 against the right quotient.  The truncation is a pure function of the map,
 so it is built once per map and kept on the map: Tor, the five-term
-check and the lci oracle read the same presentation stages.  The stages
-keep, each built on first use, the Tor resolution through degree 2 and
-the first Koszul homology of the relations; only Tor in degree 3 computes
-third syzygies.  The Tor resolution comes back as a complex of the same
-class, in mode "tor".
+check and lci read the same presentation stages.  The stages keep, each
+built on first use, the Tor resolution through degree 2 and H_1(K(f)) of
+the relations f over the base P, from Koszul degrees <= 2.  Over the
+Noetherian P, H_1(K(f)) = 0 exactly when f is Koszul-regular: K(f) is
+exact at primes not containing (f), and at the others H_1 = 0 makes f a
+local regular sequence (Bruns-Herzog 1.6.19).  Only Tor in degree 3
+computes third syzygies.  The Tor resolution comes back as a complex of
+the same class, in mode "tor".
 
 Coefficients are finitely presented modules over the target, or residue
 fields at rational points.  Every emitted complex is checked for dd = 0.
@@ -38,7 +41,6 @@ from .modules import (
     Matrix,
     dense_to_vp,
     evaluate_matrix,
-    koszul_complex,
     matrix_columns,
     matrix_from_columns,
     matrix_to_json,
@@ -158,8 +160,20 @@ class CotangentComplexTrunc:
 # -- mode 2: trunc2 from a relative presentation --------------------------------
 
 
+def _column_complex(algebra: PresentedAlgebra, *stages) -> FreeComplex:
+    """Rank 1 in degree 0 and d_n with the n-th list of `stages` as its
+    columns: the Tor resolution, or K(f) through degree 2."""
+    ranks = {0: 1}
+    diffs = {}
+    for n, columns in enumerate(stages, start=1):
+        ranks[n] = len(columns)
+        if columns:
+            diffs[n] = matrix_from_columns(columns, ranks[n - 1])
+    return FreeComplex(algebra, ranks, diffs)
+
+
 class _Trunc2Data:
-    """Presentation stages shared by trunc2, Tor, and the five-term check."""
+    """Presentation stages shared by trunc2, Tor, the five-term check and lci."""
 
     def __init__(self, rp: RelativePresentation):
         self.rp = rp
@@ -167,33 +181,32 @@ class _Trunc2Data:
         self.base = P
         self.generators = [p for p in rp.relation_polys]
         m = len(self.generators)
+        self.relation_columns = [[f] for f in self.generators]
         self.syzygy_vectors = (
-            syzygies([[f] for f in self.generators], 1, P) if m else [])
+            syzygies(self.relation_columns, 1, P) if m else [])
         s = len(self.syzygy_vectors)
         self.second_syzygies = (
             syzygies(self.syzygy_vectors, m, P) if s else [])
-        self.koszul_pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        zero = P.ring.zero()
+        self.koszul_vectors = []  # f_i e_j - f_j e_i for i < j
+        for i in range(m):
+            for j in range(i + 1, m):
+                vec = [zero] * m
+                vec[j], vec[i] = self.generators[i], -self.generators[j]
+                self.koszul_vectors.append(vec)
         self.koszul_lifts = self._lift_koszul()
 
-    def _koszul_vector(self, i: int, j: int) -> list[Polynomial]:
-        zero = self.base.ring.zero()
-        vec = [zero] * len(self.generators)
-        vec[j] = self.generators[i]
-        vec[i] = -self.generators[j]
-        return vec
-
     def _lift_koszul(self) -> list[list[Polynomial]]:
-        """One coefficient column per pair, over the syzygy generators."""
-        m = len(self.generators)
-        if not self.koszul_pairs:
+        """One coefficient column per Koszul vector, over the syzygies."""
+        if not self.koszul_vectors:
             return []
         engine = SubmoduleEngine(
-            self.base.ring, m,
+            self.base.ring, len(self.generators),
             [dense_to_vp(v) for v in self.syzygy_vectors],
             self.base.relations)
         out = []
-        for i, j in self.koszul_pairs:
-            lift = engine.lift(dense_to_vp(self._koszul_vector(i, j)))
+        for vec in self.koszul_vectors:
+            lift = engine.lift(dense_to_vp(vec))
             if lift is None:
                 raise CotangentError("Koszul syzygy failed to lift")
             out.append(lift)
@@ -207,13 +220,16 @@ class _Trunc2Data:
     @cached_property
     def tor_complex(self) -> FreeComplex:
         """The Tor resolution through degree 2, built on first use."""
-        return _tor_resolution(self)
+        return _column_complex(self.rp.algebra, self.relation_columns,
+                               self.syzygy_vectors, self.second_syzygies)
 
     @cached_property
     def koszul_h1(self) -> FPModule:
-        """First Koszul homology of the relations over the base, built on
-        first use, independently of the lifted Koszul syzygies."""
-        return koszul_complex(self.base, self.generators).homology(1)
+        """H_1(K(f)) over the base from d_1 = the relations and d_2 = the
+        Koszul vectors, built on first use; zero exactly when f is
+        Koszul-regular."""
+        return _column_complex(self.base, self.relation_columns,
+                               self.koszul_vectors).homology(1)
 
 
 def cotangent_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:
@@ -493,20 +509,6 @@ def aq_cohomology(phi: AlgebraMap | None, coefficients=None, n_max: int = 2,
 # -- Tor via iterated syzygies ----------------------------------------------------
 
 
-def _tor_resolution(data: _Trunc2Data, *more) -> FreeComplex:
-    """d_1..d_3 from the relations, their syzygies and the second
-    syzygies, then one differential per list of columns in `more`."""
-    stages = [[[f] for f in data.generators], data.syzygy_vectors,
-              data.second_syzygies, *more]
-    ranks = {0: 1}
-    diffs = {}
-    for n, columns in enumerate(stages, start=1):
-        ranks[n] = len(columns)
-        if columns:
-            diffs[n] = matrix_from_columns(columns, ranks[n - 1])
-    return FreeComplex(data.rp.algebra, ranks, diffs)
-
-
 def tor_modules(phi: AlgebraMap, n_max: int = 3) -> CotangentComplexTrunc:
     """Tor_n(target, -) over the source, n <= n_max <= 3, for quotient maps.
 
@@ -527,7 +529,8 @@ def tor_modules(phi: AlgebraMap, n_max: int = 3) -> CotangentComplexTrunc:
     else:
         s2 = data.second_syzygies
         s3 = syzygies(s2, len(data.syzygy_vectors), data.base) if s2 else []
-        complex = _tor_resolution(data, s3)
+        complex = _column_complex(data.rp.algebra, data.relation_columns,
+                                  data.syzygy_vectors, s2, s3)
     return CotangentComplexTrunc(phi, MODE_TOR, complex, {"stages": data},
                                  cutoff=n_max + 1)
 

@@ -3,7 +3,11 @@
 `reference_oracle` keeps the earlier oracle: search the size-mu subsets of
 the relations that span the relation fiber (mu = the local number of
 generators), and accept one whose first Koszul homology vanishes after
-localization, tested generator by generator with an annihilator.
+localization, tested generator by generator with an annihilator.  Above
+five relations the reference answers None and only the oracle speaks.
+
+The lci certificate reads the same Koszul H_1 as the oracle; the full
+Koszul complex (`koszul_homology_all_vanish`) is its reference.
 """
 
 from itertools import combinations
@@ -18,7 +22,8 @@ from aq.corpus import (algebra, canonical_surjection, classifier_corpus,
                        hkr_instances, random_surjections)
 from aq.cotangent import cotangent_trunc2
 from aq.fields import GF, QQ
-from aq.modules import evaluate_matrix, koszul_complex, syzygies
+from aq.modules import (FreeComplex, evaluate_matrix, koszul_complex,
+                        koszul_homology_all_vanish, syzygies)
 from aq.poly import PolyRing
 from aq.rings import AlgebraMap, PresentedAlgebra
 
@@ -64,14 +69,35 @@ def assert_oracles_agree(phi, point):
     stage = trunc.provenance["stages"]
     pt = trunc.transport_point(point)
     new = _regular_sequence_oracle(stage, pt)
-    assert new == reference_oracle(stage, pt), (phi.to_json(), point)
+    ref = reference_oracle(stage, pt)
+    assert ref is None or new == ref, (phi.to_json(), point)
     # the primary verdict agrees as well, or is_lci_at raises
     is_lci_at(phi, point)
     return new
 
 
+def assert_certificate_matches_koszul(phi):
+    """The lci certificate is the vanishing of every Koszul H_n, n >= 1."""
+    rp = cotangent_trunc2(phi).provenance["stages"].rp
+    vanish, _ = koszul_homology_all_vanish(rp.base_algebra,
+                                           list(rp.relation_polys))
+    flag = classification_report("lci", phi, []).global_flag
+    assert flag == ("certified" if vanish else "sampled-only"), phi.to_json()
+
+
 def _ambient_map(R):
     return AlgebraMap(PresentedAlgebra(R.ring, []), R, {})
+
+
+def _diagonal(case):
+    """The multiplication map of an hkr case, with its diagonal points."""
+    _, mu, copy_of = enveloping_multiplication(case["map"])
+    points = []
+    for q in case["points"]:
+        diag = dict(q)
+        diag.update({c: q[v] for v, c in copy_of.items()})
+        points.append(diag)
+    return mu, points
 
 
 @pytest.mark.parametrize("case", [
@@ -86,11 +112,8 @@ def test_oracles_agree_on_the_classifier_corpus(case):
 
 @pytest.mark.parametrize("case", hkr_instances(), ids=lambda c: c["name"])
 def test_oracles_agree_on_diagonal_points(case):
-    eta = case["map"]
-    _, mu, copy_of = enveloping_multiplication(eta)
-    for q in case["points"]:
-        diag = dict(q)
-        diag.update({c: q[v] for v, c in copy_of.items()})
+    mu, points = _diagonal(case)
+    for diag in points:
         assert_oracles_agree(mu, diag)
 
 
@@ -104,6 +127,71 @@ def test_a_non_lci_point_is_found_by_both():
     fat = algebra(QQ, ("x", "y"), ["x^2", "x*y", "y^2"])
     assert assert_oracles_agree(canonical_surjection(fat),
                                 {"x": 0, "y": 0}) is False
+
+
+# -- more than five relations ------------------------------------------------------
+
+
+COORDINATES = tuple(f"x{i}" for i in range(1, 9))
+SQUARES = ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]
+
+
+@pytest.mark.parametrize("names, relations, lci", [
+    (("x", "y", "z"), SQUARES, False),
+    (COORDINATES, COORDINATES, True),
+], ids=["six-squares", "eight-coordinates"])
+def test_lci_rows_above_five_relations_carry_an_agreeing_oracle(
+        names, relations, lci):
+    phi = canonical_surjection(algebra(QQ, names, relations))
+    origin = {v: 0 for v in names}
+    report = classification_report("lci", phi, [origin])
+    assert [row["verdict"] for row in report.rows] == [lci]
+    assert [row["oracle"] for row in report.rows] == [
+        {"regular_sequence_found": lci, "agrees": True}]
+    assert report.global_flag == ("certified" if lci else "sampled-only")
+    assert assert_oracles_agree(phi, origin) is lci
+
+
+# -- the certificate against the full Koszul complex -------------------------------
+
+
+def test_the_certificate_matches_koszul_on_the_classifier_corpus():
+    for case in classifier_corpus():
+        subject = case["subject"]
+        assert_certificate_matches_koszul(
+            subject if isinstance(subject, AlgebraMap)
+            else _ambient_map(subject))
+
+
+def test_the_certificate_matches_koszul_on_random_surjections():
+    for case in random_surjections():
+        assert_certificate_matches_koszul(case["map"])
+
+
+@pytest.mark.parametrize("case", hkr_instances(), ids=lambda c: c["name"])
+def test_the_certificate_matches_koszul_on_diagonal_maps(case):
+    mu, _ = _diagonal(case)
+    assert_certificate_matches_koszul(mu)
+
+
+def test_an_lci_report_builds_no_koszul_degree_above_two(monkeypatch):
+    """On eight relations the full Koszul complex has rank 2^8 = 256;
+    the report builds only its degrees <= 2 over the base."""
+    built = []
+    real = FreeComplex.__init__
+
+    def recording_init(self, algebra, ranks, diffs):
+        real(self, algebra, ranks, diffs)
+        built.append((algebra, self.max_degree()))
+
+    monkeypatch.setattr(FreeComplex, "__init__", recording_init)
+    phi = canonical_surjection(algebra(QQ, COORDINATES, COORDINATES))
+    report = classification_report("lci", phi,
+                                   [{v: 0 for v in COORDINATES}])
+    assert report.global_flag == "certified"
+    base = cotangent_trunc2(phi).provenance["stages"].base
+    over_base = [top for alg, top in built if alg is base]
+    assert over_base == [2]
 
 
 # -- ideals at the origin --------------------------------------------------------
@@ -160,23 +248,36 @@ def test_oracles_agree_on_ideals_at_the_origin(ideal):
     assert_oracles_agree(phi, {v: 0 for v in ring.variables})
 
 
+@settings(max_examples=25, deadline=None)
+@given(ideals_at_origin())
+def test_the_certificate_matches_koszul_on_ideals_at_the_origin(ideal):
+    ring, gens = ideal
+    if not gens:
+        return
+    assert_certificate_matches_koszul(
+        canonical_surjection(PresentedAlgebra(ring, gens)))
+
+
 # -- H_1 is built once per map ---------------------------------------------------
 
 
 def test_a_two_point_lci_report_builds_koszul_h1_once(monkeypatch):
+    """Both rows' oracles and the certificate read one H_1, built from
+    one complex with two differentials (Koszul degrees <= 2)."""
     import aq.cotangent
     built = []
-    real = aq.cotangent.koszul_complex
+    real = aq.cotangent._column_complex
 
-    def counting_koszul_complex(*args):
-        built.append(args)
-        return real(*args)
+    def counting_column_complex(algebra, *stages):
+        built.append(len(stages))
+        return real(algebra, *stages)
 
-    monkeypatch.setattr(aq.cotangent, "koszul_complex",
-                        counting_koszul_complex)
+    monkeypatch.setattr(aq.cotangent, "_column_complex",
+                        counting_column_complex)
     cusp = algebra(QQ, ("x", "y"), ["x^3 - y^2"])
     report = classification_report("lci", canonical_surjection(cusp),
                                    [{"x": 0, "y": 0}, {"x": 1, "y": 1}])
     assert [row["oracle"]["regular_sequence_found"]
             for row in report.rows] == [True, True]
-    assert len(built) == 1
+    assert report.global_flag == "certified"
+    assert built == [2]

@@ -16,10 +16,11 @@ Sections, in order:
     of its relations over the ambient polynomial ring;
   - for each corpus map, the degree-<=2 homology and cohomology reports
     with coefficients in the target, the residue-field dims in degrees
-    0..2, the dims of Tor_0..Tor_3 (`tor_modules(phi, n_max=3)`) and the
-    lci classification's oracle dict (`regular_sequence_found`, or None)
-    at the entry's points, each written as its refusal where the library
-    refuses it;
+    0..2, the dims of Tor_0..Tor_3 (`tor_modules(phi, n_max=3)`), the
+    lci classification's oracle dict (`regular_sequence_found`) at the
+    entry's points, and the `global_flag` of the smooth, unramified, etale
+    and lci classification reports over those points, each written as its
+    refusal where the library refuses it;
   - for each simplicial resolution shape with a known homotopy (bar,
     hypersurface, degree-one cell attachment, tensor of two bars, constant),
     the presentations of pi_1..pi_3, the simplicial identity verdict, and
@@ -40,8 +41,8 @@ from workloads import (README_LEVELS, README_SESSION,  # noqa: E402
 
 from aq import (GF, QQ, SUITES, AlgebraError, AlgebraMap,  # noqa: E402
                 CotangentError, PresentedAlgebra, aq_cohomology, aq_homology,
-                bar_construction, constant_extension, corpus,
-                cotangent_from_resolution, cotangent_trunc2,
+                bar_construction, classification_report, constant_extension,
+                corpus, cotangent_from_resolution, cotangent_trunc2,
                 hypersurface_resolution, is_lci_at, kill_cycle, run_suite,
                 tensor_resolutions, tor_modules)
 from aq.cli import run_session  # noqa: E402
@@ -52,6 +53,7 @@ CORPORA = ("classifier_corpus", "random_surjections", "random_base_extensions",
            "regular_sequence_instances", "non_regular_sequence_instances",
            "hypersurface_instances", "polynomial_extension_instances",
            "hkr_instances", "jacobi_zariski_instances")
+GLOBAL_FLAG_PROPERTIES = ("smooth", "unramified", "etale", "lci")
 
 
 def _targets(entry: dict) -> list[tuple[str, PresentedAlgebra]]:
@@ -83,8 +85,8 @@ def _tor_dims(phi: AlgebraMap, points: list[dict]):
 
 
 def _homology(phi: AlgebraMap, points: list[dict]) -> dict:
-    """The truncation's reports, Tor and the lci oracle for one map,
-    refusals as text."""
+    """The truncation's reports, Tor, the lci oracle and the global flags
+    for one map, refusals as text."""
     return {
         "homology": _or_refusal(lambda: aq_homology(phi, None, 2).to_json()),
         "cohomology": _or_refusal(
@@ -95,6 +97,10 @@ def _homology(phi: AlgebraMap, points: list[dict]) -> dict:
         "tor dims": _tor_dims(phi, points),
         "lci oracle": [_or_refusal(lambda: is_lci_at(phi, q)["oracle"])
                        for q in points],
+        "global flags": {
+            prop: _or_refusal(
+                lambda: classification_report(prop, phi, points).global_flag)
+            for prop in GLOBAL_FLAG_PROPERTIES},
     }
 
 
