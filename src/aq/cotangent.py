@@ -41,6 +41,7 @@ from .modules import (
     Matrix,
     dense_to_vp,
     evaluate_matrix,
+    koszul_columns,
     matrix_columns,
     matrix_from_columns,
     matrix_to_json,
@@ -187,13 +188,7 @@ class _Trunc2Data:
         s = len(self.syzygy_vectors)
         self.second_syzygies = (
             syzygies(self.syzygy_vectors, m, P) if s else [])
-        zero = P.ring.zero()
-        self.koszul_vectors = []  # f_i e_j - f_j e_i for i < j
-        for i in range(m):
-            for j in range(i + 1, m):
-                vec = [zero] * m
-                vec[j], vec[i] = self.generators[i], -self.generators[j]
-                self.koszul_vectors.append(vec)
+        self.koszul_vectors = koszul_columns(P.ring, self.generators, 2)
         self.koszul_lifts = self._lift_koszul()
 
     def _lift_koszul(self) -> list[list[Polynomial]]:
@@ -307,17 +302,20 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise) -> CotangentComplexTr
         if not rows or not cols:
             continue
         push = aug_maps[n - 1]
+        zero = push.source.ring.zero()
         faces = {x: [ext.operator("d", n, i).images[x] for i in range(n + 1)]
                  for x in cols}
         matrix = []
         for w in rows:
             row = []
             for x in cols:
-                acc = aug.ring.zero()
+                # apply is additive, so the alternating sum is taken in
+                # A_{n-1} and pushed to the augmentation once
+                acc = zero
                 for i, img in enumerate(faces[x]):
-                    term = push.apply(img.derivative(w))
+                    term = img.derivative(w)
                     acc = acc + term if i % 2 == 0 else acc - term
-                row.append(acc)
+                row.append(push.apply(acc))
             matrix.append(row)
         diffs[n] = matrix
     phi = AlgebraMap(ext.base, aug, {})
@@ -544,10 +542,13 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
     w sends a wedge of two relation symbols to the lift of their Koszul
     syzygy; its rank is measured inside Tor_2 by comparing against the
     third resolution stage.  Both sides read one set of presentation
-    stages, the map's truncation; what is independent is the two complexes
-    over them: AQ dims come from the degree-<=2 truncation (with the lifted
-    Koszul relations on top), Tor dims from the iterated-syzygy resolution
-    through degree 2, so no third syzygies are computed.
+    stages, the map's truncation, so the check is an identity and cannot
+    fail: with s syzygies, r2 the rank of d_2 at the point, R3 that of the
+    truncation's d_3 = [Koszul lifts | second syzygies] and r3 that of the
+    second syzygies alone, aq2 = s - r2 - R3, tor2 = s - r2 - r3 and
+    rank_w = R3 - r3; aq1 = tor1 because nothing is adjoined, and Tor
+    refuses every other map.  Tor is read through degree 2, so no third
+    syzygies are computed.
     """
     points = list(points)
     if not points:

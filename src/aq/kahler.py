@@ -16,8 +16,11 @@ from .modules import (
     FPModule,
     Matrix,
     evaluate_matrix,
+    kernel,
     matrix_columns,
-    syzygies,
+    matrix_from_columns,
+    matrix_product,
+    span_contains,
 )
 from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra, compose
@@ -160,11 +163,8 @@ def kahler_oracle_via_diagonal(phi: AlgebraMap):
     for i in range(len(diffs)):
         for j in range(i, len(diffs)):
             squares.append([diffs[i] * diffs[j]])
-    # generator i must stay the class of diffs[i], so project syzygies by hand
-    vecs = [[d] for d in diffs] + squares
-    syz = syzygies(vecs, 1, tensor_alg)
-    g = len(diffs)
-    rel_rows = [row[:g] for row in syz]
+    # generator i must stay the class of diffs[i]
+    rel_rows = kernel([[d] for d in diffs], squares, 1, tensor_alg)
     # push the presentation down the multiplication map (second copy -> first)
     back = {copy_of[y]: y for y in rp.adjoined}
     pushed_rels = []
@@ -172,7 +172,7 @@ def kahler_oracle_via_diagonal(phi: AlgebraMap):
         pushed_rels.append(
             [rp.algebra.normal_form(p.rename_into(amb, back)) for p in rel]
         )
-    return FPModule(rp.algebra, g, pushed_rels), tensor_alg
+    return FPModule(rp.algebra, len(diffs), pushed_rels), tensor_alg
 
 
 def jacobian_of_map(psi: AlgebraMap):
@@ -201,15 +201,8 @@ def jacobian_chain_rule_holds(psi: AlgebraMap, sigma: AlgebraMap) -> bool:
     rows_p, cols_p, jp = jacobian_of_map(psi)
     if rows_c != rows_s or cols_c != cols_p or cols_s != rows_p:
         return False
-    target = sigma.target
-    for i in range(len(rows_c)):
-        for j in range(len(cols_c)):
-            s = target.ring.zero()
-            for k in range(len(cols_s)):
-                s = s + js[i][k] * sigma.apply(jp[k][j])
-            if target.normal_form(s - jc[i][j]) != target.ring.zero():
-                return False
-    return True
+    pushed = [[sigma.apply(p) for p in row] for row in jp]
+    return matrix_product(sigma.target, js, pushed, len(cols_c)) == jc
 
 
 # -- towers and exact sequences ---------------------------------------------
@@ -252,25 +245,6 @@ def tower_presentation(psi: AlgebraMap, phi: AlgebraMap) -> TowerPresentation:
     )
 
 
-def _span_contains(algebra, rank, haystack, needles) -> bool:
-    from .groebner import SubmoduleEngine
-    from .modules import dense_to_vp
-
-    engine = SubmoduleEngine(
-        algebra.ring, rank, [dense_to_vp(v) for v in haystack], algebra.relations
-    )
-    return all(engine.contains(dense_to_vp(v)) for v in needles)
-
-
-def preimage_kernel(columns, target_relations, rank_target, algebra):
-    """Generators v with M v in span(target_relations), M given by columns."""
-    vecs = list(columns) + list(target_relations)
-    syz = syzygies(vecs, rank_target, algebra)
-    m = len(columns)
-    out = [row[:m] for row in syz]
-    return [v for v in out if any(not p.is_zero() for p in v)]
-
-
 @dataclass
 class ExactSequenceReport:
     maps: dict
@@ -307,23 +281,20 @@ def jacobi_zariski_right_exact(psi: AlgebraMap, phi: AlgebraMap) -> ExactSequenc
         surj = True
     else:
         hits = matrix_columns(beta) + omega_top.relations
-        surj = _span_contains(S, ny, hits, linalg.unit_vectors(zero, one, ny))
+        surj = span_contains(S, ny, hits, linalg.unit_vectors(zero, one, ny))
     # exactness at the middle
     if ny == 0:
         ker_beta = linalg.unit_vectors(zero, one, nz)
     else:
-        ker_beta = preimage_kernel(matrix_columns(beta), omega_top.relations, ny, S)
+        ker_beta = kernel(matrix_columns(beta), omega_top.relations, ny, S)
     middle_haystack = alpha_cols + omega_comp.relations
-    ker_in_im = _span_contains(S, nz + ny, middle_haystack, ker_beta)
+    ker_in_im = span_contains(S, nz + ny, middle_haystack, ker_beta)
     if ny == 0:
         beta_alpha_zero = True
     else:
-        beta_alpha = [
-            [S.normal_form(sum((beta[r][c] * a[c] for c in range(nz + ny)), zero))
-             for r in range(ny)]
-            for a in alpha_cols
-        ]
-        beta_alpha_zero = _span_contains(
+        beta_alpha = matrix_columns(matrix_product(
+            S, beta, matrix_from_columns(alpha_cols, nz + ny)))
+        beta_alpha_zero = span_contains(
             S, ny, omega_top.relations or [[zero] * ny], beta_alpha
         )
     return ExactSequenceReport(
@@ -357,13 +328,8 @@ def conormal_sequence(psi: AlgebraMap, ideal_gens) -> ExactSequenceReport:
     # I/I^2 presented over R (generator order = given ideal generators),
     # then pushed forward to S = R/I
     squares = [[fi * fj] for i, fi in enumerate(lifted) for fj in lifted[i:]]
-    vecs = [[fi] for fi in lifted] + squares
-    syz = syzygies(vecs, 1, rp1.algebra)
-    ng = len(lifted)
-    conormal = FPModule(
-        S, ng,
-        [[S.normal_form(p) for p in row[:ng]] for row in syz],
-    )
+    conormal = FPModule(S, len(lifted), kernel(
+        [[fi] for fi in lifted], squares, 1, rp1.algebra))
     g_mid = rp1.relation_polys
     omega_mid = FPModule(S, nz, matrix_columns(jacobian(S, g_mid, Z)))
     # zeta: class of f_i -> d_psi(f_i), one (possibly empty) column per f_i;
@@ -381,19 +347,13 @@ def conormal_sequence(psi: AlgebraMap, ideal_gens) -> ExactSequenceReport:
         well_defined = True
         ker_alpha = []
     else:
-        surj = _span_contains(S, nz, alpha + omega_comp.relations, alpha)
-        ker_alpha = preimage_kernel(alpha, omega_comp.relations, nz, S)
-        middle = _span_contains(S, nz, zeta_cols + omega_mid.relations, ker_alpha)
-        # relations of I/I^2 must map into the relations of Omega_mid
-        images = []
-        for rel in conormal.relations:
-            vec = [
-                S.normal_form(sum((rel[i] * zeta_cols[i][j] for i in range(ng)),
-                                  zero))
-                for j in range(nz)
-            ]
-            images.append(vec)
-        well_defined = _span_contains(
+        surj = span_contains(S, nz, alpha + omega_comp.relations, alpha)
+        ker_alpha = kernel(alpha, omega_comp.relations, nz, S)
+        middle = span_contains(S, nz, zeta_cols + omega_mid.relations, ker_alpha)
+        # relations of I/I^2 must map into the relations of Omega_mid; the
+        # rows of zeta_cols, read as a matrix, are the images of the f_i
+        images = matrix_product(S, conormal.relations, zeta_cols)
+        well_defined = span_contains(
             S, nz, omega_mid.relations or [[zero] * nz], images
         )
     return ExactSequenceReport(

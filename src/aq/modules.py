@@ -15,6 +15,7 @@ per differential.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from . import linalg
 from .groebner import SubmoduleEngine, vp_lead
@@ -43,16 +44,33 @@ def zero_poly_matrix(algebra: PresentedAlgebra, rows: int, cols: int) -> Matrix:
 
 
 def normalize_matrix(algebra: PresentedAlgebra, m: Matrix) -> Matrix:
+    return [[algebra.normal_form(entry) for entry in row] for row in m]
+
+
+def matrix_product(algebra: PresentedAlgebra, a: Matrix, b: Matrix,
+                   cols: int | None = None) -> Matrix:
+    """a . b in normal forms, multiplying only pairs of nonzero entries.
+
+    `cols` is the column count of b, read from b unless b has no rows; a b
+    without rows gives the len(a) x cols zero matrix.
+    """
+    if cols is None:
+        cols = len(b[0]) if b else 0
+    zero = algebra.ring.zero()
+    b_rows = [[(j, p) for j, p in enumerate(row) if not p.is_zero()]
+              for row in b]
     out = []
-    for row in m:
-        nrow = []
-        for entry in row:
-            if isinstance(entry, str):
-                entry = algebra.poly(entry)
-            if isinstance(entry, int):
-                entry = algebra.ring.from_int(entry)
-            nrow.append(algebra.normal_form(entry))
-        out.append(nrow)
+    for row in a:
+        acc = {}
+        for k, p in enumerate(row):
+            if p.is_zero():
+                continue
+            for j, q in b_rows[k]:
+                acc[j] = acc[j] + p * q if j in acc else p * q
+        out_row = [zero] * cols
+        for j, s in acc.items():
+            out_row[j] = algebra.normal_form(s)
+        out.append(out_row)
     return out
 
 
@@ -78,7 +96,7 @@ def dense_to_vp(vec: list[Polynomial]):
     return {i: p for i, p in enumerate(vec) if not p.is_zero()}
 
 
-def _canonical_vectors(vectors, rank: int, algebra: PresentedAlgebra):
+def _canonical_vectors(vectors, algebra: PresentedAlgebra):
     """Normalize, dedupe, and sort dense vectors deterministically."""
     seen = set()
     cleaned = []
@@ -117,7 +135,28 @@ def syzygies(vectors, rank: int, algebra: PresentedAlgebra):
     out = [
         [algebra.normal_form(p) for p in row] for row in engine.syzygies()
     ]
-    return _canonical_vectors(out, len(vps), algebra)
+    return _canonical_vectors(out, algebra)
+
+
+def kernel(columns, relations, rank: int, algebra: PresentedAlgebra):
+    """Generators of {v : sum v_i columns_i in span(relations)} in A^rank.
+
+    The nonzero syzygies of columns + relations, cut to their first
+    len(columns) entries.
+    """
+    m = len(columns)
+    syz = syzygies(list(columns) + list(relations), rank, algebra)
+    out = [row[:m] for row in syz]
+    return [v for v in out if any(not p.is_zero() for p in v)]
+
+
+def span_contains(algebra: PresentedAlgebra, rank: int, haystack,
+                  needles) -> bool:
+    """Every needle lies in the span of the haystack in A^rank."""
+    engine = SubmoduleEngine(algebra.ring, rank,
+                             [dense_to_vp(v) for v in haystack],
+                             algebra.relations)
+    return all(engine.contains(dense_to_vp(v)) for v in needles)
 
 
 # -- finitely presented modules ---------------------------------------------
@@ -135,25 +174,15 @@ class FPModule:
             if len(vec) != gens:
                 raise ModuleError("relation length does not match generator count")
             rels.append(vec)
-        self.relations = _canonical_vectors(rels, gens, algebra)
-        self._engine: SubmoduleEngine | None = None
-
-    def _rel_engine(self) -> SubmoduleEngine:
-        if self._engine is None:
-            self._engine = SubmoduleEngine(
-                self.algebra.ring,
-                self.gens,
-                [dense_to_vp(r) for r in self.relations],
-                self.algebra.relations,
-            )
-        return self._engine
+        self.relations = _canonical_vectors(rels, algebra)
 
     def is_zero(self) -> bool:
         if self.gens == 0:
             return True
-        engine = self._rel_engine()
-        one = self.algebra.ring.one()
-        return all(engine.contains({i: one}) for i in range(self.gens))
+        ring = self.algebra.ring
+        return span_contains(self.algebra, self.gens, self.relations,
+                             linalg.unit_vectors(ring.zero(), ring.one(),
+                                                 self.gens))
 
     def free_rank(self):
         """gens when the presentation has no nonzero relations, else None."""
@@ -187,14 +216,11 @@ def present_subquotient(algebra, ambient_rank, numerators, denominators) -> FPMo
     Callers guarantee denominators lie in the numerator span (checked via
     the relation projection staying exact is the usual dd=0 situation).
     """
-    nums = _canonical_vectors(numerators, ambient_rank, algebra)
+    nums = _canonical_vectors(numerators, algebra)
     if not nums:
         return FPModule(algebra, 0, [])
-    vecs = nums + list(denominators)
-    syz = syzygies(vecs, ambient_rank, algebra)
-    k = len(nums)
-    relations = [row[:k] for row in syz]
-    return FPModule(algebra, k, relations)
+    return FPModule(algebra, len(nums),
+                    kernel(nums, denominators, ambient_rank, algebra))
 
 
 # -- free complexes ----------------------------------------------------------
@@ -240,17 +266,11 @@ class FreeComplex:
         for n in list(self.diffs):
             if self.rank(n + 1) == 0 or self.rank(n - 1) == 0:
                 continue
-            a = self.differential(n)
-            b = self.differential(n + 1)
-            rows, _ = matrix_shape(a)
-            _, cols = matrix_shape(b)
-            inner = self.rank(n)
-            for i in range(rows):
-                for j in range(cols):
-                    s = self.algebra.ring.zero()
-                    for k in range(inner):
-                        s = s + a[i][k] * b[k][j]
-                    if not self.algebra.normal_form(s).is_zero():
+            product = matrix_product(self.algebra, self.differential(n),
+                                     self.differential(n + 1))
+            for i, row in enumerate(product):
+                for j, entry in enumerate(row):
+                    if not entry.is_zero():
                         raise ModuleError(f"d_{n} . d_{n + 1} != 0 at entry ({i},{j})")
 
     def homology(self, n: int, coefficients: FPModule | None = None) -> FPModule:
@@ -300,9 +320,8 @@ class FreeComplex:
             # everything is a cycle; the empty matrix cannot say so
             cycles = linalg.unit_vectors(zero, one, ambient)
         else:
-            vecs = tensored_columns(n) + relation_columns(n - 1)
-            syz = syzygies(vecs, self.rank(n - 1) * g, self.algebra)
-            cycles = [row[:ambient] for row in syz]
+            cycles = kernel(tensored_columns(n), relation_columns(n - 1),
+                            self.rank(n - 1) * g, self.algebra)
         boundaries = tensored_columns(n + 1) + relation_columns(n)
         return present_subquotient(self.algebra, ambient, cycles, boundaries)
 
@@ -349,24 +368,30 @@ def koszul_complex(algebra: PresentedAlgebra, elements) -> FreeComplex:
             e = algebra.poly(e)
         elems.append(algebra.normal_form(e))
     c = len(elems)
-    basis = {n: list(combinations(range(c), n)) for n in range(c + 1)}
-    index = {n: {s: i for i, s in enumerate(basis[n])} for n in basis}
-    ranks = {n: len(basis[n]) for n in range(c + 1)}
-    diffs = {}
-    zero = algebra.ring.zero()
-    field = algebra.field
-    for n in range(1, c + 1):
-        rows = ranks[n - 1]
-        cols = ranks[n]
-        mat = [[zero] * cols for _ in range(rows)]
-        for j, subset in enumerate(basis[n]):
-            for pos, el in enumerate(subset):
-                rest = subset[:pos] + subset[pos + 1 :]
-                i = index[n - 1][rest]
-                sign = field.one() if pos % 2 == 0 else field.neg(field.one())
-                mat[i][j] = mat[i][j] + elems[el].scale(sign)
-        diffs[n] = mat
+    ranks = {n: comb(c, n) for n in range(c + 1)}
+    diffs = {n: matrix_from_columns(koszul_columns(algebra.ring, elems, n),
+                                    ranks[n - 1])
+             for n in range(1, c + 1)}
     return FreeComplex(algebra, ranks, diffs)
+
+
+def koszul_columns(ring, elements, n: int) -> list[list[Polynomial]]:
+    """Columns of the degree-n Koszul differential on `elements`.
+
+    Bases in degrees n and n - 1 are the subsets in `combinations` order;
+    e_S goes to the sum over positions p of S of (-1)^p f_{S[p]} e_{S - S[p]},
+    so in degree 2 the column of e_i e_j (i < j) is f_i e_j - f_j e_i.
+    """
+    c = len(elements)
+    index = {s: i for i, s in enumerate(combinations(range(c), n - 1))}
+    columns = []
+    for subset in combinations(range(c), n):
+        col = [ring.zero()] * len(index)
+        for pos, el in enumerate(subset):
+            f = elements[el]
+            col[index[subset[:pos] + subset[pos + 1:]]] = -f if pos % 2 else f
+        columns.append(col)
+    return columns
 
 
 def koszul_homology_all_vanish(algebra, elements, max_degree=None) -> tuple[bool, dict]:

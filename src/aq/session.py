@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .classify import PROPERTIES, RING_PROPERTIES
 from .fields import FieldError, field_from_spec
 from .orders import MonomialOrder
-from .poly import ParseError, PolyRing, parse_polynomial, stable_str
+from .poly import (ParseError, PolyRing, Polynomial, parse_polynomial,
+                   stable_str)
 from .rings import AlgebraError, AlgebraMap, PointError, PresentedAlgebra, parse_scalar
 
 VALID_TASKS = ("check", "classify", "homology", "resolve")
@@ -244,6 +245,13 @@ class _Cursor:
                     return inner, open_pos + 1
         self.error("unbalanced '('", open_pos)
 
+    def polynomial(self, text: str, ring: PolyRing, col: int) -> Polynomial:
+        """Parse `text`, a piece of this line starting at `col`."""
+        try:
+            return parse_polynomial(text, ring, self.line, col)
+        except ParseError as exc:
+            raise SessionError(exc.message, exc.line, exc.col) from None
+
     def bracket_group(self) -> tuple[str, int]:
         self.skip_ws()
         open_pos = self.pos
@@ -321,8 +329,7 @@ def _parse_ring(cur: _Cursor, session: Session):
             for piece, pcol in _split_top_commas(inner, inner_col):
                 v = piece.strip()
                 if not v.isidentifier():
-                    raise SessionError(f"bad variable name {v!r}",
-                                       cur.line, pcol + 1)
+                    cur.error(f"bad variable name {v!r}", pcol)
                 variables.append(v)
         if len(set(variables)) != len(variables):
             cur.error("duplicate variable names", inner_col)
@@ -341,12 +348,8 @@ def _parse_ring(cur: _Cursor, session: Session):
         rels = []
         for piece, pcol in _split_top_commas(inner, inner_col):
             if not piece.strip():
-                raise SessionError("empty relation", cur.line, pcol + 1)
-            try:
-                rels.append(parse_polynomial(piece, base.ring,
-                                             cur.line, pcol))
-            except ParseError as exc:
-                raise SessionError(exc.message, exc.line, exc.col) from None
+                cur.error("empty relation", pcol)
+            rels.append(cur.polynomial(piece, base.ring, pcol))
         algebra = PresentedAlgebra(
             base.ring, list(base.relations) + rels)
         session.rings[name] = algebra
@@ -370,26 +373,19 @@ def _parse_map(cur: _Cursor, session: Session):
         inner, inner_col = cur.bracket_group()
         for piece, pcol in _split_top_commas(inner, inner_col):
             if "->" not in piece:
-                raise SessionError("expected 'var -> polynomial'",
-                                   cur.line, pcol + 1)
+                cur.error("expected 'var -> polynomial'", pcol)
             var, _, expr = piece.partition("->")
             v = var.strip()
             if v not in source.ring._var_index:
-                raise SessionError(f"{v!r} is not a source variable",
-                                   cur.line, pcol + 1)
+                cur.error(f"{v!r} is not a source variable", pcol)
             if v in images:
-                raise SessionError(f"duplicate image for {v!r}",
-                                   cur.line, pcol + 1)
-            try:
-                images[v] = parse_polynomial(
-                    expr, target.ring, cur.line, pcol + len(var) + 2)
-            except ParseError as exc:
-                raise SessionError(exc.message, exc.line, exc.col) from None
+                cur.error(f"duplicate image for {v!r}", pcol)
+            images[v] = cur.polynomial(expr, target.ring, pcol + len(var) + 2)
     cur.expect_end()
     try:
         amap = AlgebraMap(source, target, images)
     except AlgebraError as exc:
-        raise SessionError(str(exc), cur.line, col + 1) from None
+        cur.error(str(exc), col)
     session.maps[name] = amap
     # canonical text keeps the stated (unreduced) images so it does not
     # depend on the ambient monomial order
@@ -412,26 +408,23 @@ def _parse_point(cur: _Cursor, session: Session):
     raw = {}
     for piece, pcol in _split_top_commas(inner, inner_col):
         if "=" not in piece:
-            raise SessionError("expected 'var=value'", cur.line, pcol + 1)
+            cur.error("expected 'var=value'", pcol)
         var, _, val = piece.partition("=")
         v = var.strip()
         if v not in algebra.ring._var_index:
-            raise SessionError(f"{v!r} is not a variable of {ring_name}",
-                               cur.line, pcol + 1)
+            cur.error(f"{v!r} is not a variable of {ring_name}", pcol)
         if v in raw:
-            raise SessionError(f"duplicate assignment for {v!r}",
-                               cur.line, pcol + 1)
+            cur.error(f"duplicate assignment for {v!r}", pcol)
         try:
             raw[v] = parse_scalar(val, session.field)
-        except (ParseError, ValueError) as exc:
-            raise SessionError(f"bad scalar {val.strip()!r}",
-                               cur.line, pcol + 1) from None
+        except (ParseError, ValueError):
+            cur.error(f"bad scalar {val.strip()!r}", pcol)
     cur.expect_end()
     try:
         pt = algebra.parse_point(raw)
     except PointError as exc:
-        raise SessionError(str(exc), cur.line, inner_col, exit_code=2) \
-            from None
+        # reported at the opening parenthesis
+        cur.error(str(exc), inner_col - 1, exit_code=2)
     session.points[name] = (ring_name, pt)
     field = session.field
     session.statements.append(PointDecl(
@@ -513,19 +506,14 @@ def _parse_task(cur: _Cursor, session: Session):
                           "elements", pcol + len(piece) - len(piece.lstrip()))
             polys = []
             for piece, pcol in pieces:
-                try:
-                    polys.append(stable_str(parse_polynomial(
-                        piece, algebra.ring, cur.line, pcol)))
-                except ParseError as exc:
-                    raise SessionError(exc.message, exc.line, exc.col) \
-                        from None
+                polys.append(stable_str(
+                    cur.polynomial(piece, algebra.ring, pcol)))
             if rkind == "koszul":
                 detail = tuple(polys)
             else:
                 if len(polys) != 1:
-                    raise SessionError(
-                        f"{rkind} takes exactly one element",
-                        cur.line, inner_col)
+                    cur.error(f"{rkind} takes exactly one element",
+                              inner_col - 1)
                 detail = polys[0]
         levels = cur.bound("levels", "a level bound")
         cur.expect_end()

@@ -107,6 +107,26 @@ def test_closed_form_differentials_square_to_zero():
         assert all(S.normal_form(e).is_zero() for row in prod for e in row)
 
 
+def test_resolution_complex_applies_once_per_entry(monkeypatch):
+    import aq.cotangent
+    plane = algebra(QQ, ("x", "y"))
+    ext = hypersurface_resolution(plane, "x^3 - y^2", 6)
+    applied = []
+    real = aq.cotangent.augmentation_maps
+
+    def counting_maps(ext):
+        maps = real(ext)
+        for amap in maps:
+            amap.apply = (lambda p, apply=amap.apply:
+                          applied.append(p) or apply(p))
+        return maps
+
+    monkeypatch.setattr(aq.cotangent, "augmentation_maps", counting_maps)
+    diffs = cotangent_from_resolution(ext).complex.diffs
+    assert sorted(diffs) == list(range(2, ext.max_level + 1))
+    assert len(applied) == sum(len(m) * len(m[0]) for m in diffs.values())
+
+
 def test_epsilon_rank_table_values():
     assert [hypersurface_rank_table(n) for n in range(2, 7)] == [0, 2, 1, 3, 2]
     assert epsilon_entry(0, 1) == 0  # degree-2 differential vanishes

@@ -93,6 +93,17 @@ def test_chain_rule():
     assert jacobian_chain_rule_holds(psi, sigma)
 
 
+def test_chain_rule_through_a_map_without_variables_of_its_own():
+    # every variable of B is a base variable of both maps, so the inner
+    # dimension of J_sigma * sigma(J_psi) is empty and the product is zero
+    A = algebra(QQ, ("x", "a"))
+    B = algebra(QQ, ("x",))
+    C = algebra(QQ, ("x", "u"))
+    psi = AlgebraMap(A, B, {"a": "x^2"})
+    sigma = AlgebraMap(B, C, {})
+    assert jacobian_chain_rule_holds(psi, sigma)
+
+
 # -- derivations at a point ---------------------------------------------------
 
 
@@ -128,6 +139,15 @@ def test_conormal_sequence_on_cusp():
     psi = inclusion_from_ground(plane)
     report = conormal_sequence(psi, ["x^3 - y^2"])
     assert report.ok
+
+
+def test_conormal_sequence_on_a_non_principal_ideal():
+    # I/I^2 has the relation y [x^2] - x [x*y], which must map into the
+    # relations of Omega_mid
+    plane = algebra(QQ, ("x", "y"))
+    report = conormal_sequence(inclusion_from_ground(plane), ["x^2", "x*y"])
+    assert report.detail["conormal"]["relations"] == [["y", "-x"]]
+    assert report.detail["map_well_defined"] and report.ok
 
 
 def test_conormal_zeta_keeps_a_column_per_generator_without_adjoined_variables():

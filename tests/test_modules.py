@@ -11,8 +11,9 @@ from aq.modules import (
     ModuleError,
     koszul_complex,
     koszul_homology_all_vanish,
+    matrix_product,
 )
-from aq.poly import PolyRing
+from aq.poly import Polynomial, PolyRing
 from aq.rings import PresentedAlgebra
 
 
@@ -122,9 +123,49 @@ def test_quotient_algebra_relations_enter():
 
 def test_differential_composition_enforced():
     A = plane()
-    one = A.poly("1")
-    with pytest.raises(ModuleError, match=r"d_1 \. d_2 != 0"):
-        FreeComplex(A, {0: 1, 1: 1, 2: 1}, {1: [[one]], 2: [[one]]})
+    cases = [
+        ([["1"]], [["1"]], "(0,0)"),
+        # the first nonzero entry of d_1 . d_2 = [[0, y]], row by row
+        ([["x", "y"]], [["y", "0"], ["-x", "1"]], "(0,1)"),
+    ]
+    for d1, d2, entry in cases:
+        diffs = {n: [[A.poly(e) for e in row] for row in m]
+                 for n, m in ((1, d1), (2, d2))}
+        ranks = {0: len(d1), 1: len(d2), 2: len(d2[0])}
+        with pytest.raises(ModuleError) as exc:
+            FreeComplex(A, ranks, diffs)
+        assert str(exc.value) == f"d_1 . d_2 != 0 at entry {entry}"
+
+
+def test_dd_check_multiplies_only_nonzero_pairs(monkeypatch):
+    names = tuple(f"x{i}" for i in range(1, 7))
+    A = PresentedAlgebra(PolyRing(QQ, names), [])
+    kc = koszul_complex(A, [A.poly(v) for v in names])
+    pairs = 0
+    for n in range(1, kc.max_degree()):
+        a, b = kc.differential(n), kc.differential(n + 1)
+        pairs += sum(1 for row in a for k, p in enumerate(row)
+                     if not p.is_zero() for e in b[k] if not e.is_zero())
+    products = []
+    real = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    koszul_complex(A, [A.poly(v) for v in names])
+    assert len(products) == pairs
+
+
+def test_matrix_product_in_normal_forms():
+    A = PresentedAlgebra(PolyRing(QQ, ("x", "y")), ["x^2"])
+    a = [[A.poly("x"), A.poly("1")], [A.poly("0"), A.poly("y")]]
+    b = [[A.poly("x"), A.poly("y")], [A.poly("x"), A.poly("0")]]
+    assert matrix_product(A, a, b) == [[A.poly("x"), A.poly("x*y")],
+                                       [A.poly("x*y"), A.poly("0")]]
+    # an empty inner dimension gives the rows x cols zero matrix
+    assert matrix_product(A, [[], []], [], 3) == [[A.ring.zero()] * 3] * 2
 
 
 def test_koszul_ranks_are_binomial():

@@ -21,6 +21,11 @@ Sections, in order:
     entry's points, and the `global_flag` of the smooth, unramified, etale
     and lci classification reports over those points, each written as its
     refusal where the library refuses it;
+  - for each `jacobi_zariski_instances()` pair, the right-exact
+    Jacobi-Zariski sequence of Kahler differentials (maps, verdict and
+    detail), the Jacobian chain rule verdict, and the conormal sequence of
+    the first map and the second map's target relations, each written as
+    its refusal where the library refuses it;
   - for each simplicial resolution shape with a known homotopy (bar,
     hypersurface, degree-one cell attachment, tensor of two bars, constant),
     the presentations of pi_1..pi_3, the simplicial identity verdict, and
@@ -47,6 +52,8 @@ from aq import (GF, QQ, SUITES, AlgebraError, AlgebraMap,  # noqa: E402
                 tensor_resolutions, tor_modules)
 from aq.cli import run_session  # noqa: E402
 from aq.groebner import SubmoduleEngine, vp_from_poly  # noqa: E402
+from aq.kahler import (conormal_sequence,  # noqa: E402
+                       jacobi_zariski_right_exact, jacobian_chain_rule_holds)
 from aq.simplicial import homotopy_modules  # noqa: E402
 
 CORPORA = ("classifier_corpus", "random_surjections", "random_base_extensions",
@@ -101,6 +108,24 @@ def _homology(phi: AlgebraMap, points: list[dict]) -> dict:
             prop: _or_refusal(
                 lambda: classification_report(prop, phi, points).global_flag)
             for prop in GLOBAL_FLAG_PROPERTIES},
+    }
+
+
+def _exact_sequence(report) -> dict:
+    return {"maps": report.maps, "ok": report.ok, "detail": report.detail}
+
+
+def _kahler_sequences(entry: dict) -> dict:
+    """The right-exact sequences and the chain rule for one composable
+    pair, refusals as text."""
+    first, second = entry["first"], entry["second"]
+    return {
+        "jacobi-zariski": _or_refusal(lambda: _exact_sequence(
+            jacobi_zariski_right_exact(first, second))),
+        "chain rule": _or_refusal(
+            lambda: jacobian_chain_rule_holds(first, second)),
+        "conormal": _or_refusal(lambda: _exact_sequence(
+            conormal_sequence(first, second.target.relations))),
     }
 
 
@@ -163,6 +188,9 @@ def sections():
                 if isinstance(entry[key], AlgebraMap):
                     yield (f"homology {family} {entry['name']} {key}",
                            _dumps(_homology(entry[key], points)))
+
+    for entry in corpus.jacobi_zariski_instances():
+        yield f"kahler {entry['name']}", _dumps(_kahler_sequences(entry))
 
     for name, ext in _resolutions():
         pis = homotopy_modules(ext, 3)
