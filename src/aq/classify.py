@@ -23,8 +23,9 @@ from fractions import Fraction
 from . import linalg
 from .cotangent import CotangentError, cotangent_trunc2
 from .groebner import ideal_groebner, poly_normal_form
-from .kahler import jacobian_matrix, kahler_oracle_via_diagonal, kahler_presentation
-from .modules import FPModule, evaluate_matrix, matrix_columns
+from .kahler import (jacobian_matrix, kahler_oracle_via_diagonal,
+                     kahler_presentation, relative_presentation)
+from .modules import FPModule, evaluate_matrix, matrix_columns, syzygies
 from .orders import MonomialOrder
 from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra
@@ -65,23 +66,23 @@ def is_smooth_at(phi: AlgebraMap, point: dict) -> dict:
     """Degree-1 homology vanishes at the point.
 
     Oracle: the Jacobian rank at the point equals the number of local
-    relation generators, with every ingredient recomputed under lex.
+    relation generators, m minus the rank there of the syzygies of the m
+    relations.  The presentation and the syzygies are recomputed under
+    lex; no truncation is built for the oracle.
     """
     pt = _require_rational(phi.target, point)
     trunc = cotangent_trunc2(phi)
     _, aq1, aq2 = trunc.dims_through(pt, 2)
     primary = aq1 == 0
 
-    alt = _with_order(phi, "lex")
-    stage = cotangent_trunc2(alt).provenance["stages"]
-    rp = stage.rp
+    rp = relative_presentation(_with_order(phi, "lex"))
     alt_pt = rp.transport_point(pt)
     field = rp.algebra.field
-    jac = jacobian_matrix(rp)
-    rank_j = linalg.rank(field, evaluate_matrix(jac, alt_pt))
-    m = len(stage.generators)
-    d2 = evaluate_matrix(stage.syzygy_vectors, alt_pt)
-    local_gens = m - linalg.rank(field, d2)
+    rank_j = linalg.rank(field, evaluate_matrix(jacobian_matrix(rp), alt_pt))
+    m = len(rp.relation_polys)
+    syz = (syzygies([[f] for f in rp.relation_polys], 1, rp.base_algebra)
+           if m else [])
+    local_gens = m - linalg.rank(field, evaluate_matrix(syz, alt_pt))
     oracle = rank_j == local_gens
 
     if primary != oracle:

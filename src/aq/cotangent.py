@@ -9,7 +9,8 @@ pushed to the augmentation by the extension's augmentation maps.  Mode
 presentation: generators f, their syzygies, and the Koszul syzygies
 f_i e_j - f_j e_i, the latter lifted and attached, with the second
 syzygies, as a degree-3 differential so that degree-2 homology is taken
-against the right quotient.  The truncation is a pure function of the map,
+against the right quotient; one elimination over the syzygies gives both.
+The truncation is a pure function of the map,
 so it is built once per map and kept on the map: Tor, the five-term
 check and lci read the same presentation stages.  The stages keep, each
 built on first use, the Tor resolution through degree 2 and H_1(K(f)) of
@@ -39,6 +40,7 @@ from .modules import (
     FPModule,
     FreeComplex,
     Matrix,
+    canonical_syzygies,
     dense_to_vp,
     evaluate_matrix,
     koszul_columns,
@@ -174,7 +176,13 @@ def _column_complex(algebra: PresentedAlgebra, *stages) -> FreeComplex:
 
 
 class _Trunc2Data:
-    """Presentation stages shared by trunc2, Tor, the five-term check and lci."""
+    """Presentation stages shared by trunc2, Tor, the five-term check and lci.
+
+    One elimination over the syzygies of the relations gives both the
+    second syzygies and the lift of each Koszul vector onto the syzygies;
+    there are Koszul vectors only when there are syzygies, since each is a
+    nonzero syzygy.
+    """
 
     def __init__(self, rp: RelativePresentation):
         self.rp = rp
@@ -185,32 +193,21 @@ class _Trunc2Data:
         self.relation_columns = [[f] for f in self.generators]
         self.syzygy_vectors = (
             syzygies(self.relation_columns, 1, P) if m else [])
-        s = len(self.syzygy_vectors)
-        self.second_syzygies = (
-            syzygies(self.syzygy_vectors, m, P) if s else [])
         self.koszul_vectors = koszul_columns(P.ring, self.generators, 2)
-        self.koszul_lifts = self._lift_koszul()
-
-    def _lift_koszul(self) -> list[list[Polynomial]]:
-        """One coefficient column per Koszul vector, over the syzygies."""
-        if not self.koszul_vectors:
-            return []
-        engine = SubmoduleEngine(
-            self.base.ring, len(self.generators),
-            [dense_to_vp(v) for v in self.syzygy_vectors],
-            self.base.relations)
-        out = []
-        for vec in self.koszul_vectors:
-            lift = engine.lift(dense_to_vp(vec))
-            if lift is None:
-                raise CotangentError("Koszul syzygy failed to lift")
-            out.append(lift)
-        return out
+        self.second_syzygies, self.koszul_lifts = [], []
+        if self.syzygy_vectors:
+            engine = SubmoduleEngine(
+                P.ring, m, [dense_to_vp(v) for v in self.syzygy_vectors],
+                P.relations)
+            self.second_syzygies = canonical_syzygies(engine, P)
+            for vec in self.koszul_vectors:
+                lift = engine.lift(dense_to_vp(vec))
+                if lift is None:
+                    raise CotangentError("Koszul syzygy failed to lift")
+                self.koszul_lifts.append(lift)
 
     def top_relation_columns(self) -> list[list[Polynomial]]:
-        cols = [list(c) for c in self.koszul_lifts if c]
-        cols.extend([list(r) for r in self.second_syzygies])
-        return cols
+        return [list(c) for c in self.koszul_lifts + self.second_syzygies]
 
     @cached_property
     def tor_complex(self) -> FreeComplex:
@@ -558,16 +555,14 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
     trunc = cotangent_trunc2(phi)
     S = data.rp.algebra
     field = S.field
-    lam_cols = [c for c in data.koszul_lifts if c]
-    m3_cols = [list(r) for r in data.second_syzygies]
     per_point = []
     passes = True
     for q in points:
         pt = data.rp.transport_point(q)
         _, aq1, aq2 = trunc.complex.dims_through(pt, 2)
         _, tor1, tor2 = tor.complex.dims_through(pt, 2)
-        m3_eval = evaluate_matrix(m3_cols, pt)
-        both_eval = m3_eval + evaluate_matrix(lam_cols, pt)
+        m3_eval = evaluate_matrix(data.second_syzygies, pt)
+        both_eval = m3_eval + evaluate_matrix(data.koszul_lifts, pt)
         rank_w = linalg.rank(field, both_eval) - linalg.rank(field, m3_eval)
         ok = (aq2 == tor2 - rank_w) and (aq1 == tor1)
         passes = passes and ok

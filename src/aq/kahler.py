@@ -175,34 +175,29 @@ def kahler_oracle_via_diagonal(phi: AlgebraMap):
     return FPModule(rp.algebra, len(diffs), pushed_rels), tensor_alg
 
 
-def jacobian_of_map(psi: AlgebraMap):
-    """Jacobian of a map of polynomial algebras over a shared base.
-
-    Base variables are the source variables with identity images. Returns
-    (row labels = target's own variables, column labels = source's own
-    variables, matrix of partials of the images).
-    """
-    base = [
-        v
-        for v in psi.source.variables
-        if v in psi.target.ring._var_index and psi.images[v] == psi.target.ring.var(v)
-    ]
-    src_own = [v for v in psi.source.variables if v not in base]
-    tgt_own = [v for v in psi.target.variables if v not in base]
-    return tgt_own, src_own, jacobian(
-        psi.target, [psi.images[y] for y in src_own], tgt_own)
+def jacobian_of_map(psi: AlgebraMap, base) -> Matrix:
+    """Jacobian of a map of polynomial algebras relative to the variables
+    in `base`: rows are the target's other variables, columns the partials
+    of the images of the source's other variables."""
+    own = [y for y in psi.source.variables if y not in base]
+    return jacobian(psi.target, [psi.images[y] for y in own],
+                    [v for v in psi.target.variables if v not in base])
 
 
 def jacobian_chain_rule_holds(psi: AlgebraMap, sigma: AlgebraMap) -> bool:
-    """J_{sigma.psi} equals J_sigma * sigma(J_psi) entrywise."""
+    """J_{sigma.psi} equals J_sigma * sigma(J_psi) entrywise, all three
+    relative to the source variables of psi that psi and sigma.psi both
+    fix; sigma fixes those too, so leaving them out drops only zero terms."""
     composed = compose(sigma, psi)
-    rows_c, cols_c, jc = jacobian_of_map(composed)
-    rows_s, cols_s, js = jacobian_of_map(sigma)
-    rows_p, cols_p, jp = jacobian_of_map(psi)
-    if rows_c != rows_s or cols_c != cols_p or cols_s != rows_p:
-        return False
-    pushed = [[sigma.apply(p) for p in row] for row in jp]
-    return matrix_product(sigma.target, js, pushed, len(cols_c)) == jc
+    base = [v for v in psi.source.variables
+            if all(v in f.target.ring._var_index
+                   and f.images[v] == f.target.ring.var(v)
+                   for f in (psi, composed))]
+    pushed = [[sigma.apply(p) for p in row]
+              for row in jacobian_of_map(psi, base)]
+    product = matrix_product(sigma.target, jacobian_of_map(sigma, base),
+                             pushed, len(psi.source.variables) - len(base))
+    return product == jacobian_of_map(composed, base)
 
 
 # -- towers and exact sequences ---------------------------------------------

@@ -125,17 +125,15 @@ def syzygies(vectors, rank: int, algebra: PresentedAlgebra):
 
     Works over the quotient: relation multiples count as zero.
     """
-    vps = []
-    for vec in vectors:
-        if isinstance(vec, dict):
-            vps.append(vec)
-        else:
-            vps.append(dense_to_vp(vec))
-    engine = SubmoduleEngine(algebra.ring, rank, vps, algebra.relations)
-    out = [
-        [algebra.normal_form(p) for p in row] for row in engine.syzygies()
-    ]
-    return _canonical_vectors(out, algebra)
+    vps = [v if isinstance(v, dict) else dense_to_vp(v) for v in vectors]
+    return canonical_syzygies(
+        SubmoduleEngine(algebra.ring, rank, vps, algebra.relations), algebra)
+
+
+def canonical_syzygies(engine: SubmoduleEngine, algebra: PresentedAlgebra):
+    """The syzygies an engine over the algebra holds, as normal forms,
+    deduplicated and in the canonical order `syzygies` returns."""
+    return _canonical_vectors(engine.syzygies(), algebra)
 
 
 def kernel(columns, relations, rank: int, algebra: PresentedAlgebra):

@@ -428,11 +428,10 @@ class _PolyParser:
     MAX_EXPONENT.
     """
 
-    def __init__(self, tokens, ring: PolyRing, line: int = 1):
+    def __init__(self, tokens, ring: PolyRing):
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
-        self.line = line
         self.depth = 0
 
     def peek(self):
@@ -441,7 +440,8 @@ class _PolyParser:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of expression", self.line, 0)
+            _, text, line, col = self.tokens[-1]
+            raise ParseError("unexpected end of expression", line, col + len(text))
         self.pos += 1
         return tok
 
@@ -533,4 +533,4 @@ def parse_polynomial(src: str, ring: PolyRing, line: int = 1, col0: int = 0) -> 
     tokens = tokenize(src, line, col0)
     if not tokens:
         raise ParseError("empty polynomial", line, col0 + 1)
-    return _PolyParser(tokens, ring, line).parse()
+    return _PolyParser(tokens, ring).parse()

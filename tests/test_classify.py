@@ -35,6 +35,23 @@ def test_cusp_smooth_locus():
     assert is_smooth_at(phi, {"x": 1, "y": 1})["verdict"]
 
 
+def test_smooth_oracle_builds_no_truncation(monkeypatch):
+    import aq.cotangent
+    built = []
+    real = aq.cotangent._build_trunc2
+
+    def counting_build(phi):
+        built.append(phi)
+        return real(phi)
+
+    monkeypatch.setattr(aq.cotangent, "_build_trunc2", counting_build)
+    report = classification_report("smooth", inclusion_from_ground(cusp()),
+                                   [{"x": 0, "y": 0}, {"x": 1, "y": 1}])
+    assert [row["verdict"] for row in report.rows] == [False, True]
+    # the map's own truncation only; the lex oracle reads syzygies
+    assert len(built) == 1
+
+
 def test_smooth_result_carries_homology_evidence():
     res = is_smooth_at(inclusion_from_ground(cusp()), {"x": 0, "y": 0})
     assert (res["aq1"], res["aq2"]) == (1, 0)

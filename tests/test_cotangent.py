@@ -24,6 +24,7 @@ from aq.cotangent import (
     tor_modules,
 )
 from aq.fields import GF, QQ
+from aq.groebner import SubmoduleEngine
 from aq.kahler import RelativePresentation
 from aq.modules import FPModule, FreeComplex, evaluate_matrix
 from aq.rings import AlgebraError, AlgebraMap, PointError, compose
@@ -277,19 +278,19 @@ def test_tor_builds_only_the_stages_its_degrees_need(monkeypatch):
 
 
 def test_five_term_check_reads_tor_through_degree_two(monkeypatch):
-    import aq.cotangent
     phi = canonical_surjection(algebra(QQ, ("x", "y", "z"), ["x", "y", "z"]))
-    calls = []
-    real = aq.cotangent.syzygies
+    built = []
+    init = SubmoduleEngine.__init__
 
-    def counting_syzygies(*args):
-        calls.append(args)
-        return real(*args)
+    def counting_init(self, ring, rank, vectors, relations=()):
+        built.append(rank)
+        init(self, ring, rank, vectors, relations)
 
-    monkeypatch.setattr(aq.cotangent, "syzygies", counting_syzygies)
+    monkeypatch.setattr(SubmoduleEngine, "__init__", counting_init)
     assert five_term_check(phi, [{"x": 0, "y": 0, "z": 0}])["passes"]
-    # the relations' syzygies and the second syzygies; no third syzygies
-    assert len(calls) == 2
+    # one elimination over the relations and one over their syzygies, which
+    # gives both the second syzygies and the Koszul lifts; no third syzygies
+    assert built == [1, 3]
 
 
 def test_five_term_check_and_degree_one_tor_build_one_tor_complex(

@@ -3,7 +3,8 @@ derivations, and the right-exact sequences."""
 
 import pytest
 
-from aq.corpus import algebra, ground, inclusion_from_ground
+from aq.corpus import (algebra, ground, inclusion_from_ground,
+                       jacobi_zariski_instances)
 from aq.fields import GF, QQ
 from aq.kahler import (
     conormal_sequence,
@@ -102,6 +103,14 @@ def test_chain_rule_through_a_map_without_variables_of_its_own():
     psi = AlgebraMap(A, B, {"a": "x^2"})
     sigma = AlgebraMap(B, C, {})
     assert jacobian_chain_rule_holds(psi, sigma)
+
+
+@pytest.mark.parametrize("entry", jacobi_zariski_instances(),
+                         ids=lambda e: e["name"])
+def test_chain_rule_on_the_jacobi_zariski_towers(entry):
+    # the ground inclusion fixes no variable, so all three Jacobians are
+    # taken over the ground field, with no columns for the composite
+    assert jacobian_chain_rule_holds(entry["first"], entry["second"])
 
 
 # -- derivations at a point ---------------------------------------------------

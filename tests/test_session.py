@@ -193,6 +193,18 @@ def test_deep_parentheses_are_a_positioned_error(line):
     assert line[e.col - 1] == "("
 
 
+@pytest.mark.parametrize("line, col", [
+    ("ring Q = P/(x, y +)", 19),
+    ("ring Q = P/(x^)", 15),
+    ("map f : P -> C [x ->   (y]", 26),
+])
+def test_unexpected_end_points_just_past_the_last_token(line, col):
+    e = err("field QQ\nring P = poly(x, y)\nring C = P/(x^3 - y^2)\n"
+            + line + "\n")
+    assert "unexpected end of expression" in e.message
+    assert (e.exit_code, e.line, e.col) == (1, 4, col)
+
+
 @pytest.mark.parametrize("count, image", [(5000, "x"), (5001, "-x")])
 def test_long_runs_of_unary_minus_parse(count, image):
     s = parse_session(HOSTILE_HEAD + f"ring C = P/({'-' * count}x)\n"

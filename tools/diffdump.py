@@ -15,12 +15,13 @@ Sections, in order:
   - for each corpus target, its reduced Groebner basis and the syzygies
     of its relations over the ambient polynomial ring;
   - for each corpus map, the degree-<=2 homology and cohomology reports
-    with coefficients in the target, the residue-field dims in degrees
-    0..2, the dims of Tor_0..Tor_3 (`tor_modules(phi, n_max=3)`), the
-    lci classification's oracle dict (`regular_sequence_found`) at the
-    entry's points, and the `global_flag` of the smooth, unramified, etale
-    and lci classification reports over those points, each written as its
-    refusal where the library refuses it;
+    with coefficients in the target, the truncation's syzygies, second
+    syzygies and Koszul lifts, the residue-field dims in degrees 0..2, the
+    dims of Tor_0..Tor_3 (`tor_modules(phi, n_max=3)`), the smooth and lci
+    classifications' oracle dicts at the entry's points, and the
+    `global_flag` of the smooth, unramified, etale and lci classification
+    reports over those points, each written as its refusal where the
+    library refuses it;
   - for each `jacobi_zariski_instances()` pair, the right-exact
     Jacobi-Zariski sequence of Kahler differentials (maps, verdict and
     detail), the Jacobian chain rule verdict, and the conormal sequence of
@@ -48,8 +49,8 @@ from aq import (GF, QQ, SUITES, AlgebraError, AlgebraMap,  # noqa: E402
                 CotangentError, PresentedAlgebra, aq_cohomology, aq_homology,
                 bar_construction, classification_report, constant_extension,
                 corpus, cotangent_from_resolution, cotangent_trunc2,
-                hypersurface_resolution, is_lci_at, kill_cycle, run_suite,
-                tensor_resolutions, tor_modules)
+                hypersurface_resolution, is_lci_at, is_smooth_at, kill_cycle,
+                run_suite, tensor_resolutions, tor_modules)
 from aq.cli import run_session  # noqa: E402
 from aq.groebner import SubmoduleEngine, vp_from_poly  # noqa: E402
 from aq.kahler import (conormal_sequence,  # noqa: E402
@@ -91,17 +92,28 @@ def _tor_dims(phi: AlgebraMap, points: list[dict]):
             for q in points]
 
 
+def _stages(phi: AlgebraMap) -> dict:
+    """The truncation's syzygies, second syzygies and Koszul lifts."""
+    stages = cotangent_trunc2(phi).provenance["stages"]
+    return {name: [[str(p) for p in vec] for vec in getattr(stages, name)]
+            for name in ("syzygy_vectors", "second_syzygies", "koszul_lifts")}
+
+
 def _homology(phi: AlgebraMap, points: list[dict]) -> dict:
-    """The truncation's reports, Tor, the lci oracle and the global flags
-    for one map, refusals as text."""
+    """The truncation's reports and stages, Tor, the smooth and lci
+    oracles and the global flags for one map, refusals as text."""
     return {
         "homology": _or_refusal(lambda: aq_homology(phi, None, 2).to_json()),
         "cohomology": _or_refusal(
             lambda: aq_cohomology(phi, None, 2).to_json()),
+        "stages": _or_refusal(lambda: _stages(phi)),
         "residue dims": [
             _or_refusal(lambda: cotangent_trunc2(phi).dims_through(q, 2))
             for q in points],
         "tor dims": _tor_dims(phi, points),
+        "smooth oracle": [
+            _or_refusal(lambda: is_smooth_at(phi, q)["oracle"])
+            for q in points],
         "lci oracle": [_or_refusal(lambda: is_lci_at(phi, q)["oracle"])
                        for q in points],
         "global flags": {
