@@ -395,7 +395,7 @@ def _monic_quartic_quadratic_free(A: list[int]) -> bool:
     return True
 
 
-def _rational_irreducible(coeffs: list[Fraction]) -> bool:
+def _rational_irreducible(coeffs: list[int | Fraction]) -> bool:
     deg = len(coeffs) - 1
     if deg <= 0:
         raise ClassifyError("constant polynomial")

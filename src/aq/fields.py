@@ -1,7 +1,9 @@
 """Exact coefficient fields: the rationals and prime fields GF(p).
 
-Field elements are plain Python values (Fraction for QQ, ints in [0, p)
-for GF(p)); the Field object supplies the arithmetic. No floats anywhere.
+Field elements are plain Python values; the Field object supplies the
+arithmetic. A rational is an int when it is integral and a Fraction
+otherwise, never a Fraction with denominator 1; an element of GF(p) is an
+int in [0, p). No floats anywhere.
 """
 
 from __future__ import annotations
@@ -68,32 +70,39 @@ class Field:
         return str(a)
 
 
+def _canonical(q):
+    """The rational q as an int when it is integral, else the Fraction."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
 class RationalField(Field):
     kind = "QQ"
     characteristic = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return int(n)
 
     def fraction(self, num: int, den: int):
         if den == 0:
             raise FieldError("division by zero")
-        return Fraction(num, den)
+        return _canonical(Fraction(num, den))
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
         return -a
@@ -101,7 +110,8 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise FieldError("division by zero")
-        return 1 / a
+        # 1 / a would be a float for an int a
+        return _canonical(Fraction(1, a))
 
     def is_zero(self, a) -> bool:
         return a == 0

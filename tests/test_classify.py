@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -238,6 +239,18 @@ def test_quartic_irreducibility_over_the_rationals():
     assert univariate_irreducible(QQ, [one, zero, zero, zero, one])
     assert univariate_irreducible(QQ, [QQ.from_int(-2), zero, one])
     assert not univariate_irreducible(QQ, [QQ.from_int(-1), zero, one])
+
+
+def test_rational_irreducibility_takes_int_coefficients():
+    assert univariate_irreducible(QQ, [-2, 0, 1])
+    assert not univariate_irreducible(QQ, [-1, 0, 1])
+    for coeffs in ([-2, 0, 1], [-1, 0, 1], [1, 0, 0, 0, 1], [4, 0, 0, 0, 1],
+                   [QQ.fraction(-1, 4), 0, 1], [QQ.fraction(1, 2), 3, 2]):
+        fractions = [Fraction(c) for c in coeffs]
+        mixed = [c if i % 2 else Fraction(c) for i, c in enumerate(coeffs)]
+        assert univariate_irreducible(QQ, coeffs) \
+            == univariate_irreducible(QQ, mixed) \
+            == univariate_irreducible(QQ, fractions)
 
 
 @pytest.mark.parametrize("b", [2**60 + 3, 10**200],

@@ -1,5 +1,7 @@
 """Field arithmetic, polynomial arithmetic, parsing, and term orders."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,6 +59,35 @@ def test_qq_ring_axioms(a, b, c):
     assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     assert F.add(a, F.neg(a)) == F.zero()
+
+
+def _is_canonical(q) -> bool:
+    """An integral rational is an int; any other is a Fraction."""
+    if type(q) is int:
+        return True
+    return type(q) is Fraction and q.denominator != 1
+
+
+@given(st.integers(-8, 8), st.integers(-6, 6).filter(bool), small_rationals)
+def test_qq_values_are_canonical_and_exact(num, den, b):
+    a = QQ.fraction(num, den)
+    fa, fb = Fraction(num, den), Fraction(b)
+    results = [(a, fa), (QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
+               (QQ.mul(a, b), fa * fb), (QQ.neg(a), -fa),
+               (QQ.zero(), 0), (QQ.one(), 1), (QQ.from_int(num), num)]
+    if b != 0:
+        results += [(QQ.inv(b), 1 / fb), (QQ.div(a, b), fa / fb)]
+    for value, exact in results:
+        assert value == exact
+        assert _is_canonical(value), repr(value)
+
+
+def test_qq_inverse_of_an_integer_is_exact():
+    third = QQ.inv(QQ.from_int(3))
+    assert third == Fraction(1, 3) and type(third) is Fraction
+    assert type(QQ.inv(QQ.fraction(1, 3))) is int
+    quotient = QQ.div(QQ.one(), QQ.from_int(3))
+    assert quotient == Fraction(1, 3) and type(quotient) is Fraction
 
 
 @given(f7_elements, f7_elements)

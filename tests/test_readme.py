@@ -1,13 +1,17 @@
 """The Python examples in README.md run, and their `# value` comments hold."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 from aq.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+# canonical.json of the README session with maxdeg and levels both 5
+REFERENCE_5 = ROOT / "bench" / "reference" / "readme-5.canonical.json"
 
 
 def _blocks(language: str) -> list[str]:
@@ -81,3 +85,16 @@ def test_readme_session_runs_from_the_command_line(tmp_path):
                 "canonical.json", "summary.json"} <= written
         canonical[order] = (out / "canonical.json").read_bytes()
     assert canonical[None] == canonical["degrevlex"] == canonical["lex"]
+
+
+def test_readme_session_matches_the_reference_bytes(tmp_path):
+    (session,) = _blocks("")
+    session, count = re.subn(r"\b(maxdeg|levels) \d+", r"\1 5", session)
+    assert count == 2
+    path = tmp_path / "readme-5.aq"
+    path.write_text(session + "\n")
+    reference = REFERENCE_5.read_bytes()
+    for order in ("degrevlex", "lex"):
+        out = tmp_path / order
+        assert main(["run", str(path), "--out", str(out), "--order", order]) == 0
+        assert (out / "canonical.json").read_bytes() == reference, order
