@@ -123,11 +123,22 @@ def _canonical_vectors(vectors, algebra: PresentedAlgebra):
 def syzygies(vectors, rank: int, algebra: PresentedAlgebra):
     """Generators of {c : sum c_i v_i = 0 in A^rank} for column vectors v_i.
 
-    Works over the quotient: relation multiples count as zero.
+    Works over the quotient: relation multiples count as zero.  Vectors are
+    dense lists or {component: polynomial} dicts.  The result is kept on
+    the algebra, keyed by the rank and, vector by vector in order, the
+    sorted terms of each nonzero entry (so a dense vector and its dict
+    share a key); each call returns fresh lists, so a caller may change
+    what it gets.
     """
-    vps = [v if isinstance(v, dict) else dense_to_vp(v) for v in vectors]
-    return canonical_syzygies(
-        SubmoduleEngine(algebra.ring, rank, vps, algebra.relations), algebra)
+    vps = [{i: p for i, p in v.items() if not p.is_zero()}
+           if isinstance(v, dict) else dense_to_vp(v) for v in vectors]
+    key = (rank, tuple(tuple((i, tuple(sorted(p.terms.items())))
+                             for i, p in sorted(v.items())) for v in vps))
+    kept = algebra._syzygy_memo.get(key)
+    if kept is None:
+        kept = algebra._syzygy_memo[key] = tuple(map(tuple, canonical_syzygies(
+            SubmoduleEngine(algebra.ring, rank, vps, algebra.relations), algebra)))
+    return [list(vec) for vec in kept]
 
 
 def canonical_syzygies(engine: SubmoduleEngine, algebra: PresentedAlgebra):

@@ -390,6 +390,12 @@ MAX_NESTING = 100
 # of exponent, so an exponent past this bound is refused at its column.
 MAX_EXPONENT = 1000
 
+# Products are computed while parsing too.  A product of a and b costs
+# |a|*|b| term pairs; summed over one parse (each `*`, and each squaring and
+# multiply inside a `^`), the pairs may not pass this bound, or the parse is
+# refused at the column of the operator that would pass it.
+MAX_PRODUCT_WORK = 100_000
+
 
 def tokenize(src: str, line: int = 1, col0: int = 0):
     """Tokens: INT, NAME, or single-char operators, with positions."""
@@ -424,8 +430,8 @@ def tokenize(src: str, line: int = 1, col0: int = 0):
 class _PolyParser:
     """expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := ('-')* atom ('^' INT)?; atom := INT ('/' INT)? | NAME | '(' expr ')'
-    with parentheses nested at most MAX_NESTING deep and exponents at most
-    MAX_EXPONENT.
+    with parentheses nested at most MAX_NESTING deep, exponents at most
+    MAX_EXPONENT and products of at most MAX_PRODUCT_WORK term pairs in all.
     """
 
     def __init__(self, tokens, ring: PolyRing):
@@ -433,6 +439,7 @@ class _PolyParser:
         self.pos = 0
         self.ring = ring
         self.depth = 0
+        self.work = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -456,6 +463,26 @@ class _PolyParser:
             return int(tok[1])
         except ValueError:  # past the interpreter's digit limit
             raise ParseError("integer has too many digits", tok[2], tok[3]) from None
+
+    def multiply(self, a: Polynomial, b: Polynomial, op) -> Polynomial:
+        """a * b, charged |a|*|b| term pairs before it is computed."""
+        self.work += len(a.terms) * len(b.terms)
+        if self.work > MAX_PRODUCT_WORK:
+            raise ParseError(f"products need more than {MAX_PRODUCT_WORK} term pairs",
+                             op[2], op[3])
+        return a * b
+
+    def power(self, p: Polynomial, n: int, op) -> Polynomial:
+        """p^n by the square-and-multiply of `Polynomial.__pow__`, with every
+        product charged."""
+        result = self.ring.one()
+        while n:
+            if n & 1:
+                result = self.multiply(result, p, op)
+            n >>= 1
+            if n:
+                p = self.multiply(p, p, op)
+        return result
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -481,7 +508,7 @@ class _PolyParser:
             if tok is None or tok[0] != "*":
                 return p
             self.next()
-            p = p * self.factor()
+            p = self.multiply(p, self.factor(), tok)
 
     def factor(self) -> Polynomial:
         negate = False
@@ -496,7 +523,7 @@ class _PolyParser:
             n = self.integer(exp)
             if n > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", exp[2], exp[3])
-            p = p ** n
+            p = self.power(p, n, tok)
         return -p if negate else p
 
     def atom(self) -> Polynomial:

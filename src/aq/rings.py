@@ -34,6 +34,10 @@ class PresentedAlgebra:
                 rels.append(r)
         self.relations = tuple(rels)
         self._gb: list[Polynomial] | None = None
+        # content-keyed memos, freed with the algebra: syzygies by input
+        # (`modules.syzygies`) and the parsed values of validated points
+        self._syzygy_memo: dict = {}
+        self._valid_points: set = set()
 
     # -- presentation ----------------------------------------------------
 
@@ -74,7 +78,13 @@ class PresentedAlgebra:
     # -- points -----------------------------------------------------------
 
     def parse_point(self, assignments: dict) -> dict:
-        """Validate {var: value} as a rational point on this algebra."""
+        """Validate {var: value} as a rational point on this algebra.
+
+        Every call parses the values and returns a fresh dict.  The
+        relations are evaluated only the first time this algebra sees a
+        tuple of parsed values; a tuple that passes is kept on the algebra,
+        one that fails is not, so it raises `PointError` on every call.
+        """
         point = {}
         field = self.field
         for v in self.variables:
@@ -86,9 +96,12 @@ class PresentedAlgebra:
             elif isinstance(val, int):
                 val = field.from_int(val)
             point[v] = val
-        for rel in self.relations:
-            if not field.is_zero(rel.evaluate(point)):
-                raise PointError("not a rational point")
+        values = tuple(point.values())
+        if values not in self._valid_points:
+            for rel in self.relations:
+                if not field.is_zero(rel.evaluate(point)):
+                    raise PointError("not a rational point")
+            self._valid_points.add(values)
         return point
 
     # -- identity -----------------------------------------------------------

@@ -91,7 +91,13 @@ def suite_hypersurface_sigma_s() -> dict:
 
 
 def suite_conormal_degree_one() -> dict:
-    """Surjections: degree-1 homology, conormal fiber, and first Tor agree."""
+    """Surjections: degree-1 homology, conormal fiber, and first Tor agree.
+
+    On a surjection all three are m minus the rank at the point of the
+    stage's syzygy matrix (m the number of relations), read off the same
+    stages, so this suite checks the three readers, not the syzygies: a
+    wrong syzygy list changes all three alike.
+    """
     cases = corpus.random_surjections()
     failures = []
     for case in cases:

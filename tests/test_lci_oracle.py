@@ -22,6 +22,7 @@ from aq.corpus import (algebra, canonical_surjection, classifier_corpus,
                        hkr_instances, random_surjections)
 from aq.cotangent import cotangent_trunc2
 from aq.fields import GF, QQ
+from aq.groebner import SubmoduleEngine
 from aq.modules import (FreeComplex, evaluate_matrix, koszul_complex,
                         koszul_homology_all_vanish, syzygies)
 from aq.poly import PolyRing
@@ -192,6 +193,25 @@ def test_an_lci_report_builds_no_koszul_degree_above_two(monkeypatch):
     base = cotangent_trunc2(phi).provenance["stages"].base
     over_base = [top for alg, top in built if alg is base]
     assert over_base == [2]
+
+
+def test_the_oracle_reads_its_cycles_off_the_syzygy_memo(monkeypatch):
+    """The stage's syzygies of the relations and the cycles of the
+    oracle's H_1 are one elimination: on surjection-4 (two relations) an
+    lci report builds four engines, where it built five before the memo."""
+    built = []
+    real = SubmoduleEngine.__init__
+
+    def recording_init(self, *args):
+        real(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(SubmoduleEngine, "__init__", recording_init)
+    case = random_surjections()[4]
+    assert len(case["map"].target.relations) == 2
+    report = classification_report("lci", case["map"], case["points"])
+    assert report.global_flag == "sampled-only"
+    assert len(built) == 4
 
 
 # -- ideals at the origin --------------------------------------------------------

@@ -5,13 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from aq import linalg
 from aq.fields import GF, QQ
+from aq.groebner import SubmoduleEngine
 from aq.modules import (
     FPModule,
     FreeComplex,
     ModuleError,
+    canonical_syzygies,
+    dense_to_vp,
     koszul_complex,
     koszul_homology_all_vanish,
     matrix_product,
+    syzygies,
 )
 from aq.poly import Polynomial, PolyRing
 from aq.rings import PresentedAlgebra
@@ -240,3 +244,62 @@ def test_coefficients_over_another_algebra_are_refused():
     kc = koszul_complex(A, [A.poly("x")])
     with pytest.raises(ModuleError, match="different algebra"):
         kc.homology(0, FPModule(B, 1, []))
+
+
+# -- the syzygy memo ------------------------------------------------------------
+
+
+def small_polys(ring, max_size=2):
+    """Polynomials of `ring` with exponents and coefficients below 3."""
+    field = ring.field
+    return st.dictionaries(
+        st.tuples(*(st.integers(0, 2) for _ in ring.variables)),
+        st.integers(-2, 2), max_size=max_size,
+    ).map(lambda terms: ring.from_terms(
+        {e: field.from_int(c) for e, c in terms.items()}))
+
+
+def fresh_syzygies(vectors, rank, algebra):
+    """What `syzygies` computes, with no memo in the way."""
+    engine = SubmoduleEngine(algebra.ring, rank,
+                             [dense_to_vp(v) for v in vectors],
+                             algebra.relations)
+    return canonical_syzygies(engine, algebra)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([QQ, GF(5)]), st.integers(1, 2), st.data())
+def test_memoised_syzygies_equal_a_fresh_elimination(field, rank, data):
+    ring = PolyRing(field, ("x", "y"))
+    A = PresentedAlgebra(ring, data.draw(st.lists(small_polys(ring),
+                                                  max_size=1)))
+    vectors = data.draw(st.lists(
+        st.lists(small_polys(ring), min_size=rank, max_size=rank),
+        min_size=1, max_size=3))
+    expected = fresh_syzygies(vectors, rank, A)
+    assert syzygies(vectors, rank, A) == expected  # a miss
+    assert syzygies(vectors, rank, A) == expected  # a hit
+    # the same vectors as {component: polynomial} dicts share the key
+    assert syzygies([dense_to_vp(v) for v in vectors], rank, A) == expected
+    assert len(A._syzygy_memo) == 1
+
+
+def test_rank_and_vector_order_are_part_of_the_key():
+    A = plane()
+    x, y = A.poly("x"), A.poly("y")
+    vectors = [[x, y], [y, x], [x * y, y * y]]
+    for args in ((vectors, 2), (vectors, 3), (vectors[::-1], 2)):
+        assert syzygies(*args, A) == fresh_syzygies(*args, A)
+    assert len(A._syzygy_memo) == 3
+
+
+def test_changing_a_returned_syzygy_leaves_the_memo_alone():
+    A = PresentedAlgebra(PolyRing(QQ, ("x", "y")), ["x*y"])
+    vectors = [[A.poly("x")], [A.poly("y")], [A.poly("x + y")]]
+    expected = fresh_syzygies(vectors, 1, A)
+    first = syzygies(vectors, 1, A)
+    assert first == expected and len(first) > 1
+    first[0][0] = A.poly("x^5")
+    first[1].append(A.poly("1"))
+    first.pop()
+    assert syzygies(vectors, 1, A) == expected

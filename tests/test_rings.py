@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from aq.fields import GF, QQ
 from aq.orders import MonomialOrder
 from aq.poly import PolyRing
-from aq.rings import AlgebraMap, PresentedAlgebra
+from aq.rings import AlgebraMap, PointError, PresentedAlgebra
 
 GF5 = GF(5)
 SOURCE_VARS = ("x", "y", "z")
@@ -66,3 +66,28 @@ def test_a_defaulted_generator_led_by_a_relation_is_reduced():
     assert phi.images["x"] == x
     assert phi.apply(x) == ring.var("y")
     assert phi.apply(x) == ring.var("y")
+
+
+def test_validated_points_do_not_let_a_non_point_through():
+    ring = PolyRing(QQ, ("x", "y"))
+    C = PresentedAlgebra(ring, ["x^3 - y^2"])
+    for point in ({"x": 1, "y": 1}, {"x": "4", "y": "-8"}, {"x": 0, "y": 0}):
+        assert C.parse_point(point) == C.parse_point(point)
+    assert len(C._valid_points) == 3
+    for _ in range(2):
+        with pytest.raises(PointError, match="not a rational point"):
+            C.parse_point({"x": 1, "y": 2})
+    assert len(C._valid_points) == 3
+    # the same values on an algebra with other relations are checked there
+    D = PresentedAlgebra(ring, ["x - y - 1"])
+    with pytest.raises(PointError, match="not a rational point"):
+        D.parse_point({"x": 1, "y": 1})
+
+
+def test_each_parsed_point_is_a_fresh_dict():
+    C = PresentedAlgebra(PolyRing(QQ, ("x", "y")), ["x^3 - y^2"])
+    first = C.parse_point({"x": 1, "y": 1})
+    first["x"] = QQ.from_int(2)
+    second = C.parse_point({"x": 1, "y": 1})
+    assert second is not first
+    assert second == {"x": QQ.from_int(1), "y": QQ.from_int(1)}

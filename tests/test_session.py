@@ -1,12 +1,14 @@
 """Session grammar, error reporting, and the report-writing entry point."""
 
 import json
+import time
 
 import pytest
 
 from aq.session import (MAX_KOSZUL_ELEMENTS, MAX_LEVEL, SessionError,
                         parse_session)
 from aq.cli import main, run_session
+from aq.poly import MAX_PRODUCT_WORK
 
 
 BASIC = """\
@@ -252,6 +254,21 @@ def test_exponent_at_the_cap_is_accepted():
                       "ring C = P/(x^1000*y^1000 - 1)\n"
                       "point o on C (x=1, y=-1)\n")
     assert s.canonical_lines()[2] == "ring C = P/(x^1000*y^1000 - 1)"
+
+
+@pytest.mark.parametrize("line, op", [
+    ("ring C = P/((x+y)^1000)", "^"),
+    ("ring C = P/((x+y+1)^80 - 1)", "^"),
+    ("map f : P -> P [x -> (x+y+1)^120]", "^"),
+    ("ring C = P/((x+y)^200*(x+y)^200*(x+y)^200)", "*"),
+], ids=["binomial", "trinomial-80", "trinomial-120", "product"])
+def test_expensive_products_are_refused_at_the_operator(line, op):
+    start = time.process_time()
+    e = err("field QQ\nring P = poly(x, y)\n" + line + "\n")
+    assert time.process_time() - start < 1.0
+    assert e.exit_code == 1 and e.line == 3
+    assert "term pairs" in e.message and str(MAX_PRODUCT_WORK) in e.message
+    assert e.col == line.rindex(op) + 1
 
 
 def test_overlong_field_characteristic_is_a_positioned_error():
