@@ -62,26 +62,37 @@ def _with_order(phi: AlgebraMap, name: str) -> AlgebraMap:
 # -- smooth / unramified / etale ----------------------------------------------
 
 
+def _lex_oracle_data(phi: AlgebraMap):
+    """(presentation, Jacobian, relation syzygies) of phi recomputed under
+    lex: a pure function of the map, so built once per map and kept on it
+    (freed with it), as `cotangent_trunc2` keeps the truncation."""
+    data = getattr(phi, "_lex_oracle_memo", None)
+    if data is None:
+        rp = relative_presentation(_with_order(phi, "lex"))
+        syz = (syzygies([[f] for f in rp.relation_polys], 1, rp.base_algebra)
+               if rp.relation_polys else [])
+        data = phi._lex_oracle_memo = (rp, jacobian_matrix(rp), syz)
+    return data
+
+
 def is_smooth_at(phi: AlgebraMap, point: dict) -> dict:
     """Degree-1 homology vanishes at the point.
 
     Oracle: the Jacobian rank at the point equals the number of local
     relation generators, m minus the rank there of the syzygies of the m
     relations.  The presentation and the syzygies are recomputed under
-    lex; no truncation is built for the oracle.
+    lex, once per map; no truncation is built for the oracle.
     """
     pt = _require_rational(phi.target, point)
     trunc = cotangent_trunc2(phi)
     _, aq1, aq2 = trunc.dims_through(pt, 2)
     primary = aq1 == 0
 
-    rp = relative_presentation(_with_order(phi, "lex"))
+    rp, jac, syz = _lex_oracle_data(phi)
     alt_pt = rp.transport_point(pt)
     field = rp.algebra.field
-    rank_j = linalg.rank(field, evaluate_matrix(jacobian_matrix(rp), alt_pt))
+    rank_j = linalg.rank(field, evaluate_matrix(jac, alt_pt))
     m = len(rp.relation_polys)
-    syz = (syzygies([[f] for f in rp.relation_polys], 1, rp.base_algebra)
-           if m else [])
     local_gens = m - linalg.rank(field, evaluate_matrix(syz, alt_pt))
     oracle = rank_j == local_gens
 

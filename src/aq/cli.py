@@ -21,6 +21,7 @@ from pathlib import Path
 from .classify import RING_PROPERTIES, ClassifyError, classification_report
 from .cotangent import CotangentError, aq_homology
 from .modules import koszul_homology_all_vanish
+from .poly import PolyError
 from .rings import AlgebraError
 from .session import Session, SessionError, TaskDecl, parse_session
 from .simplicial import (
@@ -32,8 +33,8 @@ from .simplicial import (
 )
 from .suites import SuiteError, run_suite
 
-_ERRORS = (AlgebraError, ClassifyError, CotangentError, SimplicialError,
-           SuiteError)
+_ERRORS = (AlgebraError, ClassifyError, CotangentError, PolyError,
+           SimplicialError, SuiteError)
 
 
 def _point_json(session: Session, pt_name: str) -> dict:

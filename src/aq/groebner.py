@@ -13,6 +13,14 @@ coefficient}}: its lead is the largest monomial of the lowest component,
 the first basis element (in basis order) whose lead divides it cancels
 it, and a lead that no basis lead divides moves into the result.
 
+Leads live with the basis, not with the reduction: each element's lead
+(component, monomial, coefficient) is found once, when the element enters
+a basis, and kept in a lead index ({component: [(monomial, coefficient,
+element)]} in basis order, see `lead_index`) that every reduction against
+that basis reads.  `module_groebner` extends its index as the basis grows;
+a `SubmoduleEngine` and a `PresentedAlgebra` keep theirs next to their
+basis.
+
 Pair selection is the normal strategy (minimal lcm degree, then creation
 order), which together with full tail reduction and final inter-reduction
 makes every returned basis deterministic.
@@ -40,9 +48,17 @@ def vp_from_poly(poly: Polynomial, comp: int) -> VP:
     return {} if poly.is_zero() else {comp: poly}
 
 
-def _lead_key(v: VP, ring: PolyRing):
-    c, m, _ = vp_lead(v, ring)
-    return (-c, ring.order.key(m))
+def lead_index(basis: list[VP], ring: PolyRing) -> dict:
+    """{component: [(monomial, coefficient, element)]} of the basis leads,
+    each list in basis order: what `vp_normal_form` reduces against."""
+    return _index(basis, [vp_lead(g, ring) for g in basis])
+
+
+def _index(basis: list[VP], leads: list) -> dict:
+    index: dict[int, list] = {}
+    for g, (c, m, lc) in zip(basis, leads):
+        index.setdefault(c, []).append((m, lc, g))
+    return index
 
 
 def _sub_multiple(work: dict, g: VP, q, factor, field) -> None:
@@ -57,25 +73,25 @@ def _sub_multiple(work: dict, g: VP, q, factor, field) -> None:
             del work[c]
 
 
-def _monic(v: VP, ring: PolyRing) -> VP:
-    _, _, lc = vp_lead(v, ring)
+def _monic(v: VP, ring: PolyRing):
+    """(v scaled to lead coefficient one, its lead)."""
+    c, m, lc = vp_lead(v, ring)
     inv = ring.field.inv(lc)
-    return {c: p.scale(inv) for c, p in v.items()}
+    g = {k: p.scale(inv) for k, p in v.items()}
+    return g, (c, m, g[c].terms[m])
 
 
-def vp_normal_form(v: VP, basis: list[VP], ring: PolyRing) -> VP:
-    """Full normal form of v against basis (every term reduced).
+def vp_normal_form(v: VP, index: dict, ring: PolyRing, skip: VP | None = None) -> VP:
+    """Full normal form of v against a basis (every term reduced), given by
+    its `lead_index`; the element `skip`, if any, is left out of it.
 
-    The remainder lives in one work map {component: {monomial: coeff}}.
-    Its lead (lowest component, largest monomial there) is cancelled by
-    the first basis element, in basis order, whose lead divides it, or
-    else moved into the result.
+    The basis leads are read from the index, never recomputed.  The
+    remainder lives in one work map {component: {monomial: coeff}}.  Its
+    lead (lowest component, largest monomial there) is cancelled by the
+    first basis element, in basis order, whose lead divides it, or else
+    moved into the result.
     """
     field, key = ring.field, ring.order.key
-    by_comp: dict[int, list] = {}
-    for g in basis:
-        c, m, lc = vp_lead(g, ring)
-        by_comp.setdefault(c, []).append((m, lc, g))
     work = {c: dict(p.terms) for c, p in v.items()}
     result: dict = {}
     while work:
@@ -83,8 +99,8 @@ def vp_normal_form(v: VP, basis: list[VP], ring: PolyRing) -> VP:
         row = work[c]
         m = max(row, key=key)
         coeff = row[m]
-        for gm, glc, g in by_comp.get(c, ()):
-            if mono_divides(gm, m):
+        for gm, glc, g in index.get(c, ()):
+            if mono_divides(gm, m) and g is not skip:
                 _sub_multiple(work, g, mono_div(m, gm), field.div(coeff, glc), field)
                 break
         else:
@@ -95,10 +111,10 @@ def vp_normal_form(v: VP, basis: list[VP], ring: PolyRing) -> VP:
     return {c: Polynomial(ring, terms) for c, terms in result.items()}
 
 
-def _spair(f: VP, g: VP, ring: PolyRing) -> VP:
+def _spair(f: VP, f_lead, g: VP, g_lead, ring: PolyRing) -> VP:
     field = ring.field
-    _, mf, lf = vp_lead(f, ring)
-    _, mg, lg = vp_lead(g, ring)
+    _, mf, lf = f_lead
+    _, mg, lg = g_lead
     lcm = mono_lcm(mf, mg)
     work: dict = {}
     _sub_multiple(work, f, mono_div(lcm, mf), field.neg(field.inv(lf)), field)
@@ -109,21 +125,31 @@ def _spair(f: VP, g: VP, ring: PolyRing) -> VP:
 def module_groebner(generators: list[VP], ring: PolyRing) -> list[VP]:
     """Reduced monic Groebner basis of the submodule the generators span."""
     basis: list[VP] = []
+    leads: list = []
+    index: dict[int, list] = {}
+
+    def add(nf: VP):
+        g, lead = _monic(nf, ring)
+        c, m, lc = lead
+        basis.append(g)
+        leads.append(lead)
+        index.setdefault(c, []).append((m, lc, g))
+
     for gen in generators:
         if not gen:
             continue
-        nf = vp_normal_form(gen, basis, ring)
+        nf = vp_normal_form(gen, index, ring)
         if nf:
-            basis.append(_monic(nf, ring))
+            add(nf)
 
     pairs: list = []
     counter = 0
 
     def push_pairs(new_index: int):
         nonlocal counter
-        cn, mn, _ = vp_lead(basis[new_index], ring)
+        cn, mn, _ = leads[new_index]
         for i in range(new_index):
-            ci, mi, _ = vp_lead(basis[i], ring)
+            ci, mi, _ = leads[i]
             if ci != cn:
                 continue
             lcm = mono_lcm(mi, mn)
@@ -135,42 +161,42 @@ def module_groebner(generators: list[VP], ring: PolyRing) -> list[VP]:
 
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
-        s = _spair(basis[i], basis[j], ring)
-        nf = vp_normal_form(s, basis, ring)
+        s = _spair(basis[i], leads[i], basis[j], leads[j], ring)
+        nf = vp_normal_form(s, index, ring)
         if not nf:
             continue
-        basis.append(_monic(nf, ring))
+        add(nf)
         push_pairs(len(basis) - 1)
 
-    return _interreduce(basis, ring)
+    return _interreduce(basis, leads, ring)
 
 
-def _interreduce(basis: list[VP], ring: PolyRing) -> list[VP]:
+def _interreduce(basis: list[VP], leads: list, ring: PolyRing) -> list[VP]:
     # drop elements whose lead is divisible by another lead
-    keep = []
-    leads = [vp_lead(g, ring) for g in basis]
-    for i, g in enumerate(basis):
-        ci, mi, _ = leads[i]
+    keep, keep_leads = [], []
+    for i, (g, (ci, mi, _)) in enumerate(zip(basis, leads)):
         divisible = False
-        for j, h in enumerate(basis):
+        for j, (cj, mj, _) in enumerate(leads):
             if i == j:
                 continue
-            cj, mj, _ = leads[j]
             if cj == ci and mono_divides(mj, mi):
                 if mj != mi or j < i:
                     divisible = True
                     break
         if not divisible:
             keep.append(g)
+            keep_leads.append(leads[i])
     # tail-reduce each against the others
+    index = _index(keep, keep_leads)
+    key = ring.order.key
     out = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        nf = vp_normal_form(g, others, ring)
+    for g in keep:
+        nf = vp_normal_form(g, index, ring, skip=g)
         if nf:
-            out.append(_monic(nf, ring))
-    out.sort(key=lambda v: _lead_key(v, ring), reverse=True)
-    return out
+            reduced, (c, m, _) = _monic(nf, ring)
+            out.append(((-c, key(m)), reduced))
+    out.sort(key=lambda pair: pair[0], reverse=True)
+    return [reduced for _, reduced in out]
 
 
 def ideal_groebner(polys, ring: PolyRing) -> list[Polynomial]:
@@ -183,8 +209,8 @@ def ideal_groebner(polys, ring: PolyRing) -> list[Polynomial]:
 def poly_normal_form(p: Polynomial, gb: list[Polynomial], ring: PolyRing) -> Polynomial:
     if p.is_zero() or not gb:
         return p
-    nf = vp_normal_form(vp_from_poly(p, 0), [vp_from_poly(g, 0) for g in gb], ring)
-    return nf.get(0, ring.zero())
+    index = lead_index([vp_from_poly(g, 0) for g in gb], ring)
+    return vp_normal_form(vp_from_poly(p, 0), index, ring).get(0, ring.zero())
 
 
 class SubmoduleEngine:
@@ -210,6 +236,7 @@ class SubmoduleEngine:
             for j in range(rank):
                 big.append({j: r})
         self._gb = module_groebner(big, ring)
+        self._index = lead_index(self._gb, ring)
 
     def _split(self, v: VP):
         real = {c: p for c, p in v.items() if c < self.rank}
@@ -218,7 +245,7 @@ class SubmoduleEngine:
 
     def reduce(self, v: VP):
         """(remainder, lift) with v = sum(lift_i * vectors_i) + remainder mod I."""
-        nf = vp_normal_form(v, self._gb, self.ring)
+        nf = vp_normal_form(v, self._index, self.ring)
         real, track = self._split(nf)
         lift = [
             -track[i] if i in track else self.ring.zero()

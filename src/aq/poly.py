@@ -8,6 +8,8 @@ iteration always follow the ring's monomial order.
 
 from __future__ import annotations
 
+import operator
+
 from .fields import Field, FieldError
 from .orders import MonomialOrder, mono_deg, mono_mul
 
@@ -39,6 +41,19 @@ def _mul_terms(a: dict, b: dict, field: Field) -> dict:
     mul = field.mul
     return _add_terms({}, ((mono_mul(e1, e2), mul(c1, c2))
                            for e1, c1 in a.items() for e2, c2 in b.items()), field)
+
+
+def _power(p: "Polynomial", n: int, multiply) -> "Polynomial":
+    """p^n by square-and-multiply, every product taken through `multiply`
+    (so a caller can charge it against a work budget)."""
+    result = p.ring.one()
+    while n:
+        if n & 1:
+            result = multiply(result, p)
+        n >>= 1
+        if n:
+            p = multiply(p, p)
+    return result
 
 
 class ParseError(PolyError):
@@ -201,15 +216,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise PolyError("negative power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, operator.mul)
 
     def scale(self, c) -> "Polynomial":
         F = self.ring.field
@@ -246,10 +253,25 @@ class Polynomial:
         the target.  Only the variables some term uses are looked up, so an
         unused variable needs neither an image nor a namesake; a used image
         must live in `target`.  Each (variable, exponent) power is built
-        once per call, and all terms are summed into one term map.
+        once per call, and all terms are summed into one term map.  Every
+        product, those inside a power included, is charged |a|*|b| term
+        pairs first; past MAX_PRODUCT_WORK pairs in one call it raises
+        PolyError.
         """
         F = target.field
         powers: dict = {}
+        work = 0
+
+        def charge(a: dict, b: dict) -> None:
+            nonlocal work
+            work += len(a) * len(b)
+            if work > MAX_PRODUCT_WORK:
+                raise PolyError(f"substitution needs more than {MAX_PRODUCT_WORK} "
+                                "term pairs")
+
+        def multiply(a: Polynomial, b: Polynomial) -> Polynomial:
+            charge(a.terms, b.terms)
+            return a * b
 
         def power(i: int, k: int) -> dict:
             if (i, k) not in powers:
@@ -257,7 +279,7 @@ class Polynomial:
                 img = images[v] if v in images else target.var(v)
                 if img.ring != target:
                     raise PolyError("substitution image in wrong ring")
-                powers[(i, k)] = (img if k == 1 else img ** k).terms
+                powers[(i, k)] = (img if k == 1 else _power(img, k, multiply)).terms
             return powers[(i, k)]
 
         one = (0,) * target.nvars
@@ -266,7 +288,9 @@ class Polynomial:
             term = {one: c}
             for i, k in enumerate(e):
                 if k:
-                    term = _mul_terms(term, power(i, k), F)
+                    pk = power(i, k)
+                    charge(term, pk)
+                    term = _mul_terms(term, pk, F)
             _add_terms(out, term.items(), F)
         return Polynomial(target, out)
 
@@ -393,7 +417,9 @@ MAX_EXPONENT = 1000
 # Products are computed while parsing too.  A product of a and b costs
 # |a|*|b| term pairs; summed over one parse (each `*`, and each squaring and
 # multiply inside a `^`), the pairs may not pass this bound, or the parse is
-# refused at the column of the operator that would pass it.
+# refused at the column of the operator that would pass it.  One
+# `Polynomial.substitute` call is held to the same bound, summed over its
+# products and the products inside each power of an image.
 MAX_PRODUCT_WORK = 100_000
 
 
@@ -472,18 +498,6 @@ class _PolyParser:
                              op[2], op[3])
         return a * b
 
-    def power(self, p: Polynomial, n: int, op) -> Polynomial:
-        """p^n by the square-and-multiply of `Polynomial.__pow__`, with every
-        product charged."""
-        result = self.ring.one()
-        while n:
-            if n & 1:
-                result = self.multiply(result, p, op)
-            n >>= 1
-            if n:
-                p = self.multiply(p, p, op)
-        return result
-
     def parse(self) -> Polynomial:
         p = self.expr()
         tok = self.peek()
@@ -523,7 +537,7 @@ class _PolyParser:
             n = self.integer(exp)
             if n > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", exp[2], exp[3])
-            p = self.power(p, n, tok)
+            p = _power(p, n, lambda a, b: self.multiply(a, b, tok))
         return -p if negate else p
 
     def atom(self) -> Polynomial:

@@ -2,13 +2,14 @@
 
 A PresentedAlgebra is an ambient polynomial ring plus a relation list;
 elements are ambient polynomials and normal_form against the cached
-reduced Groebner basis of the relations gives canonical representatives.
+reduced Groebner basis of the relations, read through its cached lead
+index, gives canonical representatives.
 Rational points are variable assignments satisfying every relation.
 """
 
 from __future__ import annotations
 
-from .groebner import ideal_groebner, poly_normal_form
+from .groebner import ideal_groebner, lead_index, vp_normal_form
 from .orders import MonomialOrder
 from .poly import ParseError, Polynomial, PolyRing
 
@@ -34,6 +35,7 @@ class PresentedAlgebra:
                 rels.append(r)
         self.relations = tuple(rels)
         self._gb: list[Polynomial] | None = None
+        self._gb_index: dict | None = None  # `lead_index` of the basis
         # content-keyed memos, freed with the algebra: syzygies by input
         # (`modules.syzygies`) and the parsed values of validated points
         self._syzygy_memo: dict = {}
@@ -58,7 +60,13 @@ class PresentedAlgebra:
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise AlgebraError("element from a different ambient ring")
-        return poly_normal_form(p, self.groebner(), self.ring)
+        index = self._gb_index
+        if index is None:
+            index = self._gb_index = lead_index(
+                [{0: g} for g in self.groebner()], self.ring)
+        if p.is_zero() or not index:
+            return p
+        return vp_normal_form({0: p}, index, self.ring).get(0, self.ring.zero())
 
     def is_trivial(self) -> bool:
         """True when 1 lies in the defining ideal (the zero ring)."""

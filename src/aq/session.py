@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .classify import PROPERTIES, RING_PROPERTIES
 from .fields import FieldError, field_from_spec
 from .orders import MonomialOrder
-from .poly import (ParseError, PolyRing, Polynomial, parse_polynomial,
+from .poly import (ParseError, PolyError, PolyRing, Polynomial, parse_polynomial,
                    stable_str)
 from .rings import AlgebraError, AlgebraMap, PointError, PresentedAlgebra, parse_scalar
 
@@ -384,7 +384,7 @@ def _parse_map(cur: _Cursor, session: Session):
     cur.expect_end()
     try:
         amap = AlgebraMap(source, target, images)
-    except AlgebraError as exc:
+    except (AlgebraError, PolyError) as exc:
         cur.error(str(exc), col)
     session.maps[name] = amap
     # canonical text keeps the stated (unreduced) images so it does not

@@ -53,6 +53,24 @@ def test_smooth_oracle_builds_no_truncation(monkeypatch):
     assert len(built) == 1
 
 
+def test_smooth_oracle_builds_one_lex_twin_per_map(monkeypatch):
+    import aq.classify
+    calls = []
+    real = aq.classify.syzygies
+
+    def counting_syzygies(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(aq.classify, "syzygies", counting_syzygies)
+    report = classification_report("smooth", inclusion_from_ground(cusp()),
+                                   [{"x": 0, "y": 0}, {"x": 1, "y": 1},
+                                    {"x": 4, "y": 8}])
+    assert [row["verdict"] for row in report.rows] == [False, True, True]
+    assert len(calls) == 1
+    assert calls[0][2].ring.order.name == "lex"
+
+
 def test_smooth_result_carries_homology_evidence():
     res = is_smooth_at(inclusion_from_ground(cusp()), {"x": 0, "y": 0})
     assert (res["aq1"], res["aq2"]) == (1, 0)

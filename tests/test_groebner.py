@@ -7,6 +7,7 @@ from aq.fields import GF, QQ
 from aq.groebner import (
     SubmoduleEngine,
     ideal_groebner,
+    lead_index,
     module_groebner,
     poly_normal_form,
     vp_from_poly,
@@ -287,7 +288,7 @@ def test_normal_form_matches_the_copying_reference(field, order, data):
     v_entries, basis_entries = data
     v = vector(R, v_entries)
     basis = [b for b in (vector(R, e) for e in basis_entries) if b]
-    got = vp_normal_form(v, basis, R)
+    got = vp_normal_form(v, lead_index(basis, R), R)
     want = reference_normal_form(v, basis, R)
     assert got == want
     assert list(got) == list(want)
@@ -297,11 +298,12 @@ def test_normal_form_edge_cases():
     R = PolyRing(QQ, ("x", "y"))
     g = {0: R.poly("x^2 - y"), 2: R.poly("3*y")}
     h = {1: R.poly("x*y + 1/2")}
-    assert vp_normal_form({}, [g, h], R) == {}
+    index = lead_index([g, h], R)
+    assert vp_normal_form({}, index, R) == {}
     v = {0: R.poly("x + y^3"), 1: R.poly("2*x^2*y")}
-    assert vp_normal_form(v, [], R) == v == reference_normal_form(v, [], R)
-    assert vp_normal_form(g, [g, h], R) == {}
-    assert vp_normal_form(h, [g, h], R) == {}
+    assert vp_normal_form(v, lead_index([], R), R) == v == reference_normal_form(v, [], R)
+    assert vp_normal_form(g, index, R) == {}
+    assert vp_normal_form(h, index, R) == {}
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,3 +321,51 @@ def test_rank_two_module_groebner_is_certified(field, order, gens):
     R = PolyRing(field, ("x", "y"), order)
     vps = [vector(R, e) for e in gens]
     verify_groebner(module_groebner(vps, R), vps, R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FIELDS, st.sampled_from(ORDERS),
+       st.lists(st.lists(TERM, min_size=1, max_size=3), max_size=3),
+       st.lists(st.lists(TERM, max_size=4), min_size=1, max_size=3))
+def test_algebra_normal_form_matches_the_reference(field, order, rels, elements):
+    """The algebra's cached lead index reduces as a fresh Groebner list
+    does, also on its lex twin, which starts with no index of its own."""
+    R = PolyRing(field, ("x", "y"), order)
+    A = PresentedAlgebra(R, [poly_from(R, t) for t in rels])
+    A.normal_form(A.ring.zero())  # A's index exists before its twin
+    lex = A.with_order(MonomialOrder("lex"))
+    assert lex._gb_index is None
+    for B in (A, lex, A):
+        gb = [vp_from_poly(g, 0) for g in B.groebner()]
+        for terms in elements:
+            p = poly_from(B.ring, terms)
+            want = reference_normal_form(vp_from_poly(p, 0), gb, B.ring)
+            assert B.normal_form(p) == want.get(0, B.ring.zero())
+
+
+def test_module_groebner_finds_each_lead_once(monkeypatch):
+    """Leads live with the basis: one `vp_lead` per element that enters
+    the basis, plus one per element the inter-reduction keeps; none per
+    reduction or S-pair."""
+    import aq.groebner as groebner
+    leads, entered = [], []
+    real_lead, real_interreduce = groebner.vp_lead, groebner._interreduce
+
+    def counting_lead(v, ring):
+        leads.append(v)
+        return real_lead(v, ring)
+
+    def recording_interreduce(basis, *rest):
+        entered.append((len(leads), len(basis)))
+        return real_interreduce(basis, *rest)
+
+    monkeypatch.setattr(groebner, "vp_lead", counting_lead)
+    monkeypatch.setattr(groebner, "_interreduce", recording_interreduce)
+    R = PolyRing(QQ, ("x", "y", "z"))
+    gens = [vp_from_poly(R.poly(p), 0)
+            for p in ("x*y - z", "y*z - x", "x*z - y")]
+    out = groebner.module_groebner(gens, R)
+    (before, size), = entered
+    assert size > len(gens)  # S-pairs added elements
+    assert before <= size
+    assert len(leads) <= size + len(out)

@@ -271,6 +271,17 @@ def test_expensive_products_are_refused_at_the_operator(line, op):
     assert e.col == line.rindex(op) + 1
 
 
+def test_expensive_substitution_is_refused_at_the_map_line():
+    # each image parses cheaply; checking the relation x^200 expands
+    # (x+y+1)^200, past the product budget of one substitution
+    line = "map f : C -> P [x -> x+y+1, y -> y]"
+    start = time.process_time()
+    e = err("field QQ\nring P = poly(x, y)\nring C = P/(x^200)\n" + line + "\n")
+    assert time.process_time() - start < 1.0
+    assert e.exit_code == 1 and (e.line, e.col) == (4, line.index("f") + 1)
+    assert "term pairs" in e.message and str(MAX_PRODUCT_WORK) in e.message
+
+
 def test_overlong_field_characteristic_is_a_positioned_error():
     e = err(f"field GF {LONG}\n")
     assert e.exit_code == 1 and "digits" in e.message
