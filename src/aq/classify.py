@@ -75,6 +75,17 @@ def _lex_oracle_data(phi: AlgebraMap):
     return data
 
 
+def _unramified_oracle_data(phi: AlgebraMap):
+    """(Jacobian presentation of the differentials, diagonal oracle module)
+    of phi: like `_lex_oracle_data`, a pure function of the map, built
+    once per map and kept on it."""
+    data = getattr(phi, "_unramified_oracle_memo", None)
+    if data is None:
+        data = phi._unramified_oracle_memo = (
+            kahler_presentation(phi), kahler_oracle_via_diagonal(phi)[0])
+    return data
+
+
 def is_smooth_at(phi: AlgebraMap, point: dict) -> dict:
     """Degree-1 homology vanishes at the point.
 
@@ -107,12 +118,12 @@ def is_smooth_at(phi: AlgebraMap, point: dict) -> dict:
 
 def is_unramified_at(phi: AlgebraMap, point: dict) -> dict:
     """The differentials vanish at the point (their fiber is degree-0
-    homology); the diagonal construction is the oracle."""
+    homology); the diagonal construction is the oracle.  Both
+    presentations are built once per map."""
     pt = _require_rational(phi.target, point)
-    kd = kahler_presentation(phi)
+    kd, oracle_mod = _unramified_oracle_data(phi)
     dim = kd.dim_at_point(pt)
     primary = dim == 0
-    oracle_mod, _ = kahler_oracle_via_diagonal(phi)
     odim = oracle_mod.dim_at_point(kd.presentation.transport_point(pt))
     if dim != odim:
         raise ClassifyError(

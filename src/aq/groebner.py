@@ -11,7 +11,13 @@ the syzygies.
 Reduction works in place on one mutable work map {component: {monomial:
 coefficient}}: its lead is the largest monomial of the lowest component,
 the first basis element (in basis order) whose lead divides it cancels
-it, and a lead that no basis lead divides moves into the result.
+it, and a lead that no basis lead divides moves into the result.  A
+cancellation adds each shifted, scaled term of the reducer straight into
+its row, with no intermediate polynomial.  The lead is picked with the
+ring order's key, which a degrevlex order computes once per monomial and
+keeps (see `orders`); a one-term row or a one-component map needs no
+comparison at all, and a reducer with lead coefficient one (every monic
+basis element) needs no division.
 
 Leads live with the basis, not with the reduction: each element's lead
 (component, monomial, coefficient) is found once, when the element enters
@@ -29,9 +35,10 @@ makes every returned basis deterministic.
 from __future__ import annotations
 
 import heapq
+import operator
 
-from .orders import mono_deg, mono_div, mono_divides, mono_lcm, mono_mul
-from .poly import Polynomial, PolyRing, _add_terms
+from .orders import mono_deg, mono_div, mono_divides, mono_lcm
+from .poly import Polynomial, PolyRing
 
 VP = dict  # {component: Polynomial}, zero polys never stored
 
@@ -62,13 +69,29 @@ def _index(basis: list[VP], leads: list) -> dict:
 
 
 def _sub_multiple(work: dict, g: VP, q, factor, field) -> None:
-    """Subtract factor * x^q * g from the work map in place, dropping the
-    components that cancel."""
-    mul, neg_factor = field.mul, field.neg(factor)
+    """Subtract factor * x^q * g from the work map in place.  Each shifted,
+    scaled term goes straight into its row; a sum that cancels drops its
+    monomial and a row that empties drops its component."""
+    mul, add, is_zero = field.mul, field.add, field.is_zero
+    neg_factor = field.neg(factor)
+    shift = operator.add
     for c, p in g.items():
-        row = work.setdefault(c, {})
-        _add_terms(row, ((mono_mul(e, q), mul(neg_factor, k))
-                         for e, k in p.terms.items()), field)
+        row = work.get(c)
+        if row is None:
+            row = work[c] = {}
+        get = row.get
+        for e, k in p.terms.items():
+            m = tuple(map(shift, e, q))
+            t = mul(neg_factor, k)
+            prev = get(m)
+            if prev is None:
+                row[m] = t
+            else:
+                t = add(prev, t)
+                if is_zero(t):
+                    del row[m]
+                else:
+                    row[m] = t
         if not row:
             del work[c]
 
@@ -92,16 +115,19 @@ def vp_normal_form(v: VP, index: dict, ring: PolyRing, skip: VP | None = None) -
     moved into the result.
     """
     field, key = ring.field, ring.order.key
+    one = field.one()
     work = {c: dict(p.terms) for c, p in v.items()}
     result: dict = {}
     while work:
-        c = min(work)
+        c = min(work) if len(work) > 1 else next(iter(work))
         row = work[c]
-        m = max(row, key=key)
+        m = max(row, key=key) if len(row) > 1 else next(iter(row))
         coeff = row[m]
         for gm, glc, g in index.get(c, ()):
             if mono_divides(gm, m) and g is not skip:
-                _sub_multiple(work, g, mono_div(m, gm), field.div(coeff, glc), field)
+                if glc != one:
+                    coeff = field.div(coeff, glc)
+                _sub_multiple(work, g, mono_div(m, gm), coeff, field)
                 break
         else:
             result.setdefault(c, {})[m] = coeff

@@ -2,8 +2,12 @@
 
 Monomials are tuples of non-negative ints, one slot per ring variable,
 and the variables rank in ring order: the first is most significant.
-An order exposes a sort key; larger key = larger monomial.  The key is
-one of two module-level functions, bound once when the order is built.
+An order exposes a sort key; larger key = larger monomial.  Lex keys a
+monomial by itself.  A degrevlex order keeps the keys it has computed in
+a dict of its own and exposes that dict's lookup as `key`: each distinct
+monomial's key is built once per order object, the first time it is
+asked for, and the dict is freed with the order.  Rings share their
+order when they extend one another, so they share its keys.
 """
 
 from __future__ import annotations
@@ -24,7 +28,14 @@ def _degrevlex_key(expo: tuple[int, ...]):
     return (sum(expo), tuple(map(operator.neg, reversed(expo))))
 
 
-_KEYS = {"degrevlex": _degrevlex_key, "lex": _lex_key}
+class _KeyCache(dict):
+    """{monomial: degrevlex key}, filled on first lookup."""
+
+    __slots__ = ("__weakref__",)
+
+    def __missing__(self, expo):
+        k = self[expo] = _degrevlex_key(expo)
+        return k
 
 
 class MonomialOrder:
@@ -35,10 +46,10 @@ class MonomialOrder:
     priority = None
 
     def __init__(self, name: str = "degrevlex"):
-        if name not in _KEYS:
+        if name not in ("degrevlex", "lex"):
             raise OrderError(f"unknown monomial order {name!r}")
         self.name = name
-        self.key = _KEYS[name]
+        self.key = _KeyCache().__getitem__ if name == "degrevlex" else _lex_key
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and other.name == self.name

@@ -201,6 +201,34 @@ def test_truncation_memo_is_freed_with_the_map():
     assert surj_ref() is None
 
 
+def test_unramified_presentations_are_built_once_per_map(monkeypatch):
+    """The Jacobian presentation of the differentials and the diagonal
+    oracle are kept on the map (and freed with it): a report over three
+    points runs as many module Groebner bases as one over one point."""
+    import aq.groebner
+    real = aq.groebner.module_groebner
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(aq.groebner, "module_groebner", counting)
+    points = [{"x": 0, "y": 0}, {"x": 1, "y": 1}, {"x": 4, "y": 8}]
+    counts = []
+    for sample in (points[:1], points):
+        phi = inclusion_from_ground(cusp())
+        calls.clear()
+        report = classification_report("unramified", phi, sample)
+        assert [row["verdict"] for row in report.rows] == [False] * len(sample)
+        counts.append(len(calls))
+    assert 0 < counts[0] == counts[1]
+    ref = weakref.ref(phi)
+    del phi
+    gc.collect()
+    assert ref() is None
+
+
 def test_unknown_property_lists_the_valid_ones():
     with pytest.raises(ClassifyError, match="unknown property"):
         classification_report("flat", inclusion_from_ground(cusp()),

@@ -1,11 +1,16 @@
 """Groebner bases, normal forms, and the submodule engine."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aq.fields import GF, QQ
+from aq.corpus import random_surjections
 from aq.groebner import (
     SubmoduleEngine,
+    _sub_multiple,
     ideal_groebner,
     lead_index,
     module_groebner,
@@ -14,8 +19,9 @@ from aq.groebner import (
     vp_lead,
     vp_normal_form,
 )
-from aq.orders import MonomialOrder, mono_div, mono_divides, mono_lcm, mono_mul
-from aq.poly import Polynomial, PolyRing
+from aq.orders import (MonomialOrder, _degrevlex_key, _lex_key, mono_div,
+                       mono_divides, mono_lcm, mono_mul)
+from aq.poly import Polynomial, PolyRing, _add_terms
 from aq.rings import PresentedAlgebra
 
 
@@ -369,3 +375,92 @@ def test_module_groebner_finds_each_lead_once(monkeypatch):
     assert size > len(gens)  # S-pairs added elements
     assert before <= size
     assert len(leads) <= size + len(out)
+
+
+# -- the order's key cache and the subtraction step --------------------------------
+
+
+MONOMIALS = st.lists(st.lists(st.integers(0, 6), max_size=4).map(tuple),
+                     max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["degrevlex", "lex"]), MONOMIALS)
+def test_the_order_key_equals_the_raw_key(name, monomials):
+    """Leads, sorts and the copying reference all read `order.key`, so a
+    wrong cached key would fool them alike; check it against the raw
+    functions, on a first and a repeat lookup, on two orders of one name."""
+    raw = {"degrevlex": _degrevlex_key, "lex": _lex_key}[name]
+    first, second = MonomialOrder(name), MonomialOrder(name)
+    for e in monomials + monomials[::-1]:
+        assert first.key(e) == raw(e)
+        assert second.key(e) == raw(e)
+    assert sorted(monomials, key=first.key) == sorted(monomials, key=raw)
+
+
+def test_an_order_and_its_keys_are_freed_with_the_last_ring():
+    R = PolyRing(QQ, ("x", "y"))
+    ideal_groebner([R.poly("x^2 - y"), R.poly("x*y - 1")], R)
+    order = R.order
+    keys = order.key.__self__
+    assert keys
+    refs = [weakref.ref(order), weakref.ref(keys)]
+    del R, order, keys
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_each_monomial_is_keyed_once_per_order(monkeypatch):
+    """The syzygy elimination of a GF(5) surjection in three variables
+    computes the raw degrevlex key at most once per distinct monomial."""
+    import aq.orders
+    target = random_surjections()[8]["map"].target
+    assert target.ring.field == GF(5) and len(target.ring.variables) == 3
+    texts = [str(r) for r in target.relations]
+    keyed = []
+    real = aq.orders._degrevlex_key
+
+    def counting(expo):
+        keyed.append(expo)
+        return real(expo)
+
+    monkeypatch.setattr(aq.orders, "_degrevlex_key", counting)
+    R = PolyRing(GF(5), target.ring.variables)  # a new order: no keys yet
+    relations = [{0: R.poly(t)} for t in texts]
+    assert SubmoduleEngine(R, 1, relations).syzygies()
+    assert keyed
+    assert len(keyed) == len(set(keyed))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_sub_multiple_matches_term_by_term_addition(field):
+    """work -= factor * x^q * g, with a non-unit factor: component 2 cancels
+    to nothing and is dropped, x^2*y cancels inside component 0, component
+    1 is left alone and component 3 is new."""
+    R = PolyRing(field, ("x", "y"))
+    factor = field.fraction(2, 3)
+    q = (1, 0)
+    g = {0: R.poly("x*y + 2*y - 1"), 2: R.poly("3*x - y^2"), 3: R.poly("y")}
+    work = {0: {(2, 1): factor, (0, 3): field.one()},
+            1: {(0, 0): field.from_int(4)},
+            2: {e: field.mul(factor, k)
+                for e, k in (g[2] * R.monomial(q, field.one())).terms.items()}}
+    expected = {c: dict(row) for c, row in work.items()}
+    neg = field.neg(factor)
+    for c, p in g.items():
+        row = expected.setdefault(c, {})
+        _add_terms(row, ((mono_mul(e, q), field.mul(neg, k))
+                         for e, k in p.terms.items()), field)
+        if not row:
+            del expected[c]
+    _sub_multiple(work, g, q, factor, field)
+    assert work == expected
+    assert sorted(work) == [0, 1, 3]
+    assert (2, 1) not in work[0]
+
+
+def test_a_reducer_that_is_not_monic_still_divides():
+    R = PolyRing(QQ, ("x",))
+    assert poly_normal_form(R.poly("x^2"), [R.poly("2*x - 1")], R) == R.poly("1/4")
+    F = PolyRing(GF(5), ("x",))
+    assert poly_normal_form(F.poly("x^2"), [F.poly("2*x - 1")], F) == F.poly("4")
