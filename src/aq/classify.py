@@ -75,15 +75,23 @@ def _lex_oracle_data(phi: AlgebraMap):
     return data
 
 
+def _differentials(phi: AlgebraMap):
+    """Jacobian presentation of the differentials of phi: like
+    `_lex_oracle_data`, a pure function of the map, built once per map and
+    kept on it.  The unramified oracle and the certificates read it."""
+    kd = getattr(phi, "_kahler_memo", None)
+    if kd is None:
+        kd = phi._kahler_memo = kahler_presentation(phi)
+    return kd
+
+
 def _unramified_oracle_data(phi: AlgebraMap):
     """(Jacobian presentation of the differentials, diagonal oracle module)
-    of phi: like `_lex_oracle_data`, a pure function of the map, built
-    once per map and kept on it."""
-    data = getattr(phi, "_unramified_oracle_memo", None)
-    if data is None:
-        data = phi._unramified_oracle_memo = (
-            kahler_presentation(phi), kahler_oracle_via_diagonal(phi)[0])
-    return data
+    of phi, each built once per map and kept on it."""
+    oracle = getattr(phi, "_diagonal_memo", None)
+    if oracle is None:
+        oracle = phi._diagonal_memo = kahler_oracle_via_diagonal(phi)[0]
+    return _differentials(phi), oracle
 
 
 def is_smooth_at(phi: AlgebraMap, point: dict) -> dict:
@@ -591,28 +599,40 @@ def _certified_globally(prop: str, phi: AlgebraMap) -> bool:
     - smooth: degree-1 homology vanishes as a module and the
       differentials are visibly projective, so the truncation splits
       into projectives and stays exact in every fiber;
-    - etale: both of the above with the differentials zero;
+    - etale: both of the above (zero differentials are projective);
     - lci: the relative relations form a Koszul-regular sequence on the
       intermediate polynomial extension, making the whole complex a
       shifted free module.  H_1(K(f)) = 0 decides it: over a Noetherian
       ring it forces every H_i(K(f)) = 0, i >= 1 (Bruns-Herzog 1.6.19).
+
+    Each certificate is a pure function of (property, map), so it is
+    built once per map and kept on it; the differentials are the ones
+    `_differentials` keeps.
     """
+    memo = getattr(phi, "_certificate_memo", None)
+    if memo is None:
+        memo = phi._certificate_memo = {}
+    if prop not in memo:
+        memo[prop] = _certificate(prop, phi)
+    return memo[prop]
+
+
+def _certificate(prop: str, phi: AlgebraMap) -> bool:
+    if prop == "etale":
+        return (_certified_globally("unramified", phi)
+                and _certified_globally("smooth", phi))
     try:
         if prop == "lci":
             stages = cotangent_trunc2(phi).provenance["stages"]
             return stages.koszul_h1.is_zero()
-        kd = kahler_presentation(phi).module
-        omega_zero = kd.is_zero()
+        kd = _differentials(phi).module
         if prop == "unramified":
-            return omega_zero
-        omega_projective = omega_zero or kd.free_rank() is not None
-        if not omega_projective:
-            return False
-        h1_zero = cotangent_trunc2(phi).homology_module(1).is_zero()
+            return kd.is_zero()
         if prop == "smooth":
-            return h1_zero
-        if prop == "etale":
-            return omega_zero and h1_zero
+            omega_projective = (_certified_globally("unramified", phi)
+                                or kd.free_rank() is not None)
+            return (omega_projective
+                    and cotangent_trunc2(phi).homology_module(1).is_zero())
     except (AlgebraError, CotangentError):
         return False
     return False

@@ -29,7 +29,19 @@ basis.
 
 Pair selection is the normal strategy (minimal lcm degree, then creation
 order), which together with full tail reduction and final inter-reduction
-makes every returned basis deterministic.
+makes every returned basis deterministic.  Two classical criteria
+(Buchberger's; Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+section 2.10; installed as Gebauer and Moeller do) drop S-pairs whose
+reduction would only give zero.  The product criterion drops a pair whose
+leads are coprime, but only when both elements live in one component: in
+a module an element with several components can have a coprime lead and
+still leave a remainder.  The chain criterion drops a popped pair (i, j)
+when another element k with its lead in the same component divides
+lcm(lead i, lead j) and neither (i, k) nor (j, k) is still pending (pushed
+and not yet popped; a pair dropped by the product criterion is never
+pushed).  It scans only the elements with their lead in that component.
+The reduced basis is unique, so the criteria change the work, never the
+result.
 """
 
 from __future__ import annotations
@@ -169,24 +181,38 @@ def module_groebner(generators: list[VP], ring: PolyRing) -> list[VP]:
             add(nf)
 
     pairs: list = []
+    pending: set = set()  # (i, j), i < j: pushed and not yet popped
+    members: dict[int, list] = {}  # component: basis positions with their lead there
     counter = 0
 
-    def push_pairs(new_index: int):
+    def push_pairs(new: int):
         nonlocal counter
-        cn, mn, _ = leads[new_index]
-        for i in range(new_index):
-            ci, mi, _ = leads[i]
-            if ci != cn:
-                continue
+        cn, mn, _ = leads[new]
+        alone = len(basis[new]) == 1
+        dn = mono_deg(mn)
+        same = members.setdefault(cn, [])
+        for i in same:
+            mi = leads[i][1]
             lcm = mono_lcm(mi, mn)
-            heapq.heappush(pairs, (mono_deg(lcm), counter, i, new_index))
+            deg = mono_deg(lcm)
+            if alone and len(basis[i]) == 1 and deg == mono_deg(mi) + dn:
+                continue  # product criterion: coprime leads, one component each
+            heapq.heappush(pairs, (deg, counter, i, new, lcm))
+            pending.add((i, new))
             counter += 1
+        same.append(new)
 
     for idx in range(len(basis)):
         push_pairs(idx)
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, _, i, j, lcm = heapq.heappop(pairs)
+        pending.remove((i, j))
+        if any(k != i and k != j and mono_divides(leads[k][1], lcm)
+               and ((i, k) if i < k else (k, i)) not in pending
+               and ((j, k) if j < k else (k, j)) not in pending
+               for k in members[leads[i][0]]):
+            continue  # chain criterion: S(i, j) follows from S(i, k), S(j, k)
         s = _spair(basis[i], leads[i], basis[j], leads[j], ring)
         nf = vp_normal_form(s, index, ring)
         if not nf:

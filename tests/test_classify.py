@@ -229,6 +229,31 @@ def test_unramified_presentations_are_built_once_per_map(monkeypatch):
     assert ref() is None
 
 
+def test_certificates_are_built_once_per_map(monkeypatch):
+    """A second smooth, unramified or etale report on a map already
+    classified reads its certificate off the map: no module Groebner basis
+    at all (each cost 3, all of them the certificate's, before the
+    certificates were kept)."""
+    import aq.groebner
+    real = aq.groebner.module_groebner
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(aq.groebner, "module_groebner", counting)
+    phi = inclusion_from_ground(cusp())
+    point = [{"x": 1, "y": 1}]
+    first = {prop: classification_report(prop, phi, point).global_flag
+             for prop in ("smooth", "unramified", "etale")}
+    assert set(first.values()) == {"sampled-only"}
+    for prop, flag in first.items():
+        calls.clear()
+        assert classification_report(prop, phi, point).global_flag == flag
+        assert len(calls) == 0, prop
+
+
 def test_unknown_property_lists_the_valid_ones():
     with pytest.raises(ClassifyError, match="unknown property"):
         classification_report("flat", inclusion_from_ground(cusp()),

@@ -4,7 +4,7 @@ import gc
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aq.fields import GF, QQ
 from aq.corpus import random_surjections
@@ -228,6 +228,44 @@ def _ref_spair(f, g, ring):
                     _ref_mul_monomial(g, mono_div(lcm, mg), field.inv(lg)))
 
 
+def _ref_monic(v, ring):
+    inv = ring.field.inv(vp_lead(v, ring)[2])
+    return {c: p.scale(inv) for c, p in v.items()}
+
+
+def reference_groebner(gens, ring):
+    """Reduced monic Groebner basis by all-pairs Buchberger on copies: every
+    S-pair of leads in one component is reduced with
+    `reference_normal_form`, first in first out, and no criterion skips
+    one.  The result is minimalised, tail-reduced and sorted as
+    `module_groebner` sorts it (lowest component, then largest lead first)."""
+    basis = []
+    for gen in gens:
+        nf = reference_normal_form(gen, basis, ring)
+        if nf:
+            basis.append(_ref_monic(nf, ring))
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        if vp_lead(basis[i], ring)[0] != vp_lead(basis[j], ring)[0]:
+            continue
+        nf = reference_normal_form(_ref_spair(basis[i], basis[j], ring),
+                                   basis, ring)
+        if nf:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(_ref_monic(nf, ring))
+    leads = [vp_lead(g, ring)[:2] for g in basis]
+    minimal = [g for i, (g, (c, m)) in enumerate(zip(basis, leads))
+               if not any(cj == c and mono_divides(mj, m) and (mj != m or j < i)
+                          for j, (cj, mj) in enumerate(leads) if j != i)]
+    reduced = [reference_normal_form(g, [h for h in minimal if h is not g], ring)
+               for g in minimal]
+    key = ring.order.key
+    return sorted(reduced, key=lambda g: (-vp_lead(g, ring)[0],
+                                          key(vp_lead(g, ring)[1])),
+                  reverse=True)
+
+
 def verify_groebner(gb, gens, ring):
     """Certificate that gb is the reduced monic Groebner basis of gens,
     checked with the reference reducer."""
@@ -329,6 +367,46 @@ def test_rank_two_module_groebner_is_certified(field, order, gens):
     verify_groebner(module_groebner(vps, R), vps, R)
 
 
+def engine_inputs(R, rank, vectors, relations):
+    """The generators a `SubmoduleEngine` hands to `module_groebner`: each
+    vector with its tracking unit, then each relation in every component."""
+    tracked = [{**v, rank + i: R.one()} for i, v in enumerate(vectors)]
+    return tracked + [{j: r} for r in relations for j in range(rank)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(FIELDS, st.sampled_from(ORDERS), st.integers(1, 3).flatmap(
+    lambda r: st.tuples(st.just(r), st.lists(entries(r), max_size=3),
+                        st.lists(st.lists(TERM, min_size=1, max_size=3),
+                                 max_size=2),
+                        st.booleans())))
+# y beside its tracking unit against the unit relation: coprime leads, but
+# the S-pair leaves the unit in the tracking component
+@example(QQ, MonomialOrder(), (1, [[(0, [(0, 1, 1, 1)])]],
+                               [[(0, 0, 1, 1)]], True))
+# x*y beside its tracking unit against y + 1: a chain through a pair that
+# is still pending proves nothing
+@example(QQ, MonomialOrder(), (1, [[(0, [(1, 1, 1, 1)])]],
+                               [[(0, 0, 1, 1), (0, 1, 1, 1)]], True))
+def test_module_groebner_matches_the_all_pairs_reference(field, order, data):
+    """The criteria skip only S-pairs that the rest of the basis accounts
+    for: the basis equals the all-pairs one element by element, on plain
+    generators (single- and multi-component vectors plus relations, each
+    in one component) and on the tracked inputs of a `SubmoduleEngine`."""
+    rank, vector_entries, relation_terms, tracked = data
+    R = PolyRing(field, ("x", "y"), order)
+    vectors = [v for v in (vector(R, e) for e in vector_entries) if v]
+    relations = [p for p in (poly_from(R, t) for t in relation_terms)
+                 if not p.is_zero()]
+    if tracked:
+        gens = engine_inputs(R, rank, vectors, relations)
+    else:
+        gens = vectors + [{j % rank: r} for j, r in enumerate(relations)]
+    got = module_groebner(gens, R)
+    assert got == reference_groebner(gens, R)
+    verify_groebner(got, gens, R)
+
+
 @settings(max_examples=60, deadline=None)
 @given(FIELDS, st.sampled_from(ORDERS),
        st.lists(st.lists(TERM, min_size=1, max_size=3), max_size=3),
@@ -375,6 +453,63 @@ def test_module_groebner_finds_each_lead_once(monkeypatch):
     assert size > len(gens)  # S-pairs added elements
     assert before <= size
     assert len(leads) <= size + len(out)
+
+
+def test_criteria_skip_half_the_s_pairs(monkeypatch):
+    """The syzygies of the three relations of a GF(5) surjection in three
+    variables build 9 S-pairs; building every S-pair of leads in one
+    component, as the pair loop did before the product and chain
+    criteria, builds 18."""
+    import aq.groebner as groebner
+    target = random_surjections()[18]["map"].target
+    R = target.ring
+    assert R.field == GF(5) and len(R.variables) == 3
+    assert len(target.relations) == 3
+    built = []
+    real = groebner._spair
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_spair", counting)
+    engine = SubmoduleEngine(R, 1, [{0: r} for r in target.relations])
+    assert engine.syzygies()
+    assert len(built) == 9
+
+
+def test_corpus_bases_match_the_all_pairs_reference(monkeypatch):
+    """Every module Groebner input (`SubmoduleEngine` eliminations and the
+    algebras' ideals) that the surjection checks of the suite corpus make,
+    through the truncation, Tor, the differentials, both oracles and the
+    lci report, gives the all-pairs basis element by element."""
+    import aq
+    import aq.groebner as groebner
+    real = groebner.module_groebner
+    inputs = []
+
+    def recording(generators, ring):
+        inputs.append(([dict(g) for g in generators], ring))
+        return real(generators, ring)
+
+    monkeypatch.setattr(groebner, "module_groebner", recording)
+    for case in random_surjections():
+        phi, points = case["map"], case["points"]
+        trunc = aq.cotangent_trunc2(phi)
+        tor = aq.tor_modules(phi, n_max=1)
+        kd = aq.kahler_presentation(phi)
+        oracle, _ = aq.kahler_oracle_via_diagonal(phi)
+        for q in points:
+            trunc.dims_through(q, 2)
+            tor.dim_at_point(1, q)
+            pt = phi.target.parse_point(q)
+            assert kd.dim_at_point(pt) == oracle.dim_at_point(
+                kd.presentation.transport_point(pt))
+        aq.five_term_check(phi, points)
+        aq.classification_report("lci", phi, points)
+    assert sum(any(len(g) > 1 for g in gens) for gens, _ in inputs) > 20
+    for gens, ring in inputs:
+        assert real(gens, ring) == reference_groebner(gens, ring)
 
 
 # -- the order's key cache and the subtraction step --------------------------------
