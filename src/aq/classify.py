@@ -21,6 +21,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
+from .corpus import canonical_surjection, inclusion_from_ground
 from .cotangent import CotangentError, cotangent_trunc2
 from .groebner import ideal_groebner, poly_normal_form
 from .kahler import (jacobian_matrix, kahler_oracle_via_diagonal,
@@ -62,36 +63,15 @@ def _with_order(phi: AlgebraMap, name: str) -> AlgebraMap:
 # -- smooth / unramified / etale ----------------------------------------------
 
 
-def _lex_oracle_data(phi: AlgebraMap):
+def _twin_oracle_data(phi: AlgebraMap):
     """(presentation, Jacobian, relation syzygies) of phi recomputed under
-    lex: a pure function of the map, so built once per map and kept on it
-    (freed with it), as `cotangent_trunc2` keeps the truncation."""
-    data = getattr(phi, "_lex_oracle_memo", None)
-    if data is None:
-        rp = relative_presentation(_with_order(phi, "lex"))
-        syz = (syzygies([[f] for f in rp.relation_polys], 1, rp.base_algebra)
-               if rp.relation_polys else [])
-        data = phi._lex_oracle_memo = (rp, jacobian_matrix(rp), syz)
-    return data
-
-
-def _differentials(phi: AlgebraMap):
-    """Jacobian presentation of the differentials of phi: like
-    `_lex_oracle_data`, a pure function of the map, built once per map and
-    kept on it.  The unramified oracle and the certificates read it."""
-    kd = getattr(phi, "_kahler_memo", None)
-    if kd is None:
-        kd = phi._kahler_memo = kahler_presentation(phi)
-    return kd
-
-
-def _unramified_oracle_data(phi: AlgebraMap):
-    """(Jacobian presentation of the differentials, diagonal oracle module)
-    of phi, each built once per map and kept on it."""
-    oracle = getattr(phi, "_diagonal_memo", None)
-    if oracle is None:
-        oracle = phi._diagonal_memo = kahler_oracle_via_diagonal(phi)[0]
-    return _differentials(phi), oracle
+    the other order, degrevlex for a lex map and lex otherwise; kept on the
+    map by `AlgebraMap.derived`."""
+    other = "degrevlex" if phi.target.ring.order.name == "lex" else "lex"
+    rp = relative_presentation(_with_order(phi, other))
+    syz = (syzygies([[f] for f in rp.relation_polys], 1, rp.base_algebra)
+           if rp.relation_polys else [])
+    return rp, jacobian_matrix(rp), syz
 
 
 def is_smooth_at(phi: AlgebraMap, point: dict) -> dict:
@@ -99,15 +79,16 @@ def is_smooth_at(phi: AlgebraMap, point: dict) -> dict:
 
     Oracle: the Jacobian rank at the point equals the number of local
     relation generators, m minus the rank there of the syzygies of the m
-    relations.  The presentation and the syzygies are recomputed under
-    lex, once per map; no truncation is built for the oracle.
+    relations.  Both numbers come from a presentation recomputed under the
+    other monomial order, once per map, with no truncation; they depend on
+    that presentation, so only whether they agree is invariant.
     """
     pt = _require_rational(phi.target, point)
     trunc = cotangent_trunc2(phi)
     _, aq1, aq2 = trunc.dims_through(pt, 2)
     primary = aq1 == 0
 
-    rp, jac, syz = _lex_oracle_data(phi)
+    rp, jac, syz = phi.derived(_twin_oracle_data)
     alt_pt = rp.transport_point(pt)
     field = rp.algebra.field
     rank_j = linalg.rank(field, evaluate_matrix(jac, alt_pt))
@@ -129,7 +110,8 @@ def is_unramified_at(phi: AlgebraMap, point: dict) -> dict:
     homology); the diagonal construction is the oracle.  Both
     presentations are built once per map."""
     pt = _require_rational(phi.target, point)
-    kd, oracle_mod = _unramified_oracle_data(phi)
+    kd = kahler_presentation(phi)
+    oracle_mod = kahler_oracle_via_diagonal(phi)[0]
     dim = kd.dim_at_point(pt)
     primary = dim == 0
     odim = oracle_mod.dim_at_point(kd.presentation.transport_point(pt))
@@ -199,13 +181,17 @@ def is_regular_local(R: PresentedAlgebra, point: dict) -> dict:
     Sanity oracle: smoothness of the ground-field inclusion at the point
     forces regularity; a violation is a hard error.
     """
+    return _regular_at(inclusion_from_ground(R), point)
+
+
+def _regular_at(ground: AlgebraMap, point: dict) -> dict:
+    R = ground.target
     pt = _require_rational(R, point)
     eps = residue_surjection(R, pt)
     trunc = cotangent_trunc2(eps)
     _, aq1, aq2 = trunc.dims_through(pt, 2)
     primary = aq2 == 0
-    ground = PresentedAlgebra(PolyRing(R.field, (), R.ring.order), [])
-    smooth = is_smooth_at(AlgebraMap(ground, R, {}), pt)
+    smooth = is_smooth_at(ground, pt)
     if smooth["verdict"] and not primary:
         raise ClassifyError(
             f"regularity oracle disagreement at {point}: smooth over the "
@@ -221,9 +207,7 @@ def is_complete_intersection(R: PresentedAlgebra, point: dict) -> dict:
     This reaches the degree-3 residue-field criterion one degree lower,
     through the quotient presentation.
     """
-    pt = _require_rational(R, point)
-    ambient = PresentedAlgebra(R.ring, [])
-    return is_lci_at(AlgebraMap(ambient, R, {}), pt)
+    return is_lci_at(canonical_surjection(R), point)
 
 
 # -- the diagonal criterion ---------------------------------------------------------
@@ -578,16 +562,17 @@ _POINTWISE = {
     "lci": is_lci_at,
 }
 
+# (map into the ring, built once per report; its pointwise predicate)
 _RINGWISE = {
-    "regular": is_regular_local,
-    "ci": is_complete_intersection,
+    "regular": (inclusion_from_ground, _regular_at),
+    "ci": (canonical_surjection, is_lci_at),
 }
 
 PROPERTIES = sorted(list(_POINTWISE) + list(_RINGWISE))
 RING_PROPERTIES = tuple(_RINGWISE)
 
 
-def _certified_globally(prop: str, phi: AlgebraMap) -> bool:
+def _certificate(phi: AlgebraMap, prop: str) -> bool:
     """Theorem-backed certificates that survive passage to every fiber.
 
     Vanishing of degree-n homology with coefficients in the target alone
@@ -605,31 +590,22 @@ def _certified_globally(prop: str, phi: AlgebraMap) -> bool:
       shifted free module.  H_1(K(f)) = 0 decides it: over a Noetherian
       ring it forces every H_i(K(f)) = 0, i >= 1 (Bruns-Herzog 1.6.19).
 
-    Each certificate is a pure function of (property, map), so it is
-    built once per map and kept on it; the differentials are the ones
-    `_differentials` keeps.
+    Each certificate is a pure function of (map, property), read through
+    `phi.derived(_certificate, prop)`, so it is built once per map; the
+    differentials are the ones `kahler_presentation` keeps on the map.
     """
-    memo = getattr(phi, "_certificate_memo", None)
-    if memo is None:
-        memo = phi._certificate_memo = {}
-    if prop not in memo:
-        memo[prop] = _certificate(prop, phi)
-    return memo[prop]
-
-
-def _certificate(prop: str, phi: AlgebraMap) -> bool:
     if prop == "etale":
-        return (_certified_globally("unramified", phi)
-                and _certified_globally("smooth", phi))
+        return (phi.derived(_certificate, "unramified")
+                and phi.derived(_certificate, "smooth"))
     try:
         if prop == "lci":
             stages = cotangent_trunc2(phi).provenance["stages"]
             return stages.koszul_h1.is_zero()
-        kd = _differentials(phi).module
+        kd = kahler_presentation(phi).module
         if prop == "unramified":
             return kd.is_zero()
         if prop == "smooth":
-            omega_projective = (_certified_globally("unramified", phi)
+            omega_projective = (phi.derived(_certificate, "unramified")
                                 or kd.free_rank() is not None)
             return (omega_projective
                     and cotangent_trunc2(phi).homology_module(1).is_zero())
@@ -646,15 +622,16 @@ def classification_report(prop: str, subject, points) -> "ClassificationReport":
             raise ClassifyError(f"property {prop!r} classifies a map")
         op = _POINTWISE[prop]
         rows = [_point_row(subject.target, q, op(subject, q)) for q in points]
-        certified = _certified_globally(prop, subject)
+        certified = subject.derived(_certificate, prop)
         return ClassificationReport(
             prop, subject.to_json(), rows,
             "certified" if certified else "sampled-only")
     if prop in _RINGWISE:
         if isinstance(subject, AlgebraMap):
             raise ClassifyError(f"property {prop!r} classifies a ring")
-        op = _RINGWISE[prop]
-        rows = [_point_row(subject, q, op(subject, q)) for q in points]
+        build, op = _RINGWISE[prop]
+        fixed = build(subject)
+        rows = [_point_row(subject, q, op(fixed, q)) for q in points]
         return ClassificationReport(prop, subject.to_json(), rows,
                                     "sampled-only")
     raise ClassifyError(

@@ -10,9 +10,9 @@ presentation: generators f, their syzygies, and the Koszul syzygies
 f_i e_j - f_j e_i, the latter lifted and attached, with the second
 syzygies, as a degree-3 differential so that degree-2 homology is taken
 against the right quotient; one elimination over the syzygies gives both.
-The truncation is a pure function of the map,
-so it is built once per map and kept on the map: Tor, the five-term
-check and lci read the same presentation stages.  The stages keep, each
+The truncation is a pure function of the map, built once per map from
+its one relative presentation and kept on it (`AlgebraMap.derived`): Tor,
+the five-term check and lci read the same stages.  The stages keep, each
 built on first use, the Tor resolution through degree 2 and H_1(K(f)) of
 the relations f over the base P, from Koszul degrees <= 2.  Over the
 Noetherian P, H_1(K(f)) = 0 exactly when f is Koszul-regular: K(f) is
@@ -227,14 +227,11 @@ class _Trunc2Data:
 def cotangent_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:
     """Degrees 0..2: relation syzygies into relation symbols into differentials.
 
-    The truncation is a pure function of the map, so it is built once per
-    map and kept on the map (freed with it); every later call, including
-    those of `tor_modules` and `five_term_check`, returns the same object.
+    Built once per map by `AlgebraMap.derived` and freed with the map;
+    every later call, including those of `tor_modules` and
+    `five_term_check`, returns the same object.
     """
-    trunc = getattr(phi, "_trunc2_memo", None)
-    if trunc is None:
-        trunc = phi._trunc2_memo = _build_trunc2(phi)
-    return trunc
+    return phi.derived(_build_trunc2)
 
 
 def _build_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:

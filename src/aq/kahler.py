@@ -71,8 +71,14 @@ def relative_presentation(phi: AlgebraMap) -> RelativePresentation:
     When the map is a plain inclusion of presentations (source variables
     appear in the target with identity images), the target's own ambient
     is reused; otherwise every target variable gets a fresh copy, with
-    relations tying source variables to their images.
+    relations tying source variables to their images.  Built once per map,
+    so the truncation, the differentials and the diagonal oracle share one
+    ambient algebra, with its Groebner basis and memos.
     """
+    return phi.derived(_relative_presentation)
+
+
+def _relative_presentation(phi: AlgebraMap) -> RelativePresentation:
     src, tgt = phi.source, phi.target
     if src.field != tgt.field:
         raise KahlerError("source and target over different fields")
@@ -138,6 +144,11 @@ def jacobian_matrix(rp: RelativePresentation) -> Matrix:
 
 
 def kahler_presentation(phi: AlgebraMap) -> KahlerDifferentials:
+    """The Jacobian presentation of the differentials, built once per map."""
+    return phi.derived(_kahler_presentation)
+
+
+def _kahler_presentation(phi: AlgebraMap) -> KahlerDifferentials:
     rp = relative_presentation(phi)
     jac = jacobian_matrix(rp)
     module = FPModule(rp.algebra, rp.num_adjoined(), matrix_columns(jac))
@@ -147,7 +158,11 @@ def kahler_presentation(phi: AlgebraMap) -> KahlerDifferentials:
 def kahler_oracle_via_diagonal(phi: AlgebraMap):
     """Omega as I/I^2 for I = ker(S tensor_R S -> S); independent of the
     Jacobian construction. Returns (FPModule over the relative algebra,
-    doubled-variable algebra used for the computation)."""
+    doubled-variable algebra used for the computation), built once per map."""
+    return phi.derived(_kahler_oracle_via_diagonal)
+
+
+def _kahler_oracle_via_diagonal(phi: AlgebraMap):
     rp = relative_presentation(phi)
     amb = rp.ambient
     doubled_names = fresh_names([y + "_r" for y in rp.adjoined], amb.variables,

@@ -147,7 +147,9 @@ class AlgebraMap:
     """Map of presented algebras, one image per source variable.
 
     Images live in the target's ambient ring; well-definedness (relations
-    map into the target ideal) is checked eagerly.
+    map into the target ideal) is checked eagerly.  Kept on the map, and
+    freed with it: the normal forms of the generator images (`apply`) and
+    the values of `derived` (presentations, truncation, certificates).
     """
 
     def __init__(self, source: PresentedAlgebra, target: PresentedAlgebra,
@@ -171,6 +173,7 @@ class AlgebraMap:
                 imgs[v] = target.ring.var(v)
         self.images = imgs
         self._generator_images: dict[str, Polynomial] = {}
+        self._derived: dict = {}
         bad = self.failing_relation()
         if bad is not None:
             raise AlgebraError(f"map does not kill source relation {bad}")
@@ -205,6 +208,14 @@ class AlgebraMap:
                 return img
         img = p.substitute(self.target.ring, self.images)
         return self.target.normal_form(img)
+
+    def derived(self, build, *args):
+        """`build(self, *args)`, built on first use and kept on the map;
+        `build` must be a pure function of the map and `args`."""
+        key = (build, args)
+        if key not in self._derived:
+            self._derived[key] = build(self, *args)
+        return self._derived[key]
 
     def is_identity_on_common(self) -> bool:
         return all(

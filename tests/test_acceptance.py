@@ -8,7 +8,7 @@ to see the verdict lines alongside the pytest report.
 """
 
 from aq.cli import run_session
-from aq.suites import run_suite
+from shared import suite_report
 
 
 def _verdict(n: int, label: str, ok: bool, detail: str) -> None:
@@ -17,7 +17,7 @@ def _verdict(n: int, label: str, ok: bool, detail: str) -> None:
 
 
 def _suite_criterion(n: int, label: str, suite: str, cases: int) -> None:
-    result = run_suite(suite)
+    result = suite_report(suite)
     ok = result["passed"] and result["cases"] == cases
     detail = f"{result['cases']} cases"
     if result["failures"]:

@@ -7,6 +7,13 @@ Run it at two commits and compare the files:
     PYTHONPATH=src python tools/diffdump.py after.txt    # second commit
     cmp before.txt after.txt
 
+The dump is also pinned in `tests/diffdump.txt`, which tier-1
+(`tests/test_diffdump.py`) regenerates in process.  A change that means to
+move bytes rewrites that file in the same commit, so its diff shows what
+moved:
+
+    PYTHONPATH=src python tools/diffdump.py tests/diffdump.txt
+
 Sections, in order:
   - the README session's `canonical.json` at levels 5, 7 and 9, under
     degrevlex and under lex;
@@ -218,14 +225,18 @@ def sections():
         })
 
 
+def render() -> str:
+    """The whole dump: each section as a `== title` line, then its body."""
+    return "".join(f"== {title}\n{body}" for title, body in sections())
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         print("usage: diffdump.py OUT", file=sys.stderr)
         return 2
     with open(argv[0], "w") as fh:
-        for title, body in sections():
-            fh.write(f"== {title}\n{body}")
+        fh.write(render())
     return 0
 
 
