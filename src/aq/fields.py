@@ -4,6 +4,11 @@ Field elements are plain Python values; the Field object supplies the
 arithmetic. A rational is an int when it is integral and a Fraction
 otherwise, never a Fraction with denominator 1; an element of GF(p) is an
 int in [0, p). No floats anywhere.
+
+Everything else goes through the Field methods, except the Groebner
+kernel: its subtraction loop (`groebner._sub_multiple`) inlines the
+arithmetic of the two field kinds, told apart by `characteristic`, and
+keeps both rules above by itself.
 """
 
 from __future__ import annotations

@@ -13,11 +13,13 @@ coefficient}}: its lead is the largest monomial of the lowest component,
 the first basis element (in basis order) whose lead divides it cancels
 it, and a lead that no basis lead divides moves into the result.  A
 cancellation adds each shifted, scaled term of the reducer straight into
-its row, with no intermediate polynomial.  The lead is picked with the
-ring order's key, which a degrevlex order computes once per monomial and
-keeps (see `orders`); a one-term row or a one-component map needs no
-comparison at all, and a reducer with lead coefficient one (every monic
-basis element) needs no division.
+its row, with no intermediate polynomial, in one loop per field kind that
+does the arithmetic inline: mod p for GF(p), int and Fraction operators
+for QQ (see `_sub_multiple`).  The lead is picked with the ring order's
+key, which a degrevlex order computes once per monomial and keeps (see
+`orders`); a one-term row or a one-component map needs no comparison at
+all, and a reducer with lead coefficient one (every monic basis element)
+needs no division.
 
 Leads live with the basis, not with the reduction: each element's lead
 (component, monomial, coefficient) is found once, when the element enters
@@ -29,19 +31,22 @@ basis.
 
 Pair selection is the normal strategy (minimal lcm degree, then creation
 order), which together with full tail reduction and final inter-reduction
-makes every returned basis deterministic.  Two classical criteria
-(Buchberger's; Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
-section 2.10; installed as Gebauer and Moeller do) drop S-pairs whose
-reduction would only give zero.  The product criterion drops a pair whose
-leads are coprime, but only when both elements live in one component: in
-a module an element with several components can have a coprime lead and
-still leave a remainder.  The chain criterion drops a popped pair (i, j)
-when another element k with its lead in the same component divides
-lcm(lead i, lead j) and neither (i, k) nor (j, k) is still pending (pushed
-and not yet popped; a pair dropped by the product criterion is never
-pushed).  It scans only the elements with their lead in that component.
-The reduced basis is unique, so the criteria change the work, never the
-result.
+makes every returned basis deterministic.  An element enters the basis
+monic (an element already monic is kept, not rescaled) and as a full
+normal form against the elements before it, so the final inter-reduction
+tail-reduces only the elements with a term that a later lead divides.
+Two classical criteria (Buchberger's; Cox, Little and O'Shea, Ideals,
+Varieties, and Algorithms, section 2.10; installed as Gebauer and Moeller
+do) drop S-pairs whose reduction would only give zero.  The product
+criterion drops a pair whose leads are coprime, but only when both
+elements live in one component: in a module an element with several
+components can have a coprime lead and still leave a remainder.  The
+chain criterion drops a popped pair (i, j) when another element k with
+its lead in the same component divides lcm(lead i, lead j) and neither
+(i, k) nor (j, k) is still pending (pushed and not yet popped; a pair
+dropped by the product criterion is never pushed).  It scans only the
+elements with their lead in that component.  The reduced basis is unique,
+so the criteria change the work, never the result.
 """
 
 from __future__ import annotations
@@ -83,34 +88,65 @@ def _index(basis: list[VP], leads: list) -> dict:
 def _sub_multiple(work: dict, g: VP, q, factor, field) -> None:
     """Subtract factor * x^q * g from the work map in place.  Each shifted,
     scaled term goes straight into its row; a sum that cancels drops its
-    monomial and a row that empties drops its component."""
-    mul, add, is_zero = field.mul, field.add, field.is_zero
-    neg_factor = field.neg(factor)
+    monomial and a row that empties drops its component.
+
+    This is the innermost loop of every reduction, so it does its field's
+    arithmetic inline, in one loop per field kind: GF(p) reduces each
+    product and sum mod p, and QQ uses the int and Fraction operators and
+    turns a Fraction with denominator 1 into its int (the `fields` rule for
+    integral rationals).  A factor and a stored coefficient are nonzero, so
+    a product arriving at an empty slot is nonzero too."""
     shift = operator.add
-    for c, p in g.items():
+    p = field.characteristic
+    if p:
+        neg_factor = -factor % p
+        for c, poly in g.items():
+            row = work.get(c)
+            if row is None:
+                row = work[c] = {}
+            get = row.get
+            for e, k in poly.terms.items():
+                m = tuple(map(shift, e, q))
+                prev = get(m)
+                if prev is None:
+                    row[m] = neg_factor * k % p
+                else:
+                    t = (prev + neg_factor * k) % p
+                    if t:
+                        row[m] = t
+                    else:
+                        del row[m]
+            if not row:
+                del work[c]
+        return
+    neg_factor = -factor
+    for c, poly in g.items():
         row = work.get(c)
         if row is None:
             row = work[c] = {}
         get = row.get
-        for e, k in p.terms.items():
+        for e, k in poly.terms.items():
             m = tuple(map(shift, e, q))
-            t = mul(neg_factor, k)
+            t = neg_factor * k
             prev = get(m)
-            if prev is None:
-                row[m] = t
-            else:
-                t = add(prev, t)
-                if is_zero(t):
+            if prev is not None:
+                t += prev
+                if not t:
                     del row[m]
-                else:
-                    row[m] = t
+                    continue
+            if t.denominator == 1:  # an int is its own numerator
+                t = t.numerator
+            row[m] = t
         if not row:
             del work[c]
 
 
 def _monic(v: VP, ring: PolyRing):
-    """(v scaled to lead coefficient one, its lead)."""
+    """(v scaled to lead coefficient one, its lead); v itself when its lead
+    coefficient is one already."""
     c, m, lc = vp_lead(v, ring)
+    if lc == 1:
+        return v, (c, m, lc)
     inv = ring.field.inv(lc)
     g = {k: p.scale(inv) for k, p in v.items()}
     return g, (c, m, g[c].terms[m])
@@ -224,7 +260,14 @@ def module_groebner(generators: list[VP], ring: PolyRing) -> list[VP]:
 
 
 def _interreduce(basis: list[VP], leads: list, ring: PolyRing) -> list[VP]:
-    # drop elements whose lead is divisible by another lead
+    """The reduced basis: drop each element whose lead another lead
+    divides, tail-reduce the rest against each other, sort.
+
+    Every element entered the basis as a full normal form against the
+    elements before it, and is monic, so only a lead that came later can
+    reduce one of its terms: an element that no later kept lead reduces is
+    already its own reduced form, and is kept as it is.  Tail reduction
+    leaves the lead, and so its coefficient one, in place."""
     keep, keep_leads = [], []
     for i, (g, (ci, mi, _)) in enumerate(zip(basis, leads)):
         divisible = False
@@ -238,15 +281,14 @@ def _interreduce(basis: list[VP], leads: list, ring: PolyRing) -> list[VP]:
         if not divisible:
             keep.append(g)
             keep_leads.append(leads[i])
-    # tail-reduce each against the others
     index = _index(keep, keep_leads)
     key = ring.order.key
     out = []
-    for g in keep:
-        nf = vp_normal_form(g, index, ring, skip=g)
-        if nf:
-            reduced, (c, m, _) = _monic(nf, ring)
-            out.append(((-c, key(m)), reduced))
+    for i, (g, (c, m, _)) in enumerate(zip(keep, keep_leads)):
+        if any(cj in g and any(mono_divides(mj, e) for e in g[cj].terms)
+               for cj, mj, _ in keep_leads[i + 1:]):
+            g = vp_normal_form(g, index, ring, skip=g)
+        out.append(((-c, key(m)), g))
     out.sort(key=lambda pair: pair[0], reverse=True)
     return [reduced for _, reduced in out]
 

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -599,3 +600,94 @@ def test_a_reducer_that_is_not_monic_still_divides():
     assert poly_normal_form(R.poly("x^2"), [R.poly("2*x - 1")], R) == R.poly("1/4")
     F = PolyRing(GF(5), ("x",))
     assert poly_normal_form(F.poly("x^2"), [F.poly("2*x - 1")], F) == F.poly("4")
+
+
+# -- the per-field subtraction loops and the inter-reduction skip ------------
+
+
+KERNEL_FIELDS = st.sampled_from([QQ, GF(2), GF(5), GF(7)])
+# denominators that are units in every one of those fields
+KERNEL_DEN = st.sampled_from([1, 3, 11])
+KERNEL_TERM = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                        st.integers(-3, 3), KERNEL_DEN)
+
+
+def cancelling_terms(terms):
+    """The terms, then the negatives of a prefix of them: an entry whose
+    terms cancel in part or in full."""
+    return st.integers(0, len(terms)).map(
+        lambda k: terms + [(a, b, -num, den) for a, b, num, den in terms[:k]])
+
+
+def kernel_inputs(rank):
+    """(rank, generator entries, multiples): each multiple (i, num, den)
+    appends num/den times generator i, which reduces to zero."""
+    entry = st.tuples(st.integers(0, rank - 1),
+                      st.lists(KERNEL_TERM, max_size=3).flatmap(cancelling_terms))
+    return st.tuples(st.just(rank),
+                     st.lists(st.lists(entry, max_size=rank), min_size=1,
+                              max_size=4),
+                     st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3),
+                                        KERNEL_DEN), max_size=2))
+
+
+def assert_canonical(basis, field):
+    """A QQ coefficient is an int or a Fraction whose denominator is not 1;
+    a GF(p) coefficient is an int in [0, p).  No stored coefficient is 0."""
+    p = field.characteristic
+    for v in basis:
+        for poly in v.values():
+            for k in poly.terms.values():
+                assert k != 0
+                if p:
+                    assert type(k) is int and 0 <= k < p
+                else:
+                    assert type(k) is int or (type(k) is Fraction
+                                              and k.denominator != 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(KERNEL_FIELDS, st.sampled_from(ORDERS),
+       st.integers(1, 3).flatmap(kernel_inputs))
+# x + 1/2 reduces 2*x*y + y^2 to y^2 - y: -2 * 1/2 is an integral Fraction
+@example(QQ, MonomialOrder(), (1, [[(0, [(1, 0, 1, 1), (0, 0, 1, 2)])],
+                                   [(0, [(1, 1, 2, 1), (0, 2, 1, 1)])]], []))
+# over GF(2) the negated factor of a unit is the unit itself
+@example(GF(2), MonomialOrder("lex"), (2, [[(0, [(1, 0, 1, 1), (0, 1, 1, 1)]),
+                                            (1, [(0, 0, 1, 1)])],
+                                           [(0, [(1, 1, 1, 1)])]], [(0, 1, 1)]))
+def test_field_kernels_match_the_all_pairs_reference(field, order, data):
+    """Each field's subtraction loop gives the all-pairs basis element by
+    element, over QQ with fractional coefficients and over GF(2), GF(5) and
+    GF(7), on generators whose terms cancel and on multiples of a
+    generator; every returned coefficient is canonical."""
+    rank, gen_entries, multiples = data
+    R = PolyRing(field, ("x", "y"), order)
+    gens = [v for v in (vector(R, e) for e in gen_entries) if v]
+    for i, num, den in multiples:
+        c = field.div(field.from_int(num), field.from_int(den))
+        if gens and not field.is_zero(c):
+            gens.append({k: p.scale(c) for k, p in gens[i % len(gens)].items()})
+    got = module_groebner(gens, R)
+    assert got == reference_groebner(gens, R)
+    verify_groebner(got, gens, R)
+    assert_canonical(got, field)
+
+
+def test_interreduction_reduces_a_tail_only_by_a_later_lead(monkeypatch):
+    """x + y enters the basis before y, so its tail y is reducible only by
+    the later lead: the inter-reduction rewrites it to x, and leaves y, which
+    no later lead reduces, as it is."""
+    import aq.groebner as groebner
+    reduced = []
+    real = groebner.vp_normal_form
+
+    def recording(v, index, ring, skip=None):
+        if skip is not None:
+            reduced.append(str(v[0]))
+        return real(v, index, ring, skip)
+
+    monkeypatch.setattr(groebner, "vp_normal_form", recording)
+    R = PolyRing(QQ, ("x", "y"))
+    assert gb_strings(["x + y", "y"], R) == ["x", "y"]
+    assert reduced == ["x + y"]
