@@ -278,6 +278,11 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise) -> CotangentComplexTr
     """Alternating sums of face Jacobians over the augmentation, in degrees
     0..max_level of the extension (reliable through max_level - 1).
 
+    The entry in row w, column x of the degree-n differential is
+    d/dw of sum_i (-1)^i d_i(x), pushed to the augmentation.  The sum is
+    formed once per column and differentiated once per row: by linearity
+    this is the alternating sum of the face Jacobians.
+
     The extension must actually resolve its augmentation.  Acyclicity is
     checked through the Koszul rule: an extension that contracts r_1..r_c
     (its `killed`) has pi_n = H_n(K(r)), which must vanish for n >= 1.
@@ -296,22 +301,17 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise) -> CotangentComplexTr
         if not rows or not cols:
             continue
         push = aug_maps[n - 1]
-        zero = push.source.ring.zero()
-        faces = {x: [ext.operator("d", n, i).images[x] for i in range(n + 1)]
-                 for x in cols}
-        matrix = []
-        for w in rows:
-            row = []
-            for x in cols:
-                # apply is additive, so the alternating sum is taken in
-                # A_{n-1} and pushed to the augmentation once
-                acc = zero
-                for i, img in enumerate(faces[x]):
-                    term = img.derivative(w)
-                    acc = acc + term if i % 2 == 0 else acc - term
-                row.append(push.apply(acc))
-            matrix.append(row)
-        diffs[n] = matrix
+        faces = [ext.operator("d", n, i) for i in range(n + 1)]
+        # the derivative and apply are linear, so each column's alternating
+        # sum is formed once in A_{n-1}, differentiated once per row and
+        # pushed to the augmentation once per entry
+        sums = []
+        for x in cols:
+            acc = push.source.ring.zero()
+            for i, face in enumerate(faces):
+                acc = acc + face.images[x] if i % 2 == 0 else acc - face.images[x]
+            sums.append(acc)
+        diffs[n] = [[push.apply(acc.derivative(w)) for acc in sums] for w in rows]
     phi = AlgebraMap(ext.base, aug, {})
     return CotangentComplexTrunc(phi, MODE_RESOLUTION,
                                  FreeComplex(aug, ranks, diffs), {}, cutoff=cutoff)

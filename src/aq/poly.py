@@ -78,6 +78,8 @@ class PolyRing:
         # generator from any other monomial
         self.unit_names = {tuple(int(j == i) for j in range(len(self.variables))): v
                            for i, v in enumerate(self.variables)}
+        one = field.one()
+        self._vars = {v: Polynomial(self, {e: one}) for e, v in self.unit_names.items()}
 
     @property
     def nvars(self) -> int:
@@ -104,9 +106,12 @@ class PolyRing:
         return self.const(self.field.from_int(n))
 
     def var(self, name: str) -> "Polynomial":
-        i = self.var_index(name)
-        expo = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {expo: self.field.one()})
+        """The variable `name`: one Polynomial per name, built with the ring
+        and shared by every call (polynomials are never mutated)."""
+        try:
+            return self._vars[name]
+        except KeyError:
+            raise PolyError(f"unknown variable {name!r}") from None
 
     def monomial(self, expo: tuple[int, ...], coeff=None) -> "Polynomial":
         c = self.field.one() if coeff is None else coeff

@@ -3,7 +3,11 @@
 A PresentedAlgebra is an ambient polynomial ring plus a relation list;
 elements are ambient polynomials and normal_form against the cached
 reduced Groebner basis of the relations, read through its cached lead
-index, gives canonical representatives.
+index, gives canonical representatives.  The normal form is linear, so
+it is summed from the normal forms of the monic monomials, each reduced
+once and kept on the algebra.  An AlgebraMap keeps the normal forms of
+its generator images, keyed by exponent tuple.  Both hand out shared
+polynomials, which no caller mutates.
 Rational points are variable assignments satisfying every relation.
 """
 
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 from .groebner import ideal_groebner, lead_index, vp_normal_form
 from .orders import MonomialOrder
-from .poly import ParseError, Polynomial, PolyRing
+from .poly import ParseError, Polynomial, PolyRing, _add_terms
 
 
 class AlgebraError(ValueError):
@@ -37,8 +41,10 @@ class PresentedAlgebra:
         self._gb: list[Polynomial] | None = None
         self._gb_index: dict | None = None  # `lead_index` of the basis
         # content-keyed memos, freed with the algebra: syzygies by input
-        # (`modules.syzygies`) and the parsed values of validated points
+        # (`modules.syzygies`), the normal form of each monic monomial
+        # (`normal_form`) and the parsed values of validated points
         self._syzygy_memo: dict = {}
+        self._normal_forms: dict[tuple, Polynomial] = {}
         self._valid_points: set = set()
 
     # -- presentation ----------------------------------------------------
@@ -58,15 +64,36 @@ class PresentedAlgebra:
         return self._gb
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        if p.ring != self.ring:
+        """Canonical representative of p modulo the relations.
+
+        The normal form is linear in p, so it is the sum of c times the
+        normal form of x^e over the terms c*x^e of p.  Each monic monomial
+        x^e is reduced against the basis the first time this algebra sees
+        it and kept; a lone monic monomial gets its kept polynomial back.
+        """
+        ring = self.ring
+        if p.ring is not ring and p.ring != ring:
             raise AlgebraError("element from a different ambient ring")
         index = self._gb_index
         if index is None:
             index = self._gb_index = lead_index(
-                [{0: g} for g in self.groebner()], self.ring)
-        if p.is_zero() or not index:
+                [{0: g} for g in self.groebner()], ring)
+        if not p.terms or not index:
             return p
-        return vp_normal_form({0: p}, index, self.ring).get(0, self.ring.zero())
+        memo = self._normal_forms
+        field = ring.field
+        one, mul = field.one(), field.mul
+        out: dict = {}
+        for e, c in p.terms.items():
+            nf = memo.get(e)
+            if nf is None:
+                nf = memo[e] = vp_normal_form(
+                    {0: Polynomial(ring, {e: one})}, index, ring).get(0, ring.zero())
+            if len(p.terms) == 1 and c == one:
+                return nf
+            _add_terms(out, nf.terms.items() if c == one else
+                       ((m, mul(c, k)) for m, k in nf.terms.items()), field)
+        return Polynomial(ring, out)
 
     def is_trivial(self) -> bool:
         """True when 1 lies in the defining ideal (the zero ring)."""
@@ -148,8 +175,9 @@ class AlgebraMap:
 
     Images live in the target's ambient ring; well-definedness (relations
     map into the target ideal) is checked eagerly.  Kept on the map, and
-    freed with it: the normal forms of the generator images (`apply`) and
-    the values of `derived` (presentations, truncation, certificates).
+    freed with it: the normal forms of the generator images, keyed by
+    exponent tuple (`apply`), and the values of `derived` (presentations,
+    truncation, certificates).
     """
 
     def __init__(self, source: PresentedAlgebra, target: PresentedAlgebra,
@@ -172,7 +200,7 @@ class AlgebraMap:
                     )
                 imgs[v] = target.ring.var(v)
         self.images = imgs
-        self._generator_images: dict[str, Polynomial] = {}
+        self._generator_images: dict[tuple, Polynomial] = {}
         self._derived: dict = {}
         bad = self.failing_relation()
         if bad is not None:
@@ -187,25 +215,33 @@ class AlgebraMap:
     def apply(self, p: Polynomial) -> Polynomial:
         """Image of a source element, normalized in the target.
 
-        A generator (one term of total degree 1 with coefficient one) is
-        read from a per-map table of the normal forms of the images, filled
-        the first time each generator is applied; every other element is
-        substituted and reduced.  The table holds normal forms, not the
-        stored images: an omitted image defaults to the same-named target
-        variable unreduced, which is not canonical when a target relation
-        has that variable as its lead term.
+        The ring is checked by identity first, by equality only if that
+        fails.  Zero goes to the target's zero.  A generator (one term of
+        total degree 1 with coefficient one) is read from a per-map table
+        of the normal forms of the images, keyed by exponent tuple and
+        filled the first time each generator is applied; every other
+        element is substituted and reduced.  The table holds normal forms,
+        not the stored images: an omitted image defaults to the same-named
+        target variable unreduced, which is not canonical when a target
+        relation has that variable as its lead term.  The returned
+        polynomial may be shared with the table and must not be mutated.
         """
-        if p.ring != self.source.ring:
+        ring = self.source.ring
+        if p.ring is not ring and p.ring != ring:
             raise AlgebraError("element from a different ambient ring")
-        if len(p.terms) == 1:
-            (e, c), = p.terms.items()
-            v = self.source.ring.unit_names.get(e)
-            if v is not None and c == 1:
-                img = self._generator_images.get(v)
-                if img is None:
-                    img = self.target.normal_form(self.images[v])
-                    self._generator_images[v] = img
-                return img
+        terms = p.terms
+        if not terms:
+            return self.target.ring.zero()
+        if len(terms) == 1:
+            (e, c), = terms.items()
+            if c == 1:
+                img = self._generator_images.get(e)
+                if img is not None:
+                    return img
+                v = ring.unit_names.get(e)
+                if v is not None:
+                    img = self._generator_images[e] = self.target.normal_form(self.images[v])
+                    return img
         img = p.substitute(self.target.ring, self.images)
         return self.target.normal_form(img)
 
@@ -225,12 +261,18 @@ class AlgebraMap:
         )
 
     def is_canonical_surjection(self) -> bool:
-        """Same ambient variables, identity images: R -> R/I shape."""
+        """Same ambient variables, identity images: R -> R/I shape.
+
+        Each generator's image is compared, as a normal form (what `apply`
+        gives the generator), with the normal form of the same-named target
+        variable, so the answer does not depend on whether an image was
+        given or omitted."""
+        target = self.target
+        nf = target.normal_form
         return (
-            set(self.source.variables) == set(self.target.variables)
-            and all(
-                self.images[v] == self.target.ring.var(v) for v in self.source.variables
-            )
+            set(self.source.variables) == set(target.variables)
+            and all(nf(self.images[v]) == nf(target.ring.var(v))
+                    for v in self.source.variables)
         )
 
     def pullback_point(self, point: dict) -> dict:

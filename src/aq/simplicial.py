@@ -227,26 +227,31 @@ class FreeExtensionLevelwise:
         `max_level`.
 
         The inner operator of each composite sends a generator x to its
-        stored image and the outer one is applied, so both sides are normal
-        forms in one algebra and are compared as they stand.  The right
-        side of d_i s_j = id is the normal form of x, computed once per
-        generator.  Exact over every base, the zero ring included.
-        Returns (ok, failure descriptions).
+        stored image and the outer one is applied, one `apply` per
+        composite entry, so both sides are normal forms in one algebra.
+        Per identity, the operators are looked up once, each side is built
+        as the list of its term maps over the level's generators, and the
+        two lists are compared in one step; the per-generator failure tags
+        are formatted only when they differ.  The right side of d_i s_j = id
+        is the normal form of x, computed once per generator.  Exact over
+        every base, the zero ring included.  Returns (ok, failure
+        descriptions), in identity order and, within one, generator order.
         """
         bad = []
-        identity = {n: {x: self.algebra(n).normal_form(self.ring(n).var(x))
-                        for x in self.levels[n]}
+        identity = {n: [self.algebra(n).normal_form(self.ring(n).var(x)).terms
+                        for x in self.levels[n]]
                     for n in range(self.max_level)}
         for tag, n, lhs, rhs in _simplicial_identities(self.max_level):
+            xs = self.levels[n]
             outer, inner = (self.operator(*op) for op in lhs)
-            if rhs is not None:
+            got = [outer.apply(inner.images[x]).terms for x in xs]
+            if rhs is None:
+                want = identity[n]
+            else:
                 r_outer, r_inner = (self.operator(*op) for op in rhs)
-            for x in self.levels[n]:
-                got = outer.apply(inner.images[x])
-                want = (identity[n][x] if rhs is None
-                        else r_outer.apply(r_inner.images[x]))
-                if got != want:
-                    bad.append(f"{tag} on {x}")
+                want = [r_outer.apply(r_inner.images[x]).terms for x in xs]
+            if got != want:
+                bad.extend(f"{tag} on {x}" for x, g, w in zip(xs, got, want) if g != w)
         return (not bad, bad)
 
 

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from aq import corpus, linalg
+from aq.classify import _with_order, classification_report
 from aq.corpus import algebra, canonical_surjection, inclusion_from_ground
 from aq.cotangent import (
     CotangentError,
@@ -27,6 +28,7 @@ from aq.fields import GF, QQ
 from aq.groebner import SubmoduleEngine
 from aq.kahler import RelativePresentation
 from aq.modules import FPModule, FreeComplex, evaluate_matrix
+from aq.orders import MonomialOrder
 from aq.rings import AlgebraError, AlgebraMap, PointError, compose
 from aq.simplicial import (bar_construction, constant_extension,
                            hypersurface_resolution, tensor_resolutions)
@@ -388,6 +390,35 @@ def test_reader_matches_the_per_degree_formula_on_the_corpus():
                 assert _outcome(lambda: trunc.dims_through(q, top)) == want
                 compared += not isinstance(want, tuple)
     assert compared > 100
+
+
+def _verdicts(report):
+    return [r["verdict"] for r in report.rows], report.global_flag
+
+
+def test_residue_dims_and_verdicts_do_not_depend_on_the_monomial_order():
+    # dims of D_0..D_2 at a rational point are invariants of the map, and so
+    # are the classifier's verdicts: under degrevlex and under lex, the same
+    # map must give the same
+    compared = 0
+    for family in ("random_surjections", "polynomial_extension_instances",
+                   "random_base_extensions", "classifier_corpus"):
+        for entry in getattr(corpus, family)():
+            subject = entry.get("map", entry.get("subject"))
+            twin = (_with_order(subject, "lex") if isinstance(subject, AlgebraMap)
+                    else subject.with_order(MonomialOrder("lex")))
+            if "property" in entry:
+                assert _verdicts(classification_report(
+                    entry["property"], twin, entry["points"])) == _verdicts(
+                    classification_report(entry["property"], subject, entry["points"]))
+            if not isinstance(subject, AlgebraMap):
+                continue
+            for q in entry["points"]:
+                want = _outcome(lambda: cotangent_trunc2(subject).dims_through(q, 2))
+                assert _outcome(lambda: cotangent_trunc2(twin).dims_through(q, 2)) \
+                    == want, (entry["name"], q)
+                compared += not isinstance(want, tuple)
+    assert compared == 135
 
 
 def test_reader_matches_the_per_degree_formula_on_resolutions():

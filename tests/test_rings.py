@@ -1,10 +1,12 @@
 """Maps of presented algebras: a generator's image comes from the map's
-table of normal forms, and agrees with substituting and reducing."""
+table of normal forms, and agrees with substituting and reducing; the
+polynomials that rings, algebras and maps share are never mutated."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aq.fields import GF, QQ
+from aq.groebner import module_groebner
 from aq.orders import MonomialOrder
 from aq.poly import PolyRing
 from aq.rings import AlgebraMap, PointError, PresentedAlgebra
@@ -56,6 +58,53 @@ def test_apply_agrees_with_substituting_and_reducing(field, data):
     elements = data.draw(st.lists(source_elements(S.ring), min_size=1, max_size=6))
     for p in elements + elements:
         assert phi.apply(p) == T.normal_form(p.substitute(T.ring, phi.images))
+
+
+def _every_operation(T, phi, pool, source_elements):
+    """Run arithmetic, substitute, rename_into, derivative, normal_form,
+    apply and module_groebner over `pool`; return what they return."""
+    ring = T.ring
+    wider = PolyRing(ring.field, ring.variables + ("w",), ring.order)
+    out = []
+    for p, q in zip(pool, pool[1:] + pool[:1]):
+        out += [p + q, p - q, p * q, -p, p ** 2, p.scale(ring.field.from_int(2)),
+                p.monic(), p.derivative("x"), p.rename_into(wider),
+                p.rename_into(ring, {"u": "x"}),
+                p.substitute(ring, {"x": q, "y": p}), T.normal_form(p)]
+    out += [phi.apply(s) for s in source_elements]
+    pairs = [{c: f for c, f in enumerate(pair) if f.terms}
+             for pair in zip(pool[:4], pool[1:5])]
+    for g in module_groebner(pairs, ring):
+        out += g.values()
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF5], ids=["QQ", "GF5"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_no_operation_mutates_a_shared_polynomial(field, data):
+    S = PresentedAlgebra(PolyRing(field, SOURCE_VARS))
+    T_ring = PolyRing(field, TARGET_VARS)
+    T = PresentedAlgebra(T_ring, data.draw(st.lists(small_polys(T_ring), max_size=2))
+                         + [T_ring.poly("x - y")])
+    phi = AlgebraMap(S, T, {"z": data.draw(small_polys(T_ring))})
+    x = {(1, 0, 0): field.one()}
+    sources = [S.ring.var(v) for v in SOURCE_VARS] + data.draw(
+        st.lists(source_elements(S.ring), max_size=3))
+    # the shared values: ring variables, kept normal forms, the apply table
+    shared = ([T_ring.var(v) for v in TARGET_VARS]
+              + [T.normal_form(T_ring.var(v)) for v in TARGET_VARS]
+              + [phi.apply(s) for s in sources])
+    pool = shared + data.draw(st.lists(small_polys(T_ring), min_size=1, max_size=3))
+    before = [dict(p.terms) for p in sources + pool]
+    results = _every_operation(T, phi, pool, sources)
+    # every normal form and table entry kept so far goes round again
+    kept = list(T._normal_forms.values()) + list(phi._generator_images.values())
+    after_first = [dict(p.terms) for p in results + kept]
+    _every_operation(T, phi, kept, sources)
+    assert [p.terms for p in sources + pool] == before
+    assert [p.terms for p in results + kept] == after_first
+    assert T_ring.var("x").terms == x and S.ring.var("x").terms == x
 
 
 def test_a_defaulted_generator_led_by_a_relation_is_reduced():

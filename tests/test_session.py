@@ -379,6 +379,19 @@ def test_high_degree_homology_with_automatic_resolution():
     assert dims["1"] == 1 and dims["2"] == 0
 
 
+@pytest.mark.parametrize("images", ["", " [x -> x, y -> y]"], ids=["omitted", "stated"])
+def test_stated_identity_images_get_the_automatic_resolution(images):
+    # x reduces to y in C, so the stored image of x is y when stated and x
+    # when omitted; both maps are the canonical surjection P -> C
+    text = ("field QQ\nring P = poly(x, y)\nring C = P/(x - y)\n"
+            f"map inc : P -> C{images}\npoint o on C (x=0, y=0)\n"
+            "task homology inc coeff residue o maxdeg 3\n")
+    code, summary = run_session(text)
+    assert code == 0
+    assert summary["canonical"]["statuses"] == ["pass"]
+    assert summary["canonical"]["tasks"][0]["dims"] == {"0": 0, "1": 1, "2": 0, "3": 0}
+
+
 def test_automatic_resolution_stops_one_level_past_maxdeg():
     # the complex is reliable through cutoff - 1, so maxdeg 5 needs cutoff 6
     text = ("field QQ\nring P = poly(x, y)\nring C = P/(x^3 - y^2)\n"

@@ -371,3 +371,94 @@ def test_finite_rank_model_refuses_a_nonaffine_image():
     ext.set_operator("d", 2, 0, {"x2_0": x1 * x1, "x2_1": x1})
     with pytest.raises(SimplicialError, match="not affine"):
         SimplicialModuleFR.from_extension(ext, {"y": 0}, max_degree=2)
+
+
+def _per_generator_identity_check(ext):
+    """Reference: each identity, generator by generator, comparing the two
+    sides as polynomials and recording a tag at each mismatch."""
+    bad = []
+    identity = {n: {x: ext.algebra(n).normal_form(ext.ring(n).var(x))
+                    for x in ext.levels[n]}
+                for n in range(ext.max_level)}
+    for tag, n, lhs, rhs in _simplicial_identities(ext.max_level):
+        outer, inner = (ext.operator(*op) for op in lhs)
+        if rhs is not None:
+            r_outer, r_inner = (ext.operator(*op) for op in rhs)
+        for x in ext.levels[n]:
+            got = outer.apply(inner.images[x])
+            want = (identity[n][x] if rhs is None
+                    else r_outer.apply(r_inner.images[x]))
+            if got != want:
+                bad.append(f"{tag} on {x}")
+    return (not bad, bad)
+
+
+def _level_images(ext, kind, n, i):
+    images = ext.operator(kind, n, i).images
+    return {x: images[x] for x in ext.levels[n]}
+
+
+def _replace_one_face_image(ext, n, i):
+    images = _level_images(ext, "d", n, i)
+    x = ext.levels[n][-1]
+    images[x] = images[x] + ext.ring(n - 1).var(ext.levels[n - 1][0])
+    ext.set_operator("d", n, i, images)
+
+
+def _swap_degeneracies(ext, n):
+    s0, s1 = (_level_images(ext, "s", n, j) for j in (0, 1))
+    ext.set_operator("s", n, 0, s1)
+    ext.set_operator("s", n, 1, s0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("construction", ["bar", "kill-cycle"])
+@pytest.mark.parametrize("breakage", ["face", "degeneracy", "both"])
+def test_identity_failures_match_the_per_generator_check(field, construction, breakage):
+    if construction == "bar":
+        ext = bar_construction(algebra(field, ("x", "y"), ["x^2 - y^3"]), "y", 4)
+    else:
+        ext = kill_cycle(constant_extension(algebra(field, ("x", "y")), 4), "x*y", 1)
+    assert ext.simplicial_identities_hold() == _per_generator_identity_check(ext) \
+        == (True, [])
+    if breakage in ("face", "both"):
+        _replace_one_face_image(ext, 3, 1)
+    if breakage in ("degeneracy", "both"):
+        _swap_degeneracies(ext, 2)
+    got = ext.simplicial_identities_hold()
+    assert got == _per_generator_identity_check(ext)
+    assert not got[0] and got[1]
+
+
+def _per_face_jacobian(ext, n, push, w, x):
+    """Reference: sum_i (-1)^i d(d_i(x))/dw, each face pushed to the
+    augmentation on its own."""
+    acc = push.target.ring.zero()
+    for i in range(n + 1):
+        term = push.apply(ext.operator("d", n, i).images[x].derivative(w))
+        acc = acc + term if i % 2 == 0 else acc - term
+    return acc
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bar_construction(line(), "y", 4),
+    lambda: bar_construction(cusp(), "x", 4),
+    lambda: hypersurface_resolution(plane(), "x^3 - y^2", 5),
+    lambda: hypersurface_resolution(algebra(GF(5), ("x",)), "x^5 - x + 1", 5),
+    lambda: hypersurface_resolution(algebra(GF(5), ("x", "y")), "x^5*y - y^2", 4),
+    lambda: kill_cycle(constant_extension(plane(), 4), "x*y", 1),
+    lambda: tensor_resolutions(bar_construction(plane(), "x", 4),
+                               bar_construction(plane(), "y", 4)),
+], ids=["bar-line", "bar-cusp", "hypersurface-cusp", "hypersurface-gf5-artin-schreier",
+        "hypersurface-gf5", "kill-cycle", "tensor"])
+def test_face_jacobians_match_the_per_face_formula(build):
+    ext = build()
+    complex_ = cotangent_from_resolution(ext).complex
+    push = augmentation_maps(ext)
+    for n in range(1, ext.max_level + 1):
+        rows, cols = ext.levels[n - 1], ext.levels[n]
+        if not rows or not cols:
+            continue
+        want = [[_per_face_jacobian(ext, n, push[n - 1], w, x) for x in cols]
+                for w in rows]
+        assert complex_.differential(n) == want, n
