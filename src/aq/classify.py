@@ -24,11 +24,11 @@ from . import linalg
 from .corpus import canonical_surjection, inclusion_from_ground
 from .cotangent import CotangentError, cotangent_trunc2
 from .groebner import ideal_groebner, poly_normal_form
-from .kahler import (jacobian_matrix, kahler_oracle_via_diagonal,
+from .kahler import (_tensor_square, jacobian_matrix, kahler_oracle_via_diagonal,
                      kahler_presentation, relative_presentation)
 from .modules import FPModule, evaluate_matrix, matrix_columns, syzygies
 from .orders import MonomialOrder
-from .poly import Polynomial, PolyRing, fresh_names
+from .poly import Polynomial, PolyRing
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra
 
 
@@ -214,22 +214,15 @@ def is_complete_intersection(R: PresentedAlgebra, point: dict) -> dict:
 
 
 def enveloping_multiplication(eta: AlgebraMap):
-    """S tensor_K S with doubled variables, and its multiplication onto S.
+    """S tensor_R S for eta: R -> S, and its multiplication onto S.
 
-    The multiplication kernel is generated by the differences v - v_r,
+    The tensor square is the one `kahler_oracle_via_diagonal` reads: each
+    variable adjoined by the relative presentation is doubled, and the
+    differences y - y_r, which generate the multiplication kernel, are
     adjoined as explicit relations of the presented target.
     """
-    S = eta.target
-    ring = S.ring
-    copies = fresh_names([v + "_r" for v in ring.variables], ring.variables,
-                         "r")
-    big = ring.extended(tuple(copies))
-    copy_of = dict(zip(ring.variables, copies))
-    rels = [r.rename_into(big) for r in S.relations]
-    rels += [r.rename_into(big, copy_of) for r in S.relations]
-    Se = PresentedAlgebra(big, rels)
-    diffs = [big.var(v) - big.var(c) for v, c in copy_of.items()]
-    T = PresentedAlgebra(big, list(Se.relations) + diffs)
+    Se, copy_of, diffs = eta.derived(_tensor_square)
+    T = PresentedAlgebra(Se.ring, list(Se.relations) + diffs)
     return Se, AlgebraMap(Se, T, {}), copy_of
 
 
@@ -239,13 +232,14 @@ def hkr_equivalence_check(eta: AlgebraMap, points) -> dict:
     if not points:
         raise ClassifyError("equivalence check needs at least one point")
     _, mu, copy_of = enveloping_multiplication(eta)
+    rp = relative_presentation(eta)
     per_point = []
     passes = True
     for q in points:
         pt = _require_rational(eta.target, q)
-        diag = {v: pt[v] for v in eta.target.variables}
-        for v, c in copy_of.items():
-            diag[c] = pt[v]
+        diag = rp.transport_point(pt)
+        for y, c in copy_of.items():
+            diag[c] = diag[y]
         smooth = is_smooth_at(eta, pt)
         lci = is_lci_at(mu, diag)
         ok = smooth["verdict"] == lci["verdict"]

@@ -22,7 +22,7 @@ from .classify import RING_PROPERTIES, ClassifyError, classification_report
 from .cotangent import CotangentError, aq_homology
 from .modules import koszul_homology_all_vanish
 from .poly import PolyError
-from .rings import AlgebraError
+from .rings import AlgebraError, point_to_json
 from .session import Session, SessionError, TaskDecl, parse_session
 from .simplicial import (
     SimplicialError,
@@ -39,8 +39,7 @@ _ERRORS = (AlgebraError, ClassifyError, CotangentError, PolyError,
 
 def _point_json(session: Session, pt_name: str) -> dict:
     ring_name, pt = session.points[pt_name]
-    algebra = session.rings[ring_name]
-    return {v: str(pt[v]) for v in algebra.variables}
+    return point_to_json(pt, session.rings[ring_name])
 
 
 def _run_homology(session: Session, payload) -> tuple[bool, dict, dict]:
@@ -136,7 +135,7 @@ def _run_resolve(session: Session, payload) -> tuple[bool, dict, dict]:
     return ok, canonical, informational
 
 
-def _run_check(payload) -> tuple[bool, dict, dict]:
+def _run_check(session: Session, payload) -> tuple[bool, dict, dict]:
     name = payload[0]
     result = run_suite(name)
     canonical = {"suite": name}
@@ -144,18 +143,19 @@ def _run_check(payload) -> tuple[bool, dict, dict]:
     return result["passed"], canonical, {}
 
 
+_RUNNERS = {
+    "homology": _run_homology,
+    "classify": _run_classify,
+    "resolve": _run_resolve,
+    "check": _run_check,
+}
+
+
 def _execute(session: Session, task: TaskDecl) -> dict:
     started = time.perf_counter()
-    record = {"task": task.canonical(), "kind": task.kind}
+    record = {"task": task.line, "kind": task.kind}
     try:
-        if task.kind == "homology":
-            ok, canonical, info = _run_homology(session, task.payload)
-        elif task.kind == "classify":
-            ok, canonical, info = _run_classify(session, task.payload)
-        elif task.kind == "resolve":
-            ok, canonical, info = _run_resolve(session, task.payload)
-        else:
-            ok, canonical, info = _run_check(task.payload)
+        ok, canonical, info = _RUNNERS[task.kind](session, task.payload)
         status = "pass" if ok else "fail"
     except ClassifyError as exc:
         status = "oracle-disagreement" if "disagreement" in str(exc) \
@@ -165,7 +165,7 @@ def _execute(session: Session, task: TaskDecl) -> dict:
         status = "error"
         canonical, info = {}, {"message": str(exc)}
     canonical = dict(canonical)
-    canonical["task"] = task.canonical()
+    canonical["task"] = task.line
     canonical["status"] = status
     record["canonical"] = canonical
     record["informational"] = dict(info)

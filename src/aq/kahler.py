@@ -4,8 +4,9 @@ The module of differentials of phi: R -> S is presented on the symbols
 dy for the variables adjoined by a relative presentation S = R[Y]/(f),
 with one relation column per f given by the partial derivatives. The
 independent cross-check presents the same module as I/I^2 for the kernel
-I of the multiplication map S tensor_R S -> S, built by doubling the
-adjoined variables.
+I of the multiplication map S tensor_R S -> S, built once per map by
+doubling the adjoined variables; the diagonal smoothness criterion reads
+the same S tensor_R S.
 """
 
 from __future__ import annotations
@@ -90,9 +91,12 @@ def _relative_presentation(phi: AlgebraMap) -> RelativePresentation:
         )
         rels = [t for t in tgt.relations if not base.normal_form(t).is_zero()]
         adjoined = tuple(v for v in tgt.variables if v not in src_vars)
+        # the base relations lie in the target ideal (phi is well defined)
+        # and the dropped target relations in the base ideal, so S is the
+        # target itself, with its Groebner basis and memos
         return RelativePresentation(
             phi=phi,
-            algebra=PresentedAlgebra(tgt.ring, list(base.relations) + rels),
+            algebra=tgt,
             base_algebra=base,
             adjoined=adjoined,
             relation_polys=tuple(rels),
@@ -162,7 +166,13 @@ def kahler_oracle_via_diagonal(phi: AlgebraMap):
     return phi.derived(_kahler_oracle_via_diagonal)
 
 
-def _kahler_oracle_via_diagonal(phi: AlgebraMap):
+def _tensor_square(phi: AlgebraMap):
+    """(S tensor_R S, copy_of, diffs) for phi: R -> S, built once per map.
+
+    S tensor_R S lives in the relative ambient with each adjoined variable
+    y doubled to copy_of[y]; the source variables are shared.  The
+    differences y - copy_of[y] generate the kernel of its multiplication
+    onto S."""
     rp = relative_presentation(phi)
     amb = rp.ambient
     doubled_names = fresh_names([y + "_r" for y in rp.adjoined], amb.variables,
@@ -172,8 +182,13 @@ def _kahler_oracle_via_diagonal(phi: AlgebraMap):
     rels = [r.rename_into(big) for r in rp.algebra.relations]
     for f in rp.relation_polys:
         rels.append(f.rename_into(big, copy_of))
-    tensor_alg = PresentedAlgebra(big, rels)
     diffs = [big.var(y) - big.var(copy_of[y]) for y in rp.adjoined]
+    return PresentedAlgebra(big, rels), copy_of, diffs
+
+
+def _kahler_oracle_via_diagonal(phi: AlgebraMap):
+    rp = relative_presentation(phi)
+    tensor_alg, copy_of, diffs = phi.derived(_tensor_square)
     squares = []
     for i in range(len(diffs)):
         for j in range(i, len(diffs)):
@@ -185,7 +200,7 @@ def _kahler_oracle_via_diagonal(phi: AlgebraMap):
     pushed_rels = []
     for rel in rel_rows:
         pushed_rels.append(
-            [rp.algebra.normal_form(p.rename_into(amb, back)) for p in rel]
+            [rp.algebra.normal_form(p.rename_into(rp.ambient, back)) for p in rel]
         )
     return FPModule(rp.algebra, len(diffs), pushed_rels), tensor_alg
 

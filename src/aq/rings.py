@@ -254,26 +254,24 @@ class AlgebraMap:
         return self._derived[key]
 
     def is_identity_on_common(self) -> bool:
-        return all(
-            self.images[v] == self.target.ring.var(v)
-            for v in self.source.variables
-            if v in self.target.ring._var_index
-        )
+        """Each source variable that the target also has is sent to it.
+
+        An image that is not the variable itself is compared, as a normal
+        form (what `apply` gives the generator), with the normal form of
+        the same-named target variable, so the answer does not depend on
+        whether an image was given or omitted."""
+        ring, nf = self.target.ring, self.target.normal_form
+        for v in self.source.variables:
+            if v in ring._var_index:
+                img, x = self.images[v], ring.var(v)
+                if img != x and nf(img) != nf(x):
+                    return False
+        return True
 
     def is_canonical_surjection(self) -> bool:
-        """Same ambient variables, identity images: R -> R/I shape.
-
-        Each generator's image is compared, as a normal form (what `apply`
-        gives the generator), with the normal form of the same-named target
-        variable, so the answer does not depend on whether an image was
-        given or omitted."""
-        target = self.target
-        nf = target.normal_form
-        return (
-            set(self.source.variables) == set(target.variables)
-            and all(nf(self.images[v]) == nf(target.ring.var(v))
-                    for v in self.source.variables)
-        )
+        """Same ambient variables, identity images: R -> R/I shape."""
+        return (set(self.source.variables) == set(self.target.variables)
+                and self.is_identity_on_common())
 
     def pullback_point(self, point: dict) -> dict:
         """Point on the source under the induced map of points."""

@@ -3,8 +3,8 @@
 A session declares a field, rings, maps, and points, then lists tasks.
 Parsing is strict: names must be declared before use, every polynomial and
 point is validated on the spot, and diagnostics carry line and column.
-The canonical printer emits one normalized line per statement, so
-parse -> pretty -> parse is the identity on the statement list.
+Each statement parser appends the normalized line of what it has just
+validated, so parse -> pretty -> parse is the identity on those lines.
 """
 
 from __future__ import annotations
@@ -37,85 +37,11 @@ class SessionError(ValueError):
         self.exit_code = exit_code
 
 
-# -- statement records -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FieldDecl:
-    kind: str
-    characteristic: int
-
-    def canonical(self) -> str:
-        if self.kind == "QQ":
-            return "field QQ"
-        return f"field GF {self.characteristic}"
-
-
-@dataclass(frozen=True)
-class RingDecl:
-    name: str
-    base: str | None            # None for polynomial declarations
-    variables: tuple[str, ...]  # for polynomial declarations
-    relations: tuple[str, ...]  # canonical strings, for quotients
-
-    def canonical(self) -> str:
-        if self.base is None:
-            return f"ring {self.name} = poly({','.join(self.variables)})"
-        return f"ring {self.name} = {self.base}/({', '.join(self.relations)})"
-
-
-@dataclass(frozen=True)
-class MapDecl:
-    name: str
-    source: str
-    target: str
-    images: tuple[tuple[str, str], ...]  # every source variable, in order
-
-    def canonical(self) -> str:
-        head = f"map {self.name} : {self.source} -> {self.target}"
-        if not self.images:
-            return head
-        body = ", ".join(f"{v} -> {img}" for v, img in self.images)
-        return f"{head} [{body}]"
-
-
-@dataclass(frozen=True)
-class PointDecl:
-    name: str
-    ring: str
-    assignments: tuple[tuple[str, str], ...]
-
-    def canonical(self) -> str:
-        body = ", ".join(f"{v}={val}" for v, val in self.assignments)
-        return f"point {self.name} on {self.ring} ({body})"
-
-
 @dataclass(frozen=True)
 class TaskDecl:
     kind: str
     payload: tuple
-
-    def canonical(self) -> str:
-        if self.kind == "homology":
-            name, coeff, maxdeg = self.payload
-            if coeff[0] == "residue":
-                spec = f"residue {coeff[1]}"
-            else:
-                spec = coeff[1]
-            return f"task homology {name} coeff {spec} maxdeg {maxdeg}"
-        if self.kind == "classify":
-            prop, subject, points = self.payload
-            return f"task classify {prop} {subject} at {','.join(points)}"
-        if self.kind == "resolve":
-            rkind, ring, detail, levels = self.payload
-            if rkind == "bar":
-                mid = f"{ring} {detail}"
-            elif rkind == "koszul":
-                mid = f"{ring} ({', '.join(detail)})"
-            else:
-                mid = f"{ring} ({detail})"
-            return f"task resolve {rkind} {mid} levels {levels}"
-        return f"task check {self.payload[0]}"
+    line: str  # the task's canonical line
 
 
 class Session:
@@ -125,13 +51,14 @@ class Session:
         self.rings: dict[str, PresentedAlgebra] = {}
         self.maps: dict[str, AlgebraMap] = {}
         self.points: dict[str, tuple[str, dict]] = {}
-        self.statements: list = []
+        self.lines: list[str] = []  # one canonical line per statement
+        self._tasks: list[TaskDecl] = []
 
     def tasks(self) -> list[TaskDecl]:
-        return [s for s in self.statements if isinstance(s, TaskDecl)]
+        return list(self._tasks)
 
     def canonical_lines(self) -> list[str]:
-        return [s.canonical() for s in self.statements]
+        return list(self.lines)
 
     def pretty(self) -> str:
         lines = self.canonical_lines()
@@ -278,7 +205,7 @@ def _split_top_commas(text: str, col0: int):
             pieces.append((text[start:i], col0 + start))
             start = i + 1
     pieces.append((text[start:], col0 + start))
-    return [(p, c) for p, c in pieces]
+    return pieces
 
 
 # -- statement parsers ----------------------------------------------------------
@@ -292,19 +219,19 @@ def _parse_field(cur: _Cursor, session: Session):
     kind = cur.name("field kind")
     if kind == "QQ":
         session.field = field_from_spec("QQ")
-        decl = FieldDecl("QQ", 0)
+        line = "field QQ"
     elif kind == "GF":
         p = cur.integer("a prime")
         try:
             session.field = field_from_spec("GF", p)
         except FieldError as exc:
             cur.error(str(exc), cur.word_col)
-        decl = FieldDecl("GF", p)
+        line = f"field GF {p}"
     else:
         cur.error(f"unknown field {kind!r}; expected QQ or GF <p>",
                   cur.word_col)
     cur.expect_end()
-    session.statements.append(decl)
+    session.lines.append(line)
 
 
 def _new_name(cur: _Cursor, session: Session, what: str) -> str:
@@ -335,14 +262,11 @@ def _parse_ring(cur: _Cursor, session: Session):
             cur.error("duplicate variable names", inner_col)
         algebra = PresentedAlgebra(
             PolyRing(session.field, tuple(variables), session.order), [])
-        session.rings[name] = algebra
-        session.statements.append(
-            RingDecl(name, None, tuple(variables), ()))
+        line = f"ring {name} = poly({','.join(variables)})"
     else:
-        base_name = head
-        if base_name not in session.rings:
-            cur.error(f"unknown ring {base_name!r}", head_col)
-        base = session.rings[base_name]
+        if head not in session.rings:
+            cur.error(f"unknown ring {head!r}", head_col)
+        base = session.rings[head]
         cur.take("/")
         inner, inner_col = cur.paren_group()
         rels = []
@@ -352,11 +276,10 @@ def _parse_ring(cur: _Cursor, session: Session):
             rels.append(cur.polynomial(piece, base.ring, pcol))
         algebra = PresentedAlgebra(
             base.ring, list(base.relations) + rels)
-        session.rings[name] = algebra
-        session.statements.append(RingDecl(
-            name, base_name, (),
-            tuple(stable_str(r) for r in rels)))
+        line = f"ring {name} = {head}/({', '.join(map(stable_str, rels))})"
     cur.expect_end()
+    session.rings[name] = algebra
+    session.lines.append(line)
 
 
 def _parse_map(cur: _Cursor, session: Session):
@@ -389,14 +312,12 @@ def _parse_map(cur: _Cursor, session: Session):
     session.maps[name] = amap
     # canonical text keeps the stated (unreduced) images so it does not
     # depend on the ambient monomial order
-    stated = []
-    for v in source.variables:
-        if v in images:
-            stated.append((v, stable_str(images[v])))
-        else:
-            stated.append((v, v))
-    session.statements.append(MapDecl(name, src_name, tgt_name,
-                                      tuple(stated)))
+    line = f"map {name} : {src_name} -> {tgt_name}"
+    if source.variables:
+        line += " [" + ", ".join(
+            f"{v} -> {stable_str(images[v]) if v in images else v}"
+            for v in source.variables) + "]"
+    session.lines.append(line)
 
 
 def _parse_point(cur: _Cursor, session: Session):
@@ -426,10 +347,8 @@ def _parse_point(cur: _Cursor, session: Session):
         # reported at the opening parenthesis
         cur.error(str(exc), inner_col - 1, exit_code=2)
     session.points[name] = (ring_name, pt)
-    field = session.field
-    session.statements.append(PointDecl(
-        name, ring_name,
-        tuple((v, field.to_str(pt[v])) for v in algebra.variables)))
+    body = ", ".join(f"{v}={pt[v]}" for v in algebra.variables)
+    session.lines.append(f"point {name} on {ring_name} ({body})")
 
 
 def _parse_task(cur: _Cursor, session: Session):
@@ -446,22 +365,20 @@ def _parse_task(cur: _Cursor, session: Session):
             pt_name = cur.declared(session.points, "point")
             _check_point_on(cur, session, pt_name,
                             session.maps[map_name].target)
-            coeff = ("residue", pt_name)
+            coeff, spec = ("residue", pt_name), f"residue {pt_name}"
         elif word == "self":
-            coeff = ("module", "self")
+            coeff, spec = ("module", "self"), word
         else:
             if word not in session.rings:
                 cur.error(f"unknown coefficient spec {word!r}; expected "
                           "'self', 'residue <point>', or a ring name", ccol)
             if session.rings[word] != session.maps[map_name].target:
                 cur.error("coefficient ring must be the map's target", ccol)
-            coeff = ("module", word)
+            coeff, spec = ("module", word), word
         maxdeg = cur.bound("maxdeg", "a degree bound")
-        cur.expect_end()
-        session.statements.append(
-            TaskDecl("homology", (map_name, coeff, maxdeg)))
-        return
-    if kind == "classify":
+        payload = (map_name, coeff, maxdeg)
+        line = f"homology {map_name} coeff {spec} maxdeg {maxdeg}"
+    elif kind == "classify":
         prop = cur.name("property")
         if prop not in PROPERTIES:
             cur.error(f"unknown property {prop!r}; expected one of "
@@ -480,11 +397,9 @@ def _parse_task(cur: _Cursor, session: Session):
             names.append(pt_name)
             if not cur.try_take(","):
                 break
-        cur.expect_end()
-        session.statements.append(
-            TaskDecl("classify", (prop, subject, tuple(names))))
-        return
-    if kind == "resolve":
+        payload = (prop, subject, tuple(names))
+        line = f"classify {prop} {subject} at {','.join(names)}"
+    elif kind == "resolve":
         rkind = cur.name("construction")
         if rkind not in RESOLVE_KINDS:
             cur.error(f"unknown construction {rkind!r}; expected one of "
@@ -492,11 +407,11 @@ def _parse_task(cur: _Cursor, session: Session):
         ring_name = cur.declared(session.rings, "ring")
         algebra = session.rings[ring_name]
         if rkind == "bar":
-            var = cur.name("variable")
-            if var not in algebra.ring._var_index:
-                cur.error(f"{var!r} is not a variable of {ring_name}",
+            detail = cur.name("variable")
+            if detail not in algebra.ring._var_index:
+                cur.error(f"{detail!r} is not a variable of {ring_name}",
                           cur.word_col)
-            detail = var
+            mid = detail
         else:
             inner, inner_col = cur.paren_group()
             pieces = _split_top_commas(inner, inner_col)
@@ -504,26 +419,23 @@ def _parse_task(cur: _Cursor, session: Session):
                 piece, pcol = pieces[MAX_KOSZUL_ELEMENTS]
                 cur.error(f"koszul takes at most {MAX_KOSZUL_ELEMENTS} "
                           "elements", pcol + len(piece) - len(piece.lstrip()))
-            polys = []
-            for piece, pcol in pieces:
-                polys.append(stable_str(
-                    cur.polynomial(piece, algebra.ring, pcol)))
-            if rkind == "koszul":
-                detail = tuple(polys)
-            else:
-                if len(polys) != 1:
-                    cur.error(f"{rkind} takes exactly one element",
-                              inner_col - 1)
-                detail = polys[0]
+            polys = tuple(stable_str(cur.polynomial(piece, algebra.ring, pcol))
+                          for piece, pcol in pieces)
+            if rkind != "koszul" and len(polys) != 1:
+                cur.error(f"{rkind} takes exactly one element", inner_col - 1)
+            detail = polys if rkind == "koszul" else polys[0]
+            mid = f"({', '.join(polys)})"
         levels = cur.bound("levels", "a level bound")
-        cur.expect_end()
-        session.statements.append(
-            TaskDecl("resolve", (rkind, ring_name, detail, levels)))
-        return
-    # check
-    suite = cur.name("suite name")
+        payload = (rkind, ring_name, detail, levels)
+        line = f"resolve {rkind} {ring_name} {mid} levels {levels}"
+    else:
+        suite = cur.name("suite name")
+        payload = (suite,)
+        line = f"check {suite}"
     cur.expect_end()
-    session.statements.append(TaskDecl("check", (suite,)))
+    task = TaskDecl(kind, payload, f"task {line}")
+    session._tasks.append(task)
+    session.lines.append(task.line)
 
 
 def _check_point_on(cur: _Cursor, session: Session, pt_name: str,

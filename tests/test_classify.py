@@ -145,6 +145,22 @@ def test_hkr_per_point_shape():
     assert row["smooth"] and row["diagonal_lci"] and row["ok"]
 
 
+@pytest.mark.parametrize("phi, points", [
+    # k[t] -> k[t,y]/(y^2 - t) and k[u] -> k[x], u -> x^2: both ramified at
+    # the origin, so neither smooth there nor lci on the diagonal of
+    # S tensor_R S, and both smooth away from it
+    (AlgebraMap(algebra(QQ, ("t",)), algebra(QQ, ("t", "y"), ["y^2 - t"]), {}),
+     [{"t": 0, "y": 0}, {"t": 1, "y": 1}]),
+    (AlgebraMap(algebra(QQ, ("u",)), algebra(QQ, ("x",)), {"u": "x^2"}),
+     [{"x": 0}, {"x": 2}]),
+], ids=["inclusion", "square"])
+def test_hkr_holds_over_a_polynomial_base(phi, points):
+    out = hkr_equivalence_check(phi, points)
+    assert out["passes"]
+    assert [(row["smooth"], row["diagonal_lci"]) for row in out["per_point"]] \
+        == [(False, False), (True, True)]
+
+
 def test_hkr_needs_points():
     quad = inclusion_from_ground(algebra(QQ, ("x",), ["x^2 - 1"]))
     with pytest.raises(ClassifyError, match="at least one point"):

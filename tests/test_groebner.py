@@ -513,6 +513,26 @@ def test_corpus_bases_match_the_all_pairs_reference(monkeypatch):
         assert real(gens, ring) == reference_groebner(gens, ring)
 
 
+def test_each_twin_basis_is_for_the_twin_order():
+    """The smooth oracle's twin re-sorts a map under the other order; every
+    algebra of the twin has a certified basis for that order."""
+    from aq.classify import _twin_oracle_data
+    from aq.corpus import classifier_corpus, random_base_extensions
+    from aq.rings import AlgebraMap
+    maps = [c["subject"] for c in classifier_corpus()
+            if isinstance(c["subject"], AlgebraMap)]
+    maps += [c["map"] for c in random_base_extensions()]
+    for phi in maps:
+        rp, _, _ = phi.derived(_twin_oracle_data)
+        twin = rp.phi
+        order = twin.target.ring.order
+        assert order.name != phi.target.ring.order.name
+        for A in (rp.algebra, rp.base_algebra, twin.source, twin.target):
+            assert A.ring.order.name == order.name
+            verify_groebner([vp_from_poly(g, 0) for g in A.groebner()],
+                            [vp_from_poly(r, 0) for r in A.relations], A.ring)
+
+
 # -- the order's key cache and the subtraction step --------------------------------
 
 

@@ -51,6 +51,21 @@ def test_base_variables_contribute_nothing():
     assert kd.module.free_rank() == 1
 
 
+@pytest.mark.parametrize("images", [{}, {"x": "x", "y": "y"}],
+                         ids=["omitted", "stated"])
+def test_stated_identity_images_reuse_the_target_presentation(images):
+    # x reduces to y in C, so the stored image of x is y when stated and x
+    # when omitted; both maps are the canonical surjection P -> C
+    P = algebra(QQ, ("x", "y"))
+    C = algebra(QQ, ("x", "y"), ["x - y"])
+    phi = AlgebraMap(P, C, images)
+    assert phi.is_identity_on_common() and phi.is_canonical_surjection()
+    rp = relative_presentation(phi)
+    assert rp.adjoined == ()
+    assert [str(f) for f in rp.relation_polys] == ["x - y"]
+    assert rp.algebra == C
+
+
 def test_diagonal_oracle_matches_on_samples():
     cases = [
         (inclusion_from_ground(cusp()), [{"x": 0, "y": 0}, {"x": 1, "y": 1}]),
