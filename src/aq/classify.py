@@ -22,14 +22,14 @@ from fractions import Fraction
 
 from . import linalg
 from .corpus import canonical_surjection, inclusion_from_ground
-from .cotangent import CotangentError, cotangent_trunc2
+from .cotangent import CotangentError, _each_point, cotangent_trunc2
 from .groebner import ideal_groebner, poly_normal_form
 from .kahler import (_tensor_square, jacobian_matrix, kahler_oracle_via_diagonal,
                      kahler_presentation, relative_presentation)
 from .modules import FPModule, evaluate_matrix, matrix_columns, syzygies
 from .orders import MonomialOrder
 from .poly import Polynomial, PolyRing
-from .rings import AlgebraError, AlgebraMap, PresentedAlgebra
+from .rings import AlgebraError, AlgebraMap, PresentedAlgebra, point_to_json
 
 
 class ClassifyError(AlgebraError):
@@ -233,9 +233,8 @@ def hkr_equivalence_check(eta: AlgebraMap, points) -> dict:
         raise ClassifyError("equivalence check needs at least one point")
     _, mu, copy_of = enveloping_multiplication(eta)
     rp = relative_presentation(eta)
-    per_point = []
-    passes = True
-    for q in points:
+
+    def row(q):
         pt = _require_rational(eta.target, q)
         diag = rp.transport_point(pt)
         for y, c in copy_of.items():
@@ -243,11 +242,11 @@ def hkr_equivalence_check(eta: AlgebraMap, points) -> dict:
         smooth = is_smooth_at(eta, pt)
         lci = is_lci_at(mu, diag)
         ok = smooth["verdict"] == lci["verdict"]
-        passes = passes and ok
-        field = eta.target.field
-        per_point.append({"point": {v: field.to_str(pt[v]) for v in pt},
-                          "smooth": smooth["verdict"],
-                          "diagonal_lci": lci["verdict"], "ok": ok})
+        return ok, {"point": point_to_json(pt, eta.target),
+                    "smooth": smooth["verdict"],
+                    "diagonal_lci": lci["verdict"], "ok": ok}
+
+    passes, per_point = _each_point(points, row)
     return {"passes": passes, "per_point": per_point}
 
 
@@ -634,7 +633,6 @@ def classification_report(prop: str, subject, points) -> "ClassificationReport":
 
 def _point_row(algebra, point, result) -> dict:
     pt = algebra.parse_point(point)
-    field = algebra.field
     evidence = {}
     for key in ("aq0", "aq1", "aq2"):
         if key in result:
@@ -647,7 +645,7 @@ def _point_row(algebra, point, result) -> dict:
         oracle = {"smooth": result["smooth"]["oracle"],
                   "unramified": result["unramified"]["oracle"]}
     return {
-        "point": {v: field.to_str(pt[v]) for v in sorted(pt)},
+        "point": point_to_json(pt, algebra),
         "verdict": result["verdict"],
         "evidence": evidence,
         "oracle": oracle,

@@ -342,6 +342,13 @@ def hypersurface_closed_form_differential(algebra: PresentedAlgebra,
     return matrix
 
 
+def _each_point(points: list, row) -> tuple[bool, list[dict]]:
+    """`row(q) -> (ok, row dict)` at every point, in order: whether every
+    row is ok, and the row dicts."""
+    rows = [row(q) for q in points]
+    return all(ok for ok, _ in rows), [out for _, out in rows]
+
+
 def rank_exactness_check(L: FreeComplex, sample_points) -> dict:
     """Split-rank test: rank(L_n) = rank(d_n at q) + rank(d_{n+1} at q).
 
@@ -352,18 +359,17 @@ def rank_exactness_check(L: FreeComplex, sample_points) -> dict:
     if not points:
         raise CotangentError("rank exactness needs at least one sample point")
     top = L.max_degree()
-    per_point = []
-    passes = True
-    for q in points:
+
+    def row(q):
         pt = L.algebra.parse_point(q)
         dims = L.dims_through(pt, top - 1)
-        rows = []
-        for n in range(2, top):
-            ok = dims[n] == 0
-            passes = passes and ok
-            rows.append({"degree": n, "rank": L.rank(n),
-                         "split": L.rank(n) - dims[n], "ok": ok})
-        per_point.append({"point": point_to_json(pt, L.algebra), "degrees": rows})
+        rows = [{"degree": n, "rank": L.rank(n),
+                 "split": L.rank(n) - dims[n], "ok": dims[n] == 0}
+                for n in range(2, top)]
+        return (all(r["ok"] for r in rows),
+                {"point": point_to_json(pt, L.algebra), "degrees": rows})
+
+    passes, per_point = _each_point(points, row)
     return {
         "passes": passes,
         "top_degree": top,
@@ -552,9 +558,8 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
     trunc = cotangent_trunc2(phi)
     S = data.rp.algebra
     field = S.field
-    per_point = []
-    passes = True
-    for q in points:
+
+    def row(q):
         pt = data.rp.transport_point(q)
         _, aq1, aq2 = trunc.complex.dims_through(pt, 2)
         _, tor1, tor2 = tor.complex.dims_through(pt, 2)
@@ -562,13 +567,12 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
         both_eval = m3_eval + evaluate_matrix(data.koszul_lifts, pt)
         rank_w = linalg.rank(field, both_eval) - linalg.rank(field, m3_eval)
         ok = (aq2 == tor2 - rank_w) and (aq1 == tor1)
-        passes = passes and ok
-        per_point.append({
-            "point": point_to_json(pt, S),
-            "aq1": aq1, "tor1": tor1,
-            "aq2": aq2, "tor2": tor2, "rank_w": rank_w,
-            "ok": ok,
-        })
+        return ok, {"point": point_to_json(pt, S),
+                    "aq1": aq1, "tor1": tor1,
+                    "aq2": aq2, "tor2": tor2, "rank_w": rank_w,
+                    "ok": ok}
+
+    passes, per_point = _each_point(points, row)
     return {"passes": passes, "map": phi.to_json(), "per_point": per_point}
 
 
@@ -621,22 +625,20 @@ def base_change_check(phi_prime: AlgebraMap, rho: AlgebraMap, points) -> dict:
     induced, to_pushout = pushout_map(phi_prime, rho)
     before = cotangent_trunc2(phi_prime)
     after = cotangent_trunc2(induced)
-    per_point = []
-    passes = True
-    for q in points:
+
+    def row(q):
         pt = induced.target.parse_point(q)
         matched = to_pushout.pullback_point(pt)
         dims_after = after.dims_through(pt, 2)
         dims_before = before.dims_through(matched, 2)
         ok = dims_after == dims_before
-        passes = passes and ok
-        per_point.append({
-            "point": point_to_json(pt, induced.target),
-            "matched": point_to_json(matched, phi_prime.target),
-            "dims": dims_after,
-            "dims_before": dims_before,
-            "ok": ok,
-        })
+        return ok, {"point": point_to_json(pt, induced.target),
+                    "matched": point_to_json(matched, phi_prime.target),
+                    "dims": dims_after,
+                    "dims_before": dims_before,
+                    "ok": ok}
+
+    passes, per_point = _each_point(points, row)
     return {"passes": passes, "per_point": per_point,
             "pushout": induced.target.describe()}
 
@@ -659,9 +661,8 @@ def retract_check(S: PresentedAlgebra, points) -> dict:
     retraction = AlgebraMap(R, S, {u: S.ring.zero()})
     down = cotangent_trunc2(retraction)
     up = cotangent_trunc2(inclusion)
-    per_point = []
-    passes = True
-    for q in points:
+
+    def row(q):
         pt = S.parse_point(q)
         r_pt = dict(pt)
         r_pt[u] = S.field.zero()
@@ -669,21 +670,22 @@ def retract_check(S: PresentedAlgebra, points) -> dict:
         right = up.dims_through(r_pt, 1)
         pairs = [{"n": n, "retraction": left[n], "inclusion": right[n - 1],
                   "ok": left[n] == right[n - 1]} for n in (1, 2)]
-        ok = all(p["ok"] for p in pairs)
-        passes = passes and ok
-        per_point.append({"point": point_to_json(pt, S), "pairs": pairs})
+        return (all(p["ok"] for p in pairs),
+                {"point": point_to_json(pt, S), "pairs": pairs})
+
+    passes, per_point = _each_point(points, row)
     return {"passes": passes, "per_point": per_point, "adjoined": u}
 
 
 def _suffix_sums_nonnegative(dims: list[int]) -> tuple[bool, list[int]]:
+    """The alternating sums dims[k] - dims[k+1] + ... for every k, as one
+    running sum from the right."""
     sums = []
-    for k in range(len(dims)):
-        acc = 0
-        sign = 1
-        for d in dims[k:]:
-            acc += sign * d
-            sign = -sign
+    acc = 0
+    for d in reversed(dims):
+        acc = d - acc
         sums.append(acc)
+    sums.reverse()
     return all(x >= 0 for x in sums), sums
 
 
@@ -710,14 +712,7 @@ def jacobi_zariski_window(psi: AlgebraMap, phi: AlgebraMap, point: dict) -> dict
         "aq0_top_over_base": top_over_base[0],
         "aq0_top_over_mid": top_over_mid[0],
     }
-    window = [
-        dims["aq1_mid_over_base"],
-        dims["aq1_top_over_base"],
-        dims["aq1_top_over_mid"],
-        dims["aq0_mid_over_base"],
-        dims["aq0_top_over_base"],
-        dims["aq0_top_over_mid"],
-    ]
+    window = list(dims.values())  # in the order of the keys above
     consistent, sums = _suffix_sums_nonnegative(window)
     extended = [top_over_mid[2]] + window
     ext_consistent, ext_sums = _suffix_sums_nonnegative(extended)

@@ -197,11 +197,8 @@ def _kahler_oracle_via_diagonal(phi: AlgebraMap):
     rel_rows = kernel([[d] for d in diffs], squares, 1, tensor_alg)
     # push the presentation down the multiplication map (second copy -> first)
     back = {copy_of[y]: y for y in rp.adjoined}
-    pushed_rels = []
-    for rel in rel_rows:
-        pushed_rels.append(
-            [rp.algebra.normal_form(p.rename_into(rp.ambient, back)) for p in rel]
-        )
+    pushed_rels = [[p.rename_into(rp.ambient, back) for p in rel]
+                   for rel in rel_rows]
     return FPModule(rp.algebra, len(diffs), pushed_rels), tensor_alg
 
 
@@ -252,11 +249,8 @@ def tower_presentation(psi: AlgebraMap, phi: AlgebraMap) -> TowerPresentation:
     iota_images = {}
     for w in psi.source.variables:
         iota_images[w] = phi.apply(psi.images[w])
-    for v, name in (rp1.target_renaming or {}).items():
-        iota_images[name] = phi.images[v] if v in phi.images else phi.target.ring.var(v)
-    if not rp1.target_renaming:
-        for v in psi.target.variables:
-            iota_images[v] = phi.images[v]
+    for v in psi.target.variables:
+        iota_images[rp1.target_renaming.get(v, v)] = phi.images[v]
     chi = AlgebraMap(rp1.algebra, phi.target, iota_images)
     rp2 = relative_presentation(chi)
     ambient = rp2.ambient

@@ -177,12 +177,9 @@ class FPModule:
     def __init__(self, algebra: PresentedAlgebra, gens: int, relations=()):
         self.algebra = algebra
         self.gens = gens
-        rels = []
-        for rel in relations:
-            vec = [algebra.normal_form(p) for p in rel]
-            if len(vec) != gens:
-                raise ModuleError("relation length does not match generator count")
-            rels.append(vec)
+        rels = list(relations)
+        if any(len(rel) != gens for rel in rels):
+            raise ModuleError("relation length does not match generator count")
         self.relations = _canonical_vectors(rels, algebra)
 
     def is_zero(self) -> bool:

@@ -515,11 +515,8 @@ def homotopy_modules(ext: FreeExtensionLevelwise, max_degree: int
     kz = koszul_complex(ext.algebra(0), ext.killed)
     for n in range(1, max_degree + 1):
         h = kz.homology(n)
-        out[n] = FPModule(
-            aug, h.gens,
-            [[aug.normal_form(p.rename_into(aug.ring)) for p in rel]
-             for rel in h.relations],
-        )
+        out[n] = FPModule(aug, h.gens, [[p.rename_into(aug.ring) for p in rel]
+                                        for rel in h.relations])
     return out
 
 

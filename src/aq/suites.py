@@ -1,10 +1,10 @@
 """Named check suites, runnable from a session file as `task check <name>`.
 
-Every suite draws on the fixed or seeded inventories in `corpus` and
-returns a deterministic report: {"passed": bool, "cases": int,
-"failures": [names]} plus suite-specific integer detail.  Nothing here
-depends on the ambient monomial order or on run-to-run state, so the
-reports are safe to embed in canonical output.
+Every suite runs a predicate on each case of a fixed or seeded inventory
+in `corpus` and returns a deterministic report: {"passed": bool,
+"cases": int, "failures": [names]}.  Nothing here depends on the
+ambient monomial order or on run-to-run state, so the reports are safe
+to embed in canonical output.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from .cotangent import (
     tor_modules,
 )
 from .kahler import kahler_oracle_via_diagonal, kahler_presentation
-from .modules import evaluate_matrix, koszul_homology_all_vanish
+from .modules import (evaluate_matrix, koszul_homology_all_vanish,
+                      normalize_matrix)
 from .rings import AlgebraError
 from .simplicial import (
     bar_construction,
@@ -37,57 +38,47 @@ class SuiteError(AlgebraError):
     pass
 
 
-def _report(total: int, failures: list[str], **extra) -> dict:
-    out = {"passed": not failures, "cases": total,
-           "failures": sorted(failures)}
-    out.update(extra)
-    return out
+def _cases(cases: list[dict], holds) -> dict:
+    """Run `holds` on every case, in order, and report the names it fails."""
+    failures = [case["name"] for case in cases if not holds(case)]
+    return {"passed": not failures, "cases": len(cases),
+            "failures": sorted(failures)}
 
 
 def suite_polynomial_ring_vanishing() -> dict:
     """Freely adjoined variables: degree 0 free of that rank, 1 and 2 zero."""
-    cases = corpus.polynomial_extension_instances()
-    failures = []
-    for case in cases:
+    def holds(case):
         phi, want = case["map"], case["adjoined"]
         trunc = cotangent_trunc2(phi)
-        ok = kahler_presentation(phi).module.free_rank() == want
-        for q in case["points"]:
-            ok = ok and trunc.dims_through(q, 2) == [want, 0, 0]
-        if not ok:
-            failures.append(case["name"])
-    return _report(len(cases), failures)
+        return (kahler_presentation(phi).module.free_rank() == want
+                and all(trunc.dims_through(q, 2) == [want, 0, 0]
+                        for q in case["points"]))
+    return _cases(corpus.polynomial_extension_instances(), holds)
 
 
 def suite_hypersurface_sigma_s() -> dict:
     """Nonzerodivisor quotients: homology is the quotient sitting in degree
     1, differentials are the integer closed form, ranks follow the table."""
-    cases = corpus.hypersurface_instances()
-    failures = []
-    for case in cases:
-        base = case["algebra"]
-        ext = hypersurface_resolution(base, case["element"], max_level=6)
+    def holds(case):
+        ext = hypersurface_resolution(case["algebra"], case["element"],
+                                      max_level=6)
         trunc = cotangent_from_resolution(ext)
         S = trunc.algebra
-        field = S.field
-        ok = trunc.homology_module(1).free_rank() == 1
-        for n in (0, 2, 3, 4):
-            ok = ok and trunc.homology_module(n).is_zero()
-        zeros = {v: field.from_int(0) for v in S.variables}
+        if trunc.homology_module(1).free_rank() != 1 or not all(
+                trunc.homology_module(n).is_zero() for n in (0, 2, 3, 4)):
+            return False
+        zeros = {v: S.field.from_int(0) for v in S.variables}
         for n in range(2, 7):
             want = hypersurface_closed_form_differential(S, n)
-            got = trunc.complex.differential(n)
-            ok = ok and len(got) == len(want)
-            for wrow, grow in zip(want, got):
-                for w, g in zip(wrow, grow):
-                    ok = ok and S.normal_form(w - g).is_zero()
+            if normalize_matrix(S, want) != trunc.complex.differential(n):
+                return False
             # entries are integer constants, so the rank at every residue
             # field is the rank of the evaluated matrix
             consts = [[e.evaluate(zeros) for e in row] for row in want]
-            ok = ok and linalg.rank(field, consts) == hypersurface_rank_table(n)
-        if not ok:
-            failures.append(case["name"])
-    return _report(len(cases), failures)
+            if linalg.rank(S.field, consts) != hypersurface_rank_table(n):
+                return False
+        return True
+    return _cases(corpus.hypersurface_instances(), holds)
 
 
 def suite_conormal_degree_one() -> dict:
@@ -98,62 +89,44 @@ def suite_conormal_degree_one() -> dict:
     stages, so this suite checks the three readers, not the syzygies: a
     wrong syzygy list changes all three alike.
     """
-    cases = corpus.random_surjections()
-    failures = []
-    for case in cases:
+    def holds(case):
         phi = case["map"]
         trunc = cotangent_trunc2(phi)
         stage = trunc.provenance["stages"]
-        P = stage.rp.algebra
+        field = stage.rp.algebra.field
         tor = tor_modules(phi, n_max=1)
         m = len(stage.generators)
-        ok = True
         for q in case["points"]:
             pt = stage.rp.transport_point(q)
             cols = evaluate_matrix(stage.syzygy_vectors, pt)
-            conormal = m - linalg.rank(P.field, cols)
-            aq1 = trunc.dim_at_point(1, q)
-            tor1 = tor.dim_at_point(1, q)
-            ok = ok and aq1 == conormal == tor1
-        if not ok:
-            failures.append(case["name"])
-    return _report(len(cases), failures)
+            conormal = m - linalg.rank(field, cols)
+            if not (trunc.dim_at_point(1, q) == conormal
+                    == tor.dim_at_point(1, q)):
+                return False
+        return True
+    return _cases(corpus.random_surjections(), holds)
 
 
 def suite_five_term() -> dict:
     """Surjections: degree-2 homology against Tor_2 minus the Koszul rank."""
-    cases = corpus.random_surjections()
-    failures = []
-    for case in cases:
-        result = five_term_check(case["map"], case["points"])
-        if not result["passes"]:
-            failures.append(case["name"])
-    return _report(len(cases), failures)
+    return _cases(corpus.random_surjections(), lambda case: five_term_check(
+        case["map"], case["points"])["passes"])
 
 
 def suite_classifier_oracles() -> dict:
     """Fixed corpus: classifier verdicts match the hand-derived answers and
     every independent oracle agrees (disagreement raises, failing loudly)."""
-    cases = corpus.classifier_corpus()
-    failures = []
-    for case in cases:
+    def holds(case):
         report = classification_report(case["property"], case["subject"],
                                        case["points"])
-        verdicts = [row["verdict"] for row in report.rows]
-        if verdicts != case["expected"]:
-            failures.append(case["name"])
-    return _report(len(cases), failures)
+        return [row["verdict"] for row in report.rows] == case["expected"]
+    return _cases(corpus.classifier_corpus(), holds)
 
 
 def suite_hkr_diagonal() -> dict:
     """Flat instances: smoothness matches lci-ness of the diagonal."""
-    cases = corpus.hkr_instances()
-    failures = []
-    for case in cases:
-        result = hkr_equivalence_check(case["map"], case["points"])
-        if not result["passes"]:
-            failures.append(case["name"])
-    return _report(len(cases), failures)
+    return _cases(corpus.hkr_instances(), lambda case: hkr_equivalence_check(
+        case["map"], case["points"])["passes"])
 
 
 def suite_simplicial_validity() -> dict:
@@ -161,79 +134,59 @@ def suite_simplicial_validity() -> dict:
     isomorphism between the bar construction and a degree-1 cell attachment."""
     line = corpus.algebra(corpus.QQ, ("y",))
     plane = corpus.algebra(corpus.QQ, ("x", "y"))
-    failures = []
-    checks = []
-
-    bar = bar_construction(line, "y", 6)
-    checks.append(("bar-depth-6", bar.simplicial_identities_hold()[0]))
-
-    killed = kill_cycle(constant_extension(plane, 4), "x*y", 1)
-    checks.append(("kill-cycle-depth-4",
-                   killed.simplicial_identities_hold()[0]))
-
-    tens = tensor_resolutions(bar_construction(plane, "x", 4),
-                              bar_construction(plane, "y", 4))
-    checks.append(("tensor-depth-4", tens.simplicial_identities_hold()[0]))
-
-    checks.append(("bar-equals-kill-cycle",
-                   bar_kill_equivalence_holds(line, "y", 5)))
-
-    for name, ok in checks:
-        if not ok:
-            failures.append(name)
-    return _report(len(checks), failures)
+    checks = [
+        ("bar-depth-6", lambda: bar_construction(line, "y", 6)
+         .simplicial_identities_hold()[0]),
+        ("kill-cycle-depth-4",
+         lambda: kill_cycle(constant_extension(plane, 4), "x*y", 1)
+         .simplicial_identities_hold()[0]),
+        ("tensor-depth-4",
+         lambda: tensor_resolutions(bar_construction(plane, "x", 4),
+                                    bar_construction(plane, "y", 4))
+         .simplicial_identities_hold()[0]),
+        ("bar-equals-kill-cycle",
+         lambda: bar_kill_equivalence_holds(line, "y", 5)),
+    ]
+    return _cases([{"name": name, "check": check} for name, check in checks],
+                  lambda case: case["check"]())
 
 
 def suite_koszul_depth() -> dict:
     """Exterior-algebra homology vanishes exactly for regular sequences."""
-    failures = []
-    total = 0
-    for case in corpus.regular_sequence_instances():
-        total += 1
+    cases = ([dict(case, regular=True)
+              for case in corpus.regular_sequence_instances()]
+             + [dict(case, regular=False)
+                for case in corpus.non_regular_sequence_instances()])
+    def holds(case):
+        algebra = case["algebra"]
         vanish, _ = koszul_homology_all_vanish(
-            case["algebra"], [case["algebra"].poly(e)
-                              for e in case["elements"]])
-        if not vanish:
-            failures.append(case["name"])
-    for case in corpus.non_regular_sequence_instances():
-        total += 1
-        vanish, _ = koszul_homology_all_vanish(
-            case["algebra"], [case["algebra"].poly(e)
-                              for e in case["elements"]])
-        if vanish:
-            failures.append(case["name"])
-    return _report(total, failures)
+            algebra, [algebra.poly(e) for e in case["elements"]])
+        return vanish == case["regular"]
+    return _cases(cases, holds)
 
 
 def suite_differentials_dual_oracle() -> dict:
     """Jacobian presentation of the differentials against the diagonal."""
-    cases = corpus.random_base_extensions()
-    failures = []
-    for case in cases:
+    def holds(case):
         phi = case["map"]
         kd = kahler_presentation(phi)
         oracle_mod, _ = kahler_oracle_via_diagonal(phi)
-        ok = True
         for q in case["points"]:
             pt = phi.target.parse_point(q)
-            a = kd.dim_at_point(pt)
-            b = oracle_mod.dim_at_point(kd.presentation.transport_point(pt))
-            ok = ok and a == b
-        if not ok:
-            failures.append(case["name"])
-    return _report(len(cases), failures)
+            if kd.dim_at_point(pt) != oracle_mod.dim_at_point(
+                    kd.presentation.transport_point(pt)):
+                return False
+        return True
+    return _cases(corpus.random_base_extensions(), holds)
 
 
 def suite_jacobi_zariski() -> dict:
     """Low-degree window of a composite stays numerically exact-compatible."""
-    cases = corpus.jacobi_zariski_instances()
-    failures = []
-    for case in cases:
+    def holds(case):
         result = jacobi_zariski_window(case["first"], case["second"],
                                        case["point"])
-        if not (result["consistent"] and result["extended_consistent"]):
-            failures.append(case["name"])
-    return _report(len(cases), failures)
+        return result["consistent"] and result["extended_consistent"]
+    return _cases(corpus.jacobi_zariski_instances(), holds)
 
 
 SUITES = {

@@ -471,6 +471,27 @@ def test_retract_shifts_degrees():
     assert result["passes"]
 
 
+@pytest.mark.parametrize("check, message", [
+    (lambda: rank_exactness_check(
+        cotangent_trunc2(inclusion_from_ground(cusp())).complex, []),
+     "rank exactness needs at least one sample point"),
+    # not a surjection, so Tor would refuse the map if it were built first
+    (lambda: five_term_check(inclusion_from_ground(cusp()), []),
+     "five-term check needs at least one sample point"),
+    # the maps share no source, so the pushout would refuse them if built
+    (lambda: base_change_check(
+        inclusion_from_ground(cusp()),
+        AlgebraMap(algebra(QQ, ("t",)), algebra(QQ, ("t", "u")), {}), []),
+     "base change check needs at least one point"),
+    (lambda: retract_check(cusp(), []),
+     "retract check needs at least one point"),
+], ids=["rank-exactness", "five-term", "base-change", "retract"])
+def test_sampled_checks_refuse_an_empty_point_list_first(check, message):
+    with pytest.raises(CotangentError) as refused:
+        check()
+    assert str(refused.value) == message
+
+
 def test_jacobi_zariski_window_on_cusp_tower():
     plane = algebra(QQ, ("x", "y"))
     psi = inclusion_from_ground(plane)
