@@ -18,7 +18,6 @@ from .classify import (
     is_regular_local,
     is_smooth_at,
     is_unramified_at,
-    module_of_imperfection,
 )
 from .cotangent import (
     CotangentError,
@@ -81,7 +80,6 @@ __all__ = [
     "is_regular_local", "is_smooth_at", "is_unramified_at",
     "jacobi_zariski_window", "kahler_oracle_via_diagonal",
     "kahler_presentation", "kill_cycle", "koszul_complex",
-    "koszul_homology_all_vanish", "module_of_imperfection",
-    "parse_polynomial", "parse_session", "relative_presentation",
-    "run_suite", "tensor_resolutions", "tor_modules",
+    "koszul_homology_all_vanish", "parse_polynomial", "parse_session",
+    "relative_presentation", "run_suite", "tensor_resolutions", "tor_modules",
 ]

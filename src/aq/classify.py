@@ -1,5 +1,5 @@
 """Decision procedures: smooth, unramified, etale, lci, regular local,
-complete intersection, the diagonal smoothness criterion, and imperfection.
+complete intersection, and the diagonal smoothness criterion.
 
 Each verdict is a pure function of homology dimensions at a rational point
 and travels with an independently computed oracle value; a primary/oracle
@@ -17,18 +17,13 @@ vanishes exactly when f is Koszul-regular (Bruns-Herzog 1.6.19).
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from . import linalg
 from .corpus import canonical_surjection, inclusion_from_ground
 from .cotangent import CotangentError, _each_point, cotangent_trunc2
-from .groebner import ideal_groebner, poly_normal_form
 from .kahler import (_tensor_square, jacobian_matrix, kahler_oracle_via_diagonal,
                      kahler_presentation, relative_presentation)
-from .modules import FPModule, evaluate_matrix, matrix_columns, syzygies
+from .modules import evaluate_matrix, syzygies
 from .orders import MonomialOrder
-from .poly import Polynomial, PolyRing
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra, point_to_json
 
 
@@ -248,301 +243,6 @@ def hkr_equivalence_check(eta: AlgebraMap, points) -> dict:
 
     passes, per_point = _each_point(points, row)
     return {"passes": passes, "per_point": per_point}
-
-
-# -- zero-dimensional quotients ------------------------------------------------------
-
-
-def _pure_power_degrees(algebra: PresentedAlgebra):
-    """Minimal pure-power leading exponent per variable, or None."""
-    degs = [None] * algebra.ring.nvars
-    for g in algebra.groebner():
-        e = g.leading_monomial()
-        support = [i for i, k in enumerate(e) if k]
-        if len(support) == 1:
-            i = support[0]
-            if degs[i] is None or e[i] < degs[i]:
-                degs[i] = e[i]
-    return degs
-
-
-def standard_monomials(algebra: PresentedAlgebra):
-    """Monomial basis of a zero-dimensional quotient; error otherwise."""
-    if algebra.is_trivial():
-        return []
-    ring = algebra.ring
-    if ring.nvars == 0:
-        return [()]
-    degs = _pure_power_degrees(algebra)
-    if any(d is None for d in degs):
-        raise ClassifyError("quotient is not zero-dimensional")
-    leads = [g.leading_monomial() for g in algebra.groebner()]
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == ring.nvars:
-            e = tuple(prefix)
-            if not any(all(x <= y for x, y in zip(l, e)) for l in leads):
-                out.append(e)
-            return
-        for k in range(degs[len(prefix)]):
-            rec(prefix + [k])
-
-    rec([])
-    return sorted(out)
-
-
-def vector_space_dimension(algebra: PresentedAlgebra) -> int:
-    return len(standard_monomials(algebra))
-
-
-def module_k_dimension(module: FPModule) -> int:
-    """Dimension over the ground field, for zero-dimensional algebras."""
-    algebra = module.algebra
-    basis = standard_monomials(algebra)
-    index = {e: i for i, e in enumerate(basis)}
-    field = algebra.field
-    g = module.gens
-    if g == 0 or not basis:
-        return 0
-    total = len(basis) * g
-    rows = []
-    for rel in module.relations:
-        for e in basis:
-            mono = algebra.ring.monomial(e)
-            row = [field.zero()] * total
-            for slot in range(g):
-                p = algebra.normal_form(mono * rel[slot])
-                for ee, c in p.terms.items():
-                    row[slot * len(basis) + index[ee]] = c
-            rows.append(row)
-    return total - linalg.rank(field, rows)
-
-
-def minimal_polynomial(algebra: PresentedAlgebra, var: str):
-    """Monic minimal polynomial coefficients (low degree first) of a
-    variable in a zero-dimensional quotient."""
-    basis = standard_monomials(algebra)
-    if not basis:
-        raise ClassifyError("the zero ring has no minimal polynomials")
-    index = {e: i for i, e in enumerate(basis)}
-    field = algebra.field
-    x = algebra.ring.var(var)
-    rows = []
-    power = algebra.ring.one()
-    for _ in range(len(basis) + 1):
-        row = [field.zero()] * len(basis)
-        for e, c in algebra.normal_form(power).terms.items():
-            row[index[e]] = c
-        dep = linalg.nullspace(field, matrix_columns(rows + [row]),
-                               len(rows) + 1)
-        if dep:
-            # first dependence must involve the newest power
-            c = dep[0]
-            inv = field.inv(c[-1])
-            return [field.mul(inv, ci) for ci in c]
-        rows.append(row)
-        power = power * x
-    raise ClassifyError("no minimal polynomial found")
-
-
-# -- univariate irreducibility (degree <= 4) -------------------------------------------
-
-
-# Largest |n| whose divisors the factor search enumerates: trial division
-# up to sqrt(n) then takes at most about 10^6 steps.
-MAX_DIVISOR_SEARCH = 10 ** 12
-
-
-def _signed_divisors(n: int):
-    n = abs(n)
-    if n > MAX_DIVISOR_SEARCH:
-        raise ClassifyError(
-            f"coefficient {n} too large for the exhaustive factor search "
-            f"(bound {MAX_DIVISOR_SEARCH})")
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.extend([d, -d, n // d, -(n // d)])
-        d += 1
-    return sorted(set(out))
-
-
-def _monic_quartic_quadratic_free(A: list[int]) -> bool:
-    """No factorization (y^2+by+c)(y^2+dy+e) with integer coefficients.
-
-    A holds [A0, A1, A2, A3] for y^4 + A3 y^3 + A2 y^2 + A1 y + A0.
-    """
-    A0, A1, A2, A3 = A
-    for c in _signed_divisors(A0):
-        if A0 % c:
-            continue
-        e = A0 // c
-        rhs = A1 - c * A3
-        if e != c:
-            if rhs % (e - c):
-                continue
-            b = rhs // (e - c)
-            d = A3 - b
-            if c + e + b * d == A2:
-                return False
-        else:
-            if rhs != 0:
-                continue
-            # b^2 - A3 b + (A2 - 2c) = 0 over the integers
-            disc = A3 * A3 - 4 * (A2 - 2 * c)
-            if disc < 0:
-                continue
-            s = math.isqrt(disc)
-            if s * s != disc:
-                continue
-            if (A3 + s) % 2 == 0 or (A3 - s) % 2 == 0:
-                return False
-    return True
-
-
-def _rational_irreducible(coeffs: list[int | Fraction]) -> bool:
-    deg = len(coeffs) - 1
-    if deg <= 0:
-        raise ClassifyError("constant polynomial")
-    if deg == 1:
-        return True
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
-    if ints[0] == 0:
-        return False  # divisible by y
-    # g(z) = a^(d-1) f(z/a) is monic with integer coefficients, irreducible
-    # exactly when f is, and its rational roots are integers dividing g(0);
-    # the list g holds its coefficients below the leading 1
-    a = ints[deg]
-    g = [c * a ** (deg - 1 - i) for i, c in enumerate(ints[:deg])]
-    for r in _signed_divisors(g[0]):
-        if r ** deg + sum(c * r ** i for i, c in enumerate(g)) == 0:
-            return False
-    if deg <= 3:
-        return True
-    return _monic_quartic_quadratic_free(g)
-
-
-def _gf_powmod(base: Polynomial, e: int, f: Polynomial) -> Polynomial:
-    """base^e modulo the univariate f, by square and multiply."""
-    ring = f.ring
-    result = ring.one()
-    base = poly_normal_form(base, [f], ring)
-    while e:
-        if e & 1:
-            result = poly_normal_form(result * base, [f], ring)
-        base = poly_normal_form(base * base, [f], ring)
-        e >>= 1
-    return result
-
-
-def _gf_irreducible(field, coeffs) -> bool:
-    """Distinct-degree test: gcd(f, x^(p^i) - x) trivial for i <= deg/2."""
-    deg = len(coeffs) - 1
-    if deg <= 0:
-        raise ClassifyError("constant polynomial")
-    if deg == 1:
-        return True
-    ring = PolyRing(field, ("x",))
-    x = ring.var("x")
-    f = ring.from_terms({(k,): c for k, c in enumerate(coeffs)})
-    p = field.characteristic
-    for i in range(1, deg // 2 + 1):
-        probe = _gf_powmod(x, p ** i, f) - x
-        if ideal_groebner([f, probe], ring) != [ring.one()]:
-            return False
-    return True
-
-
-def univariate_irreducible(field, coeffs) -> bool:
-    """coeffs low degree first, as field elements; degree must be <= 4
-    over the rationals (the factor search is exhaustive only there).
-
-    Over the rationals the search runs on the monic integer transform
-    g(z) = a^(d-1) f(z/a) of the primitive integer multiple of f, with
-    leading coefficient a, and enumerates the divisors of g(0).  It raises
-    `ClassifyError` when |g(0)| exceeds `MAX_DIVISOR_SEARCH` (10^12), which
-    bounds its trial division at about 10^6 steps.
-    """
-    if field.characteristic == 0:
-        if len(coeffs) - 1 > 4:
-            raise ClassifyError("irreducibility check limited to degree 4")
-        return _rational_irreducible([Fraction(c) for c in coeffs])
-    return _gf_irreducible(field, coeffs)
-
-
-# -- imperfection ---------------------------------------------------------------------
-
-
-def module_of_imperfection(phi: AlgebraMap) -> dict:
-    """Dimension of degree-1 homology over the extension itself.
-
-    Ground-field bases are fully verified: the target must be a finite
-    quotient with a primitive variable whose minimal polynomial is
-    irreducible (degree <= 4 over the rationals).  A polynomial base
-    stands in for its fraction field when the single relation has the
-    classical shape y^n - u for a base variable u; anything else is
-    rejected rather than guessed at.
-    """
-    S = phi.target
-    if phi.source.ring.nvars == 0:
-        d = vector_space_dimension(S)
-        if d == 0:
-            raise ClassifyError("the zero ring is not a field")
-        primitive = None
-        for v in S.variables:
-            mp = minimal_polynomial(S, v)
-            if len(mp) - 1 == d:
-                primitive = mp
-                break
-        if primitive is None and d > 1:
-            raise ClassifyError(
-                "cannot verify the ideal is maximal: no primitive variable")
-        if primitive is not None and d > 1 and \
-                not univariate_irreducible(S.field, primitive):
-            raise ClassifyError("the presented quotient is not a field")
-        h1 = cotangent_trunc2(phi).homology_module(1)
-        total = module_k_dimension(h1)
-        if total % d:
-            raise ClassifyError("inconsistent dimension count")
-        return {"dimension": total // d, "degree": d, "mode": "field"}
-
-    trunc = cotangent_trunc2(phi)
-    rp = trunc.provenance["stages"].rp
-    if phi.source.relations or len(rp.adjoined) != 1 or \
-            len(rp.relation_polys) != 1:
-        raise ClassifyError(
-            "surrogate mode needs a polynomial base and one relation")
-    if not _is_power_minus_base_element(rp.relation_polys[0],
-                                        rp.adjoined[0]):
-        raise ClassifyError(
-            "surrogate mode accepts only relations of the shape y^n - u")
-    h1 = trunc.homology_module(1)
-    free = h1.free_rank()
-    if free is None:
-        if h1.is_zero():
-            free = 0
-        else:
-            raise ClassifyError("imperfection module is not visibly free")
-    return {"dimension": free, "degree": None, "mode": "surrogate"}
-
-
-def _is_power_minus_base_element(f: Polynomial, y: str) -> bool:
-    """f = a*y^n + b*u, u a degree-one base monomial (Eisenstein shape)."""
-    yi = f.ring.var_index(y)
-    power_terms, base_terms = [], []
-    for e in f.terms:
-        (power_terms if e[yi] else base_terms).append(e)
-    if len(power_terms) != 1 or len(base_terms) != 1:
-        return False
-    pe, be = power_terms[0], base_terms[0]
-    if any(k for i, k in enumerate(pe) if i != yi):
-        return False
-    return sum(be) == 1
 
 
 # -- report assembly --------------------------------------------------------------

@@ -27,7 +27,7 @@ from aq.cotangent import (
 from aq.fields import GF, QQ
 from aq.groebner import SubmoduleEngine
 from aq.kahler import RelativePresentation
-from aq.modules import FPModule, FreeComplex, evaluate_matrix
+from aq.modules import FPModule, FreeComplex, evaluate_matrix, koszul_complex
 from aq.orders import MonomialOrder
 from aq.rings import AlgebraError, AlgebraMap, PointError, compose
 from aq.simplicial import (bar_construction, constant_extension,
@@ -211,6 +211,25 @@ def test_five_term_identity_on_fat_point():
     assert result["passes"]
     row = result["per_point"][0]
     assert row["aq2"] == row["tor2"] - row["rank_w"]
+
+
+def test_tor_matches_the_koszul_complex_of_the_point():
+    # Tor is balanced: Tor_n^P(B, k(q)) is also H_n of the Koszul complex
+    # on x_i - q_i over B, which shares no stage with the syzygy resolution
+    compared = 0
+    for entry in corpus.random_surjections():
+        phi = entry["map"]
+        B, ring = phi.target, phi.target.ring
+        tor = tor_modules(phi, 2)
+        for q in entry["points"]:
+            koszul = koszul_complex(
+                B, [ring.var(v) - ring.from_int(q[v]) for v in B.variables])
+            dims = tor.dims_through(q, 2)
+            for n in (1, 2):
+                assert koszul.homology(n).dim_at_point(q) == dims[n], \
+                    (entry["name"], q, n)
+                compared += 1
+    assert compared == 100
 
 
 # -- one truncation per map ----------------------------------------------------

@@ -1,4 +1,5 @@
-"""The Python examples in README.md run, and their `# value` comments hold."""
+"""The Python examples in README.md run, their `# value` comments hold, and
+the package surface they import from is pinned."""
 
 import ast
 import re
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import aq
 from aq.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,3 +100,46 @@ def test_readme_session_matches_the_reference_bytes(tmp_path):
         out = tmp_path / order
         assert main(["run", str(path), "--out", str(out), "--order", order]) == 0
         assert (out / "canonical.json").read_bytes() == reference, order
+
+
+# Top-level functions and methods that nothing in the package or in
+# tools/diffdump.py names: the tests reach them, the program does not.  A
+# new name here is dead code added on purpose.
+UNCALLED = {
+    "Polynomial.monic", "PresentedAlgebra.is_trivial", "Session.pretty",
+    "derivation_basis_at_point", "homology_models_agree", "leibniz_holds",
+    "poly_normal_form", "rank_exactness_check", "retract_check",
+}
+
+
+def _uncalled_definitions() -> set[str]:
+    """Qualified names of the definitions in src/aq whose bare name no
+    module of src/aq (imports in __init__.py included) nor the dump tool
+    names; dunder methods are called implicitly and left out."""
+    definitions, names = [], set()
+    for path in sorted((ROOT / "src" / "aq").glob("*.py")) + [
+            ROOT / "tools" / "diffdump.py"]:
+        tree = ast.parse(path.read_text())
+        if path.parent.name == "aq":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    definitions.append((node.name, node.name))
+                elif isinstance(node, ast.ClassDef):
+                    definitions.extend(
+                        (item.name, f"{node.name}.{item.name}")
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return {qualified for name, qualified in definitions if name not in names}
+
+
+def test_the_package_surface_is_pinned():
+    assert [name for name in aq.__all__ if not hasattr(aq, name)] == []
+    assert _uncalled_definitions() == UNCALLED
