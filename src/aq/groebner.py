@@ -3,10 +3,12 @@
 Module elements are {component index: Polynomial} maps. The module order
 is position-over-term: lower component index dominates, ties broken by
 the ring's monomial order. Syzygies, kernels, membership, and lifts all
-run through one elimination embedding: each generator is paired with a
-unit vector in a tracking block of components placed after the real
-block, so elements whose lead lands in the tracking block are exactly
-the syzygies.
+run through one elimination embedding: each generator whose
+coefficients are read is paired with a unit vector in a tracking block of
+components placed after the real block, so elements whose lead lands in
+the tracking block are exactly the syzygies.  The other generators (the
+relations of a kernel, the whole span a membership test reads, the
+quotient relations) join the real block with no unit.
 
 Reduction works in place on one mutable work map {component: {monomial:
 coefficient}}: its lead is the largest monomial of the lowest component,
@@ -308,15 +310,18 @@ def poly_normal_form(p: Polynomial, gb: list[Polynomial], ring: PolyRing) -> Pol
 
 
 class SubmoduleEngine:
-    """Span of vectors in A^rank over a quotient ring A = P/I.
+    """Span of vectors plus untracked vectors in A^rank over a quotient
+    ring A = P/I.
 
-    Builds one elimination Groebner basis for the generators paired with
-    tracking units and the quotient relations spread over the real block.
-    Everything else (membership mod I, lifts, syzygies, canonical normal
-    forms) reads off that basis.
+    Builds one elimination Groebner basis for the `vectors` paired with
+    tracking units, and the `untracked` vectors and the quotient relations
+    spread over the real block with none.  Everything else (membership
+    mod I, lifts, syzygies, canonical normal forms) reads off that basis;
+    lifts and syzygies give coefficients of the tracked `vectors` only.
     """
 
-    def __init__(self, ring: PolyRing, rank: int, vectors: list[VP], relations=()):
+    def __init__(self, ring: PolyRing, rank: int, vectors: list[VP],
+                 relations=(), untracked=()):
         self.ring = ring
         self.rank = rank
         self.vectors = [dict(v) for v in vectors]
@@ -326,6 +331,7 @@ class SubmoduleEngine:
             e = dict(v)
             e[rank + i] = ring.one()
             big.append(e)
+        big.extend(dict(v) for v in untracked)
         for r in self.relations:
             for j in range(rank):
                 big.append({j: r})

@@ -120,24 +120,47 @@ def _canonical_vectors(vectors, algebra: PresentedAlgebra):
 # -- kernels and syzygies --------------------------------------------------
 
 
-def syzygies(vectors, rank: int, algebra: PresentedAlgebra):
-    """Generators of {c : sum c_i v_i = 0 in A^rank} for column vectors v_i.
+def _vps(vectors):
+    """Dense lists or {component: polynomial} dicts as VPs, zeros dropped."""
+    return [{i: p for i, p in v.items() if not p.is_zero()}
+            if isinstance(v, dict) else dense_to_vp(v) for v in vectors]
+
+
+def _terms_key(vps):
+    return tuple(tuple((i, tuple(sorted(p.terms.items())))
+                       for i, p in sorted(v.items())) for v in vps)
+
+
+def _engine(algebra: PresentedAlgebra, rank: int, tracked, untracked):
+    """The engine over the algebra for nonzero VPs.  The untracked vectors
+    are passed only when there are some, so the call is otherwise the
+    plain four-argument one."""
+    args = (algebra.ring, rank, tracked, algebra.relations)
+    if untracked:
+        return SubmoduleEngine(*args, untracked)
+    return SubmoduleEngine(*args)
+
+
+def syzygies(vectors, rank: int, algebra: PresentedAlgebra, untracked=()):
+    """Generators of {c : sum c_i v_i = 0 in A^rank} for column vectors v_i,
+    or, with `untracked` vectors u_j, of {c : sum c_i v_i in span(u_j)}.
 
     Works over the quotient: relation multiples count as zero.  Vectors are
     dense lists or {component: polynomial} dicts.  The result is kept on
     the algebra, keyed by the rank and, vector by vector in order, the
     sorted terms of each nonzero entry (so a dense vector and its dict
-    share a key); each call returns fresh lists, so a caller may change
-    what it gets.
+    share a key), then by the nonzero untracked vectors if there are any;
+    each call returns fresh lists, so a caller may change what it gets.
     """
-    vps = [{i: p for i, p in v.items() if not p.is_zero()}
-           if isinstance(v, dict) else dense_to_vp(v) for v in vectors]
-    key = (rank, tuple(tuple((i, tuple(sorted(p.terms.items())))
-                             for i, p in sorted(v.items())) for v in vps))
+    vps = _vps(vectors)
+    key = (rank, _terms_key(vps))
+    rest = [v for v in _vps(untracked) if v]
+    if rest:
+        key += (_terms_key(rest),)
     kept = algebra._syzygy_memo.get(key)
     if kept is None:
         kept = algebra._syzygy_memo[key] = tuple(map(tuple, canonical_syzygies(
-            SubmoduleEngine(algebra.ring, rank, vps, algebra.relations), algebra)))
+            _engine(algebra, rank, vps, rest), algebra)))
     return [list(vec) for vec in kept]
 
 
@@ -150,21 +173,26 @@ def canonical_syzygies(engine: SubmoduleEngine, algebra: PresentedAlgebra):
 def kernel(columns, relations, rank: int, algebra: PresentedAlgebra):
     """Generators of {v : sum v_i columns_i in span(relations)} in A^rank.
 
-    The nonzero syzygies of columns + relations, cut to their first
-    len(columns) entries.
+    The syzygies of the columns with the relations untracked: only the
+    columns carry tracking units.  This equals the nonzero syzygies of
+    columns + relations, all tracked, cut to their first m = len(columns)
+    entries.  Under position-over-term the relations' tracking components
+    come last.  Cutting them off maps the all-tracked module N onto the
+    module N' this elimination works in, and an element of N whose lead
+    lies before them keeps that lead.  So the elements of N's reduced
+    basis with their lead before them, cut, form a Groebner basis of N'
+    in which no lead divides another term: the reduced basis of N', which
+    is unique.  Its elements with no real part give both results.
     """
-    m = len(columns)
-    syz = syzygies(list(columns) + list(relations), rank, algebra)
-    out = [row[:m] for row in syz]
-    return [v for v in out if any(not p.is_zero() for p in v)]
+    return syzygies(columns, rank, algebra, untracked=relations)
 
 
 def span_contains(algebra: PresentedAlgebra, rank: int, haystack,
                   needles) -> bool:
-    """Every needle lies in the span of the haystack in A^rank."""
-    engine = SubmoduleEngine(algebra.ring, rank,
-                             [dense_to_vp(v) for v in haystack],
-                             algebra.relations)
+    """Every needle lies in the span of the haystack in A^rank.  Nothing
+    is tracked: the haystack goes into the engine untracked."""
+    engine = _engine(algebra, rank, [],
+                     [v for v in map(dense_to_vp, haystack) if v])
     return all(engine.contains(dense_to_vp(v)) for v in needles)
 
 

@@ -6,8 +6,8 @@ import weakref
 import pytest
 
 from aq.fields import QQ
-from aq.rings import PresentedAlgebra, AlgebraMap
-from aq.corpus import (algebra, ground, inclusion_from_ground,
+from aq.rings import AlgebraMap
+from aq.corpus import (algebra, inclusion_from_ground,
                        canonical_surjection, classifier_corpus, hkr_instances)
 from aq.cotangent import five_term_check, tor_modules
 from aq.classify import (

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aq.modules
 from aq import linalg
 from aq.fields import GF, QQ
 from aq.groebner import SubmoduleEngine
@@ -12,11 +13,14 @@ from aq.modules import (
     ModuleError,
     canonical_syzygies,
     dense_to_vp,
+    kernel,
     koszul_complex,
     koszul_homology_all_vanish,
     matrix_product,
+    span_contains,
     syzygies,
 )
+from aq.orders import MonomialOrder
 from aq.poly import Polynomial, PolyRing
 from aq.rings import PresentedAlgebra
 
@@ -249,11 +253,12 @@ def test_coefficients_over_another_algebra_are_refused():
 # -- the syzygy memo ------------------------------------------------------------
 
 
-def small_polys(ring, max_size=2):
-    """Polynomials of `ring` with exponents and coefficients below 3."""
+def small_polys(ring, max_size=2, top=2):
+    """Polynomials of `ring` with exponents at most `top` and coefficients
+    below 3."""
     field = ring.field
     return st.dictionaries(
-        st.tuples(*(st.integers(0, 2) for _ in ring.variables)),
+        st.tuples(*(st.integers(0, top) for _ in ring.variables)),
         st.integers(-2, 2), max_size=max_size,
     ).map(lambda terms: ring.from_terms(
         {e: field.from_int(c) for e, c in terms.items()}))
@@ -291,6 +296,12 @@ def test_rank_and_vector_order_are_part_of_the_key():
     for args in ((vectors, 2), (vectors, 3), (vectors[::-1], 2)):
         assert syzygies(*args, A) == fresh_syzygies(*args, A)
     assert len(A._syzygy_memo) == 3
+    # untracked vectors are part of it too; a kernel without any reads
+    # the plain key
+    assert kernel(vectors, [[x, A.ring.zero()]], 2, A) == tracked_kernel(
+        vectors, [[x, A.ring.zero()]], 2, A) != syzygies(vectors, 2, A)
+    assert kernel(vectors, [], 2, A) == syzygies(vectors, 2, A)
+    assert len(A._syzygy_memo) == 4
 
 
 def test_changing_a_returned_syzygy_leaves_the_memo_alone():
@@ -303,3 +314,73 @@ def test_changing_a_returned_syzygy_leaves_the_memo_alone():
     first[1].append(A.poly("1"))
     first.pop()
     assert syzygies(vectors, 1, A) == expected
+
+
+# -- untracked generators ---------------------------------------------------------
+
+
+def tracked_kernel(columns, relations, rank, algebra):
+    """`kernel` with every generator tracked: the syzygies of columns +
+    relations, cut to their first len(columns) entries."""
+    m = len(columns)
+    cut = [row[:m] for row in fresh_syzygies(list(columns) + list(relations),
+                                             rank, algebra)]
+    return [v for v in cut if any(not p.is_zero() for p in v)]
+
+
+def tracked_contains(algebra, rank, haystack, needle):
+    """Membership read off an engine that tracks the whole haystack."""
+    engine = SubmoduleEngine(algebra.ring, rank,
+                             [dense_to_vp(v) for v in haystack],
+                             algebra.relations)
+    return engine.contains(dense_to_vp(needle))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, GF(5)]), st.sampled_from(["degrevlex", "lex"]),
+       st.integers(1, 3), st.data())
+def test_untracked_kernels_and_membership_equal_the_tracked_ones(
+        field, order, rank, data):
+    ring = PolyRing(field, ("x", "y"), MonomialOrder(order))
+    # exponents up to 1 and few vectors: rank-3 eliminations over QQ grow
+    # fast beyond that
+    polys = small_polys(ring, top=1)
+    A = PresentedAlgebra(ring, data.draw(st.lists(polys, max_size=1)))
+    vectors = st.lists(polys, min_size=rank, max_size=rank)
+    columns = data.draw(st.lists(vectors, min_size=1, max_size=2))
+    # relations anywhere, and one in each component by itself
+    relations = data.draw(st.lists(vectors, max_size=2)) + [
+        [data.draw(polys) if i == j else ring.zero() for i in range(rank)]
+        for j in range(rank)]
+    assert kernel(columns, relations, rank, A) == tracked_kernel(
+        columns, relations, rank, A)
+    haystack = columns + relations
+    needles = [data.draw(vectors),
+               [a * ring.var("x") + b for a, b in zip(columns[0], relations[0])]]
+    for needle in needles:
+        assert span_contains(A, rank, haystack, [needle]) == tracked_contains(
+            A, rank, haystack, needle)
+
+
+def test_only_the_coefficients_that_are_read_are_tracked(monkeypatch):
+    """A membership engine tracks nothing; a kernel's engine tracks its
+    columns and not its relations."""
+    built = []
+
+    class RecordingEngine(SubmoduleEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(aq.modules, "SubmoduleEngine", RecordingEngine)
+    A = PresentedAlgebra(PolyRing(QQ, ("x", "y")), ["x*y"])
+    x, y = A.poly("x"), A.poly("y")
+    zero = A.ring.zero()
+    haystack = [[x, y], [y, zero], [zero, x * x]]
+    assert span_contains(A, 2, haystack, [[x * y, y * y]])
+    columns, relations = [[x, y], [y, x]], [[x, zero], [zero, y], [y, x]]
+    assert kernel(columns, relations, 2, A)
+    contains_engine, kernel_engine = built
+    assert all(c < 2 for g in contains_engine._gb for c in g)
+    assert all(c < 2 + len(columns) for g in kernel_engine._gb for c in g)
+    assert any(c >= 2 for g in kernel_engine._gb for c in g)
