@@ -314,10 +314,11 @@ class SubmoduleEngine:
     ring A = P/I.
 
     Builds one elimination Groebner basis for the `vectors` paired with
-    tracking units, and the `untracked` vectors and the quotient relations
-    spread over the real block with none.  Everything else (membership
-    mod I, lifts, syzygies, canonical normal forms) reads off that basis;
-    lifts and syzygies give coefficients of the tracked `vectors` only.
+    tracking units, and the nonzero `untracked` vectors and the quotient
+    relations spread over the real block with none.  Everything else
+    (membership mod I, lifts, syzygies, canonical normal forms) reads off
+    that basis; lifts and syzygies give coefficients of the tracked
+    `vectors` only.
     """
 
     def __init__(self, ring: PolyRing, rank: int, vectors: list[VP],
@@ -331,7 +332,7 @@ class SubmoduleEngine:
             e = dict(v)
             e[rank + i] = ring.one()
             big.append(e)
-        big.extend(dict(v) for v in untracked)
+        big.extend(dict(v) for v in untracked if v)
         for r in self.relations:
             for j in range(rank):
                 big.append({j: r})
@@ -344,7 +345,8 @@ class SubmoduleEngine:
         return real, track
 
     def reduce(self, v: VP):
-        """(remainder, lift) with v = sum(lift_i * vectors_i) + remainder mod I."""
+        """(remainder, lift) with v = sum(lift_i * vectors_i) + remainder
+        mod I and the span of the untracked vectors."""
         nf = vp_normal_form(v, self._index, self.ring)
         real, track = self._split(nf)
         lift = [
@@ -358,11 +360,14 @@ class SubmoduleEngine:
         return not real
 
     def lift(self, v: VP):
+        """Coefficients of the vectors reaching v mod I and the span of the
+        untracked vectors, or None when v is not in the span."""
         real, lift = self.reduce(v)
         return None if real else lift
 
     def syzygies(self) -> list[list[Polynomial]]:
-        """Coefficient vectors c with sum(c_i * vectors_i) = 0 mod I·A^rank."""
+        """Coefficient vectors c with sum(c_i * vectors_i) = 0 mod I·A^rank
+        and the span of the untracked vectors."""
         out = []
         k = len(self.vectors)
         for g in self._gb:

@@ -131,16 +131,6 @@ def _terms_key(vps):
                        for i, p in sorted(v.items())) for v in vps)
 
 
-def _engine(algebra: PresentedAlgebra, rank: int, tracked, untracked):
-    """The engine over the algebra for nonzero VPs.  The untracked vectors
-    are passed only when there are some, so the call is otherwise the
-    plain four-argument one."""
-    args = (algebra.ring, rank, tracked, algebra.relations)
-    if untracked:
-        return SubmoduleEngine(*args, untracked)
-    return SubmoduleEngine(*args)
-
-
 def syzygies(vectors, rank: int, algebra: PresentedAlgebra, untracked=()):
     """Generators of {c : sum c_i v_i = 0 in A^rank} for column vectors v_i,
     or, with `untracked` vectors u_j, of {c : sum c_i v_i in span(u_j)}.
@@ -160,7 +150,8 @@ def syzygies(vectors, rank: int, algebra: PresentedAlgebra, untracked=()):
     kept = algebra._syzygy_memo.get(key)
     if kept is None:
         kept = algebra._syzygy_memo[key] = tuple(map(tuple, canonical_syzygies(
-            _engine(algebra, rank, vps, rest), algebra)))
+            SubmoduleEngine(algebra.ring, rank, vps, algebra.relations, rest),
+            algebra)))
     return [list(vec) for vec in kept]
 
 
@@ -191,8 +182,8 @@ def span_contains(algebra: PresentedAlgebra, rank: int, haystack,
                   needles) -> bool:
     """Every needle lies in the span of the haystack in A^rank.  Nothing
     is tracked: the haystack goes into the engine untracked."""
-    engine = _engine(algebra, rank, [],
-                     [v for v in map(dense_to_vp, haystack) if v])
+    engine = SubmoduleEngine(algebra.ring, rank, [], algebra.relations,
+                             map(dense_to_vp, haystack))
     return all(engine.contains(dense_to_vp(v)) for v in needles)
 
 
