@@ -23,7 +23,8 @@ Sections, in order:
     of its relations over the ambient polynomial ring;
   - for each corpus map, the degree-<=2 homology and cohomology reports
     with coefficients in the target, the truncation's syzygies, second
-    syzygies and Koszul lifts, the residue-field dims in degrees 0..2, the
+    syzygies and Koszul lifts, the presentation of H_1(K(f)) of the
+    relations over the base, the residue-field dims in degrees 0..2, the
     dims of Tor_0..Tor_3 (`tor_modules(phi, n_max=3)`), the smooth and lci
     classifications' oracle dicts at the entry's points, and the
     `global_flag` of the smooth, unramified, etale and lci classification
@@ -114,6 +115,8 @@ def _homology(phi: AlgebraMap, points: list[dict]) -> dict:
         "cohomology": _or_refusal(
             lambda: aq_cohomology(phi, None, 2).to_json()),
         "stages": _or_refusal(lambda: _stages(phi)),
+        "koszul h1": _or_refusal(lambda: cotangent_trunc2(phi).provenance[
+            "stages"].koszul_h1.to_json()),
         "residue dims": [
             _or_refusal(lambda: cotangent_trunc2(phi).dims_through(q, 2))
             for q in points],
