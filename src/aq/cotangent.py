@@ -14,10 +14,11 @@ The truncation is a pure function of the map, built once per map from
 its one relative presentation and kept on it (`AlgebraMap.derived`): Tor,
 the five-term check and lci read the same stages.  The stages keep, each
 built on first use, the Tor resolution through degree 2 and H_1(K(f)) of
-the relations f over the base P, from Koszul degrees <= 2.  Over the
-Noetherian P, H_1(K(f)) = 0 exactly when f is Koszul-regular: K(f) is
-exact at primes not containing (f), and at the others H_1 = 0 makes f a
-local regular sequence (Bruns-Herzog 1.6.19).  Only Tor in degree 3
+the relations f over the base P: the syzygies they already hold modulo
+the Koszul vectors, so no elimination runs twice.  Over the Noetherian
+P, H_1(K(f)) = 0 exactly when f is Koszul-regular: K(f) is exact at
+primes not containing (f), and at the others H_1 = 0 makes f a local
+regular sequence (Bruns-Herzog 1.6.19).  Only Tor in degree 3
 computes third syzygies.  The Tor resolution comes back as a complex of
 the same class, in mode "tor".
 
@@ -47,6 +48,7 @@ from .modules import (
     matrix_columns,
     matrix_from_columns,
     matrix_to_json,
+    present_subquotient,
     syzygies,
 )
 from .poly import Polynomial, fresh_names
@@ -165,7 +167,7 @@ class CotangentComplexTrunc:
 
 def _column_complex(algebra: PresentedAlgebra, *stages) -> FreeComplex:
     """Rank 1 in degree 0 and d_n with the n-th list of `stages` as its
-    columns: the Tor resolution, or K(f) through degree 2."""
+    columns: the Tor resolution."""
     ranks = {0: 1}
     diffs = {}
     for n, columns in enumerate(stages, start=1):
@@ -217,11 +219,11 @@ class _Trunc2Data:
 
     @cached_property
     def koszul_h1(self) -> FPModule:
-        """H_1(K(f)) over the base from d_1 = the relations and d_2 = the
-        Koszul vectors, built on first use; zero exactly when f is
-        Koszul-regular."""
-        return _column_complex(self.base, self.relation_columns,
-                               self.koszul_vectors).homology(1)
+        """H_1(K(f)) over the base, built on first use: the syzygies of the
+        relations (the cycles of d_1) modulo the Koszul vectors (the image
+        of d_2).  It is zero exactly when f is Koszul-regular."""
+        return present_subquotient(self.base, len(self.generators),
+                                   self.syzygy_vectors, self.koszul_vectors)
 
 
 def cotangent_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:

@@ -302,13 +302,6 @@ def ideal_groebner(polys, ring: PolyRing) -> list[Polynomial]:
     return [g[0] for g in gb]
 
 
-def poly_normal_form(p: Polynomial, gb: list[Polynomial], ring: PolyRing) -> Polynomial:
-    if p.is_zero() or not gb:
-        return p
-    index = lead_index([vp_from_poly(g, 0) for g in gb], ring)
-    return vp_normal_form(vp_from_poly(p, 0), index, ring).get(0, ring.zero())
-
-
 class SubmoduleEngine:
     """Span of vectors plus untracked vectors in A^rank over a quotient
     ring A = P/I.

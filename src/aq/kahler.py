@@ -17,11 +17,11 @@ from .modules import (
     FPModule,
     Matrix,
     evaluate_matrix,
-    kernel,
     matrix_columns,
     matrix_from_columns,
     matrix_product,
     span_contains,
+    syzygies,
 )
 from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra, compose
@@ -194,7 +194,7 @@ def _kahler_oracle_via_diagonal(phi: AlgebraMap):
         for j in range(i, len(diffs)):
             squares.append([diffs[i] * diffs[j]])
     # generator i must stay the class of diffs[i]
-    rel_rows = kernel([[d] for d in diffs], squares, 1, tensor_alg)
+    rel_rows = syzygies([[d] for d in diffs], 1, tensor_alg, untracked=squares)
     # push the presentation down the multiplication map (second copy -> first)
     back = {copy_of[y]: y for y in rp.adjoined}
     pushed_rels = [[p.rename_into(rp.ambient, back) for p in rel]
@@ -305,7 +305,8 @@ def jacobi_zariski_right_exact(psi: AlgebraMap, phi: AlgebraMap) -> ExactSequenc
     if ny == 0:
         ker_beta = linalg.unit_vectors(zero, one, nz)
     else:
-        ker_beta = kernel(matrix_columns(beta), omega_top.relations, ny, S)
+        ker_beta = syzygies(matrix_columns(beta), ny, S,
+                            untracked=omega_top.relations)
     middle_haystack = alpha_cols + omega_comp.relations
     ker_in_im = span_contains(S, nz + ny, middle_haystack, ker_beta)
     if ny == 0:
@@ -347,8 +348,8 @@ def conormal_sequence(psi: AlgebraMap, ideal_gens) -> ExactSequenceReport:
     # I/I^2 presented over R (generator order = given ideal generators),
     # then pushed forward to S = R/I
     squares = [[fi * fj] for i, fi in enumerate(lifted) for fj in lifted[i:]]
-    conormal = FPModule(S, len(lifted), kernel(
-        [[fi] for fi in lifted], squares, 1, rp1.algebra))
+    conormal = FPModule(S, len(lifted), syzygies(
+        [[fi] for fi in lifted], 1, rp1.algebra, untracked=squares))
     g_mid = rp1.relation_polys
     omega_mid = FPModule(S, nz, matrix_columns(jacobian(S, g_mid, Z)))
     # zeta: class of f_i -> d_psi(f_i), one (possibly empty) column per f_i;
@@ -367,7 +368,7 @@ def conormal_sequence(psi: AlgebraMap, ideal_gens) -> ExactSequenceReport:
         ker_alpha = []
     else:
         surj = span_contains(S, nz, alpha + omega_comp.relations, alpha)
-        ker_alpha = kernel(alpha, omega_comp.relations, nz, S)
+        ker_alpha = syzygies(alpha, nz, S, untracked=omega_comp.relations)
         middle = span_contains(S, nz, zeta_cols + omega_mid.relations, ker_alpha)
         # relations of I/I^2 must map into the relations of Omega_mid; the
         # rows of zeta_cols, read as a matrix, are the images of the f_i

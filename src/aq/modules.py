@@ -1,11 +1,13 @@
 """Finitely presented modules, free complexes, and their homology.
 
 Matrices over a presented algebra are lists of rows of ambient
-polynomials acting on column vectors. Kernels and syzygies reduce to the
-elimination engine in groebner.py.  The homology of a free complex C
-with coefficients in a finitely presented module N is H_n(C tensor N),
-presented as the subquotient ker(d_n tensor N)/im(d_{n+1} tensor N);
-N = A, the algebra itself, is the default.  At a rational point,
+polynomials acting on column vectors, and vectors are dense lists.
+Syzygies, with some vectors untracked where only the coefficients of the
+others are read, are one elimination in groebner.py per call; nothing is
+kept between calls.  The homology of a free complex C with coefficients
+in a finitely presented module N is H_n(C tensor N), presented as the
+subquotient ker(d_n tensor N)/im(d_{n+1} tensor N); N = A, the algebra
+itself, is the default.  At a rational point,
 homology with residue-field coefficients is plain exact linear algebra
 over the coefficient field, and `FreeComplex.dims_through` is its only
 reader: every degree through n_max from one validated point and one rank
@@ -120,62 +122,31 @@ def _canonical_vectors(vectors, algebra: PresentedAlgebra):
 # -- kernels and syzygies --------------------------------------------------
 
 
-def _vps(vectors):
-    """Dense lists or {component: polynomial} dicts as VPs, zeros dropped."""
-    return [{i: p for i, p in v.items() if not p.is_zero()}
-            if isinstance(v, dict) else dense_to_vp(v) for v in vectors]
-
-
-def _terms_key(vps):
-    return tuple(tuple((i, tuple(sorted(p.terms.items())))
-                       for i, p in sorted(v.items())) for v in vps)
-
-
 def syzygies(vectors, rank: int, algebra: PresentedAlgebra, untracked=()):
-    """Generators of {c : sum c_i v_i = 0 in A^rank} for column vectors v_i,
-    or, with `untracked` vectors u_j, of {c : sum c_i v_i in span(u_j)}.
+    """Generators of {c : sum c_i v_i = 0 in A^rank} for dense column
+    vectors v_i, or, with dense `untracked` vectors u_j, of
+    {c : sum c_i v_i in span(u_j)}, in the canonical order.
 
-    Works over the quotient: relation multiples count as zero.  Vectors are
-    dense lists or {component: polynomial} dicts.  The result is kept on
-    the algebra, keyed by the rank and, vector by vector in order, the
-    sorted terms of each nonzero entry (so a dense vector and its dict
-    share a key), then by the nonzero untracked vectors if there are any;
-    each call returns fresh lists, so a caller may change what it gets.
+    Works over the quotient: relation multiples count as zero.  Only the
+    v_i carry tracking units.  This equals the nonzero syzygies of v + u,
+    all tracked, cut to their first m = len(v) entries.  Under
+    position-over-term the u_j's tracking components come last.  Cutting
+    them off maps the all-tracked module N onto the module N' this
+    elimination works in, and an element of N whose lead lies before them
+    keeps that lead.  So the elements of N's reduced basis with their lead
+    before them, cut, form a Groebner basis of N' in which no lead divides
+    another term: the reduced basis of N', which is unique.  Its elements
+    with no real part give both results.
     """
-    vps = _vps(vectors)
-    key = (rank, _terms_key(vps))
-    rest = [v for v in _vps(untracked) if v]
-    if rest:
-        key += (_terms_key(rest),)
-    kept = algebra._syzygy_memo.get(key)
-    if kept is None:
-        kept = algebra._syzygy_memo[key] = tuple(map(tuple, canonical_syzygies(
-            SubmoduleEngine(algebra.ring, rank, vps, algebra.relations, rest),
-            algebra)))
-    return [list(vec) for vec in kept]
+    return canonical_syzygies(SubmoduleEngine(
+        algebra.ring, rank, map(dense_to_vp, vectors), algebra.relations,
+        map(dense_to_vp, untracked)), algebra)
 
 
 def canonical_syzygies(engine: SubmoduleEngine, algebra: PresentedAlgebra):
     """The syzygies an engine over the algebra holds, as normal forms,
     deduplicated and in the canonical order `syzygies` returns."""
     return _canonical_vectors(engine.syzygies(), algebra)
-
-
-def kernel(columns, relations, rank: int, algebra: PresentedAlgebra):
-    """Generators of {v : sum v_i columns_i in span(relations)} in A^rank.
-
-    The syzygies of the columns with the relations untracked: only the
-    columns carry tracking units.  This equals the nonzero syzygies of
-    columns + relations, all tracked, cut to their first m = len(columns)
-    entries.  Under position-over-term the relations' tracking components
-    come last.  Cutting them off maps the all-tracked module N onto the
-    module N' this elimination works in, and an element of N whose lead
-    lies before them keeps that lead.  So the elements of N's reduced
-    basis with their lead before them, cut, form a Groebner basis of N'
-    in which no lead divides another term: the reduced basis of N', which
-    is unique.  Its elements with no real part give both results.
-    """
-    return syzygies(columns, rank, algebra, untracked=relations)
 
 
 def span_contains(algebra: PresentedAlgebra, rank: int, haystack,
@@ -244,8 +215,8 @@ def present_subquotient(algebra, ambient_rank, numerators, denominators) -> FPMo
     nums = _canonical_vectors(numerators, algebra)
     if not nums:
         return FPModule(algebra, 0, [])
-    return FPModule(algebra, len(nums),
-                    kernel(nums, denominators, ambient_rank, algebra))
+    return FPModule(algebra, len(nums), syzygies(
+        nums, ambient_rank, algebra, untracked=denominators))
 
 
 # -- free complexes ----------------------------------------------------------
@@ -345,8 +316,8 @@ class FreeComplex:
             # everything is a cycle; the empty matrix cannot say so
             cycles = linalg.unit_vectors(zero, one, ambient)
         else:
-            cycles = kernel(tensored_columns(n), relation_columns(n - 1),
-                            self.rank(n - 1) * g, self.algebra)
+            cycles = syzygies(tensored_columns(n), self.rank(n - 1) * g,
+                              self.algebra, untracked=relation_columns(n - 1))
         boundaries = tensored_columns(n + 1) + relation_columns(n)
         return present_subquotient(self.algebra, ambient, cycles, boundaries)
 

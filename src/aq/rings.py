@@ -40,10 +40,9 @@ class PresentedAlgebra:
         self.relations = tuple(rels)
         self._gb: list[Polynomial] | None = None
         self._gb_index: dict | None = None  # `lead_index` of the basis
-        # content-keyed memos, freed with the algebra: syzygies by input
-        # (`modules.syzygies`), the normal form of each monic monomial
-        # (`normal_form`) and the parsed values of validated points
-        self._syzygy_memo: dict = {}
+        # content-keyed memos, freed with the algebra: the normal form of
+        # each monic monomial (`normal_form`) and the parsed values of
+        # validated points
         self._normal_forms: dict[tuple, Polynomial] = {}
         self._valid_points: set = set()
 

@@ -178,7 +178,8 @@ def test_the_certificate_matches_koszul_on_diagonal_maps(case):
 
 def test_an_lci_report_builds_no_koszul_degree_above_two(monkeypatch):
     """On eight relations the full Koszul complex has rank 2^8 = 256;
-    the report builds only its degrees <= 2 over the base."""
+    the report builds no complex over the base at all: H_1 is the stage's
+    syzygies modulo its Koszul vectors."""
     built = []
     real = FreeComplex.__init__
 
@@ -193,13 +194,13 @@ def test_an_lci_report_builds_no_koszul_degree_above_two(monkeypatch):
     assert report.global_flag == "certified"
     base = cotangent_trunc2(phi).provenance["stages"].base
     over_base = [top for alg, top in built if alg is base]
-    assert over_base == [2]
+    assert over_base == []
 
 
-def test_the_oracle_reads_its_cycles_off_the_syzygy_memo(monkeypatch):
-    """The stage's syzygies of the relations and the cycles of the
-    oracle's H_1 are one elimination: on surjection-4 (two relations) an
-    lci report builds four engines, where it built five before the memo."""
+def test_the_oracle_reads_its_cycles_off_the_stages(monkeypatch):
+    """The stage's syzygies of the relations are the cycles of the
+    oracle's H_1, so they are one elimination: on surjection-4 (two
+    relations) an lci report builds four engines, not five."""
     built = []
     real = SubmoduleEngine.__init__
 
@@ -299,22 +300,22 @@ def test_the_certificate_decides_a_five_generator_ideal_quickly():
 
 
 def test_a_two_point_lci_report_builds_koszul_h1_once(monkeypatch):
-    """Both rows' oracles and the certificate read one H_1, built from
-    one complex with two differentials (Koszul degrees <= 2)."""
+    """Both rows' oracles and the certificate read one H_1, presented once
+    as a subquotient."""
     import aq.cotangent
     built = []
-    real = aq.cotangent._column_complex
+    real = aq.cotangent.present_subquotient
 
-    def counting_column_complex(algebra, *stages):
-        built.append(len(stages))
-        return real(algebra, *stages)
+    def counting_present_subquotient(*args):
+        built.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(aq.cotangent, "_column_complex",
-                        counting_column_complex)
+    monkeypatch.setattr(aq.cotangent, "present_subquotient",
+                        counting_present_subquotient)
     cusp = algebra(QQ, ("x", "y"), ["x^3 - y^2"])
     report = classification_report("lci", canonical_surjection(cusp),
                                    [{"x": 0, "y": 0}, {"x": 1, "y": 1}])
     assert [row["oracle"]["regular_sequence_found"]
             for row in report.rows] == [True, True]
     assert report.global_flag == "certified"
-    assert built == [2]
+    assert len(built) == 1

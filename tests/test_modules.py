@@ -13,7 +13,6 @@ from aq.modules import (
     ModuleError,
     canonical_syzygies,
     dense_to_vp,
-    kernel,
     koszul_complex,
     koszul_homology_all_vanish,
     matrix_product,
@@ -265,62 +264,18 @@ def small_polys(ring, max_size=2, top=2):
 
 
 def fresh_syzygies(vectors, rank, algebra):
-    """What `syzygies` computes, with no memo in the way."""
+    """The canonical syzygies of an engine that tracks every vector."""
     engine = SubmoduleEngine(algebra.ring, rank,
                              [dense_to_vp(v) for v in vectors],
                              algebra.relations)
     return canonical_syzygies(engine, algebra)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from([QQ, GF(5)]), st.integers(1, 2), st.data())
-def test_memoised_syzygies_equal_a_fresh_elimination(field, rank, data):
-    ring = PolyRing(field, ("x", "y"))
-    A = PresentedAlgebra(ring, data.draw(st.lists(small_polys(ring),
-                                                  max_size=1)))
-    vectors = data.draw(st.lists(
-        st.lists(small_polys(ring), min_size=rank, max_size=rank),
-        min_size=1, max_size=3))
-    expected = fresh_syzygies(vectors, rank, A)
-    assert syzygies(vectors, rank, A) == expected  # a miss
-    assert syzygies(vectors, rank, A) == expected  # a hit
-    # the same vectors as {component: polynomial} dicts share the key
-    assert syzygies([dense_to_vp(v) for v in vectors], rank, A) == expected
-    assert len(A._syzygy_memo) == 1
-
-
-def test_rank_and_vector_order_are_part_of_the_key():
-    A = plane()
-    x, y = A.poly("x"), A.poly("y")
-    vectors = [[x, y], [y, x], [x * y, y * y]]
-    for args in ((vectors, 2), (vectors, 3), (vectors[::-1], 2)):
-        assert syzygies(*args, A) == fresh_syzygies(*args, A)
-    assert len(A._syzygy_memo) == 3
-    # untracked vectors are part of it too; a kernel without any reads
-    # the plain key
-    assert kernel(vectors, [[x, A.ring.zero()]], 2, A) == tracked_kernel(
-        vectors, [[x, A.ring.zero()]], 2, A) != syzygies(vectors, 2, A)
-    assert kernel(vectors, [], 2, A) == syzygies(vectors, 2, A)
-    assert len(A._syzygy_memo) == 4
-
-
-def test_changing_a_returned_syzygy_leaves_the_memo_alone():
-    A = PresentedAlgebra(PolyRing(QQ, ("x", "y")), ["x*y"])
-    vectors = [[A.poly("x")], [A.poly("y")], [A.poly("x + y")]]
-    expected = fresh_syzygies(vectors, 1, A)
-    first = syzygies(vectors, 1, A)
-    assert first == expected and len(first) > 1
-    first[0][0] = A.poly("x^5")
-    first[1].append(A.poly("1"))
-    first.pop()
-    assert syzygies(vectors, 1, A) == expected
-
-
 # -- untracked generators ---------------------------------------------------------
 
 
 def tracked_kernel(columns, relations, rank, algebra):
-    """`kernel` with every generator tracked: the syzygies of columns +
+    """`syzygies` with every generator tracked: the syzygies of columns +
     relations, cut to their first len(columns) entries."""
     m = len(columns)
     cut = [row[:m] for row in fresh_syzygies(list(columns) + list(relations),
@@ -352,7 +307,7 @@ def test_untracked_kernels_and_membership_equal_the_tracked_ones(
     relations = data.draw(st.lists(vectors, max_size=2)) + [
         [data.draw(polys) if i == j else ring.zero() for i in range(rank)]
         for j in range(rank)]
-    assert kernel(columns, relations, rank, A) == tracked_kernel(
+    assert syzygies(columns, rank, A, untracked=relations) == tracked_kernel(
         columns, relations, rank, A)
     haystack = columns + relations
     needles = [data.draw(vectors),
@@ -363,8 +318,8 @@ def test_untracked_kernels_and_membership_equal_the_tracked_ones(
 
 
 def test_only_the_coefficients_that_are_read_are_tracked(monkeypatch):
-    """A membership engine tracks nothing; a kernel's engine tracks its
-    columns and not its relations."""
+    """A membership engine tracks nothing; a syzygy engine tracks its
+    columns and not its untracked relations."""
     built = []
 
     class RecordingEngine(SubmoduleEngine):
@@ -379,7 +334,7 @@ def test_only_the_coefficients_that_are_read_are_tracked(monkeypatch):
     haystack = [[x, y], [y, zero], [zero, x * x]]
     assert span_contains(A, 2, haystack, [[x * y, y * y]])
     columns, relations = [[x, y], [y, x]], [[x, zero], [zero, y], [y, x]]
-    assert kernel(columns, relations, 2, A)
+    assert syzygies(columns, 2, A, untracked=relations)
     contains_engine, kernel_engine = built
     assert all(c < 2 for g in contains_engine._gb for c in g)
     assert all(c < 2 + len(columns) for g in kernel_engine._gb for c in g)

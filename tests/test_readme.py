@@ -108,7 +108,7 @@ def test_readme_session_matches_the_reference_bytes(tmp_path):
 UNCALLED = {
     "Polynomial.monic", "PresentedAlgebra.is_trivial", "Session.pretty",
     "derivation_basis_at_point", "homology_models_agree", "leibniz_holds",
-    "poly_normal_form", "rank_exactness_check", "retract_check",
+    "rank_exactness_check", "retract_check",
 }
 
 
