@@ -131,7 +131,7 @@ def is_etale_at(phi: AlgebraMap, point: dict) -> dict:
 def _regular_sequence_oracle(stage, point: dict) -> bool:
     """Whether the relations generate the ideal by a regular sequence near
     the point, by the count dim_k H_1(K(f)) tensor k(pt) = r of the module
-    docstring.  H_1(K(f)) is built once per map, from Koszul degrees <= 2."""
+    docstring.  H_1(K(f)) is built once per map, from the stage's syzygies."""
     P = stage.base
     pt = P.parse_point(point)
     r = linalg.rank(P.field, evaluate_matrix(stage.syzygy_vectors, pt))

@@ -260,6 +260,20 @@ def test_five_term_check_builds_the_stages_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_a_koszul_vector_that_is_no_syzygy_is_refused(monkeypatch):
+    """Each Koszul vector must lift onto the syzygies of the relations;
+    this lift is what checks d_1 d_2 = 0 of K(f)."""
+    import aq.cotangent
+
+    def not_a_syzygy(ring, elements, n):
+        return [[ring.one()] + [ring.zero()] * (len(elements) - 1)]
+
+    monkeypatch.setattr(aq.cotangent, "koszul_columns", not_a_syzygy)
+    phi = canonical_surjection(algebra(QQ, ("x", "y"), ["x", "y"]))
+    with pytest.raises(CotangentError, match="Koszul syzygy failed to lift"):
+        cotangent_trunc2(phi)
+
+
 def test_truncation_builds_one_complex(monkeypatch):
     built = []
     init = FreeComplex.__init__
@@ -549,6 +563,44 @@ def test_residue_field_as_a_module_gives_the_point_dims(make_map, point, dims):
         got = {e["n"]: e["module"].dim_at_point(point)
                for e in report(phi, residue).entries}
         assert got == want
+
+
+def _residue_module(S, point):
+    return FPModule(S, 1, [[S.poly(f"{v} - {point[v]}")] for v in S.variables])
+
+
+@pytest.mark.parametrize("point, dims", [
+    ({"x": 0, "y": 0}, [1, 1, 0]),
+    ({"x": 1, "y": 1}, [0, 0, 0]),
+])
+def test_a_target_module_is_lifted_to_the_relative_presentation(point, dims):
+    """t -> x + y presents the cusp over QQ[t] on the ambient t, x, y, so a
+    module over the cusp reaches the truncation through `lift_target`."""
+    S = cusp()
+    psi = AlgebraMap(algebra(QQ, ("t",)), S, {"t": "x + y"})
+    trunc = cotangent_trunc2(psi)
+    assert trunc.algebra.variables == ("t", "x", "y")
+    at = trunc.transport_point(point)
+    got = [e["module"].dim_at_point(at)
+           for e in aq_homology(psi, _residue_module(S, point)).entries]
+    assert got == dims == list(aq_homology(psi, point).dims().values())
+
+
+def test_a_target_module_is_renamed_onto_a_resolution():
+    """The resolution of 2*x^3 - 2*y^2 ends in another presentation of the
+    cusp on the same variables, so a module over the cusp is renamed onto
+    it."""
+    S = cusp()
+    phi = canonical_surjection(S)
+    trunc = cotangent_from_resolution(hypersurface_resolution(
+        algebra(QQ, ("x", "y")), "2*x^3 - 2*y^2", 4))
+    assert trunc.algebra != S and trunc.algebra.variables == S.variables
+    at = trunc.transport_point(ORIGIN)
+    got = [e["module"].dim_at_point(at)
+           for e in aq_homology(phi, _residue_module(S, ORIGIN), n_max=3,
+                                resolution=trunc).entries]
+    want = aq_homology(phi, ORIGIN, n_max=3, resolution=trunc).dims()
+    assert got == [0, 1, 0, 0] == list(want.values())
 
 
 def _rational_point(algebra):

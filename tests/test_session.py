@@ -454,6 +454,51 @@ def test_canonical_report_is_byte_stable(tmp_path, monkeypatch):
     assert first == again == relex
 
 
+RARE = """\
+field QQ
+ring P = poly(x, y)
+ring C = P/(x^3 - y^2)
+map inc : P -> C
+point o on C (x=0, y=0)
+point s on C (x=1, y=1)
+
+task resolve hypersurface P (x^3 - y^2) levels 3
+task resolve killcycles C (x) levels 2
+task classify regular C at o,s
+task classify ci C at o,s
+task homology inc coeff C maxdeg 2
+"""
+
+
+def test_resolutions_ring_properties_and_ring_coefficients_run(tmp_path):
+    """The resolve, ring-classify and named-ring coefficient tasks that the
+    basic session leaves out all pass, with the same bytes in both orders."""
+    blobs = []
+    for order in ("degrevlex", "lex"):
+        code, summary = run_session(RARE, tmp_path / order, order_name=order)
+        assert code == 0
+        assert summary["canonical"]["statuses"] == ["pass"] * 5
+        blobs.append((tmp_path / order / "canonical.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    tasks = json.loads(blobs[0])["tasks"]
+    assert [t["cells"] for t in tasks[:2]] == [[0, 1, 2, 3], [0, 1, 2]]
+    assert tasks[4]["zero"] == {"0": True, "1": False, "2": True}
+
+
+def test_an_oracle_disagreement_is_its_own_status(monkeypatch):
+    import aq.classify
+    monkeypatch.setattr(aq.classify, "_regular_sequence_oracle",
+                        lambda stage, point: False)
+    code, summary = run_session(
+        "field QQ\nring P = poly(x, y)\nring C = P/(x^3 - y^2)\n"
+        "map inc : P -> C\npoint o on C (x=0, y=0)\n"
+        "task classify lci inc at o\n")
+    assert code == 1
+    assert summary["canonical"]["statuses"] == ["oracle-disagreement"]
+    detail = summary["informational"]["task_details"][0]
+    assert "lci oracle disagreement" in detail["message"]
+
+
 # -- command line -----------------------------------------------------------------
 
 
