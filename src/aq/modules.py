@@ -7,11 +7,11 @@ others are read, are one elimination in groebner.py per call; nothing is
 kept between calls.  The homology of a free complex C with coefficients
 in a finitely presented module N is H_n(C tensor N), presented as the
 subquotient ker(d_n tensor N)/im(d_{n+1} tensor N); N = A, the algebra
-itself, is the default.  At a rational point,
-homology with residue-field coefficients is plain exact linear algebra
-over the coefficient field, and `FreeComplex.dims_through` is its only
-reader: every degree through n_max from one validated point and one rank
-per differential.
+itself, is the default.  At a rational point, homology with
+residue-field coefficients is plain exact linear algebra over the
+coefficient field, and `FreeComplex.dims_through` is its only reader:
+every degree through n_max from one validated point and one rank per
+differential.
 """
 
 from __future__ import annotations

@@ -546,6 +546,10 @@ def test_window_composite_agrees_with_direct():
 # -- coefficients and resolution length -----------------------------------------
 
 
+def _residue_module(S, point):
+    return FPModule(S, 1, [[S.poly(f"{v} - {point[v]}")] for v in S.variables])
+
+
 @pytest.mark.parametrize("make_map, point, dims", [
     (inclusion_from_ground, ORIGIN, [2, 1, 0]),
     (inclusion_from_ground, {"x": 1, "y": 1}, [1, 0, 0]),
@@ -555,18 +559,13 @@ def test_window_composite_agrees_with_direct():
 def test_residue_field_as_a_module_gives_the_point_dims(make_map, point, dims):
     S = cusp()
     phi = make_map(S)
-    residue = FPModule(S, 1, [[S.poly(f"x - {point['x']}")],
-                              [S.poly(f"y - {point['y']}")]])
+    residue = _residue_module(S, point)
     assert aq_homology(phi, point).dims() == dict(enumerate(dims))
     for report in (aq_homology, aq_cohomology):
         want = report(phi, point).dims()
         got = {e["n"]: e["module"].dim_at_point(point)
                for e in report(phi, residue).entries}
         assert got == want
-
-
-def _residue_module(S, point):
-    return FPModule(S, 1, [[S.poly(f"{v} - {point[v]}")] for v in S.variables])
 
 
 @pytest.mark.parametrize("point, dims", [
