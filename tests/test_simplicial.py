@@ -113,6 +113,16 @@ def test_homotopy_refuses_unknown_shapes():
         homotopy_modules(extra, 2)
 
 
+def test_a_resolution_without_a_closed_form_is_refused():
+    extra = kill_cycle(kill_cycle(constant_extension(plane(), 3), "x", 1),
+                       "y", 1)
+    with pytest.raises(CotangentError) as info:
+        cotangent_from_resolution(extra)
+    assert str(info.value) == (
+        "refusing an unverified resolution: homotopy beyond degree 0 needs "
+        "a closed-form construction")
+
+
 def node():
     return algebra(QQ, ("x", "y"), ["x*y"])
 
