@@ -292,6 +292,7 @@ def _certificate(phi: AlgebraMap, prop: str) -> bool:
                 and phi.derived(_certificate, "smooth"))
     try:
         if prop == "lci":
+            # the oracle builds H_1 anyway; a span test over the stages cost 4x
             stages = cotangent_trunc2(phi).provenance["stages"]
             return stages.koszul_h1.is_zero()
         kd = kahler_presentation(phi).module
@@ -301,7 +302,7 @@ def _certificate(phi: AlgebraMap, prop: str) -> bool:
             omega_projective = (phi.derived(_certificate, "unramified")
                                 or kd.free_rank() is not None)
             return (omega_projective
-                    and cotangent_trunc2(phi).homology_module(1).is_zero())
+                    and cotangent_trunc2(phi).complex.homology_is_zero(1))
     except (AlgebraError, CotangentError):
         return False
     return False

@@ -45,6 +45,7 @@ from .modules import (
     dense_to_vp,
     evaluate_matrix,
     koszul_columns,
+    koszul_homology_all_vanish,
     matrix_columns,
     matrix_from_columns,
     matrix_to_json,
@@ -55,9 +56,7 @@ from .poly import Polynomial, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra, compose, point_to_json
 from .simplicial import (
     FreeExtensionLevelwise,
-    SimplicialError,
     augmentation_maps,
-    homotopy_modules,
 )
 
 
@@ -115,11 +114,8 @@ class CotangentComplexTrunc:
     def algebra(self) -> PresentedAlgebra:
         return self.complex.algebra
 
-    def max_reliable_degree(self) -> int:
-        return 2 if self.mode == MODE_TRUNC2 else self.cutoff - 1
-
     def _check_degree(self, n: int):
-        top = self.max_reliable_degree()
+        top = 2 if self.mode == MODE_TRUNC2 else self.cutoff - 1
         if n > top:
             raise CotangentError(
                 f"complex built through degree {top}, requested {n}")
@@ -145,12 +141,6 @@ class CotangentComplexTrunc:
                     for rel in module.relations]
             return FPModule(self.algebra, module.gens, rels)
         raise CotangentError("coefficient module lives over a different algebra")
-
-    def homology_module(self, n: int, coefficients: FPModule | None = None) -> FPModule:
-        if n < 0:
-            return FPModule(self.algebra, 0, [])
-        self._check_degree(n)
-        return self.complex.homology(n, self.transport_module(coefficients))
 
     def dims_through(self, point: dict, n_max: int) -> list[int]:
         """dim_k of positions 0..n_max with residue-field coefficients at a
@@ -264,13 +254,13 @@ def _verify_resolution(ext: FreeExtensionLevelwise):
     if not ok:
         raise CotangentError("refusing an unverified resolution: "
                              f"simplicial identities fail ({failures[0]})")
-    try:
-        pis = homotopy_modules(ext, max(1, ext.max_level - 1))
-    except SimplicialError as exc:
-        raise CotangentError(f"refusing an unverified resolution: {exc}")
-    for n in range(1, max(2, ext.max_level)):
-        mod = pis.get(n)
-        if mod is not None and not mod.is_zero():
+    if ext.killed is None:
+        raise CotangentError("refusing an unverified resolution: homotopy "
+                             "beyond degree 0 needs a closed-form construction")
+    _, vanish = koszul_homology_all_vanish(ext.algebra(0), ext.killed,
+                                           max(1, ext.max_level - 1))
+    for n, zero in vanish.items():
+        if not zero:
             raise CotangentError(
                 f"refusing: homotopy in degree {n} does not vanish, "
                 "so the extension does not resolve its augmentation")
@@ -288,8 +278,9 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise) -> CotangentComplexTr
     The extension must actually resolve its augmentation.  Acyclicity is
     checked through the Koszul rule: an extension that contracts r_1..r_c
     (its `killed`) has pi_n = H_n(K(r)), which must vanish for n >= 1.
-    An extension whose `killed` is None is refused, as is one whose
-    simplicial identities fail.
+    It is read over the level-0 algebra A_0: (r) kills H_n(K(r)), so it
+    vanishes exactly when its push to the augmentation A_0/(r) does.  The
+    extension is refused when `killed` is None or an identity fails.
     """
     _verify_resolution(ext)
     cutoff = ext.max_level

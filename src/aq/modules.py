@@ -7,11 +7,11 @@ others are read, are one elimination in groebner.py per call; nothing is
 kept between calls.  The homology of a free complex C with coefficients
 in a finitely presented module N is H_n(C tensor N), presented as the
 subquotient ker(d_n tensor N)/im(d_{n+1} tensor N); N = A, the algebra
-itself, is the default.  At a rational point, homology with
-residue-field coefficients is plain exact linear algebra over the
-coefficient field, and `FreeComplex.dims_through` is its only reader:
-every degree through n_max from one validated point and one rank per
-differential.
+itself, is the default.  Vanishing has one reader, `homology_is_zero`:
+cycles in the span of the boundaries.  At a rational point, homology
+with residue-field coefficients is exact linear algebra over the field,
+and `FreeComplex.dims_through` is its only reader: every degree through
+n_max from one validated point and one rank per differential.
 """
 
 from __future__ import annotations
@@ -209,8 +209,8 @@ class FPModule:
 def present_subquotient(algebra, ambient_rank, numerators, denominators) -> FPModule:
     """Presentation of (span numerators)/(span denominators) in A^ambient_rank.
 
-    Callers guarantee denominators lie in the numerator span (checked via
-    the relation projection staying exact is the usual dd=0 situation).
+    The denominators D go in untracked, so this presents (N + D)/D, that
+    is N/(N meet D), for the numerator span N and any D whatever.
     """
     nums = _canonical_vectors(numerators, algebra)
     if not nums:
@@ -280,6 +280,17 @@ class FreeComplex:
         in every slot of degree n - 1; the boundaries are the columns of
         d_{n+1} tensor id_N and the relations of N in degree n.
         """
+        return present_subquotient(self.algebra,
+                                   *self._cycles_and_boundaries(n, coefficients))
+
+    def homology_is_zero(self, n: int) -> bool:
+        """H_n(C) = 0: every cycle lies in the span of the boundaries."""
+        ambient, cycles, boundaries = self._cycles_and_boundaries(n)
+        return not cycles or span_contains(self.algebra, ambient, boundaries,
+                                           cycles)
+
+    def _cycles_and_boundaries(self, n: int, coefficients=None):
+        """rank(C_n tensor N) and its cycles and boundaries, as in `homology`."""
         if coefficients is None:
             g, rels = 1, []
         elif coefficients.algebra != self.algebra:
@@ -288,7 +299,7 @@ class FreeComplex:
             g, rels = coefficients.gens, coefficients.relations
         ambient = self.rank(n) * g
         if ambient == 0:
-            return FPModule(self.algebra, 0, [])
+            return 0, [], []
         zero, one = self.algebra.ring.zero(), self.algebra.ring.one()
 
         def tensored_columns(k: int):
@@ -318,8 +329,7 @@ class FreeComplex:
         else:
             cycles = syzygies(tensored_columns(n), self.rank(n - 1) * g,
                               self.algebra, untracked=relation_columns(n - 1))
-        boundaries = tensored_columns(n + 1) + relation_columns(n)
-        return present_subquotient(self.algebra, ambient, cycles, boundaries)
+        return ambient, cycles, tensored_columns(n + 1) + relation_columns(n)
 
     def dims_through(self, point: dict, n_max: int) -> list[int]:
         """dim_k H_n(C tensor k(point)) for n = 0..n_max; exact linear algebra.
@@ -395,7 +405,5 @@ def koszul_homology_all_vanish(algebra, elements, max_degree=None) -> tuple[bool
     kc = koszul_complex(algebra, elements)
     c = kc.max_degree()
     top = c if max_degree is None else min(max_degree, c)
-    verdict = {}
-    for n in range(1, top + 1):
-        verdict[n] = kc.homology(n).is_zero()
+    verdict = {n: kc.homology_is_zero(n) for n in range(1, top + 1)}
     return all(verdict.values()), verdict

@@ -64,8 +64,8 @@ def suite_hypersurface_sigma_s() -> dict:
                                       max_level=6)
         trunc = cotangent_from_resolution(ext)
         S = trunc.algebra
-        if trunc.homology_module(1).free_rank() != 1 or not all(
-                trunc.homology_module(n).is_zero() for n in (0, 2, 3, 4)):
+        if trunc.complex.homology(1).free_rank() != 1 or not all(
+                trunc.complex.homology_is_zero(n) for n in (0, 2, 3, 4)):
             return False
         zeros = {v: S.field.from_int(0) for v in S.variables}
         for n in range(2, 7):

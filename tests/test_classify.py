@@ -193,7 +193,7 @@ def test_module_level_vanishing_alone_does_not_certify_smoothness():
     # but the origin fiber is 1-dimensional; the flag must stay honest
     from aq.cotangent import cotangent_trunc2
     phi = inclusion_from_ground(cusp())
-    assert cotangent_trunc2(phi).homology_module(1).is_zero()
+    assert cotangent_trunc2(phi).complex.homology(1).is_zero()
     report = classification_report("smooth", phi, [{"x": 1, "y": 1}])
     assert report.global_flag == "sampled-only"
 

@@ -95,9 +95,18 @@ def test_hypersurface_homology_is_shifted_quotient():
     line = algebra(QQ, ("x",))
     ext = hypersurface_resolution(line, line.poly("x^2"), 6)
     trunc = cotangent_from_resolution(ext)
-    assert trunc.homology_module(1).free_rank() == 1
+    assert trunc.complex.homology(1).free_rank() == 1
     for n in (0, 2, 3, 4):
-        assert trunc.homology_module(n).is_zero()
+        assert trunc.complex.homology(n).is_zero()
+
+
+def test_homology_is_zero_equals_the_presented_homology_on_hypersurfaces():
+    for case in corpus.hypersurface_instances():
+        ext = hypersurface_resolution(case["algebra"], case["element"], 5)
+        complex = cotangent_from_resolution(ext).complex
+        for n in range(5):
+            assert (complex.homology_is_zero(n)
+                    == complex.homology(n).is_zero()), (case["name"], n)
 
 
 def test_closed_form_differentials_square_to_zero():

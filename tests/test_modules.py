@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import aq.modules
 from aq import linalg
+from aq.cotangent import cotangent_from_resolution
 from aq.fields import GF, QQ
 from aq.groebner import SubmoduleEngine
 from aq.modules import (
@@ -16,12 +17,15 @@ from aq.modules import (
     koszul_complex,
     koszul_homology_all_vanish,
     matrix_product,
+    present_subquotient,
     span_contains,
     syzygies,
 )
 from aq.orders import MonomialOrder
 from aq.poly import Polynomial, PolyRing
 from aq.rings import PresentedAlgebra
+from aq.simplicial import hypersurface_resolution
+from aq.suites import run_suite
 
 
 def q(n, d=1):
@@ -249,7 +253,7 @@ def test_coefficients_over_another_algebra_are_refused():
         kc.homology(0, FPModule(B, 1, []))
 
 
-# -- the syzygy memo ------------------------------------------------------------
+# -- small random polynomials ---------------------------------------------------
 
 
 def small_polys(ring, max_size=2, top=2):
@@ -269,6 +273,51 @@ def fresh_syzygies(vectors, rank, algebra):
                              [dense_to_vp(v) for v in vectors],
                              algebra.relations)
     return canonical_syzygies(engine, algebra)
+
+
+# -- vanishing without a presentation --------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QQ, GF(5)]), st.sampled_from(["degrevlex", "lex"]),
+       st.integers(1, 3), st.data())
+def test_homology_is_zero_equals_the_presented_homology(field, order, c, data):
+    ring = PolyRing(field, ("x", "y"), MonomialOrder(order))
+    # two variables, exponents up to 1 and two terms at most: with three
+    # variables and exponents up to 2, one draw ran for minutes
+    polys = small_polys(ring, top=1)
+    A = PresentedAlgebra(ring, data.draw(st.lists(polys, max_size=1)))
+    kc = koszul_complex(A, data.draw(st.lists(polys, min_size=c, max_size=c)))
+    for n in range(c + 2):
+        assert kc.homology_is_zero(n) == kc.homology(n).is_zero(), n
+
+
+def test_vanishing_readers_build_no_presentation(monkeypatch):
+    """`present_subquotient`, as aq.modules binds it, runs only where a
+    presentation is read: in hypersurface-sigma-s, once per instance for
+    the free rank in degree 1."""
+    presented, built = [], []
+    real_present, real_init = present_subquotient, SubmoduleEngine.__init__
+
+    def recording_present(*args):
+        presented.append(args)
+        return real_present(*args)
+
+    def recording_init(self, *args):
+        real_init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(aq.modules, "present_subquotient", recording_present)
+    monkeypatch.setattr(SubmoduleEngine, "__init__", recording_init)
+    for name, calls in (("koszul-depth", 0), ("hypersurface-sigma-s", 10)):
+        presented.clear()
+        assert run_suite(name)["passed"]
+        assert len(presented) == calls, name
+    presented.clear()
+    built.clear()
+    plane = PresentedAlgebra(PolyRing(QQ, ("x", "y")), [])
+    cotangent_from_resolution(hypersurface_resolution(plane, "x^3 - y^2", 4))
+    assert (len(presented), len(built)) == (0, 1)
 
 
 # -- untracked generators ---------------------------------------------------------

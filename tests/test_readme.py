@@ -143,3 +143,28 @@ def _uncalled_definitions() -> set[str]:
 def test_the_package_surface_is_pinned():
     assert [name for name in aq.__all__ if not hasattr(aq, name)] == []
     assert _uncalled_definitions() == UNCALLED
+
+
+def _unused_imports() -> dict[str, list[str]]:
+    """Per module of src/aq, the names its top-level imports bind that it
+    never names again; __init__.py, which imports to re-export, is left
+    out, and so is `from __future__ import annotations`."""
+    unused = {}
+    for path in sorted((ROOT / "src" / "aq").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = [(alias.asname or alias.name).split(".")[0]
+                 for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names]
+        named = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        if [name for name in bound if name not in named]:
+            unused[path.name] = [name for name in bound if name not in named]
+    return unused
+
+
+def test_every_import_is_used():
+    assert _unused_imports() == {}
