@@ -161,8 +161,9 @@ def _unused_imports() -> dict[str, list[str]]:
                  for alias in node.names]
         named = {node.id for node in ast.walk(tree)
                  if isinstance(node, ast.Name)}
-        if [name for name in bound if name not in named]:
-            unused[path.name] = [name for name in bound if name not in named]
+        missing = [name for name in bound if name not in named]
+        if missing:
+            unused[path.name] = missing
     return unused
 
 
