@@ -5,10 +5,23 @@ random families derive from hard-coded seeds, never from the clock or the
 environment.  Expected verdicts in the fixed corpus were worked out by
 hand from the classical Jacobian and regular-sequence criteria; the
 classifiers must reproduce them exactly.
+
+Each public builder of cases builds them once per process for each set
+of arguments, on its first call, and every call shares that build: the
+suites and sessions of one process then read the same algebras and maps,
+and whatever those keep about themselves (a Groebner basis, a truncation,
+a classification's certificate) is computed once.  Each call returns a
+fresh list of fresh case dicts, so a caller may reorder the list or
+replace a key of a case.  The values inside a case (algebras, maps,
+points, expected verdicts) are shared and read-only.  The uncached build
+is `builder.__wrapped__`, for a caller that needs objects nobody has
+used yet.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 
 from .fields import GF, QQ
@@ -33,9 +46,24 @@ def canonical_surjection(target: PresentedAlgebra) -> AlgebraMap:
     return AlgebraMap(ambient, target, {})
 
 
+def _built_once(builder):
+    """Build `builder`'s cases once per process for each set of arguments
+    and hand out a fresh list of fresh case dicts over them."""
+    signature = inspect.signature(builder)
+    build = functools.cache(builder)
+
+    @functools.wraps(builder)
+    def shared(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return [dict(case) for case in build(*bound.args)]
+    return shared
+
+
 # -- the fixed classifier corpus -------------------------------------------------
 
 
+@_built_once
 def classifier_corpus() -> list[dict]:
     """Twenty instances with hand-derived verdicts.
 
@@ -169,6 +197,7 @@ def _forced_vanishing(p: Polynomial, q1: dict, q2: dict) -> Polynomial:
     return p - ring.const(v1) - ell.scale(field.sub(v2, v1))
 
 
+@_built_once
 def random_surjections(count: int = 25, seed: int = 1105) -> list[dict]:
     """Surjections k[x..]/0 -> k[x..]/I with two marked rational points.
 
@@ -200,12 +229,13 @@ def random_surjections(count: int = 25, seed: int = 1105) -> list[dict]:
     return out
 
 
+@_built_once
 def random_base_extensions(count: int = 25, seed: int = 2207) -> list[dict]:
     """Mixed maps for the differentials cross-check: surjections, ground
     inclusions, and base extensions, each with two marked points."""
     rng = random.Random(seed)
     out = []
-    surj = random_surjections(count, seed=seed + 1)
+    surj = random_surjections.__wrapped__(count, seed=seed + 1)
     while len(out) < count:
         kind = len(out) % 3
         if kind == 0:
@@ -218,7 +248,6 @@ def random_base_extensions(count: int = 25, seed: int = 2207) -> list[dict]:
             nvars = rng.randint(1, 3)
             ring = PolyRing(field, ("x", "y", "z")[:nvars])
             q1, q2 = _distinct_points(rng, ring)
-            rels = []
             f = _forced_vanishing(_random_poly(rng, ring), q1, q2)
             if f.is_zero() or f.is_constant():
                 continue
@@ -244,6 +273,7 @@ def random_base_extensions(count: int = 25, seed: int = 2207) -> list[dict]:
 # -- fixed analytic families ------------------------------------------------------
 
 
+@_built_once
 def regular_sequence_instances() -> list[dict]:
     """Ten sequences that are regular in their ambient polynomial rings."""
     plane = algebra(QQ, ("x", "y"))
@@ -269,6 +299,7 @@ def regular_sequence_instances() -> list[dict]:
     ]
 
 
+@_built_once
 def non_regular_sequence_instances() -> list[dict]:
     """Five sequences with a zerodivisor step (nonzero quotient)."""
     plane = algebra(QQ, ("x", "y"))
@@ -286,6 +317,7 @@ def non_regular_sequence_instances() -> list[dict]:
     ]
 
 
+@_built_once
 def hypersurface_instances() -> list[dict]:
     """Ten nonzerodivisors in polynomial rings (criterion: Sigma-S shape)."""
     return [
@@ -311,6 +343,7 @@ def hypersurface_instances() -> list[dict]:
     ]
 
 
+@_built_once
 def polynomial_extension_instances() -> list[dict]:
     """Ten maps R -> R[Y] with |Y| <= 3 over QQ, GF(5), and QQ[t]."""
     F5 = GF(5)
@@ -336,6 +369,7 @@ def polynomial_extension_instances() -> list[dict]:
     return out
 
 
+@_built_once
 def hkr_instances() -> list[dict]:
     """Five flat instances over a ground field, mixing smooth and singular."""
     cusp = algebra(QQ, ("x", "y"), ["x^3 - y^2"])
@@ -356,6 +390,7 @@ def hkr_instances() -> list[dict]:
     ]
 
 
+@_built_once
 def jacobi_zariski_instances() -> list[dict]:
     """Composable pairs with a marked point on the top algebra."""
     plane = algebra(QQ, ("x", "y"))

@@ -2,9 +2,11 @@
 
 Every suite runs a predicate on each case of a fixed or seeded inventory
 in `corpus` and returns a deterministic report: {"passed": bool,
-"cases": int, "failures": [names]}.  Nothing here depends on the
-ambient monomial order or on run-to-run state, so the reports are safe
-to embed in canonical output.
+"cases": int, "failures": [names]}.  The inventories are built once per
+process and shared, so a suite may read what an earlier suite or session
+already computed on the same maps; its report is the same either way,
+warm or cold.  Nothing here depends on the ambient monomial order, so
+the reports are safe to embed in canonical output.
 """
 
 from __future__ import annotations

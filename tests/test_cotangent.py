@@ -4,6 +4,7 @@ cross-agreement, Tor comparisons, and the structural checks."""
 from itertools import product
 
 import pytest
+from shared import CORPUS_BUILDERS
 
 from aq import corpus, linalg
 from aq.classify import _with_order, classification_report
@@ -405,11 +406,7 @@ def _outcome(compute):
 
 
 def _corpus_maps():
-    for family in ("classifier_corpus", "random_surjections",
-                   "random_base_extensions", "regular_sequence_instances",
-                   "non_regular_sequence_instances", "hypersurface_instances",
-                   "polynomial_extension_instances", "hkr_instances",
-                   "jacobi_zariski_instances"):
+    for family in CORPUS_BUILDERS:
         for entry in getattr(corpus, family)():
             points = entry.get("points") or [entry.get("point", {})]
             for key in sorted(entry):

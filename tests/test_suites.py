@@ -1,8 +1,15 @@
 """The shared case loop of the acceptance suites: a case whose predicate
-fails is reported by name, and every other case still runs and counts."""
+fails is reported by name, and every other case still runs and counts.
+The suites read corpora built once per process, and a report is the same
+whether they were built for it or read before."""
+
+import functools
+
+import pytest
+from shared import CORPUS_BUILDERS
 
 from aq import corpus
-from aq.suites import run_suite
+from aq.suites import SUITES, run_suite
 
 
 def test_a_wrong_classifier_verdict_fails_only_its_case(monkeypatch):
@@ -32,3 +39,37 @@ def test_a_non_regular_sequence_listed_as_regular_fails_only_its_case(
     report = run_suite("koszul-depth")
     assert report == {"passed": False, "cases": 15,
                       "failures": [moved["name"]]}
+
+
+def test_five_term_reads_the_stages_the_conormal_suite_built(monkeypatch):
+    """Both suites run over one shared corpus of surjections, so once the
+    conormal suite has built each map's stages, five-term exactness reads
+    them and eliminates nothing."""
+    from aq.groebner import SubmoduleEngine
+    assert run_suite("conormal-degree-one")["passed"]
+    built = []
+    real = SubmoduleEngine.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(SubmoduleEngine, "__init__", counting_init)
+    assert run_suite("five-term")["passed"]
+    assert built == []
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_a_report_is_the_same_cold_and_warm(name, monkeypatch):
+    """A suite over corpora nobody has read, then twice over the shared
+    ones (the second time on maps that keep what the first computed)."""
+    for builder in CORPUS_BUILDERS:
+        # each call builds anew; `__wrapped__` stays, for the builders
+        # that call another one uncached
+        raw = getattr(corpus, builder).__wrapped__
+        monkeypatch.setattr(corpus, builder, functools.wraps(raw)(
+            lambda *args, raw=raw, **kwargs: raw(*args, **kwargs)))
+    cold = run_suite(name)
+    monkeypatch.undo()
+    assert run_suite(name) == cold
+    assert run_suite(name) == cold
