@@ -1,6 +1,8 @@
 """Levelwise-free simplicial algebras: identities, augmentations,
 homotopy closed forms, and the two chain models."""
 
+from collections import Counter
+
 import pytest
 
 from aq.corpus import algebra
@@ -333,6 +335,39 @@ def test_identities_name_exactly_the_operators(L):
     listed = [(kind, n, i) for kind, n, i, _ in _operators(L)]
     assert len(listed) == len(set(listed)) == L * L + 2 * L
     assert named == set(listed)
+
+
+@pytest.mark.parametrize("L", range(1, 8))
+def test_each_identity_family_has_its_closed_form_count(L):
+    # d_i d_j = d_{j-1} d_i for i < j <= n: C(n+1, 2) out of level n >= 2;
+    # s_i s_j = s_{j+1} s_i for i <= j <= n: C(n+2, 2) out of level n <= L-2;
+    # d_i s_j for i <= n+1, j <= n: (n+1)(n+2) out of level n <= L-1
+    want = {}
+    for n in range(2, L + 1):
+        want[("d", "d", n)] = (n + 1) * n // 2
+    for n in range(0, L - 1):
+        want[("s", "s", n)] = (n + 2) * (n + 1) // 2
+    for n in range(0, L):
+        want[("d", "s", n)] = (n + 1) * (n + 2)
+    got = Counter()
+    for tag, n, _, _ in _simplicial_identities(L):
+        outer, inner, _, level = tag.split()
+        assert int(level) == n, tag
+        got[(outer[0], inner[0], n)] += 1
+    assert got == want
+
+
+@pytest.mark.parametrize("L", [3, 4, 5])
+def test_a_broken_top_face_and_degeneracy_are_named(L):
+    ext = bar_construction(cusp(), "x", L)
+    _replace_one_face_image(ext, L, 0)
+    _swap_degeneracies(ext, L - 1)
+    ok, failures = ext.simplicial_identities_hold()
+    assert not ok
+    # a failure reads "d0 d2 level 3 on x3_1"
+    families = {(w[0][0], w[1][0], int(w[3])) for w in map(str.split, failures)}
+    assert ("d", "d", L) in families
+    assert ("s", "s", L - 2) in families
 
 
 def test_operators_outside_the_table_are_refused():
