@@ -6,8 +6,11 @@ reduced Groebner basis of the relations, read through its cached lead
 index, gives canonical representatives.  The normal form is linear, so
 it is summed from the normal forms of the monic monomials, each reduced
 once and kept on the algebra.  An AlgebraMap keeps the normal forms of
-its generator images, keyed by exponent tuple.  Both hand out shared
-polynomials, which no caller mutates.
+its generator images, keyed by exponent tuple.  The target algebra also
+keeps the images that maps into it give through `named_image` (each
+map's relation check among them), keyed by what fixes the image, and
+frees them with itself.  All of these hand out shared polynomials, which
+no caller mutates.
 Rational points are variable assignments satisfying every relation.
 """
 
@@ -45,6 +48,9 @@ class PresentedAlgebra:
         # validated points
         self._normal_forms: dict[tuple, Polynomial] = {}
         self._valid_points: set = set()
+        # images of source elements under maps into this algebra, keyed by
+        # what fixes them (`AlgebraMap.named_image`)
+        self._named_images: dict[tuple, Polynomial] = {}
 
     # -- presentation ----------------------------------------------------
 
@@ -173,10 +179,12 @@ class AlgebraMap:
     """Map of presented algebras, one image per source variable.
 
     Images live in the target's ambient ring; well-definedness (relations
-    map into the target ideal) is checked eagerly.  Kept on the map, and
-    freed with it: the normal forms of the generator images, keyed by
-    exponent tuple (`apply`), and the values of `derived` (presentations,
-    truncation, certificates).
+    map into the target ideal) is checked eagerly, through `named_image`,
+    so each distinct relation check runs once per target algebra.  Kept on
+    the map, and freed with it: the normal forms of the generator images,
+    keyed by exponent tuple (`apply`), and the values of `derived`
+    (presentations, truncation, certificates).  Kept on the target, and
+    freed with the target: the values of `named_image`.
     """
 
     def __init__(self, source: PresentedAlgebra, target: PresentedAlgebra,
@@ -207,9 +215,31 @@ class AlgebraMap:
 
     def failing_relation(self):
         for rel in self.source.relations:
-            if not self.apply(rel).is_zero():
+            if not self.named_image(rel).is_zero():
                 return rel
         return None
+
+    def named_image(self, p: Polynomial) -> Polynomial:
+        """`apply(p)`, kept on the target algebra.
+
+        The image depends only on the source variables p names, p's terms
+        over them and this map's images of them, so that triple is the key
+        and every map into the target that agrees on it reads the same
+        entry.  A call that raises stores nothing.
+        """
+        ring = self.source.ring
+        if p.ring is not ring and p.ring != ring:
+            raise AlgebraError("element from a different ambient ring")
+        used = [i for i in range(ring.nvars) if any(e[i] for e in p.terms)]
+        names = tuple(ring.variables[i] for i in used)
+        key = (names,
+               tuple(sorted((tuple(e[i] for i in used), c) for e, c in p.terms.items())),
+               tuple(tuple(sorted(self.images[v].terms.items())) for v in names))
+        memo = self.target._named_images
+        img = memo.get(key)
+        if img is None:
+            img = memo[key] = self.apply(p)
+        return img
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Image of a source element, normalized in the target.

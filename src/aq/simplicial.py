@@ -226,33 +226,72 @@ class FreeExtensionLevelwise:
         """Exact generator-level check of all simplicial identities through
         `max_level`.
 
-        The inner operator of each composite sends a generator x to its
-        stored image and the outer one is applied, one `apply` per
-        composite entry, so both sides are normal forms in one algebra.
-        Per identity, the operators are looked up once, each side is built
-        as the list of its term maps over the level's generators, and the
-        two lists are compared in one step; the per-generator failure tags
-        are formatted only when they differ.  The right side of d_i s_j = id
-        is the normal form of x, computed once per generator.  Exact over
-        every base, the zero ring included.  Returns (ok, failure
-        descriptions), in identity order and, within one, generator order.
+        Each side of an identity is a composite outer after inner, read off
+        two tables built once per call, one per operator: the token of
+        `apply` on each variable of its source ring.  The token of a normal
+        form is the variable's index in the ring when it is a monic
+        variable, and otherwise its sorted term tuple, () for zero.  The
+        composite on a generator x takes the inner token of x and, when it
+        is an index, reads the outer table there; any other token is
+        rebuilt as a polynomial and sent through the outer map's
+        `named_image`, once per (operator, token).  Reading the inner image
+        as a normal form changes nothing: the outer map kills the source
+        relations, so it sends a polynomial and its normal form to the same
+        normal form.  Tokens are injective on the normal forms of one ring
+        and both sides of an identity land in one ring, so two sides agree
+        on x exactly when their tokens do.  The right side of d_i s_j = id
+        is the token of the normal form of x.  Exact over every base, the
+        zero ring included.  Returns (ok, failure descriptions), in identity
+        order and, within one, generator order.
         """
-        bad = []
-        identity = {n: [self.algebra(n).normal_form(self.ring(n).var(x)).terms
+        nbase = self.base.ring.nvars
+        tables: dict = {}
+        through: dict = {}
+
+        def table(op):
+            t = tables.get(op)
+            if t is None:
+                m = self.operator(*op)
+                ring = m.source.ring
+                t = tables[op] = [_token(m.apply(ring.var(v))) for v in ring.variables]
+            return t
+
+        def side(outer, inner):
+            # tokens of outer after inner on the inner operator's generators
+            out, m = table(outer), self.operator(*outer)
+            got = []
+            for t in table(inner)[nbase:]:
+                if t.__class__ is int:
+                    got.append(out[t])
+                    continue
+                key = (outer, t)
+                if key not in through:
+                    through[key] = _token(m.named_image(Polynomial(m.source.ring, dict(t))))
+                got.append(through[key])
+            return got
+
+        identity = {n: [_token(self.algebra(n).normal_form(self.ring(n).var(x)))
                         for x in self.levels[n]]
                     for n in range(self.max_level)}
+        bad = []
         for tag, n, lhs, rhs in _simplicial_identities(self.max_level):
-            xs = self.levels[n]
-            outer, inner = (self.operator(*op) for op in lhs)
-            got = [outer.apply(inner.images[x]).terms for x in xs]
-            if rhs is None:
-                want = identity[n]
-            else:
-                r_outer, r_inner = (self.operator(*op) for op in rhs)
-                want = [r_outer.apply(r_inner.images[x]).terms for x in xs]
+            got = side(*lhs)
+            want = identity[n] if rhs is None else side(*rhs)
             if got != want:
-                bad.extend(f"{tag} on {x}" for x, g, w in zip(xs, got, want) if g != w)
+                bad.extend(f"{tag} on {x}" for x, g, w in
+                           zip(self.levels[n], got, want) if g != w)
         return (not bad, bad)
+
+
+def _token(p: Polynomial):
+    """A normal form's index in its ring if it is a monic variable, else its
+    sorted term tuple: injective on the polynomials of one ring."""
+    terms = p.terms
+    if len(terms) == 1:
+        (e, c), = terms.items()
+        if c == 1 and e in p.ring.unit_names:
+            return e.index(1)
+    return tuple(sorted(terms.items()))
 
 
 def _simplicial_identities(L: int):

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from aq.fields import GF, QQ
 from aq.groebner import module_groebner
 from aq.orders import MonomialOrder
-from aq.poly import MAX_PRODUCT_WORK, PolyError, PolyRing
-from aq.rings import AlgebraMap, PointError, PresentedAlgebra
+from aq.poly import MAX_PRODUCT_WORK, PolyError, PolyRing, Polynomial
+from aq.rings import AlgebraError, AlgebraMap, PointError, PresentedAlgebra
+from aq.simplicial import bar_construction
 
 GF5 = GF(5)
 SOURCE_VARS = ("x", "y", "z")
@@ -145,3 +146,57 @@ def test_each_parsed_point_is_a_fresh_dict():
     second = C.parse_point({"x": 1, "y": 1})
     assert second is not first
     assert second == {"x": QQ.from_int(1), "y": QQ.from_int(1)}
+
+
+def _cusp_over(variables):
+    return PresentedAlgebra(PolyRing(QQ, variables), ["x^3 - y^2"])
+
+
+def test_a_bar_construction_substitutes_its_relation_once_per_level(monkeypatch):
+    calls = []
+    real = Polynomial.substitute
+
+    def counting_substitute(self, target, images):
+        calls.append(self)
+        return real(self, target, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting_substitute)
+    ext = bar_construction(_cusp_over(("x", "y")), "x", 9)
+    # 99 operators, every one fixing x and y: one check per target level
+    assert len(calls) <= ext.max_level + 1
+
+
+def test_a_map_that_fails_its_relation_fails_the_same_after_a_good_one():
+    C = _cusp_over(("x", "y"))
+    swapped = {"x": C.poly("y"), "y": C.poly("x")}
+    with pytest.raises(AlgebraError) as before:
+        AlgebraMap(C, C, swapped)
+    AlgebraMap(C, C)
+    assert C._named_images
+    with pytest.raises(AlgebraError) as after:
+        AlgebraMap(C, C, swapped)
+    assert str(after.value) == str(before.value) \
+        == "map does not kill source relation x^3 - y^2"
+
+
+def test_maps_share_a_relation_check_exactly_when_they_agree_on_its_names():
+    C = _cusp_over(("x", "y", "z"))
+    rel = C.relations[0]
+    AlgebraMap(C, C)
+    # z is not named by the relation
+    shifted = AlgebraMap(C, C, {"z": C.poly("z + 1")})
+    assert len(C._named_images) == 1
+    # y -> -y kills the relation too, through its own entry
+    flipped = AlgebraMap(C, C, {"y": C.poly("-y")})
+    assert len(C._named_images) == 2
+    for phi in (shifted, flipped):
+        assert phi.named_image(rel) == phi.apply(rel) == C.ring.zero()
+
+
+def test_an_expensive_relation_check_is_refused_every_time():
+    P = PresentedAlgebra(PolyRing(QQ, ("x", "y")))
+    C = PresentedAlgebra(P.ring, ["x^200"])
+    for _ in range(2):
+        with pytest.raises(PolyError, match=str(MAX_PRODUCT_WORK)):
+            AlgebraMap(C, P, {"x": P.poly("x + y + 1")})
+    assert not P._named_images
