@@ -200,3 +200,11 @@ def test_an_expensive_relation_check_is_refused_every_time():
         with pytest.raises(PolyError, match=str(MAX_PRODUCT_WORK)):
             AlgebraMap(C, P, {"x": P.poly("x + y + 1")})
     assert not P._named_images
+
+
+def test_relations_with_the_same_monomials_do_not_share_a_check():
+    ring = PolyRing(QQ, ("x", "y"))
+    T = PresentedAlgebra(ring, ["x^2 - y"])
+    AlgebraMap(T, T)
+    with pytest.raises(AlgebraError, match="x\\^2 \\+ y"):
+        AlgebraMap(PresentedAlgebra(ring, ["x^2 + y"]), T)
