@@ -1,5 +1,6 @@
 """Maps of presented algebras: a generator's image comes from the map's
-table of normal forms, and agrees with substituting and reducing; the
+table of normal forms, and agrees with substituting and reducing; each
+relation check is kept on the target algebra, keyed by what fixes it; the
 polynomials that rings, algebras and maps share are never mutated."""
 
 import pytest
