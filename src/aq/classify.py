@@ -298,14 +298,13 @@ def _certificate(phi: AlgebraMap, prop: str) -> bool:
         kd = kahler_presentation(phi).module
         if prop == "unramified":
             return kd.is_zero()
-        if prop == "smooth":
-            omega_projective = (phi.derived(_certificate, "unramified")
-                                or kd.free_rank() is not None)
-            return (omega_projective
-                    and cotangent_trunc2(phi).complex.homology_is_zero(1))
+        # smooth, the one property left
+        omega_projective = (phi.derived(_certificate, "unramified")
+                            or kd.free_rank() is not None)
+        return (omega_projective
+                and cotangent_trunc2(phi).complex.homology_is_zero(1))
     except (AlgebraError, CotangentError):
         return False
-    return False
 
 
 def classification_report(prop: str, subject, points) -> "ClassificationReport":

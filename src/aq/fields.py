@@ -36,40 +36,14 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """Common interface for QQ and GF(p) element arithmetic."""
+    """Common base of QQ and GF(p); both implement zero, one, from_int,
+    fraction, add, sub, mul, neg, inv and is_zero."""
 
     kind: str
     characteristic: int
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero()
 
     def to_str(self, a) -> str:
         return str(a)

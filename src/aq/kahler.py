@@ -405,14 +405,11 @@ def derivation_basis_at_point(phi: AlgebraMap, target_point: dict):
 
 
 def derivation_value(kd: KahlerDifferentials, values, element, target_point: dict):
-    """delta(element) for the derivation with the given dy-values."""
+    """delta(element) for the derivation with the given dy-values; the
+    element lives in the presentation's ambient ring."""
     rp = kd.presentation
     pt = rp.transport_point(target_point)
     field = rp.algebra.field
-    if isinstance(element, str):
-        element = rp.ambient.poly(element)
-    if element.ring == rp.phi.target.ring and rp.target_renaming:
-        element = rp.lift_target(element)
     total = field.zero()
     for y, v in zip(rp.adjoined, values):
         total = field.add(total, field.mul(element.derivative(y).evaluate(pt), v))

@@ -172,9 +172,6 @@ class Polynomial:
             raise PolyError("zero polynomial has no leading term")
         return max(self.terms, key=self.ring.order.key)
 
-    def leading_coeff(self):
-        return self.terms[self.leading_monomial()]
-
     # -- arithmetic --------------------------------------------------
 
     def _check(self, other: "Polynomial"):
@@ -182,8 +179,6 @@ class Polynomial:
             raise PolyError("polynomials from different rings")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
         self._check(other)
         return Polynomial(self.ring, _add_terms(dict(self.terms), other.terms.items(),
                                                 self.ring.field))
@@ -193,8 +188,6 @@ class Polynomial:
         return Polynomial(self.ring, {e: F.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -202,21 +195,6 @@ class Polynomial:
             other = self.ring.from_int(other)
         self._check(other)
         return Polynomial(self.ring, _mul_terms(self.terms, other.terms, self.ring.field))
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.ring.from_int(other) * self
-        return NotImplemented
-
-    def __radd__(self, other):
-        if isinstance(other, int):
-            return self + other
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return self.ring.from_int(other) - self
-        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
@@ -228,11 +206,6 @@ class Polynomial:
         if F.is_zero(c):
             return self.ring.zero()
         return Polynomial(self.ring, {e: F.mul(c, k) for e, k in self.terms.items()})
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scale(self.ring.field.inv(self.leading_coeff()))
 
     # -- calculus and substitution ------------------------------------
 

@@ -100,11 +100,6 @@ class PresentedAlgebra:
                        ((m, mul(c, k)) for m, k in nf.terms.items()), field)
         return Polynomial(ring, out)
 
-    def is_trivial(self) -> bool:
-        """True when 1 lies in the defining ideal (the zero ring)."""
-        gb = self.groebner()
-        return any(g.is_constant() and not g.is_zero() for g in gb)
-
     def is_ground_field(self) -> bool:
         return self.ring.nvars == 0
 
@@ -192,13 +187,14 @@ class AlgebraMap:
         self.source = source
         self.target = target
         imgs = {}
+        self._generator_images: dict[tuple, Polynomial] = {}
         images = images or {}
-        for v in source.variables:
+        for e, v in source.ring.unit_names.items():
             if v in images:
                 img = images[v]
                 if isinstance(img, str):
                     img = target.poly(img)
-                imgs[v] = target.normal_form(img)
+                imgs[v] = self._generator_images[e] = target.normal_form(img)
             else:
                 # omitted images default to the same-named target variable
                 if v not in target.ring._var_index:
@@ -207,7 +203,6 @@ class AlgebraMap:
                     )
                 imgs[v] = target.ring.var(v)
         self.images = imgs
-        self._generator_images: dict[tuple, Polynomial] = {}
         self._derived: dict = {}
         bad = self.failing_relation()
         if bad is not None:
@@ -247,13 +242,15 @@ class AlgebraMap:
         The ring is checked by identity first, by equality only if that
         fails.  Zero goes to the target's zero.  A generator (one term of
         total degree 1 with coefficient one) is read from a per-map table
-        of the normal forms of the images, keyed by exponent tuple and
-        filled the first time each generator is applied; every other
-        element is substituted and reduced.  The table holds normal forms,
-        not the stored images: an omitted image defaults to the same-named
-        target variable unreduced, which is not canonical when a target
-        relation has that variable as its lead term.  The returned
-        polynomial may be shared with the table and must not be mutated.
+        of the normal forms of the images, keyed by exponent tuple: the
+        constructor puts each given image there, already reduced, and an
+        omitted image is reduced and added the first time its generator
+        is applied; every other element is substituted and reduced.  An
+        omitted image defaults to the same-named target variable
+        unreduced, which is not canonical when a target relation has that
+        variable as its lead term, so it is not stored up front (nor is a
+        Groebner basis started for it).  The returned polynomial may be
+        shared with the table and must not be mutated.
         """
         ring = self.source.ring
         if p.ring is not ring and p.ring != ring:

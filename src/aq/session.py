@@ -4,7 +4,7 @@ A session declares a field, rings, maps, and points, then lists tasks.
 Parsing is strict: names must be declared before use, every polynomial and
 point is validated on the spot, and diagnostics carry line and column.
 Each statement parser appends the normalized line of what it has just
-validated, so parse -> pretty -> parse is the identity on those lines.
+validated, so parsing the canonical lines again gives the same lines.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ class Session:
 
     def canonical_lines(self) -> list[str]:
         return list(self.lines)
-
-    def pretty(self) -> str:
-        lines = self.canonical_lines()
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- cursor over one line -----------------------------------------------------
@@ -212,10 +208,9 @@ def _split_top_commas(text: str, col0: int):
 
 
 def _parse_field(cur: _Cursor, session: Session):
+    # a ring needs a field first, so no ring can precede this one
     if session.field is not None:
         cur.error("field already declared")
-    if session.rings:
-        cur.error("field must be declared before any ring")
     kind = cur.name("field kind")
     if kind == "QQ":
         session.field = field_from_spec("QQ")

@@ -287,6 +287,27 @@ def test_off_variety_point_is_rejected():
         is_smooth_at(phi, {"x": 1, "y": 2})
 
 
+def test_a_partial_point_is_no_rational_point():
+    phi = inclusion_from_ground(cusp())
+    with pytest.raises(ClassifyError) as info:
+        is_smooth_at(phi, {"x": 0})
+    assert str(info.value) == \
+        "not a rational point: point does not assign variable 'y'"
+
+
+def test_a_certificate_that_cannot_be_built_is_not_given(monkeypatch):
+    import aq.classify
+    from aq.kahler import KahlerError
+
+    def refuse(phi):
+        raise KahlerError("no presentation")
+
+    monkeypatch.setattr(aq.classify, "kahler_presentation", refuse)
+    phi = inclusion_from_ground(algebra(QQ, ("x",)))
+    assert not aq.classify._certificate(phi, "unramified")
+    assert not aq.classify._certificate(phi, "smooth")
+
+
 # -- oracle agreement is exercised, not assumed --------------------------------------
 
 

@@ -145,6 +145,37 @@ def test_epsilon_rank_table_values():
     assert epsilon_entry(0, 1) == 0  # degree-2 differential vanishes
 
 
+def test_closed_forms_refuse_degrees_below_their_range():
+    assert epsilon_entry(3, 1) == 0  # the empty alternating sum
+    with pytest.raises(CotangentError, match="rank table starts at degree 2"):
+        hypersurface_rank_table(1)
+    with pytest.raises(CotangentError, match="closed form needs n >= 1"):
+        hypersurface_closed_form_differential(cusp(), 0)
+
+
+@pytest.mark.parametrize("target", [
+    lambda: algebra(QQ, ("x", "t")),
+    lambda: algebra(QQ, ("x", "y")),
+    fat_point,
+], ids=["other-variables", "fewer-relations", "more-relations"])
+def test_a_resolution_of_another_map_is_refused(target):
+    ext = hypersurface_resolution(algebra(QQ, ("x", "y")), "x^3 - y^2", 3)
+    with pytest.raises(CotangentError, match="resolution does not resolve this map"):
+        aq_homology(canonical_surjection(target()), ORIGIN, resolution=ext)
+
+
+def test_a_truncation_is_no_resolution():
+    phi = canonical_surjection(cusp())
+    with pytest.raises(CotangentError, match="not resolution-derived"):
+        aq_homology(phi, ORIGIN, resolution=cotangent_trunc2(phi))
+
+
+def test_coefficients_over_an_unrelated_algebra_are_refused():
+    module = FPModule(algebra(QQ, ("t",)), 1, [])
+    with pytest.raises(CotangentError, match="module lives over a different algebra"):
+        aq_homology(inclusion_from_ground(cusp()), module)
+
+
 def test_resolution_failing_its_identities_is_refused():
     line = algebra(QQ, ("x",))
     ext = bar_construction(line, "x", 4)
@@ -207,6 +238,11 @@ def test_tor_of_fat_point():
     tor = tor_modules(canonical_surjection(fat_point()), n_max=2)
     assert tor.dim_at_point(1, ORIGIN) == 3
     assert tor.dim_at_point(2, ORIGIN) == 2
+
+
+def test_tor_stops_at_degree_three():
+    with pytest.raises(CotangentError, match="built through degree 3 only"):
+        tor_modules(canonical_surjection(cusp()), n_max=4)
 
 
 def test_tor_requires_surjection():
@@ -503,6 +539,31 @@ def test_base_change_along_polynomial_extension():
     result = base_change_check(inclusion_from_ground(target), rho,
                                [{"t": 0, "x": 2}, {"t": 1, "x": 3}])
     assert result["passes"]
+
+
+@pytest.mark.parametrize("phi_prime, rho, points", [
+    # the cusp's surjection, with a free variable t adjoined
+    (lambda: canonical_surjection(cusp()),
+     lambda: AlgebraMap(algebra(QQ, ("x", "y")), algebra(QQ, ("x", "y", "t")), {}),
+     [{"x": 0, "y": 0, "t": 0}, {"x": 1, "y": 1, "t": 2}]),
+    # the diagonal x = y, pulled back along x -> u^2, y -> u^3
+    (lambda: canonical_surjection(algebra(QQ, ("x", "y"), ["x - y"])),
+     lambda: AlgebraMap(algebra(QQ, ("x", "y")), algebra(QQ, ("u",)),
+                        {"x": "u^2", "y": "u^3"}),
+     [{"u": 0}, {"u": 1}]),
+], ids=["cusp-times-line", "diagonal-on-a-cusp"])
+def test_base_change_with_a_source_that_has_variables(phi_prime, rho, points):
+    result = base_change_check(phi_prime(), rho(), points)
+    assert result["passes"]
+    assert [row["dims"] for row in result["per_point"]] == [[0, 1, 0]] * 2
+
+
+def test_base_change_needs_maps_with_one_source():
+    with pytest.raises(CotangentError, match="maps must share their source"):
+        base_change_check(
+            inclusion_from_ground(cusp()),
+            AlgebraMap(algebra(QQ, ("t",)), algebra(QQ, ("t", "u")), {}),
+            [{"t": 0, "u": 0}])
 
 
 def test_retract_shifts_degrees():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aq.fields import GF, QQ, FieldError, field_from_spec
-from aq.orders import MonomialOrder
+from aq.orders import MonomialOrder, OrderError
 from aq.poly import ParseError, PolyError, PolyRing, parse_polynomial, stable_str
 
 
@@ -38,6 +38,21 @@ def test_characteristic_must_be_prime():
         GF(4)
     with pytest.raises(FieldError, match="characteristic must be prime"):
         GF(1)
+    # odd composites reach the trial division
+    for n in (9, 25, 91):
+        with pytest.raises(FieldError, match="characteristic must be prime"):
+            GF(n)
+    assert GF(101).characteristic == 101
+
+
+@pytest.mark.parametrize("divide", [
+    lambda: QQ.fraction(1, 0),
+    lambda: QQ.inv(0),
+    lambda: GF(7).inv(14),
+], ids=["QQ-fraction", "QQ-inverse", "GF7-inverse"])
+def test_division_by_zero_is_refused(divide):
+    with pytest.raises(FieldError, match="division by zero"):
+        divide()
 
 
 def test_field_from_spec_round_trip():
@@ -149,7 +164,46 @@ def test_parse_print_round_trip(p, q):
     assert R.poly(str(s)) == s
 
 
+@pytest.mark.parametrize("misuse, message", [
+    (lambda R: PolyRing(QQ, ("x", "x")), "duplicate variable names"),
+    (lambda R: R.var_index("z"), "unknown variable 'z'"),
+    (lambda R: R.var("z"), "unknown variable 'z'"),
+    (lambda R: R.zero().leading_monomial(), "zero polynomial has no leading term"),
+    (lambda R: R.var("x") + ring(QQ, "x").var("x"), "polynomials from different rings"),
+    (lambda R: R.var("x") ** -1, "negative power"),
+    (lambda R: R.var("x").evaluate({"x": 1}), "point does not assign variable 'y'"),
+], ids=["duplicate-variable", "var-index", "var", "lead-of-zero", "other-ring",
+        "negative-power", "partial-point"])
+def test_polynomial_misuse_is_a_typed_error(misuse, message):
+    with pytest.raises(PolyError) as info:
+        misuse(ring(QQ, "x", "y"))
+    assert str(info.value) == message
+
+
+def test_equal_rings_and_polynomials_hash_alike():
+    R, S = ring(QQ, "x", "y"), ring(QQ, "x", "y")
+    assert R is not S and R == S and hash(R) == hash(S)
+    p, q = R.poly("x^2 - y"), S.poly("-y + x^2")
+    assert p == q and hash(p) == hash(q)
+    assert p != "x^2 - y"
+
+
 # -- parsing errors with positions ---------------------------------------
+
+
+@pytest.mark.parametrize("source, message, col", [
+    ("x^y", "expected 'INT', found 'y'", 3),
+    ("(x y", "expected ')', found 'y'", 4),
+    ("x + 1/0", "division by zero", 7),
+    ("x + )", "unexpected token ')'", 5),
+    ("", "empty polynomial", 1),
+    ("   ", "empty polynomial", 1),
+])
+def test_parse_errors_name_their_column(source, message, col):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(source, ring(QQ, "x"))
+    assert (info.value.message, info.value.col) == (message, col)
+
 
 
 def test_parse_error_reports_column():
@@ -174,6 +228,11 @@ def test_products_need_explicit_star():
 
 
 # -- monomial orders -----------------------------------------------------
+
+
+def test_unknown_monomial_order_is_refused():
+    with pytest.raises(OrderError, match="unknown monomial order 'grlex'"):
+        MonomialOrder("grlex")
 
 
 def test_degrevlex_vs_lex_leading_terms():

@@ -7,6 +7,7 @@ from aq.corpus import (algebra, ground, inclusion_from_ground,
                        jacobi_zariski_instances)
 from aq.fields import GF, QQ
 from aq.kahler import (
+    KahlerError,
     conormal_sequence,
     derivation_basis_at_point,
     jacobi_zariski_right_exact,
@@ -15,6 +16,7 @@ from aq.kahler import (
     kahler_presentation,
     leibniz_holds,
     relative_presentation,
+    tower_presentation,
 )
 from aq.rings import AlgebraMap
 
@@ -147,6 +149,35 @@ def test_derivations_satisfy_leibniz():
         assert leibniz_holds(kd, values, {"x": 1, "y": 1}, samples)
 
 
+def test_values_off_the_tangent_space_break_a_relation():
+    phi = inclusion_from_ground(cusp())
+    # d(x^3 - y^2) = 3 dx - 2 dy at (1, 1) does not vanish on dx = 1, dy = 0
+    assert not leibniz_holds(kahler_presentation(phi), (1, 0),
+                             {"x": 1, "y": 1}, [("x", "y")])
+
+
+def test_derivations_over_a_base_with_variables_kill_the_base():
+    phi = AlgebraMap(algebra(QQ, ("x",)), cusp(), {})
+    kd, basis = derivation_basis_at_point(phi, {"x": 1, "y": 1})
+    assert basis == []
+    # dy = 0 is the only derivation at (1, 1): y^2 = x^3 is smooth over x there
+    assert leibniz_holds(kd, (0,), {"x": 1, "y": 1}, [("x", "y")])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: relative_presentation(
+        AlgebraMap(algebra(QQ, ("x",)), algebra(GF(5), ("x",)), {})),
+     "source and target over different fields"),
+    (lambda: tower_presentation(inclusion_from_ground(cusp()),
+                                inclusion_from_ground(cusp())),
+     "maps do not compose"),
+], ids=["fields", "tower"])
+def test_maps_that_cannot_be_presented_are_refused(build, message):
+    with pytest.raises(KahlerError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # -- right-exact sequences ----------------------------------------------------
 
 
@@ -156,6 +187,14 @@ def test_jacobi_zariski_right_exactness():
     phi = AlgebraMap(plane, cusp(), {})
     report = jacobi_zariski_right_exact(psi, phi)
     assert report.ok
+
+
+def test_jacobi_zariski_right_exactness_over_a_base_with_variables():
+    line = algebra(QQ, ("t",))
+    plane = algebra(QQ, ("x", "y"))
+    psi = AlgebraMap(line, plane, {"t": "x"})
+    phi = AlgebraMap(plane, cusp(), {})
+    assert jacobi_zariski_right_exact(psi, phi).ok
 
 
 def test_conormal_sequence_on_cusp():

@@ -148,6 +148,13 @@ def test_differential_composition_enforced():
         assert str(exc.value) == f"d_1 . d_2 != 0 at entry {entry}"
 
 
+def test_a_differential_of_the_wrong_shape_is_refused():
+    A = plane()
+    with pytest.raises(ModuleError) as exc:
+        FreeComplex(A, {0: 1, 1: 2}, {1: [[A.poly("x")]]})
+    assert str(exc.value) == "differential 1 has shape 1x1, expected 1x2"
+
+
 def test_dd_check_multiplies_only_nonzero_pairs(monkeypatch):
     names = tuple(f"x{i}" for i in range(1, 7))
     A = PresentedAlgebra(PolyRing(QQ, names), [])
@@ -218,6 +225,10 @@ def test_homology_dims_at_point_fiberwise():
     # away from the vanishing locus everything dies
     dims = kc.dims_through({"x": 1, "y": 1}, 2)
     assert dims == [0, 0, 0]
+
+
+def test_nullspace_without_columns_is_empty():
+    assert linalg.nullspace(QQ, [[], []]) == linalg.nullspace(QQ, [], 0) == []
 
 
 def test_nullspace_without_rows_is_the_unit_vectors():

@@ -10,7 +10,8 @@ from aq.fields import GF, QQ
 from aq.groebner import module_groebner
 from aq.orders import MonomialOrder
 from aq.poly import MAX_PRODUCT_WORK, PolyError, PolyRing, Polynomial
-from aq.rings import AlgebraError, AlgebraMap, PointError, PresentedAlgebra
+from aq.rings import (AlgebraError, AlgebraMap, PointError, PresentedAlgebra,
+                      compose)
 from aq.simplicial import bar_construction
 
 GF5 = GF(5)
@@ -70,7 +71,8 @@ def _every_operation(T, phi, pool, source_elements):
     out = []
     for p, q in zip(pool, pool[1:] + pool[:1]):
         out += [p + q, p - q, p * q, -p, p ** 2, p.scale(ring.field.from_int(2)),
-                p.monic(), p.derivative("x"), p.rename_into(wider),
+                p.scale(ring.field.inv(p.terms[p.leading_monomial()])) if p.terms else p,
+                p.derivative("x"), p.rename_into(wider),
                 p.rename_into(ring, {"u": "x"}), T.normal_form(p)]
         # substituting kept normal forms into each other may pass the
         # documented MAX_PRODUCT_WORK budget; a refusal is an allowed outcome
@@ -209,3 +211,70 @@ def test_relations_with_the_same_monomials_do_not_share_a_check():
     AlgebraMap(T, T)
     with pytest.raises(AlgebraError, match="x\\^2 \\+ y"):
         AlgebraMap(PresentedAlgebra(ring, ["x^2 + y"]), T)
+
+
+def test_given_images_are_reduced_once_and_omitted_ones_when_read(monkeypatch):
+    C = _cusp_over(("x", "y"))
+    phi = AlgebraMap(PresentedAlgebra(C.ring), C, {"x": C.poly("x^4")})
+    # the given image is in the table as its normal form; y is not yet
+    assert phi._generator_images == {(1, 0): C.poly("x*y^2")}
+    reductions = []
+    real = PresentedAlgebra.normal_form
+
+    def counting_normal_form(self, p):
+        reductions.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(PresentedAlgebra, "normal_form", counting_normal_form)
+    assert phi.apply(C.ring.var("x")) == C.poly("x*y^2")
+    assert reductions == []
+    assert phi.apply(C.ring.var("y")) == C.poly("y")
+    assert reductions == [C.ring.var("y")]
+
+
+def test_a_map_with_only_omitted_images_starts_no_groebner_basis():
+    C = _cusp_over(("x", "y"))
+    AlgebraMap(PresentedAlgebra(C.ring), C)
+    assert C._gb is None
+
+
+def _other_ring_element():
+    return PolyRing(QQ, ("x", "z")).var("x")
+
+
+@pytest.mark.parametrize("misuse, message", [
+    (lambda C, phi: PresentedAlgebra(C.ring, [_other_ring_element()]),
+     "relation from a different ambient ring"),
+    (lambda C, phi: C.normal_form(_other_ring_element()),
+     "element from a different ambient ring"),
+    (lambda C, phi: phi.named_image(_other_ring_element()),
+     "element from a different ambient ring"),
+    (lambda C, phi: phi.apply(_other_ring_element()),
+     "element from a different ambient ring"),
+    (lambda C, phi: compose(phi, phi), "maps do not compose"),
+], ids=["relation", "normal-form", "named-image", "apply", "compose"])
+def test_elements_and_maps_from_elsewhere_are_refused(misuse, message):
+    C = _cusp_over(("x", "y"))
+    phi = AlgebraMap(PresentedAlgebra(C.ring), C)
+    with pytest.raises(AlgebraError) as info:
+        misuse(C, phi)
+    assert str(info.value) == message
+
+
+def test_polynomial_rings_and_the_ground_field_describe_themselves():
+    assert PresentedAlgebra(PolyRing(QQ, ())).describe() == "QQ"
+    assert PresentedAlgebra(PolyRing(GF5, ("x", "y"))).describe() == "GF(5)[x,y]"
+
+
+def test_equal_algebras_hash_alike():
+    a, b = _cusp_over(("x", "y")), _cusp_over(("x", "y"))
+    assert a is not b and a == b and hash(a) == hash(b)
+
+
+def test_a_map_moving_a_shared_variable_is_no_identity_on_it():
+    C = _cusp_over(("x", "y"))
+    P = PresentedAlgebra(C.ring)
+    assert AlgebraMap(P, C).is_identity_on_common()
+    moved = AlgebraMap(P, C, {"x": C.poly("x + 1")})
+    assert not moved.is_identity_on_common()
+    assert not moved.is_canonical_surjection()

@@ -4,7 +4,10 @@ import json
 import time
 
 import pytest
+from shared import diagonal_with_one_more_generator
 
+import aq.classify
+import aq.simplicial
 from aq.session import (MAX_KOSZUL_ELEMENTS, MAX_LEVEL, SessionError,
                         parse_session)
 from aq.cli import main, run_session
@@ -36,10 +39,10 @@ task resolve koszul P (x, y) levels 2
 
 def test_parse_pretty_parse_is_the_identity():
     s1 = parse_session(BASIC)
-    printed = s1.pretty()
+    printed = "\n".join(s1.canonical_lines()) + "\n"
     s2 = parse_session(printed)
     assert s2.canonical_lines() == s1.canonical_lines()
-    assert s2.pretty() == printed
+    assert "\n".join(s2.canonical_lines()) + "\n" == printed
 
 
 def test_canonical_lines_do_not_depend_on_the_ambient_order():
@@ -150,12 +153,42 @@ DECLARED = ("field QQ\nring P = poly(x)\nring Q = poly(y)\n"
     ("ring P = poly(z)", "P", "already declared"),
     ("point f on Q (y=0)", "f", "already declared"),
     ("map h : P -> Q", "h", "no image given"),
+    # a word or group that breaks the grammar is named where it starts
+    ("frobnicate P", "frobnicate", "unknown statement"),
+    ("ring 9R = poly(x)", "9R", "cannot start with a digit"),
+    ("ring R = Zed/(x)", "Zed", "unknown ring"),
+    ("ring R poly(x)", "poly", "expected '='"),
+    ("ring R = poly(x) junk", "junk", "trailing input"),
+    ("ring R = poly(x", "(", "unbalanced '('"),
+    ("ring R = poly(x,2y)", "2y", "bad variable name"),
+    ("ring R = poly(x,x)", "x,x", "duplicate variable names"),
+    ("ring R = P/(x,)", ")", "empty relation"),
+    ("map : P -> Q", ":", "expected a map name"),
+    ("map g : P -> Q [x -> y", "[", "unbalanced '['"),
+    ("map g : P -> Q [x y]", "x y", "expected 'var -> polynomial'"),
+    ("map g : P -> Q [x -> y,x -> y]", "x -> y", "duplicate image"),
+    ("point q at P (x=0)", "at", "expected 'on'"),
+    ("point q on P x=0", "x=0", "expected '('"),
+    ("point q on P (x)", "x", "expected 'var=value'"),
+    ("point q on P (y=0)", "y=0", "is not a variable of P"),
+    ("point q on P (x=0,x=0)", "x=0", "duplicate assignment"),
+    ("point q on P (x=a)", "x=a", "bad scalar"),
+    ("point q on P (x=1/0)", "x=1/0", "bad scalar"),
+    ("task resolve bar P x levels many", "many", "expected a level bound"),
 ])
 def test_name_errors_point_at_the_name(line, name, message):
     e = err(DECLARED + line + "\n")
     assert message in e.message
     # 1-based column of the name's first character, not of the space before
     assert (e.line, e.col) == (7, line.rindex(name) + 1)
+
+
+def test_field_statements():
+    s = parse_session("field GF 101\nring P = poly(x)\n")
+    assert s.canonical_lines()[0] == "field GF 101"
+    assert s.rings["P"].field.characteristic == 101
+    e = err("field RR\n")
+    assert "unknown field 'RR'" in e.message and (e.line, e.col) == (1, 7)
 
 
 def test_hypersurface_resolve_takes_one_element():
@@ -497,6 +530,63 @@ def test_an_oracle_disagreement_is_its_own_status(monkeypatch):
     assert summary["canonical"]["statuses"] == ["oracle-disagreement"]
     detail = summary["informational"]["task_details"][0]
     assert "lci oracle disagreement" in detail["message"]
+
+
+def _jacobian_of_no_columns(rp):
+    return []
+
+
+def _always_smooth(phi, point):
+    return {"verdict": True}
+
+
+@pytest.mark.parametrize("task, name, replacement, message", [
+    ("classify smooth gr at s", "jacobian_matrix", _jacobian_of_no_columns,
+     "smoothness oracle disagreement"),
+    ("classify unramified inc at o", "kahler_oracle_via_diagonal",
+     diagonal_with_one_more_generator, "differentials oracle disagreement"),
+    ("classify regular C at o", "is_smooth_at", _always_smooth,
+     "regularity oracle disagreement"),
+], ids=["smooth", "differentials", "regular"])
+def test_each_oracle_disagreement_is_its_own_status(monkeypatch, task, name,
+                                                   replacement, message):
+    monkeypatch.setattr(aq.classify, name, replacement)
+    code, summary = run_session(
+        "field QQ\nring P = poly(x, y)\nring C = P/(x^3 - y^2)\n"
+        "ring G = poly()\nmap inc : P -> C\nmap gr : G -> C\n"
+        "point o on C (x=0, y=0)\npoint s on C (x=1, y=1)\n"
+        f"task {task}\n")
+    assert code == 1
+    assert summary["canonical"]["statuses"] == ["oracle-disagreement"]
+    detail = summary["informational"]["task_details"][0]
+    assert message in detail["message"]
+
+
+def test_a_classify_error_without_a_disagreement_is_an_error(monkeypatch):
+    def refuse(algebra, point):
+        raise aq.classify.ClassifyError("not a rational point")
+
+    monkeypatch.setattr(aq.classify, "_require_rational", refuse)
+    code, summary = run_session(
+        "field QQ\nring P = poly(x)\nmap inc : P -> P\npoint o on P (x=0)\n"
+        "task classify smooth inc at o\n")
+    assert code == 1
+    assert summary["canonical"]["statuses"] == ["error"]
+    detail = summary["informational"]["task_details"][0]
+    assert detail["message"] == "not a rational point"
+
+
+def test_a_resolution_failing_its_identities_reports_them(monkeypatch):
+    monkeypatch.setattr(aq.simplicial.FreeExtensionLevelwise,
+                        "simplicial_identities_hold",
+                        lambda ext: (False, ["d0 d1 level 2 on x2_0"]))
+    code, summary = run_session(
+        "field QQ\nring P = poly(x)\ntask resolve bar P x levels 2\n")
+    assert code == 1
+    assert summary["canonical"]["statuses"] == ["fail"]
+    assert summary["canonical"]["tasks"][0]["identities_hold"] is False
+    detail = summary["informational"]["task_details"][0]
+    assert detail["identity_failures"] == ["d0 d1 level 2 on x2_0"]
 
 
 # -- command line -----------------------------------------------------------------

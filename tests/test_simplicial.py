@@ -9,7 +9,10 @@ from aq.corpus import algebra
 from aq.cotangent import CotangentError, cotangent_from_resolution
 from aq.fields import GF, QQ
 from aq.modules import FPModule, koszul_complex
+import aq.simplicial
 from aq.simplicial import (
+    FreeExtensionLevelwise,
+    OrdinalMap,
     SimplicialError,
     SimplicialModuleFR,
     _operators,
@@ -18,11 +21,14 @@ from aq.simplicial import (
     augmentation_maps,
     bar_construction,
     bar_kill_equivalence_holds,
+    codegeneracy,
+    coface,
     constant_extension,
     homology_models_agree,
     homotopy_modules,
     hypersurface_resolution,
     kill_cycle,
+    monotone_surjections,
     tensor_resolutions,
 )
 
@@ -361,6 +367,108 @@ def test_operators_outside_the_table_are_refused():
 def test_bar_equals_killing_the_variable():
     assert bar_kill_equivalence_holds(line(), "y", 5)
     assert bar_kill_equivalence_holds(algebra(GF(5), ("t",)), "t", 4)
+
+
+def test_a_bar_with_a_moved_face_is_not_the_cell_attachment(monkeypatch):
+    real = aq.simplicial.bar_construction
+
+    def moved_face(base, var_name, max_level):
+        ext = real(base, var_name, max_level)
+        _replace_one_face_image(ext, 2, 0)
+        return ext
+
+    monkeypatch.setattr(aq.simplicial, "bar_construction", moved_face)
+    assert not bar_kill_equivalence_holds(line(), "y", 3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: OrdinalMap(1, 1, (0,)), "value list does not match the source ordinal"),
+    (lambda: OrdinalMap(1, 1, (0, 2)), "value outside the target ordinal"),
+    (lambda: OrdinalMap(1, 1, (1, 0)), "map is not monotone"),
+    (lambda: coface(2, 0).compose(coface(2, 0)), "ordinal maps do not compose"),
+    (lambda: coface(2, 3), "coface index out of range"),
+    (lambda: coface(2, -1), "coface index out of range"),
+    (lambda: codegeneracy(1, 2), "codegeneracy index out of range"),
+], ids=["length", "value", "monotone", "compose", "coface", "coface-negative",
+        "codegeneracy"])
+def test_ordinal_maps_refuse_what_is_not_one(build, message):
+    with pytest.raises(SimplicialError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_ordinal_maps_are_values():
+    assert coface(2, 1) == OrdinalMap(1, 2, (0, 2))
+    assert hash(coface(2, 1)) == hash(OrdinalMap(1, 2, (0, 2)))
+    assert codegeneracy(1, 0).compose(coface(2, 0)).is_identity()
+    assert monotone_surjections(1, 2) == monotone_surjections(1, -1) == []
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FreeExtensionLevelwise(plane(), 1, {1: ("y",)}, None),
+     "level 1 variable 'y' collides with the base"),
+    (lambda: bar_construction(line(), "y", 2).ring(3), "level 3 outside 0..2"),
+    (lambda: bar_construction(line(), "y", 2).set_operator("d", 0, 0, {}),
+     "no operator d_0 at level 0"),
+    (lambda: bar_construction(line(), "t", 2), "'t' is not a variable of the base"),
+    (lambda: kill_cycle(constant_extension(plane(), 2), "x", 0),
+     "cells can only be attached in positive degrees"),
+    (lambda: tensor_resolutions(bar_construction(plane(), "x", 2),
+                                bar_construction(line(), "y", 2)),
+     "tensor factors must share the base"),
+    # the cycle is moved from the base ring to level 1 before its faces are read
+    (lambda: kill_cycle(bar_construction(plane(), "x", 2), plane().ring.var("y"), 2),
+     "face d_0 of the cycle is nonzero: y"),
+], ids=["collision", "level", "operator", "bar-variable", "degree", "tensor-base",
+        "cycle"])
+def test_constructions_refuse_bad_arguments(build, message):
+    with pytest.raises(SimplicialError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_a_single_level_is_its_own_augmentation():
+    ext = constant_extension(plane(), 0)
+    assert augmentation(ext) is ext.algebra(0)
+    assert list(homotopy_modules(bar_construction(line(), "y", 2), 0)) == [0]
+
+
+def _constant_module(field, L):
+    ops = {(kind, n, i): [[field.one()]] for kind, n, i, _ in _operators(L)}
+    return SimplicialModuleFR(field, {n: 1 for n in range(L + 1)}, ops, L)
+
+
+def test_the_constant_simplicial_space_has_homology_in_degree_zero():
+    # every operator is the identity of k; each level above 0 is degenerate
+    sm = _constant_module(QQ, 3)
+    assert sm.validate() == (True, [])
+    # asked past the top level, each model stops where its data ends
+    for dims in (sm.moore_homology_dims(5), sm.alternating_homology_dims(5),
+                 sm.normalized_homology_dims(5)):
+        assert dims == {0: 1, 1: 0, 2: 0}
+
+
+def test_a_degenerate_face_is_reduced_away_in_the_normalized_complex():
+    # k[S^2] through level 2, S^2 = Delta[2] / its boundary: the point p,
+    # its degeneracies s0 p and s0 s0 p, and t at level 2, each of whose
+    # faces is the degenerate s0 p
+    one, zero = QQ.one(), QQ.zero()
+    ops = {("s", 0, 0): [[one]], ("d", 1, 0): [[one]], ("d", 1, 1): [[one]],
+           ("s", 1, 0): [[one], [zero]], ("s", 1, 1): [[one], [zero]]}
+    ops.update({("d", 2, i): [[one, one]] for i in range(3)})
+    sm = SimplicialModuleFR(QQ, {0: 1, 1: 1, 2: 2}, ops, 2)
+    assert sm.validate() == (True, [])
+    assert sm.normalized_complex()[0] == {0: 1, 1: 0, 2: 1}
+    for dims in (sm.moore_homology_dims(1), sm.alternating_homology_dims(1),
+                 sm.normalized_homology_dims(1)):
+        assert dims == {0: 1, 1: 0}
+
+
+def test_an_operator_of_the_wrong_shape_fails_validation():
+    sm = _constant_module(QQ, 2)
+    sm.operators[("d", 1, 0)] = [[QQ.one(), QQ.zero()]]
+    ok, failures = sm.validate()
+    assert not ok and all(tag.endswith(" (shape)") for tag in failures)
 
 
 def cusp():

@@ -6,10 +6,12 @@ whether they were built for it or read before."""
 import functools
 
 import pytest
-from shared import CORPUS_BUILDERS
+from shared import CORPUS_BUILDERS, diagonal_with_one_more_generator
 
+import aq.suites
 from aq import corpus
-from aq.suites import SUITES, run_suite
+from aq.simplicial import constant_extension
+from aq.suites import SUITES, SuiteError, run_suite
 
 
 def test_a_wrong_classifier_verdict_fails_only_its_case(monkeypatch):
@@ -73,3 +75,35 @@ def test_a_report_is_the_same_cold_and_warm(name, monkeypatch):
     monkeypatch.undo()
     assert run_suite(name) == cold
     assert run_suite(name) == cold
+
+
+def _constant_extension(algebra, element, max_level):
+    return constant_extension(algebra, max_level)
+
+
+def _zero_differential(S, n):
+    return [[S.ring.zero()] * n for _ in range(n - 1)]
+
+
+@pytest.mark.parametrize("name, attribute, replacement", [
+    # a resolution that kills nothing leaves no homology in degree 1
+    ("hypersurface-sigma-s", "hypersurface_resolution", _constant_extension),
+    ("hypersurface-sigma-s", "hypersurface_closed_form_differential",
+     _zero_differential),
+    ("hypersurface-sigma-s", "hypersurface_rank_table", lambda n: -1),
+    # no syzygy rank at any point: the conormal fiber reads m
+    ("conormal-degree-one", "evaluate_matrix", lambda matrix, point: []),
+    ("differentials-dual-oracle", "kahler_oracle_via_diagonal",
+     diagonal_with_one_more_generator),
+], ids=["homology", "differential", "rank-table", "conormal", "diagonal"])
+def test_a_wrong_reader_fails_its_suite(monkeypatch, name, attribute, replacement):
+    monkeypatch.setattr(aq.suites, attribute, replacement)
+    report = run_suite(name)
+    assert not report["passed"] and report["failures"]
+
+
+def test_an_unknown_suite_lists_the_known_ones():
+    with pytest.raises(SuiteError) as info:
+        run_suite("frobnicate")
+    assert str(info.value) == \
+        f"unknown suite 'frobnicate'; available: {', '.join(sorted(SUITES))}"
