@@ -162,12 +162,17 @@ def is_lci_at(phi: AlgebraMap, point: dict) -> dict:
 
 
 def residue_surjection(R: PresentedAlgebra, point: dict) -> AlgebraMap:
-    """R onto the residue field of a rational point."""
+    """R onto the residue field of a rational point, built once per algebra
+    and point (`PresentedAlgebra.derived`, keyed by the point's values in
+    variable order); the point is validated on every call."""
     pt = _require_rational(R, point)
+    return R.derived(_residue_map, tuple(pt[v] for v in R.variables))
+
+
+def _residue_map(R: PresentedAlgebra, values: tuple) -> AlgebraMap:
     ring = R.ring
-    extra = [ring.var(v) - ring.const(pt[v]) for v in R.variables]
-    target = PresentedAlgebra(ring, list(R.relations) + extra)
-    return AlgebraMap(R, target, {})
+    extra = [ring.var(v) - ring.const(c) for v, c in zip(R.variables, values)]
+    return AlgebraMap(R, PresentedAlgebra(ring, list(R.relations) + extra), {})
 
 
 def is_regular_local(R: PresentedAlgebra, point: dict) -> dict:
@@ -255,7 +260,7 @@ _POINTWISE = {
     "lci": is_lci_at,
 }
 
-# (map into the ring, built once per report; its pointwise predicate)
+# (map into the ring, built once per algebra; its pointwise predicate)
 _RINGWISE = {
     "regular": (inclusion_from_ground, _regular_at),
     "ci": (canonical_surjection, is_lci_at),
@@ -323,7 +328,7 @@ def classification_report(prop: str, subject, points) -> "ClassificationReport":
         if isinstance(subject, AlgebraMap):
             raise ClassifyError(f"property {prop!r} classifies a ring")
         build, op = _RINGWISE[prop]
-        fixed = build(subject)
+        fixed = subject.derived(build)
         rows = [_point_row(subject, q, op(fixed, q)) for q in points]
         return ClassificationReport(prop, subject.to_json(), rows,
                                     "sampled-only")

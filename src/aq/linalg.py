@@ -26,7 +26,10 @@ def unit_vectors(zero, one, n: int):
 
 
 def mat_mul(field: Field, a, b):
+    """The product a*b; ValueError unless a has one column per row of b."""
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    if a and len(a[0]) != inner:
+        raise ValueError(f"cannot multiply {rows}x{len(a[0])} by {inner}x{cols}")
     out = zero_matrix(field, rows, cols)
     for i in range(rows):
         for k in range(inner):

@@ -10,7 +10,11 @@ its generator images, keyed by exponent tuple.  The target algebra also
 keeps the images that maps into it give through `named_image` (each
 map's relation check among them), keyed by what fixes the image, and
 frees them with itself.  All of these hand out shared polynomials, which
-no caller mutates.
+no caller mutates.  Each object also keeps the values of its `derived`,
+pure functions of it built on first use: a map its presentations,
+truncation and certificates, an algebra the maps that classification
+reads off it (its ground-field or ambient inclusion, and the residue
+surjection of each rational point).
 Rational points are variable assignments satisfying every relation.
 """
 
@@ -30,6 +34,15 @@ class PointError(AlgebraError):
 
 
 class PresentedAlgebra:
+    """The ambient ring modulo the relations, zeros dropped.
+
+    Kept on the algebra, and freed with it: the reduced Groebner basis and
+    its lead index, the normal form of each monic monomial, the parsed
+    values of validated points, the images of `named_image`, and the
+    values of `derived` (the ring-wise map of a `regular` or `ci` report,
+    and the residue surjection of each point).
+    """
+
     def __init__(self, ring: PolyRing, relations=()):
         self.ring = ring
         rels = []
@@ -51,6 +64,7 @@ class PresentedAlgebra:
         # images of source elements under maps into this algebra, keyed by
         # what fixes them (`AlgebraMap.named_image`)
         self._named_images: dict[tuple, Polynomial] = {}
+        self._derived: dict = {}
 
     # -- presentation ----------------------------------------------------
 
@@ -99,6 +113,14 @@ class PresentedAlgebra:
             _add_terms(out, nf.terms.items() if c == one else
                        ((m, mul(c, k)) for m, k in nf.terms.items()), field)
         return Polynomial(ring, out)
+
+    def derived(self, build, *args):
+        """`build(self, *args)`, built on first use and kept on the algebra;
+        `build` must be a pure function of the algebra and `args`."""
+        key = (build, args)
+        if key not in self._derived:
+            self._derived[key] = build(self, *args)
+        return self._derived[key]
 
     def is_ground_field(self) -> bool:
         return self.ring.nvars == 0

@@ -360,28 +360,22 @@ def _bar_like(base: PresentedAlgebra, element: Polynomial,
               max_level: int) -> FreeExtensionLevelwise:
     levels = {n: tuple(f"x{n}_{k}" for k in range(n)) for n in range(1, max_level + 1)}
     ext = FreeExtensionLevelwise(base, max_level, levels, (element,))
+    # xs[n]: the level-n variables, in order, as polynomials of level n
+    xs = [[ext.ring(n).var(x) for x in ext.levels[n]] for n in range(max_level + 1)]
     for n in range(1, max_level + 1):
-        rng = ext.ring(n - 1)
-        elem = element.rename_into(rng)
+        prev = xs[n - 1]
         for i in range(n + 1):
-            images = {}
-            for k in range(n):
-                name = f"x{n}_{k}"
-                if i == 0:
-                    images[name] = elem if k == 0 else rng.var(f"x{n-1}_{k-1}")
-                elif i < n:
-                    images[name] = rng.var(f"x{n-1}_{k-1}" if i <= k else f"x{n-1}_{k}")
-                else:
-                    images[name] = rng.zero() if k == n - 1 else rng.var(f"x{n-1}_{k}")
-            ext.set_operator("d", n, i, images)
+            if i == 0:
+                images = [element.rename_into(ext.ring(n - 1))] + prev
+            elif i < n:
+                images = prev[:i] + prev[i - 1:]
+            else:
+                images = prev + [ext.ring(n - 1).zero()]
+            ext.set_operator("d", n, i, dict(zip(ext.levels[n], images)))
     for n in range(0, max_level):
-        rng = ext.ring(n + 1)
+        nxt = xs[n + 1]
         for j in range(n + 1):
-            images = {}
-            for k in range(n):
-                name = f"x{n}_{k}"
-                images[name] = rng.var(f"x{n+1}_{k+1}" if j <= k else f"x{n+1}_{k}")
-            ext.set_operator("s", n, j, images)
+            ext.set_operator("s", n, j, dict(zip(ext.levels[n], nxt[:j] + nxt[j + 1:])))
     return ext
 
 
@@ -653,9 +647,12 @@ class SimplicialModuleFR:
             return linalg.mat_mul(F, self.operators[outer], self.operators[inner])
 
         for tag, n, lhs, rhs in _simplicial_identities(self.max_level):
-            eq(composite(lhs),
-               linalg.unit_vectors(F.zero(), F.one(), self.dims[n])
-               if rhs is None else composite(rhs), tag)
+            try:
+                eq(composite(lhs),
+                   linalg.unit_vectors(F.zero(), F.one(), self.dims[n])
+                   if rhs is None else composite(rhs), tag)
+            except ValueError:  # a composite of mismatched factors
+                bad.append(tag + " (shape)")
         return (not bad, bad)
 
     # three homology computations that must agree

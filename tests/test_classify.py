@@ -320,3 +320,27 @@ def test_oracles_run_on_every_corpus_point():
         for q in case["points"]:
             res = is_smooth_at(case["subject"], q)
             assert res["oracle"]["agrees"]
+
+
+def _always_smooth(phi, point):
+    return {"verdict": True}
+
+
+@pytest.mark.parametrize("case_name, name, replacement, message", [
+    ("cusp-ci", "_regular_sequence_oracle", lambda stage, point: False,
+     "lci oracle disagreement"),
+    ("cusp-regular", "is_smooth_at", _always_smooth,
+     "regularity oracle disagreement"),
+], ids=["ci", "regular"])
+def test_a_kept_ring_map_does_not_hide_an_oracle_disagreement(
+        monkeypatch, case_name, name, replacement, message):
+    # a passing report keeps its maps on the shared corpus algebra; the
+    # oracle still runs on every later report
+    import aq.classify
+    case = next(c for c in classifier_corpus() if c["name"] == case_name)
+    report = classification_report(case["property"], case["subject"],
+                                   case["points"])
+    assert [row["verdict"] for row in report.rows] == case["expected"]
+    monkeypatch.setattr(aq.classify, name, replacement)
+    with pytest.raises(ClassifyError, match=message):
+        classification_report(case["property"], case["subject"], case["points"])

@@ -1,5 +1,7 @@
-"""What a map keeps: every pure function of an `AlgebraMap` is built once
-per map (`AlgebraMap.derived`) and freed with the map."""
+"""What a map or an algebra keeps: every pure function of an `AlgebraMap`
+is built once per map (`AlgebraMap.derived`) and freed with the map, and
+the maps that ring-property reports read are built once per algebra
+(`PresentedAlgebra.derived`) and freed with the algebra."""
 
 import gc
 import weakref
@@ -9,8 +11,9 @@ import pytest
 import aq.classify
 import aq.cotangent
 import aq.kahler
-from aq.classify import classification_report, is_smooth_at
-from aq.corpus import algebra, canonical_surjection
+from aq.classify import (ClassifyError, classification_report, is_smooth_at,
+                         residue_surjection)
+from aq.corpus import algebra, canonical_surjection, inclusion_from_ground
 from aq.cotangent import cotangent_trunc2, tor_modules
 from aq.fields import QQ
 from aq.kahler import kahler_oracle_via_diagonal, kahler_presentation
@@ -95,8 +98,8 @@ def test_the_smooth_oracle_twin_is_the_other_order(order, monkeypatch):
 def test_ring_reports_build_their_fixed_map_once(prop, verdicts, builds,
                                                  monkeypatch):
     """A "ci" report reads one ambient inclusion and a "regular" report one
-    ground-field inclusion; only the residue surjections of "regular" are
-    built per point."""
+    ground-field inclusion and one residue surjection per point, all kept
+    on the algebra, so a second report on it builds nothing."""
     built = []
     real = aq.cotangent._build_trunc2
 
@@ -105,6 +108,39 @@ def test_ring_reports_build_their_fixed_map_once(prop, verdicts, builds,
         return real(phi)
 
     monkeypatch.setattr(aq.cotangent, "_build_trunc2", counting_build)
-    report = classification_report(prop, cusp(), POINTS)
+    R = cusp()
+    report = classification_report(prop, R, POINTS)
     assert [row["verdict"] for row in report.rows] == verdicts
     assert len(built) == builds
+    again = classification_report(prop, R, POINTS)
+    assert again.to_json() == report.to_json()
+    assert len(built) == builds
+
+
+def test_a_residue_surjection_is_kept_per_algebra_and_point():
+    R = cusp()
+    eps = residue_surjection(R, {"x": 1, "y": 1})
+    # the key is the parsed values, however they were written
+    assert residue_surjection(R, {"x": "1", "y": "2/2"}) is eps
+    assert residue_surjection(R, {"x": 0, "y": 0}) is not eps
+    assert residue_surjection(cusp(), {"x": 1, "y": 1}) is not eps
+
+
+def test_a_point_off_the_algebra_is_refused_on_every_call():
+    R = cusp()
+    for _ in range(2):
+        with pytest.raises(ClassifyError, match="not a rational point"):
+            residue_surjection(R, {"x": 1, "y": 2})
+    assert R._derived == {}
+
+
+def test_the_maps_kept_on_an_algebra_are_freed_with_it():
+    R = cusp()
+    assert classification_report("regular", R, POINTS).rows
+    assert classification_report("ci", R, POINTS).rows
+    refs = [weakref.ref(x) for x in (
+        R, R.derived(inclusion_from_ground), R.derived(canonical_surjection),
+        residue_surjection(R, POINTS[0]))]
+    del R
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4

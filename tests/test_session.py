@@ -2,11 +2,14 @@
 
 import json
 import time
+import types
 
 import pytest
 from shared import diagonal_with_one_more_generator
 
 import aq.classify
+import aq.corpus
+import aq.cotangent
 import aq.simplicial
 from aq.session import (MAX_KOSZUL_ELEMENTS, MAX_LEVEL, SessionError,
                         parse_session)
@@ -547,7 +550,9 @@ def _always_smooth(phi, point):
      diagonal_with_one_more_generator, "differentials oracle disagreement"),
     ("classify regular C at o", "is_smooth_at", _always_smooth,
      "regularity oracle disagreement"),
-], ids=["smooth", "differentials", "regular"])
+    ("classify ci C at o", "_regular_sequence_oracle",
+     lambda stage, point: False, "lci oracle disagreement"),
+], ids=["smooth", "differentials", "regular", "ci"])
 def test_each_oracle_disagreement_is_its_own_status(monkeypatch, task, name,
                                                    replacement, message):
     monkeypatch.setattr(aq.classify, name, replacement)
@@ -560,6 +565,44 @@ def test_each_oracle_disagreement_is_its_own_status(monkeypatch, task, name,
     assert summary["canonical"]["statuses"] == ["oracle-disagreement"]
     detail = summary["informational"]["task_details"][0]
     assert message in detail["message"]
+
+
+def _smooth_negated(phi, point):
+    result = _real_is_smooth_at(phi, point)
+    return dict(result, verdict=not result["verdict"])
+
+
+_real_is_smooth_at = aq.classify.is_smooth_at
+_real_tor_modules = aq.cotangent.tor_modules
+
+
+def _tor_one_higher(phi, n_max=3):
+    """Tor with every dimension at a point one higher: a stand-in for the
+    Tor side of the five-term check that disagrees everywhere."""
+    tor = _real_tor_modules(phi, n_max)
+    complex_ = types.SimpleNamespace(dims_through=lambda pt, n: [
+        d + 1 for d in tor.complex.dims_through(pt, n)])
+    return types.SimpleNamespace(provenance=tor.provenance, complex=complex_)
+
+
+@pytest.mark.parametrize("suite, module, name, replacement, builder", [
+    ("hkr-diagonal", aq.classify, "is_smooth_at", _smooth_negated,
+     "hkr_instances"),
+    ("five-term", aq.cotangent, "tor_modules", _tor_one_higher,
+     "random_surjections"),
+], ids=["hkr", "five-term"])
+def test_each_equivalence_check_fails_when_one_side_moves(
+        monkeypatch, suite, module, name, replacement, builder):
+    """The HKR and five-term checks compare two sides and report, rather
+    than raise, a mismatch: every case fails and the task is a failure."""
+    monkeypatch.setattr(module, name, replacement)
+    code, summary = run_session(f"field QQ\ntask check {suite}\n")
+    assert code == 1
+    assert summary["canonical"]["statuses"] == ["fail"]
+    task = summary["canonical"]["tasks"][0]
+    assert task["passed"] is False
+    assert task["failures"] == sorted(
+        case["name"] for case in getattr(aq.corpus, builder)())
 
 
 def test_a_classify_error_without_a_disagreement_is_an_error(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from aq.corpus import algebra
 from aq.cotangent import CotangentError, cotangent_from_resolution
 from aq.fields import GF, QQ
+from aq.linalg import mat_mul
 from aq.modules import FPModule, koszul_complex
 import aq.simplicial
 from aq.simplicial import (
@@ -471,6 +472,20 @@ def test_an_operator_of_the_wrong_shape_fails_validation():
     assert not ok and all(tag.endswith(" (shape)") for tag in failures)
 
 
+def test_a_composite_of_mismatched_operators_fails_on_shape():
+    # d_0 out of level 1 made 1x2 on 1-dimensional levels: every identity
+    # that multiplies it by a 1x1 factor fails on shape, and d0 s0 at
+    # level 0 no longer passes as the identity
+    one, zero = QQ.one(), QQ.zero()
+    with pytest.raises(ValueError):
+        mat_mul(QQ, [[one, zero]], [[one]])
+    sm = _constant_module(QQ, 2)
+    sm.operators[("d", 1, 0)] = [[one, zero]]
+    assert sm.validate() == (False, [
+        "d0 d1 level 2 (shape)", "d0 d2 level 2 (shape)",
+        "d0 s0 level 0 (shape)", "d0 s1 level 1 (shape)"])
+
+
 def cusp():
     return algebra(QQ, ("x", "y"), ["x^3 - y^2"])
 
@@ -521,6 +536,53 @@ def _per_generator_identity_check(ext):
             if got != want:
                 bad.append(f"{tag} on {x}")
     return (not bad, bad)
+
+
+def _bar_like_reference(base, element, max_level):
+    """Reference: the bar-like chain with every image assembled name by
+    name, one `var` lookup per entry."""
+    levels = {n: tuple(f"x{n}_{k}" for k in range(n)) for n in range(1, max_level + 1)}
+    ext = FreeExtensionLevelwise(base, max_level, levels, (element,))
+    for n in range(1, max_level + 1):
+        rng = ext.ring(n - 1)
+        elem = element.rename_into(rng)
+        for i in range(n + 1):
+            images = {}
+            for k in range(n):
+                name = f"x{n}_{k}"
+                if i == 0:
+                    images[name] = elem if k == 0 else rng.var(f"x{n-1}_{k-1}")
+                elif i < n:
+                    images[name] = rng.var(f"x{n-1}_{k-1}" if i <= k else f"x{n-1}_{k}")
+                else:
+                    images[name] = rng.zero() if k == n - 1 else rng.var(f"x{n-1}_{k}")
+            ext.set_operator("d", n, i, images)
+    for n in range(0, max_level):
+        rng = ext.ring(n + 1)
+        for j in range(n + 1):
+            images = {}
+            for k in range(n):
+                name = f"x{n}_{k}"
+                images[name] = rng.var(f"x{n+1}_{k+1}" if j <= k else f"x{n+1}_{k}")
+            ext.set_operator("s", n, j, images)
+    return ext
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+@pytest.mark.parametrize("construction", ["bar", "hypersurface"])
+def test_bar_like_operators_match_the_name_by_name_reference(construction, field, L):
+    base = algebra(field, ("x", "y"), ["x^3 - y^2"])
+    if construction == "bar":
+        ext, element = bar_construction(base, "x", L), base.ring.var("x")
+    else:
+        ext = hypersurface_resolution(base, "x^2*y + y", L)
+        element = base.normal_form(base.poly("x^2*y + y"))
+    ref = _bar_like_reference(base, element, L)
+    assert ext.levels == ref.levels
+    for kind, n, i, _ in _operators(L):
+        assert ext.operator(kind, n, i).images == ref.operator(kind, n, i).images, \
+            (kind, n, i)
 
 
 def _level_images(ext, kind, n, i):

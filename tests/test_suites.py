@@ -61,6 +61,24 @@ def test_five_term_reads_the_stages_the_conormal_suite_built(monkeypatch):
     assert built == []
 
 
+def test_a_warm_classifier_suite_builds_no_engine(monkeypatch):
+    """The ring-wise maps of the "regular" and "ci" cases, and the residue
+    surjections of "regular", are kept on the shared corpus algebras, so a
+    second run reads everything the first one built."""
+    from aq.groebner import SubmoduleEngine
+    assert run_suite("classifier-oracles")["passed"]
+    built = []
+    real = SubmoduleEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubmoduleEngine, "__init__", counting_init)
+    assert run_suite("classifier-oracles")["passed"]
+    assert built == []
+
+
 @pytest.mark.parametrize("name", SUITES)
 def test_a_report_is_the_same_cold_and_warm(name, monkeypatch):
     """A suite over corpora nobody has read, then twice over the shared
