@@ -648,11 +648,13 @@ class SimplicialModuleFR:
 
         for tag, n, lhs, rhs in _simplicial_identities(self.max_level):
             try:
-                eq(composite(lhs),
-                   linalg.unit_vectors(F.zero(), F.one(), self.dims[n])
-                   if rhs is None else composite(rhs), tag)
-            except ValueError:  # a composite of mismatched factors
+                got = composite(lhs)
+                want = (linalg.unit_vectors(F.zero(), F.one(), self.dims[n])
+                        if rhs is None else composite(rhs))
+            except ValueError:  # a factor with the wrong number of columns
                 bad.append(tag + " (shape)")
+                continue
+            eq(got, want, tag)
         return (not bad, bad)
 
     # three homology computations that must agree
