@@ -44,8 +44,14 @@ def _mul_terms(a: dict, b: dict, field: Field) -> dict:
 
 
 def _power(p: "Polynomial", n: int, multiply) -> "Polynomial":
-    """p^n by square-and-multiply, every product taken through `multiply`
-    (so a caller can charge it against a work budget)."""
+    """p^n.  A monic monomial's power is no product: its exponent is
+    scaled by n, and `multiply` is not called.  Any other p is raised by
+    square-and-multiply, every product taken through `multiply` (so a
+    caller can charge it against a work budget)."""
+    if len(p.terms) == 1:
+        (e, c), = p.terms.items()
+        if c == 1:
+            return Polynomial(p.ring, {tuple(k * n for k in e): c})
     result = p.ring.one()
     while n:
         if n & 1:
@@ -234,7 +240,8 @@ class Polynomial:
         once per call, and all terms are summed into one term map.  Every
         product, those inside a power included, is charged |a|*|b| term
         pairs first; past MAX_PRODUCT_WORK pairs in one call it raises
-        PolyError.
+        PolyError.  The power of a monic monomial image is no product, so
+        it is charged nothing.
         """
         F = target.field
         powers: dict = {}
@@ -397,7 +404,8 @@ MAX_EXPONENT = 1000
 # multiply inside a `^`), the pairs may not pass this bound, or the parse is
 # refused at the column of the operator that would pass it.  One
 # `Polynomial.substitute` call is held to the same bound, summed over its
-# products and the products inside each power of an image.
+# products and the products inside each power of an image.  A monic
+# monomial's power is no product (its exponent is scaled), so it costs none.
 MAX_PRODUCT_WORK = 100_000
 
 

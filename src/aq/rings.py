@@ -6,15 +6,13 @@ reduced Groebner basis of the relations, read through its cached lead
 index, gives canonical representatives.  The normal form is linear, so
 it is summed from the normal forms of the monic monomials, each reduced
 once and kept on the algebra.  An AlgebraMap keeps the normal forms of
-its generator images, keyed by exponent tuple.  The target algebra also
-keeps the images that maps into it give through `named_image` (each
-map's relation check among them), keyed by what fixes the image, and
-frees them with itself.  All of these hand out shared polynomials, which
-no caller mutates.  Each object also keeps the values of its `derived`,
-pure functions of it built on first use: a map its presentations,
-truncation and certificates, an algebra the maps that classification
-reads off it (its ground-field or ambient inclusion, and the residue
-surjection of each rational point).
+its generator images, keyed by exponent tuple, and checks each source
+relation through `apply`.  All of these hand out shared polynomials,
+which no caller mutates.  Each object also keeps the values of its
+`derived`, pure functions of it built on first use: a map its
+presentations, truncation and certificates, an algebra the maps that
+classification reads off it (its ground-field or ambient inclusion, and
+the residue surjection of each rational point).
 Rational points are variable assignments satisfying every relation.
 """
 
@@ -33,14 +31,24 @@ class PointError(AlgebraError):
     pass
 
 
+def _derived(self, build, *args):
+    """`build(self, *args)`, built on first use and kept on `self` (an
+    algebra or a map), freed with it; `build` must be a pure function of
+    `self` and `args`.  The `derived` method of both classes."""
+    key = (build, args)
+    if key not in self._derived:
+        self._derived[key] = build(self, *args)
+    return self._derived[key]
+
+
 class PresentedAlgebra:
     """The ambient ring modulo the relations, zeros dropped.
 
     Kept on the algebra, and freed with it: the reduced Groebner basis and
     its lead index, the normal form of each monic monomial, the parsed
-    values of validated points, the images of `named_image`, and the
-    values of `derived` (the ring-wise map of a `regular` or `ci` report,
-    and the residue surjection of each point).
+    values of validated points, and the values of `derived` (the ring-wise
+    map of a `regular` or `ci` report, and the residue surjection of each
+    point).
     """
 
     def __init__(self, ring: PolyRing, relations=()):
@@ -61,9 +69,6 @@ class PresentedAlgebra:
         # validated points
         self._normal_forms: dict[tuple, Polynomial] = {}
         self._valid_points: set = set()
-        # images of source elements under maps into this algebra, keyed by
-        # what fixes them (`AlgebraMap.named_image`)
-        self._named_images: dict[tuple, Polynomial] = {}
         self._derived: dict = {}
 
     # -- presentation ----------------------------------------------------
@@ -114,13 +119,7 @@ class PresentedAlgebra:
                        ((m, mul(c, k)) for m, k in nf.terms.items()), field)
         return Polynomial(ring, out)
 
-    def derived(self, build, *args):
-        """`build(self, *args)`, built on first use and kept on the algebra;
-        `build` must be a pure function of the algebra and `args`."""
-        key = (build, args)
-        if key not in self._derived:
-            self._derived[key] = build(self, *args)
-        return self._derived[key]
+    derived = _derived
 
     def is_ground_field(self) -> bool:
         return self.ring.nvars == 0
@@ -196,12 +195,10 @@ class AlgebraMap:
     """Map of presented algebras, one image per source variable.
 
     Images live in the target's ambient ring; well-definedness (relations
-    map into the target ideal) is checked eagerly, through `named_image`,
-    so each distinct relation check runs once per target algebra.  Kept on
-    the map, and freed with it: the normal forms of the generator images,
-    keyed by exponent tuple (`apply`), and the values of `derived`
-    (presentations, truncation, certificates).  Kept on the target, and
-    freed with the target: the values of `named_image`.
+    map into the target ideal) is checked eagerly, each relation through
+    `apply`.  Kept on the map, and freed with it: the normal forms of the
+    generator images, keyed by exponent tuple (`apply`), and the values of
+    `derived` (presentations, truncation, certificates).
     """
 
     def __init__(self, source: PresentedAlgebra, target: PresentedAlgebra,
@@ -232,31 +229,9 @@ class AlgebraMap:
 
     def failing_relation(self):
         for rel in self.source.relations:
-            if not self.named_image(rel).is_zero():
+            if not self.apply(rel).is_zero():
                 return rel
         return None
-
-    def named_image(self, p: Polynomial) -> Polynomial:
-        """`apply(p)`, kept on the target algebra.
-
-        The image depends only on the source variables p names, p's terms
-        over them and this map's images of them, so that triple is the key
-        and every map into the target that agrees on it reads the same
-        entry.  A call that raises stores nothing.
-        """
-        ring = self.source.ring
-        if p.ring is not ring and p.ring != ring:
-            raise AlgebraError("element from a different ambient ring")
-        used = [i for i in range(ring.nvars) if any(e[i] for e in p.terms)]
-        names = tuple(ring.variables[i] for i in used)
-        key = (names,
-               tuple(sorted((tuple(e[i] for i in used), c) for e, c in p.terms.items())),
-               tuple(tuple(sorted(self.images[v].terms.items())) for v in names))
-        memo = self.target._named_images
-        img = memo.get(key)
-        if img is None:
-            img = memo[key] = self.apply(p)
-        return img
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Image of a source element, normalized in the target.
@@ -293,13 +268,7 @@ class AlgebraMap:
         img = p.substitute(self.target.ring, self.images)
         return self.target.normal_form(img)
 
-    def derived(self, build, *args):
-        """`build(self, *args)`, built on first use and kept on the map;
-        `build` must be a pure function of the map and `args`."""
-        key = (build, args)
-        if key not in self._derived:
-            self._derived[key] = build(self, *args)
-        return self._derived[key]
+    derived = _derived
 
     def is_identity_on_common(self) -> bool:
         """Each source variable that the target also has is sent to it.

@@ -233,9 +233,9 @@ class FreeExtensionLevelwise:
         variable, and otherwise its sorted term tuple, () for zero.  The
         composite on a generator x takes the inner token of x and, when it
         is an index, reads the outer table there; any other token is
-        rebuilt as a polynomial and sent through the outer map's
-        `named_image`, once per (operator, token).  Reading the inner image
-        as a normal form changes nothing: the outer map kills the source
+        rebuilt as a polynomial and sent through the outer map's `apply`,
+        once per (operator, token) in one call.  Reading the inner image as
+        a normal form changes nothing: the outer map kills the source
         relations, so it sends a polynomial and its normal form to the same
         normal form.  Tokens are injective on the normal forms of one ring
         and both sides of an identity land in one ring, so two sides agree
@@ -266,7 +266,7 @@ class FreeExtensionLevelwise:
                     continue
                 key = (outer, t)
                 if key not in through:
-                    through[key] = _token(m.named_image(Polynomial(m.source.ring, dict(t))))
+                    through[key] = _token(m.apply(Polynomial(m.source.ring, dict(t))))
                 got.append(through[key])
             return got
 

@@ -1,5 +1,6 @@
 """Field arithmetic, polynomial arithmetic, parsing, and term orders."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -334,3 +335,35 @@ def test_power_is_repeated_product(field, data):
     for k in range(7):
         assert p ** k == product
         product = product * p
+
+
+def _square_and_multiply(p, n):
+    """Reference p^n: square-and-multiply through `*` alone."""
+    result = p.ring.one()
+    while n:
+        if n & 1:
+            result = result * p
+        n >>= 1
+        p = p * p
+    return result
+
+
+POWERS = (0, 1, 2, 3, 4, 5, 6, 1000)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF5], ids=["QQ", "GF3", "GF5"])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_a_monic_monomial_power_matches_square_and_multiply(field, nvars):
+    R = PolyRing(field, ("x", "y", "z")[:nvars])
+    S = PolyRing(field, ("t",))
+    monomials = [R.monomial(e) for e in itertools.product(range(3), repeat=nvars)]
+    for m in monomials:
+        for n in POWERS:
+            want = _square_and_multiply(m, n)
+            assert m ** n == want, (m, n)
+            assert S.monomial((n,)).substitute(R, {"t": m}) == want, (m, n)
+            assert R.poly(f"({m})^{n}") == want, (m, n)
+    x = R.var("x")
+    for p in (x * 2, x + R.one()):
+        for n in POWERS[:-1]:
+            assert p ** n == _square_and_multiply(p, n), (p, n)
