@@ -181,7 +181,7 @@ def is_regular_local(R: PresentedAlgebra, point: dict) -> dict:
     Sanity oracle: smoothness of the ground-field inclusion at the point
     forces regularity; a violation is a hard error.
     """
-    return _regular_at(inclusion_from_ground(R), point)
+    return _regular_at(R.derived(inclusion_from_ground), point)
 
 
 def _regular_at(ground: AlgebraMap, point: dict) -> dict:
@@ -207,7 +207,7 @@ def is_complete_intersection(R: PresentedAlgebra, point: dict) -> dict:
     This reaches the degree-3 residue-field criterion one degree lower,
     through the quotient presentation.
     """
-    return is_lci_at(canonical_surjection(R), point)
+    return is_lci_at(R.derived(canonical_surjection), point)
 
 
 # -- the diagonal criterion ---------------------------------------------------------
@@ -260,10 +260,10 @@ _POINTWISE = {
     "lci": is_lci_at,
 }
 
-# (map into the ring, built once per algebra; its pointwise predicate)
+# each reads its map into the ring, built once per algebra
 _RINGWISE = {
-    "regular": (inclusion_from_ground, _regular_at),
-    "ci": (canonical_surjection, is_lci_at),
+    "regular": is_regular_local,
+    "ci": is_complete_intersection,
 }
 
 PROPERTIES = sorted(list(_POINTWISE) + list(_RINGWISE))
@@ -315,25 +315,19 @@ def _certificate(phi: AlgebraMap, prop: str) -> bool:
 def classification_report(prop: str, subject, points) -> "ClassificationReport":
     """Run one predicate over a list of points and assemble the report."""
     points = list(points)
-    if prop in _POINTWISE:
-        if not isinstance(subject, AlgebraMap):
-            raise ClassifyError(f"property {prop!r} classifies a map")
-        op = _POINTWISE[prop]
-        rows = [_point_row(subject.target, q, op(subject, q)) for q in points]
-        certified = subject.derived(_certificate, prop)
-        return ClassificationReport(
-            prop, subject.to_json(), rows,
-            "certified" if certified else "sampled-only")
-    if prop in _RINGWISE:
-        if isinstance(subject, AlgebraMap):
-            raise ClassifyError(f"property {prop!r} classifies a ring")
-        build, op = _RINGWISE[prop]
-        fixed = subject.derived(build)
-        rows = [_point_row(subject, q, op(fixed, q)) for q in points]
-        return ClassificationReport(prop, subject.to_json(), rows,
-                                    "sampled-only")
-    raise ClassifyError(
-        f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    of_map = prop in _POINTWISE
+    if not of_map and prop not in _RINGWISE:
+        raise ClassifyError(
+            f"unknown property {prop!r}; expected one of {PROPERTIES}")
+    if isinstance(subject, AlgebraMap) != of_map:
+        raise ClassifyError(
+            f"property {prop!r} classifies a {'map' if of_map else 'ring'}")
+    op = (_POINTWISE if of_map else _RINGWISE)[prop]
+    algebra = subject.target if of_map else subject
+    rows = [_point_row(algebra, q, op(subject, q)) for q in points]
+    certified = of_map and subject.derived(_certificate, prop)
+    return ClassificationReport(prop, subject.to_json(), rows,
+                                "certified" if certified else "sampled-only")
 
 
 def _point_row(algebra, point, result) -> dict:

@@ -106,7 +106,7 @@ def _canonical_vectors(vectors, algebra: PresentedAlgebra):
         nf = [algebra.normal_form(p) for p in vec]
         if all(p.is_zero() for p in nf):
             continue
-        key = tuple(str(p) for p in nf)
+        key = tuple(nf)
         if key in seen:
             continue
         seen.add(key)

@@ -18,6 +18,9 @@ Rational points are variable assignments satisfying every relation.
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 from .groebner import ideal_groebner, lead_index, vp_normal_form
 from .orders import MonomialOrder
 from .poly import ParseError, Polynomial, PolyRing, _add_terms
@@ -136,6 +139,8 @@ class PresentedAlgebra:
     def parse_point(self, assignments: dict) -> dict:
         """Validate {var: value} as a rational point on this algebra.
 
+        A value is a string (`parse_scalar`), an int, or over QQ a
+        Fraction; any other value raises `PointError` naming its variable.
         Every call parses the values and returns a fresh dict.  The
         relations are evaluated only the first time this algebra sees a
         tuple of parsed values; a tuple that passes is kept on the algebra,
@@ -147,10 +152,14 @@ class PresentedAlgebra:
             if v not in assignments:
                 raise PointError(f"point does not assign variable {v!r}")
             val = assignments[v]
-            if isinstance(val, str):
-                val = parse_scalar(val, field)
-            elif isinstance(val, int):
+            if isinstance(val, int) and not isinstance(val, bool):
                 val = field.from_int(val)
+            elif isinstance(val, str):
+                val = parse_scalar(val, field)
+            elif isinstance(val, Fraction) and field.characteristic == 0:
+                val = field.fraction(val.numerator, val.denominator)
+            else:
+                raise PointError(f"value of {v!r} is not a scalar of {field}: {val!r}")
             point[v] = val
         values = tuple(point.values())
         if values not in self._valid_points:
@@ -322,17 +331,20 @@ def point_to_json(point: dict, algebra: PresentedAlgebra) -> dict:
     return {v: str(point[v]) for v in algebra.variables}
 
 
+_SCALAR = re.compile(r"\s*([+-]?)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
+
+
 def parse_scalar(text: str, field):
-    """Parse 'a' or 'a/b' as a field element."""
-    text = text.strip()
-    neg = text.startswith("-")
-    if neg:
-        text = text[1:].strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        val = field.fraction(int(num), int(den))
-    else:
-        if not text.lstrip("+").isdigit():
-            raise ParseError(f"bad scalar {text!r}")
-        val = field.from_int(int(text))
-    return field.neg(val) if neg else val
+    """Parse an optional sign, digits, then optionally '/' and digits, with
+    spaces around the parts, as a field element.  Anything else, or more
+    digits than `int` takes, is a ParseError; a zero denominator raises
+    FieldError."""
+    m = _SCALAR.fullmatch(text)
+    try:
+        if m is None:
+            raise ValueError
+        sign, num, den = m.groups()
+        num, den = int(sign + num), (int(den) if den else None)
+    except ValueError:  # no match, or more digits than the interpreter's limit
+        raise ParseError(f"bad scalar {text.strip()!r}") from None
+    return field.from_int(num) if den is None else field.fraction(num, den)

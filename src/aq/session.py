@@ -333,7 +333,7 @@ def _parse_point(cur: _Cursor, session: Session):
             cur.error(f"duplicate assignment for {v!r}", pcol)
         try:
             raw[v] = parse_scalar(val, session.field)
-        except (ParseError, ValueError):
+        except (ParseError, FieldError):
             cur.error(f"bad scalar {val.strip()!r}", pcol)
     cur.expect_end()
     try:

@@ -28,8 +28,8 @@ form is known. Constructions provided:
 
 A finite-rank simplicial vector space can be extracted by evaluating base
 variables at a rational point and truncating to a monomial degree; its
-Moore, unnormalized, and normalized homologies are computed exactly and
-must agree, which is the main structural self-check.
+Moore, unnormalized, and normalized homologies, read from exact ranks,
+must agree (Dold-Kan), which is the main structural self-check.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ import itertools
 from . import linalg
 from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra
-from .modules import (FPModule, koszul_complex, matrix_columns,
-                      matrix_from_columns)
+from .modules import FPModule, koszul_complex, matrix_columns
 
 
 class SimplicialError(AlgebraError):
@@ -556,16 +555,8 @@ def homotopy_modules(ext: FreeExtensionLevelwise, max_degree: int
 
 def _monomial_basis(nvars: int, max_degree: int):
     """Exponent tuples of total degree <= max_degree, sorted."""
-    out = []
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-    rec([], nvars, max_degree)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
+    return sorted((e for e in itertools.product(range(max_degree + 1), repeat=nvars)
+                   if sum(e) <= max_degree), key=lambda e: (sum(e), e))
 
 
 class SimplicialModuleFR:
@@ -573,7 +564,11 @@ class SimplicialModuleFR:
 
     Face and degeneracy operators are explicit matrices over the field
     (columns act on the source basis), keyed by (kind, level, index) as in
-    the extension they come from.
+    the extension they come from.  All three homologies are read from
+    `linalg.rank`.  The normalized one builds no quotient: with D_n the
+    span of the columns of s_0..s_{n-1} into level n, which the faces map
+    into D_{n-1}, dim N_n = dim C_n - rank(D_n), and the induced
+    differential has rank rank([d_n | D_{n-1}]) - rank(D_{n-1}).
     """
 
     def __init__(self, field, dims: dict[int, int],
@@ -632,16 +627,6 @@ class SimplicialModuleFR:
         F = self.field
         bad = []
 
-        def eq(a, b, tag):
-            if len(a) != len(b) or any(len(r) != len(s) for r, s in zip(a, b)):
-                bad.append(tag + " (shape)")
-                return
-            for r1, r2 in zip(a, b):
-                for x, y in zip(r1, r2):
-                    if x != y:
-                        bad.append(tag)
-                        return
-
         def composite(side):
             outer, inner = side
             return linalg.mat_mul(F, self.operators[outer], self.operators[inner])
@@ -654,7 +639,10 @@ class SimplicialModuleFR:
             except ValueError:  # a factor with the wrong number of columns
                 bad.append(tag + " (shape)")
                 continue
-            eq(got, want, tag)
+            if list(map(len, got)) != list(map(len, want)):
+                bad.append(tag + " (shape)")
+            elif got != want:
+                bad.append(tag)
         return (not bad, bad)
 
     # three homology computations that must agree
@@ -684,85 +672,47 @@ class SimplicialModuleFR:
         return dims
 
     def alternating_differential(self, n: int):
+        """d_0 - d_1 + ... + (-1)^n d_n out of level n."""
         F = self.field
-        rows, cols = self.dims[n - 1], self.dims[n]
-        out = [[F.zero()] * cols for _ in range(rows)]
-        sign = F.one()
-        for i in range(n + 1):
-            m = self.operators[("d", n, i)]
-            for r in range(rows):
-                row_m = m[r]
-                row_o = out[r]
-                for c in range(cols):
-                    row_o[c] = F.add(row_o[c], F.mul(sign, row_m[c]))
-            sign = F.neg(sign)
-        return out
+        faces = [(F.sub if i % 2 else F.add, self.operators[("d", n, i)])
+                 for i in range(n + 1)]
+
+        def entry(r, c):
+            total = F.zero()
+            for signed, m in faces:
+                total = signed(total, m[r][c])
+            return total
+
+        return [[entry(r, c) for c in range(self.dims[n])]
+                for r in range(self.dims[n - 1])]
+
+    def _homology_dims(self, up_to: int, dim, rank):
+        """dim(n) - rank(n) - rank(n + 1) for n <= up_to below the top
+        level, where rank(n) is the rank of the differential out of level
+        n and none leaves level 0."""
+        top = min(up_to, self.max_level - 1)
+        ranks = [0] + [rank(n) for n in range(1, top + 2)]
+        return {n: dim(n) - ranks[n] - ranks[n + 1] for n in range(top + 1)}
 
     def alternating_homology_dims(self, up_to: int):
-        F = self.field
-        dims = {}
-        for n in range(0, up_to + 1):
-            if n + 1 > self.max_level:
-                break
-            rk_n = 0 if n == 0 else linalg.rank(F, self.alternating_differential(n))
-            rk_n1 = linalg.rank(F, self.alternating_differential(n + 1))
-            dims[n] = self.dims[n] - rk_n - rk_n1
-        return dims
-
-    def normalized_complex(self):
-        """Quotient by the degenerate subspace, with the induced differential."""
-        F = self.field
-        proj = {}
-        qdims = {}
-        reducers = {}
-        for n in range(0, self.max_level + 1):
-            degen = []
-            if n >= 1:
-                for j in range(n):
-                    degen.extend(matrix_columns(self.operators[("s", n - 1, j)]))
-            if not degen:
-                reducers[n] = ([], [])
-                qdims[n] = self.dims[n]
-                continue
-            # degenerate vectors as rows: rref pivots are coordinate indices
-            red, pivots = linalg.rref(F, [list(v) for v in degen])
-            # rows of red with pivots reduce coordinates; quotient keeps the rest
-            reducers[n] = (red, pivots)
-            qdims[n] = self.dims[n] - len(pivots)
-
-        def reduce_vec(n, v):
-            red, pivots = reducers[n]
-            v = list(v)
-            for r, p in enumerate(pivots):
-                c = v[p]
-                if F.is_zero(c):
-                    continue
-                for k in range(len(v)):
-                    v[k] = F.sub(v[k], F.mul(c, red[r][k]))
-            free = [i for i in range(self.dims[n]) if i not in set(pivots)]
-            return [v[i] for i in free]
-
-        diffs = {}
-        for n in range(1, self.max_level + 1):
-            full = self.alternating_differential(n)
-            _, pivots = reducers[n]
-            free_src = [i for i in range(self.dims[n]) if i not in set(pivots)]
-            cols = [reduce_vec(n - 1, [row[i] for row in full])
-                    for i in free_src]
-            diffs[n] = matrix_from_columns(cols, qdims[n - 1])
-        return qdims, diffs
+        return self._homology_dims(
+            up_to, self.dims.__getitem__,
+            lambda n: linalg.rank(self.field, self.alternating_differential(n)))
 
     def normalized_homology_dims(self, up_to: int):
         F = self.field
-        qdims, diffs = self.normalized_complex()
-        dims = {}
-        for n in range(0, up_to + 1):
-            if n + 1 not in diffs:
-                break
-            rk_n = 0 if n == 0 else linalg.rank(F, diffs[n])
-            rk_n1 = linalg.rank(F, diffs[n + 1])
-            dims[n] = qdims[n] - rk_n - rk_n1
-        return dims
+        # D_n as a list of vectors; no level below the top needs the top's
+        degenerate = [[col for j in range(n)
+                       for col in matrix_columns(self.operators[("s", n - 1, j)])]
+                      for n in range(self.max_level)]
+        rank_d = [linalg.rank(F, d) for d in degenerate]
+
+        def induced_rank(n):
+            cols = matrix_columns(self.alternating_differential(n))
+            return linalg.rank(F, cols + degenerate[n - 1]) - rank_d[n - 1]
+
+        return self._homology_dims(up_to, lambda n: self.dims[n] - rank_d[n],
+                                   induced_rank)
 
 
 # -- structural comparison of the two chain models ---------------------------

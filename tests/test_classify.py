@@ -295,6 +295,23 @@ def test_a_partial_point_is_no_rational_point():
         "not a rational point: point does not assign variable 'y'"
 
 
+def circle():
+    return algebra(QQ, ("x", "y"), ["x^2 + y^2 - 1"])
+
+
+@pytest.mark.parametrize("prop, subject, point", [
+    # the line has no relation to evaluate, so only the type stops 0.5
+    ("smooth", lambda: inclusion_from_ground(algebra(QQ, ("x",))), {"x": 0.5}),
+    ("smooth", lambda: inclusion_from_ground(circle()), {"x": 1.0, "y": 0}),
+    ("regular", circle, {"x": 1.0, "y": 0}),
+], ids=["line", "circle", "circle-ring"])
+def test_a_float_point_is_no_rational_point(prop, subject, point):
+    with pytest.raises(ClassifyError) as info:
+        classification_report(prop, subject(), [point])
+    assert "not a rational point: value of 'x' is not a scalar of QQ" \
+        in str(info.value)
+
+
 def test_a_certificate_that_cannot_be_built_is_not_given(monkeypatch):
     import aq.classify
     from aq.kahler import KahlerError

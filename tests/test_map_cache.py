@@ -10,9 +10,11 @@ import pytest
 
 import aq.classify
 import aq.cotangent
+import aq.groebner
 import aq.kahler
-from aq.classify import (ClassifyError, classification_report, is_smooth_at,
-                         residue_surjection)
+from aq.classify import (ClassifyError, classification_report,
+                         is_complete_intersection, is_regular_local,
+                         is_smooth_at, residue_surjection)
 from aq.corpus import algebra, canonical_surjection, inclusion_from_ground
 from aq.cotangent import cotangent_trunc2, tor_modules
 from aq.fields import QQ
@@ -115,6 +117,27 @@ def test_ring_reports_build_their_fixed_map_once(prop, verdicts, builds,
     again = classification_report(prop, R, POINTS)
     assert again.to_json() == report.to_json()
     assert len(built) == builds
+
+
+@pytest.mark.parametrize("prop, predicate", [
+    ("regular", is_regular_local), ("ci", is_complete_intersection)])
+def test_a_warm_ring_predicate_builds_no_engine(prop, predicate, monkeypatch):
+    """The predicates read the maps that reports keep on the algebra, so
+    once either has run, neither builds a submodule engine again."""
+    R = cusp()
+    verdicts = [predicate(R, q)["verdict"] for q in POINTS]
+    report = classification_report(prop, R, POINTS).to_json()
+    built = []
+    init = aq.groebner.SubmoduleEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(aq.groebner.SubmoduleEngine, "__init__", counting_init)
+    assert [predicate(R, q)["verdict"] for q in POINTS] == verdicts
+    assert classification_report(prop, R, POINTS).to_json() == report
+    assert built == []
 
 
 def test_a_residue_surjection_is_kept_per_algebra_and_point():

@@ -3,15 +3,17 @@ table of normal forms, and agrees with substituting and reducing; every
 map checks every source relation through `apply`; the polynomials that
 rings, algebras and maps share are never mutated."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aq.fields import GF, QQ
+from aq.fields import GF, QQ, FieldError
 from aq.groebner import module_groebner
 from aq.orders import MonomialOrder
-from aq.poly import MAX_PRODUCT_WORK, PolyError, PolyRing, Polynomial
+from aq.poly import MAX_PRODUCT_WORK, ParseError, PolyError, PolyRing, Polynomial
 from aq.rings import (AlgebraError, AlgebraMap, PointError, PresentedAlgebra,
-                      compose)
+                      compose, parse_scalar)
 from aq.simplicial import bar_construction
 
 GF5 = GF(5)
@@ -149,6 +151,60 @@ def test_each_parsed_point_is_a_fresh_dict():
     second = C.parse_point({"x": 1, "y": 1})
     assert second is not first
     assert second == {"x": QQ.from_int(1), "y": QQ.from_int(1)}
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", 3), ("+3", 3), (" - 3 ", -3), ("6/4", Fraction(3, 2)),
+    (" - 6 / 4 ", Fraction(-3, 2)), ("6/3", 2), ("0/7", 0),
+])
+def test_a_scalar_is_a_sign_digits_and_an_optional_denominator(text, value):
+    assert parse_scalar(text, QQ) == value
+    assert type(parse_scalar(text, QQ)) is type(value)
+    assert parse_scalar(text, GF5) == GF5.fraction(value.numerator,
+                                                   value.denominator)
+
+
+LONG = "7" * 5000  # past the interpreter's limit for int() on a string
+
+
+@pytest.mark.parametrize("text", [
+    "a/2", "++3", "+-3", "- -3", "1_0", "1_0/3", "3/-2", "3/+2", "1/2/3",
+    "0.5", "1e3", "", " ", "-", "3/", "/3", "\u0663", LONG, "1/" + LONG,
+], ids=lambda t: t if len(t) < 10 else "long")
+def test_a_scalar_outside_the_grammar_is_a_parse_error(text):
+    for field in (QQ, GF5):
+        with pytest.raises(ParseError, match="bad scalar"):
+            parse_scalar(text, field)
+
+
+def test_a_zero_denominator_keeps_its_field_error():
+    for text, field in (("1/0", QQ), ("-1/ 0", QQ), ("1/5", GF5)):
+        with pytest.raises(FieldError):
+            parse_scalar(text, field)
+
+
+@pytest.mark.parametrize("field, value", [
+    (QQ, 0.5), (QQ, 2.0), (QQ, True), (QQ, None), (QQ, [1]),
+    (GF5, 2.0), (GF5, Fraction(1, 3)),
+], ids=repr)
+def test_a_point_value_that_is_no_scalar_is_a_point_error(field, value):
+    # without relations nothing else would look at the value
+    R = PresentedAlgebra(PolyRing(field, ("x", "y")))
+    with pytest.raises(PointError, match="value of 'y'"):
+        R.parse_point({"x": 0, "y": value})
+    assert not R._valid_points
+
+
+def test_a_point_takes_strings_ints_and_rationals():
+    R = PresentedAlgebra(PolyRing(QQ, ("x", "y")))
+    point = R.parse_point({"x": Fraction(4, 2), "y": Fraction(-1, 3)})
+    assert point == {"x": 2, "y": Fraction(-1, 3)} and type(point["x"]) is int
+    assert R.parse_point({"x": "4/2", "y": "-1/3"}) == point
+    F = PresentedAlgebra(PolyRing(GF5, ("x", "y")))
+    assert F.parse_point({"x": 7, "y": "1/3"}) == {"x": 2, "y": 2}
+    for bad in ("a/2", "++3"):
+        with pytest.raises(ParseError, match="bad scalar"):
+            R.parse_point({"x": bad, "y": 0})
 
 
 def _cusp_over(variables):

@@ -177,11 +177,19 @@ DECLARED = ("field QQ\nring P = poly(x)\nring Q = poly(y)\n"
     ("point q on P (x=0,x=0)", "x=0", "duplicate assignment"),
     ("point q on P (x=a)", "x=a", "bad scalar"),
     ("point q on P (x=1/0)", "x=1/0", "bad scalar"),
+    # one grammar: a sign, digits, then optionally '/' and digits
+    ("point q on P (x=a/2)", "x=a/2", "bad scalar 'a/2'"),
+    ("point q on P (x=++3)", "x=++3", "bad scalar '++3'"),
+    ("point q on P (x=1_0)", "x=1_0", "bad scalar '1_0'"),
+    ("point q on P (x=1_0/3)", "x=1_0/3", "bad scalar '1_0/3'"),
+    ("point q on P (x=3/-2)", "x=3/-2", "bad scalar '3/-2'"),
+    ("point q on P (x=1/2/3)", "x=1/2/3", "bad scalar '1/2/3'"),
+    ("point q on P (x=0.5)", "x=0.5", "bad scalar '0.5'"),
     ("task resolve bar P x levels many", "many", "expected a level bound"),
 ])
 def test_name_errors_point_at_the_name(line, name, message):
     e = err(DECLARED + line + "\n")
-    assert message in e.message
+    assert message in e.message and e.exit_code == 1
     # 1-based column of the name's first character, not of the space before
     assert (e.line, e.col) == (7, line.rindex(name) + 1)
 
@@ -241,6 +249,11 @@ def test_unexpected_end_points_just_past_the_last_token(line, col):
             + line + "\n")
     assert "unexpected end of expression" in e.message
     assert (e.exit_code, e.line, e.col) == (1, 4, col)
+
+
+def test_spaces_around_the_parts_of_a_scalar_are_kept_out_of_the_point():
+    s = parse_session(DECLARED + "point q on P (x= - 6 / 4 )\n")
+    assert s.canonical_lines()[-1] == "point q on P (x=-3/2)"
 
 
 @pytest.mark.parametrize("count, image", [(5000, "x"), (5001, "-x")])
