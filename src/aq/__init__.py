@@ -30,7 +30,7 @@ from .cotangent import (
     jacobi_zariski_window,
     tor_modules,
 )
-from .fields import GF, QQ, FieldError, field_from_spec
+from .fields import GF, QQ, AqError, FieldError, field_from_spec
 from .kahler import (
     KahlerError,
     kahler_oracle_via_diagonal,
@@ -67,7 +67,7 @@ from .suites import SUITES, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraError", "AlgebraMap", "ClassifyError", "CotangentError",
+    "AlgebraError", "AlgebraMap", "AqError", "ClassifyError", "CotangentError",
     "FPModule", "FieldError", "FreeComplex", "GF", "KahlerError",
     "ModuleError", "MonomialOrder", "ParseError", "PointError", "PolyError",
     "PolyRing", "Polynomial", "PresentedAlgebra", "QQ", "SUITES", "Session",

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from . import linalg
 from .corpus import canonical_surjection, inclusion_from_ground
-from .cotangent import CotangentError, _each_point, cotangent_trunc2
+from .cotangent import _each_point, cotangent_trunc2
+from .fields import AqError
 from .kahler import (_tensor_square, jacobian_matrix, kahler_oracle_via_diagonal,
                      kahler_presentation, relative_presentation)
 from .modules import evaluate_matrix, syzygies
 from .orders import MonomialOrder
-from .rings import AlgebraError, AlgebraMap, PresentedAlgebra, point_to_json
+from .rings import AlgebraError, AlgebraMap, Point, PresentedAlgebra
 
 
 class ClassifyError(AlgebraError):
@@ -34,15 +35,14 @@ class ClassifyError(AlgebraError):
 # -- point plumbing ---------------------------------------------------------
 
 
-def _require_rational(algebra: PresentedAlgebra, point: dict) -> dict:
+def _require_rational(algebra: PresentedAlgebra, point: dict) -> Point:
     try:
-        pt = algebra.parse_point(point)
-    except AlgebraError as exc:
+        return algebra.parse_point(point)
+    except AqError as exc:
         msg = str(exc)
         if "not a rational point" not in msg:
             msg = f"not a rational point: {msg}"
         raise ClassifyError(msg) from None
-    return pt
 
 
 def _with_order(phi: AlgebraMap, name: str) -> AlgebraMap:
@@ -164,9 +164,8 @@ def is_lci_at(phi: AlgebraMap, point: dict) -> dict:
 def residue_surjection(R: PresentedAlgebra, point: dict) -> AlgebraMap:
     """R onto the residue field of a rational point, built once per algebra
     and point (`PresentedAlgebra.derived`, keyed by the point's values in
-    variable order); the point is validated on every call."""
-    pt = _require_rational(R, point)
-    return R.derived(_residue_map, tuple(pt[v] for v in R.variables))
+    variable order)."""
+    return R.derived(_residue_map, tuple(_require_rational(R, point).values()))
 
 
 def _residue_map(R: PresentedAlgebra, values: tuple) -> AlgebraMap:
@@ -236,13 +235,12 @@ def hkr_equivalence_check(eta: AlgebraMap, points) -> dict:
 
     def row(q):
         pt = _require_rational(eta.target, q)
-        diag = rp.transport_point(pt)
-        for y, c in copy_of.items():
-            diag[c] = diag[y]
+        diag = dict(rp.transport_point(pt))
+        diag.update({c: diag[y] for y, c in copy_of.items()})
         smooth = is_smooth_at(eta, pt)
         lci = is_lci_at(mu, diag)
         ok = smooth["verdict"] == lci["verdict"]
-        return ok, {"point": point_to_json(pt, eta.target),
+        return ok, {"point": pt.to_json(),
                     "smooth": smooth["verdict"],
                     "diagonal_lci": lci["verdict"], "ok": ok}
 
@@ -308,7 +306,7 @@ def _certificate(phi: AlgebraMap, prop: str) -> bool:
                             or kd.free_rank() is not None)
         return (omega_projective
                 and cotangent_trunc2(phi).complex.homology_is_zero(1))
-    except (AlgebraError, CotangentError):
+    except AlgebraError:
         return False
 
 
@@ -324,18 +322,15 @@ def classification_report(prop: str, subject, points) -> "ClassificationReport":
             f"property {prop!r} classifies a {'map' if of_map else 'ring'}")
     op = (_POINTWISE if of_map else _RINGWISE)[prop]
     algebra = subject.target if of_map else subject
-    rows = [_point_row(algebra, q, op(subject, q)) for q in points]
+    pts = (_require_rational(algebra, q) for q in points)
+    rows = [_point_row(pt, op(subject, pt)) for pt in pts]
     certified = of_map and subject.derived(_certificate, prop)
     return ClassificationReport(prop, subject.to_json(), rows,
                                 "certified" if certified else "sampled-only")
 
 
-def _point_row(algebra, point, result) -> dict:
-    pt = algebra.parse_point(point)
-    evidence = {}
-    for key in ("aq0", "aq1", "aq2"):
-        if key in result:
-            evidence[key] = result[key]
+def _point_row(pt: Point, result) -> dict:
+    evidence = {key: result[key] for key in ("aq0", "aq1", "aq2") if key in result}
     oracle = result.get("oracle")
     if "smooth" in result:  # etale bundles its two halves
         evidence["aq0"] = result["unramified"]["aq0"]
@@ -344,7 +339,7 @@ def _point_row(algebra, point, result) -> dict:
         oracle = {"smooth": result["smooth"]["oracle"],
                   "unramified": result["unramified"]["oracle"]}
     return {
-        "point": point_to_json(pt, algebra),
+        "point": pt.to_json(),
         "verdict": result["verdict"],
         "evidence": evidence,
         "oracle": oracle,

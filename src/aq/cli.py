@@ -19,27 +19,17 @@ import time
 from pathlib import Path
 
 from .classify import RING_PROPERTIES, ClassifyError, classification_report
-from .cotangent import CotangentError, aq_homology
+from .cotangent import aq_homology
+from .fields import AqError
 from .modules import koszul_homology_all_vanish
-from .poly import PolyError
-from .rings import AlgebraError, point_to_json
 from .session import Session, SessionError, TaskDecl, parse_session
 from .simplicial import (
-    SimplicialError,
     bar_construction,
     constant_extension,
     hypersurface_resolution,
     kill_cycle,
 )
-from .suites import SuiteError, run_suite
-
-_ERRORS = (AlgebraError, ClassifyError, CotangentError, PolyError,
-           SimplicialError, SuiteError)
-
-
-def _point_json(session: Session, pt_name: str) -> dict:
-    ring_name, pt = session.points[pt_name]
-    return point_to_json(pt, session.rings[ring_name])
+from .suites import run_suite
 
 
 def _run_homology(session: Session, payload) -> tuple[bool, dict, dict]:
@@ -56,8 +46,7 @@ def _run_homology(session: Session, payload) -> tuple[bool, dict, dict]:
         _, pt = session.points[coeff[1]]
         report = aq_homology(phi, pt, n_max=maxdeg, resolution=resolution)
         canonical = {
-            "coefficients": {"kind": "residue-field",
-                             "point": _point_json(session, coeff[1])},
+            "coefficients": {"kind": "residue-field", "point": pt.to_json()},
             "dims": {str(n): d for n, d in report.dims().items()},
         }
     else:
@@ -82,14 +71,9 @@ def _run_classify(session: Session, payload) -> tuple[bool, dict, dict]:
         subject = session.maps[subject_name]
     points = [session.points[n][1] for n in pt_names]
     report = classification_report(prop, subject, points)
-    rows = []
-    for pt_name, row in zip(pt_names, report.rows):
-        rows.append({
-            "point": pt_name,
-            "values": _point_json(session, pt_name),
-            "verdict": row["verdict"],
-            "evidence": row["evidence"],
-        })
+    rows = [{"point": pt_name, "values": row["point"],
+             "verdict": row["verdict"], "evidence": row["evidence"]}
+            for pt_name, row in zip(pt_names, report.rows)]
     canonical = {
         "property": prop,
         "subject": subject_name,
@@ -157,12 +141,9 @@ def _execute(session: Session, task: TaskDecl) -> dict:
     try:
         ok, canonical, info = _RUNNERS[task.kind](session, task.payload)
         status = "pass" if ok else "fail"
-    except ClassifyError as exc:
-        status = "oracle-disagreement" if "disagreement" in str(exc) \
-            else "error"
-        canonical, info = {}, {"message": str(exc)}
-    except _ERRORS as exc:
-        status = "error"
+    except AqError as exc:
+        disagreement = isinstance(exc, ClassifyError) and "disagreement" in str(exc)
+        status = "oracle-disagreement" if disagreement else "error"
         canonical, info = {}, {"message": str(exc)}
     canonical = dict(canonical)
     canonical["task"] = task.line

@@ -53,7 +53,7 @@ from .modules import (
     syzygies,
 )
 from .poly import Polynomial, fresh_names
-from .rings import AlgebraError, AlgebraMap, PresentedAlgebra, compose, point_to_json
+from .rings import AlgebraError, AlgebraMap, Point, PresentedAlgebra, compose
 from .simplicial import (
     FreeExtensionLevelwise,
     augmentation_maps,
@@ -120,7 +120,7 @@ class CotangentComplexTrunc:
             raise CotangentError(
                 f"complex built through degree {top}, requested {n}")
 
-    def transport_point(self, point: dict) -> dict:
+    def transport_point(self, point: dict) -> Point:
         stages = self.provenance.get("stages")
         if stages is not None:
             return stages.rp.transport_point(point)
@@ -360,7 +360,7 @@ def rank_exactness_check(L: FreeComplex, sample_points) -> dict:
                  "split": L.rank(n) - dims[n], "ok": dims[n] == 0}
                 for n in range(2, top)]
         return (all(r["ok"] for r in rows),
-                {"point": point_to_json(pt, L.algebra), "degrees": rows})
+                {"point": pt.to_json(), "degrees": rows})
 
     passes, per_point = _each_point(points, row)
     return {
@@ -417,9 +417,8 @@ def _coefficient_descriptor(coefficients, trunc: CotangentComplexTrunc) -> dict:
     if isinstance(coefficients, FPModule):
         return {"kind": "module", "generators": coefficients.gens,
                 "relations": len(coefficients.relations)}
-    pt = trunc.transport_point(coefficients)
     return {"kind": "residue-field",
-            "point": point_to_json(pt, trunc.algebra)}
+            "point": trunc.transport_point(coefficients).to_json()}
 
 
 def _resolve_trunc(phi, n_max: int, resolution) -> CotangentComplexTrunc:
@@ -560,7 +559,7 @@ def five_term_check(phi: AlgebraMap, points) -> dict:
         both_eval = m3_eval + evaluate_matrix(data.koszul_lifts, pt)
         rank_w = linalg.rank(field, both_eval) - linalg.rank(field, m3_eval)
         ok = (aq2 == tor2 - rank_w) and (aq1 == tor1)
-        return ok, {"point": point_to_json(pt, S),
+        return ok, {"point": pt.to_json(),
                     "aq1": aq1, "tor1": tor1,
                     "aq2": aq2, "tor2": tor2, "rank_w": rank_w,
                     "ok": ok}
@@ -625,8 +624,8 @@ def base_change_check(phi_prime: AlgebraMap, rho: AlgebraMap, points) -> dict:
         dims_after = after.dims_through(pt, 2)
         dims_before = before.dims_through(matched, 2)
         ok = dims_after == dims_before
-        return ok, {"point": point_to_json(pt, induced.target),
-                    "matched": point_to_json(matched, phi_prime.target),
+        return ok, {"point": pt.to_json(),
+                    "matched": matched.to_json(),
                     "dims": dims_after,
                     "dims_before": dims_before,
                     "ok": ok}
@@ -657,14 +656,13 @@ def retract_check(S: PresentedAlgebra, points) -> dict:
 
     def row(q):
         pt = S.parse_point(q)
-        r_pt = dict(pt)
-        r_pt[u] = S.field.zero()
+        r_pt = {**pt, u: S.field.zero()}
         left = down.dims_through(pt, 2)
         right = up.dims_through(r_pt, 1)
         pairs = [{"n": n, "retraction": left[n], "inclusion": right[n - 1],
                   "ok": left[n] == right[n - 1]} for n in (1, 2)]
         return (all(p["ok"] for p in pairs),
-                {"point": point_to_json(pt, S), "pairs": pairs})
+                {"point": pt.to_json(), "pairs": pairs})
 
     passes, per_point = _each_point(points, row)
     return {"passes": passes, "per_point": per_point, "adjoined": u}
@@ -717,5 +715,5 @@ def jacobi_zariski_window(psi: AlgebraMap, phi: AlgebraMap, point: dict) -> dict
         "extended_window": extended,
         "extended_suffix_sums": ext_sums,
         "extended_consistent": ext_consistent,
-        "point": point_to_json(pt_s, phi.target),
+        "point": pt_s.to_json(),
     }

@@ -16,7 +16,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class FieldError(ValueError):
+class AqError(ValueError):
+    """Root of every library error: a message, with a line and column if any."""
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        where = "" if line is None else f" (line {line}, col {col})"
+        super().__init__(message + where)
+        self.message, self.line, self.col = message, line, col
+
+
+class FieldError(AqError):
     pass
 
 

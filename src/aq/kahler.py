@@ -24,7 +24,7 @@ from .modules import (
     syzygies,
 )
 from .poly import Polynomial, PolyRing, fresh_names
-from .rings import AlgebraError, AlgebraMap, PresentedAlgebra, compose
+from .rings import AlgebraError, AlgebraMap, Point, PresentedAlgebra, compose
 from . import linalg
 
 
@@ -51,12 +51,10 @@ class RelativePresentation:
         """Transport an element of the original target into the ambient."""
         return p.rename_into(self.ambient, self.target_renaming)
 
-    def transport_point(self, target_point: dict) -> dict:
+    def transport_point(self, target_point: dict) -> Point:
         """Point of the original target as a point of the relative ambient."""
         pt = self.phi.target.parse_point(target_point)
-        out = {}
-        for v in self.phi.target.variables:
-            out[self.target_renaming.get(v, v)] = pt[v]
+        out = {self.target_renaming.get(v, v): c for v, c in pt.items()}
         for w in self.phi.source.variables:
             if w not in out:
                 out[w] = self.phi.images[w].evaluate(pt)
@@ -132,8 +130,7 @@ class KahlerDifferentials:
     jacobian: Matrix  # rows = adjoined, cols = relation polys
 
     def dim_at_point(self, target_point: dict) -> int:
-        pt = self.presentation.transport_point(target_point)
-        return self.module.dim_at_point(pt)
+        return self.module.dim_at_point(self.presentation.transport_point(target_point))
 
 
 def jacobian(algebra: PresentedAlgebra, polys, variables) -> Matrix:

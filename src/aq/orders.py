@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import operator
 
+from .fields import AqError
 
-class OrderError(ValueError):
+
+class OrderError(AqError):
     pass
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import operator
 
-from .fields import Field, FieldError
+from .fields import AqError, Field, FieldError
 from .orders import MonomialOrder, mono_deg, mono_mul
 
 
-class PolyError(ValueError):
+class PolyError(AqError):
     pass
 
 
@@ -63,11 +63,7 @@ def _power(p: "Polynomial", n: int, multiply) -> "Polynomial":
 
 
 class ParseError(PolyError):
-    def __init__(self, message: str, line: int = 1, col: int = 1):
-        super().__init__(f"{message} (line {line}, col {col})")
-        self.message = message
-        self.line = line
-        self.col = col
+    pass
 
 
 class PolyRing:

@@ -13,7 +13,8 @@ which no caller mutates.  Each object also keeps the values of its
 presentations, truncation and certificates, an algebra the maps that
 classification reads off it (its ground-field or ambient inclusion, and
 the residue surjection of each rational point).
-Rational points are variable assignments satisfying every relation.
+Rational points are variable assignments satisfying every relation; a
+checked one is a read-only `Point` of its algebra.
 """
 
 from __future__ import annotations
@@ -21,17 +22,35 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .fields import AqError
 from .groebner import ideal_groebner, lead_index, vp_normal_form
 from .orders import MonomialOrder
 from .poly import ParseError, Polynomial, PolyRing, _add_terms
 
 
-class AlgebraError(ValueError):
+class AlgebraError(AqError):
     pass
 
 
 class PointError(AlgebraError):
     pass
+
+
+class Point(dict):
+    """A rational point of `algebra`: its variables, in order, mapped to field
+    elements.  Only `parse_point` makes one, and it is read-only, so a second
+    parse passes it through unchecked; `dict(point)` is a mutable copy."""
+
+    __slots__ = ("algebra",)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Point is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def to_json(self) -> dict:
+        return {v: str(c) for v, c in self.items()}
 
 
 def _derived(self, build, *args):
@@ -136,17 +155,19 @@ class PresentedAlgebra:
 
     # -- points -----------------------------------------------------------
 
-    def parse_point(self, assignments: dict) -> dict:
+    def parse_point(self, assignments: dict) -> Point:
         """Validate {var: value} as a rational point on this algebra.
 
-        A value is a string (`parse_scalar`), an int, or over QQ a
-        Fraction; any other value raises `PointError` naming its variable.
-        Every call parses the values and returns a fresh dict.  The
-        relations are evaluated only the first time this algebra sees a
-        tuple of parsed values; a tuple that passes is kept on the algebra,
-        one that fails is not, so it raises `PointError` on every call.
+        A `Point` of this algebra is returned as it is.  Otherwise a value
+        is a string (`parse_scalar`), an int, or over QQ a Fraction; any
+        other value raises `PointError` naming its variable.  The relations
+        are evaluated only the first time this algebra sees a tuple of
+        parsed values; a tuple that passes is kept on the algebra, one that
+        fails is not, so it raises `PointError` on every call.
         """
-        point = {}
+        if isinstance(assignments, Point) and assignments.algebra is self:
+            return assignments
+        parsed = []
         field = self.field
         for v in self.variables:
             if v not in assignments:
@@ -160,9 +181,10 @@ class PresentedAlgebra:
                 val = field.fraction(val.numerator, val.denominator)
             else:
                 raise PointError(f"value of {v!r} is not a scalar of {field}: {val!r}")
-            point[v] = val
-        values = tuple(point.values())
-        if values not in self._valid_points:
+            parsed.append(val)
+        point = Point(zip(self.variables, parsed))
+        point.algebra = self
+        if (values := tuple(parsed)) not in self._valid_points:
             for rel in self.relations:
                 if not field.is_zero(rel.evaluate(point)):
                     raise PointError("not a rational point")
@@ -299,10 +321,10 @@ class AlgebraMap:
         return (set(self.source.variables) == set(self.target.variables)
                 and self.is_identity_on_common())
 
-    def pullback_point(self, point: dict) -> dict:
+    def pullback_point(self, point: dict) -> Point:
         """Point on the source under the induced map of points."""
-        vals = {v: self.images[v].evaluate(point) for v in self.source.variables}
-        return self.source.parse_point(vals)
+        return self.source.parse_point(
+            {v: img.evaluate(point) for v, img in self.images.items()})
 
     def describe(self) -> str:
         imgs = ", ".join(f"{v} -> {self.images[v]}" for v in self.source.variables)
@@ -327,11 +349,16 @@ def compose(second: AlgebraMap, first: AlgebraMap) -> AlgebraMap:
     return AlgebraMap(first.source, second.target, images)
 
 
-def point_to_json(point: dict, algebra: PresentedAlgebra) -> dict:
-    return {v: str(point[v]) for v in algebra.variables}
-
-
 _SCALAR = re.compile(r"\s*([+-]?)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
+MAX_ECHO = 40  # characters of a bad scalar that its message repeats
+
+
+def _bad_scalar(text: str) -> str:
+    """The message for a bad scalar: at most MAX_ECHO characters of its text,
+    then the length of a longer one."""
+    text = text.strip()
+    more = f"... ({len(text)} characters)" if len(text) > MAX_ECHO else ""
+    return f"bad scalar {text[:MAX_ECHO]!r}{more}"
 
 
 def parse_scalar(text: str, field):
@@ -346,5 +373,5 @@ def parse_scalar(text: str, field):
         sign, num, den = m.groups()
         num, den = int(sign + num), (int(den) if den else None)
     except ValueError:  # no match, or more digits than the interpreter's limit
-        raise ParseError(f"bad scalar {text.strip()!r}") from None
+        raise ParseError(_bad_scalar(text)) from None
     return field.from_int(num) if den is None else field.fraction(num, den)

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import PROPERTIES, RING_PROPERTIES
-from .fields import FieldError, field_from_spec
+from .fields import AqError, FieldError, field_from_spec
 from .orders import MonomialOrder
-from .poly import (ParseError, PolyError, PolyRing, Polynomial, parse_polynomial,
-                   stable_str)
-from .rings import AlgebraError, AlgebraMap, PointError, PresentedAlgebra, parse_scalar
+from .poly import ParseError, PolyRing, Polynomial, parse_polynomial, stable_str
+from .rings import AlgebraMap, PointError, PresentedAlgebra, _bad_scalar, parse_scalar
 
 VALID_TASKS = ("check", "classify", "homology", "resolve")
 RESOLVE_KINDS = ("bar", "koszul", "hypersurface", "killcycles")
@@ -27,13 +26,9 @@ MAX_LEVEL = 20
 MAX_KOSZUL_ELEMENTS = 8
 
 
-class SessionError(ValueError):
-    def __init__(self, message: str, line: int = 1, col: int = 1,
-                 exit_code: int = 1):
-        super().__init__(f"{message} (line {line}, col {col})")
-        self.message = message
-        self.line = line
-        self.col = col
+class SessionError(AqError):
+    def __init__(self, *args, exit_code: int = 1):
+        super().__init__(*args)
         self.exit_code = exit_code
 
 
@@ -72,8 +67,8 @@ class _Cursor:
         self.word_col = 0  # where the last name or integer read starts
 
     def error(self, message: str, col: int | None = None, exit_code: int = 1):
-        raise SessionError(message, self.line,
-                           (self.pos if col is None else col) + 1, exit_code)
+        raise SessionError(message, self.line, (self.pos if col is None else col) + 1,
+                           exit_code=exit_code)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -302,7 +297,7 @@ def _parse_map(cur: _Cursor, session: Session):
     cur.expect_end()
     try:
         amap = AlgebraMap(source, target, images)
-    except (AlgebraError, PolyError) as exc:
+    except AqError as exc:
         cur.error(str(exc), col)
     session.maps[name] = amap
     # canonical text keeps the stated (unreduced) images so it does not
@@ -333,8 +328,8 @@ def _parse_point(cur: _Cursor, session: Session):
             cur.error(f"duplicate assignment for {v!r}", pcol)
         try:
             raw[v] = parse_scalar(val, session.field)
-        except (ParseError, FieldError):
-            cur.error(f"bad scalar {val.strip()!r}", pcol)
+        except AqError:
+            cur.error(_bad_scalar(val), pcol)
     cur.expect_end()
     try:
         pt = algebra.parse_point(raw)

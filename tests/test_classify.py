@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from aq.fields import QQ
-from aq.rings import AlgebraMap
+from aq.rings import AlgebraMap, Point, PresentedAlgebra
 from aq.corpus import (algebra, inclusion_from_ground,
                        canonical_surjection, classifier_corpus, hkr_instances)
 from aq.cotangent import five_term_check, tor_modules
@@ -310,6 +310,38 @@ def test_a_float_point_is_no_rational_point(prop, subject, point):
         classification_report(prop, subject(), [point])
     assert "not a rational point: value of 'x' is not a scalar of QQ" \
         in str(info.value)
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("a/2", "bad scalar 'a/2'"), ("1/0", "division by zero"),
+])
+def test_a_bad_point_value_is_no_rational_point(value, reason):
+    line = inclusion_from_ground(algebra(QQ, ("x",)))
+    with pytest.raises(ClassifyError) as info:
+        classification_report("smooth", line, [{"x": value}])
+    assert str(info.value) == f"not a rational point: {reason}"
+
+
+def test_a_report_parses_each_point_once(monkeypatch):
+    """A real parse is one whose argument is not already a `Point` of the
+    algebra parsing it; the other calls hand the point back unchanged."""
+    real = PresentedAlgebra.parse_point
+    real_parses = []
+
+    def counting(self, assignments):
+        if not (isinstance(assignments, Point) and assignments.algebra is self):
+            real_parses.append(self)
+        return real(self, assignments)
+
+    monkeypatch.setattr(PresentedAlgebra, "parse_point", counting)
+    counts = {}
+    for prop in ("regular", "ci", "smooth", "etale", "lci"):
+        ring = cusp()  # a fresh algebra: nothing is kept from the last report
+        subject = ring if prop in ("regular", "ci") else inclusion_from_ground(ring)
+        real_parses.clear()
+        classification_report(prop, subject, [{"x": 0, "y": 0}, {"x": 1, "y": 1}])
+        counts[prop] = len(real_parses)
+    assert counts == {"regular": 12, "ci": 6, "smooth": 8, "etale": 12, "lci": 6}
 
 
 def test_a_certificate_that_cannot_be_built_is_not_given(monkeypatch):

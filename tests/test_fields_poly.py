@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aq
+import aq.suites
 from aq.fields import GF, QQ, FieldError, field_from_spec
 from aq.orders import MonomialOrder, OrderError
 from aq.poly import ParseError, PolyError, PolyRing, parse_polynomial, stable_str
@@ -226,6 +228,24 @@ def test_products_need_explicit_star():
     R = ring(QQ, "x", "y")
     with pytest.raises(ParseError):
         R.poly("x y")
+
+
+def test_every_exported_error_derives_from_the_one_root():
+    errors = [getattr(aq, name) for name in aq.__all__
+              if isinstance(getattr(aq, name), type)
+              and issubclass(getattr(aq, name), Exception)]
+    assert len(errors) == 12
+    # and the two that the package does not export
+    errors += [OrderError, aq.suites.SuiteError]
+    assert [e.__name__ for e in errors if not issubclass(e, aq.AqError)] == []
+    assert issubclass(aq.AqError, ValueError)
+
+
+def test_a_library_error_names_a_position_only_when_it_has_one():
+    assert str(aq.AqError("bad")) == "bad"
+    assert str(aq.AqError("bad", 2, 5)) == "bad (line 2, col 5)"
+    error = ParseError("bad", 3, 1)
+    assert (error.message, error.line, error.col) == ("bad", 3, 1)
 
 
 # -- monomial orders -----------------------------------------------------

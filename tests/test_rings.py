@@ -12,8 +12,8 @@ from aq.fields import GF, QQ, FieldError
 from aq.groebner import module_groebner
 from aq.orders import MonomialOrder
 from aq.poly import MAX_PRODUCT_WORK, ParseError, PolyError, PolyRing, Polynomial
-from aq.rings import (AlgebraError, AlgebraMap, PointError, PresentedAlgebra,
-                      compose, parse_scalar)
+from aq.rings import (MAX_ECHO, AlgebraError, AlgebraMap, PointError,
+                      PresentedAlgebra, compose, parse_scalar)
 from aq.simplicial import bar_construction
 
 GF5 = GF(5)
@@ -144,13 +144,42 @@ def test_validated_points_do_not_let_a_non_point_through():
         D.parse_point({"x": 1, "y": 1})
 
 
-def test_each_parsed_point_is_a_fresh_dict():
+def test_a_parsed_point_is_read_only():
     C = PresentedAlgebra(PolyRing(QQ, ("x", "y")), ["x^3 - y^2"])
     first = C.parse_point({"x": 1, "y": 1})
-    first["x"] = QQ.from_int(2)
-    second = C.parse_point({"x": 1, "y": 1})
-    assert second is not first
-    assert second == {"x": QQ.from_int(1), "y": QQ.from_int(1)}
+    mutators = [
+        lambda p: p.__setitem__("x", 2), lambda p: p.__delitem__("x"),
+        lambda p: p.clear(), lambda p: p.pop("x"), lambda p: p.popitem(),
+        lambda p: p.setdefault("z", 0), lambda p: p.update(x=2),
+    ]
+    for mutate in mutators:
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(first)
+    with pytest.raises(TypeError, match="read-only"):
+        first |= {"x": 2}
+    assert first == {"x": QQ.from_int(1), "y": QQ.from_int(1)}
+    assert C.parse_point({"x": 1, "y": 1}) == first
+    assert first.to_json() == {"x": "1", "y": "1"}
+
+
+def test_a_point_of_the_algebra_passes_through_and_any_other_is_parsed():
+    ring = PolyRing(QQ, ("x", "y"))
+    C = PresentedAlgebra(ring, ["x^3 - y^2"])
+    point = C.parse_point({"x": 1, "y": 1})
+    assert C.parse_point(point) is point
+    # an equal algebra parses it again, to a point of its own
+    twin = PresentedAlgebra(ring, ["x^3 - y^2"])
+    again = twin.parse_point(point)
+    assert again is not point and again == point and again.algebra is twin
+    # an algebra with other relations checks it there
+    D = PresentedAlgebra(ring, ["x - y - 1"])
+    with pytest.raises(PointError, match="not a rational point"):
+        D.parse_point(point)
+    # a copy can be extended, and is parsed like any dict
+    extended = dict(point)
+    extended["x"] = QQ.from_int(4)
+    with pytest.raises(PointError, match="not a rational point"):
+        C.parse_point(extended)
 
 
 @pytest.mark.parametrize("text, value", [
@@ -175,6 +204,26 @@ def test_a_scalar_outside_the_grammar_is_a_parse_error(text):
     for field in (QQ, GF5):
         with pytest.raises(ParseError, match="bad scalar"):
             parse_scalar(text, field)
+
+
+def test_a_bad_scalar_echoes_a_short_prefix_and_its_length():
+    for text in (LONG, "1/" + LONG):
+        with pytest.raises(ParseError) as info:
+            parse_scalar(text, QQ)
+        message = str(info.value)
+        assert message.startswith("bad scalar '" + text[:MAX_ECHO] + "'...")
+        assert f"({len(text)} characters)" in message
+        assert len(message) < 2 * MAX_ECHO + 40
+    with pytest.raises(ParseError) as info:
+        parse_scalar("7" * MAX_ECHO + "x", QQ)
+    assert "characters" in str(info.value)
+
+
+def test_a_scalar_has_no_position_to_report():
+    with pytest.raises(ParseError) as info:
+        parse_scalar(" a/2 ", QQ)
+    assert str(info.value) == "bad scalar 'a/2'"
+    assert (info.value.line, info.value.col) == (None, None)
 
 
 def test_a_zero_denominator_keeps_its_field_error():

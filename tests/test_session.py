@@ -8,13 +8,16 @@ import pytest
 from shared import diagonal_with_one_more_generator
 
 import aq.classify
+import aq.cli
 import aq.corpus
 import aq.cotangent
 import aq.simplicial
 from aq.session import (MAX_KOSZUL_ELEMENTS, MAX_LEVEL, SessionError,
                         parse_session)
 from aq.cli import main, run_session
+from aq.fields import FieldError
 from aq.poly import MAX_PRODUCT_WORK
+from aq.rings import MAX_ECHO
 
 
 BASIC = """\
@@ -217,6 +220,9 @@ def test_homology_coefficient_ring_must_be_the_target():
 def test_order_name_is_validated():
     e = err("field QQ\n", order="grlex")
     assert "order" in e.message
+    # the order is no part of the text, so the error names no position in it
+    assert str(e) == "unknown monomial order 'grlex'"
+    assert (e.line, e.col) == (None, None)
 
 
 # -- hostile input ends in a positioned error -------------------------------------
@@ -263,6 +269,15 @@ def test_long_runs_of_unary_minus_parse(count, image):
     lines = s.canonical_lines()
     assert lines[2] == f"ring C = P/({image})"
     assert lines[3] == f"map f : P -> P [x -> {image}]"
+
+
+def test_an_overlong_point_value_is_echoed_in_part():
+    line = f"point q on P (x={LONG})"
+    e = err(HOSTILE_HEAD + line + "\n")
+    assert e.exit_code == 1 and (e.line, e.col) == (3, line.index("x=") + 1)
+    assert e.message.startswith("bad scalar '" + LONG[:MAX_ECHO] + "'...")
+    assert f"({len(LONG)} characters)" in e.message
+    assert len(str(e)) < 2 * MAX_ECHO + 60
 
 
 @pytest.mark.parametrize("line", [
@@ -630,6 +645,19 @@ def test_a_classify_error_without_a_disagreement_is_an_error(monkeypatch):
     assert summary["canonical"]["statuses"] == ["error"]
     detail = summary["informational"]["task_details"][0]
     assert detail["message"] == "not a rational point"
+
+
+def test_any_library_error_in_a_task_is_an_error_status(monkeypatch):
+    def divide_by_zero(session, payload):
+        raise FieldError("division by zero")
+
+    monkeypatch.setitem(aq.cli._RUNNERS, "resolve", divide_by_zero)
+    code, summary = run_session(
+        "field QQ\nring P = poly(x)\ntask resolve bar P x levels 2\n")
+    assert code == 1
+    assert summary["canonical"]["statuses"] == ["error"]
+    detail = summary["informational"]["task_details"][0]
+    assert detail["message"] == "division by zero"
 
 
 def test_a_resolution_failing_its_identities_reports_them(monkeypatch):
