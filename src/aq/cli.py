@@ -11,7 +11,6 @@ stability promise.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -199,6 +198,8 @@ def _write_json(path: Path, obj) -> None:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line reads it, so `import aq.cli` skips it
+
     parser = argparse.ArgumentParser(
         prog="aq",
         description="Exact commutative-algebra toolkit: homology of "

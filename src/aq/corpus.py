@@ -21,7 +21,6 @@ used yet.
 from __future__ import annotations
 
 import functools
-import inspect
 import random
 
 from .fields import GF, QQ
@@ -48,15 +47,27 @@ def canonical_surjection(target: PresentedAlgebra) -> AlgebraMap:
 
 def _built_once(builder):
     """Build `builder`'s cases once per process for each set of arguments
-    and hand out a fresh list of fresh case dicts over them."""
-    signature = inspect.signature(builder)
+    and hand out a fresh list of fresh case dicts over them.
+
+    Every parameter of a builder has a default and none is keyword-only,
+    so a call binds to one tuple of values, defaults filled in, and calls
+    that bind to the same values share one build: `random_surjections()`,
+    `random_surjections(25)` and `random_surjections(seed=1105)` do.  An
+    argument the builder does not take raises `TypeError`."""
+    code = builder.__code__
+    names = code.co_varnames[:code.co_argcount]
+    defaults = dict(zip(names, builder.__defaults__ or ()))
     build = functools.cache(builder)
 
     @functools.wraps(builder)
     def shared(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return [dict(case) for case in build(*bound.args)]
+        values = args + tuple(kwargs.pop(name, defaults[name])
+                              for name in names[len(args):])
+        if len(args) > len(names) or kwargs:
+            raise TypeError(f"{builder.__name__}() takes ({', '.join(names)}): "
+                            f"cannot bind {len(args)} positional arguments "
+                            f"and the keywords {sorted(kwargs)}")
+        return [dict(case) for case in build(*values)]
     return shared
 
 

@@ -25,6 +25,16 @@ class AqError(ValueError):
         self.message, self.line, self.col = message, line, col
 
 
+MAX_ECHO = 40  # characters of input that an error message repeats
+
+
+def echo(text: str) -> str:
+    """`text` quoted for an error message: at most MAX_ECHO characters of
+    it, then the length of a longer one."""
+    more = f"... ({len(text)} characters)" if len(text) > MAX_ECHO else ""
+    return f"{text[:MAX_ECHO]!r}{more}"
+
+
 class FieldError(AqError):
     pass
 
@@ -182,4 +192,4 @@ def field_from_spec(kind: str, characteristic: int = 0) -> Field:
         return QQ
     if kind == "GF":
         return GF(characteristic)
-    raise FieldError(f"unknown field kind {kind!r}")
+    raise FieldError(f"unknown field kind {echo(kind)}")

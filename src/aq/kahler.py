@@ -11,8 +11,6 @@ the same S tensor_R S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .modules import (
     FPModule,
     Matrix,
@@ -32,16 +30,22 @@ class KahlerError(AlgebraError):
     pass
 
 
-@dataclass
 class RelativePresentation:
-    """S = (base R[Y]) / (f), all living in one ambient polynomial ring."""
+    """S = (base R[Y]) / (f), all living in one ambient polynomial ring.
 
-    phi: AlgebraMap
-    algebra: PresentedAlgebra        # S in the relative ambient
-    base_algebra: PresentedAlgebra   # R[Y]: same ambient, source relations only
-    adjoined: tuple[str, ...]        # Y
-    relation_polys: tuple[Polynomial, ...]  # f, in the ambient ring
-    target_renaming: dict[str, str] = dc_field(default_factory=dict)
+    `algebra` is S in the relative ambient, `base_algebra` is R[Y] (the same
+    ambient, source relations only), `adjoined` is Y, `relation_polys` is f
+    in the ambient ring, and `target_renaming` sends each target variable
+    to its name in the ambient (empty when none is renamed).
+    """
+
+    def __init__(self, phi: AlgebraMap, algebra: PresentedAlgebra,
+                 base_algebra: PresentedAlgebra, adjoined: tuple[str, ...],
+                 relation_polys: tuple[Polynomial, ...],
+                 target_renaming: dict[str, str] | None = None):
+        self.phi, self.algebra, self.base_algebra = phi, algebra, base_algebra
+        self.adjoined, self.relation_polys = adjoined, relation_polys
+        self.target_renaming = {} if target_renaming is None else target_renaming
 
     @property
     def ambient(self) -> PolyRing:
@@ -98,7 +102,6 @@ def _relative_presentation(phi: AlgebraMap) -> RelativePresentation:
             base_algebra=base,
             adjoined=adjoined,
             relation_polys=tuple(rels),
-            target_renaming={},
         )
     fresh = fresh_names(tgt.variables, src.variables, "_t")
     renaming = dict(zip(tgt.variables, fresh))
@@ -121,13 +124,13 @@ def _relative_presentation(phi: AlgebraMap) -> RelativePresentation:
     )
 
 
-@dataclass
 class KahlerDifferentials:
     """Presentation of Omega_phi on the symbols d(y), y adjoined."""
 
-    presentation: RelativePresentation
-    module: FPModule
-    jacobian: Matrix  # rows = adjoined, cols = relation polys
+    def __init__(self, presentation: RelativePresentation, module: FPModule,
+                 jacobian: Matrix):
+        self.presentation, self.module = presentation, module
+        self.jacobian = jacobian  # rows = adjoined, cols = relation polys
 
     def dim_at_point(self, target_point: dict) -> int:
         return self.module.dim_at_point(self.presentation.transport_point(target_point))
@@ -227,15 +230,20 @@ def jacobian_chain_rule_holds(psi: AlgebraMap, sigma: AlgebraMap) -> bool:
 # -- towers and exact sequences ---------------------------------------------
 
 
-@dataclass
 class TowerPresentation:
-    """Q -> R -> S with both stages presented in one shared ambient ring."""
+    """Q -> R -> S with both stages presented in one shared ambient ring.
 
-    algebra: PresentedAlgebra            # S
-    mid_adjoined: tuple[str, ...]        # Z: presents R over Q
-    top_adjoined: tuple[str, ...]        # Y: presents S over R
-    mid_relations: tuple[Polynomial, ...]  # g  (R = Q[Z]/(g))
-    top_relations: tuple[Polynomial, ...]  # f  (S = R[Y]/(f))
+    `algebra` is S; R = Q[Z]/(g) and S = R[Y]/(f), with Z `mid_adjoined`,
+    g `mid_relations`, Y `top_adjoined` and f `top_relations`.
+    """
+
+    def __init__(self, algebra: PresentedAlgebra, mid_adjoined: tuple[str, ...],
+                 top_adjoined: tuple[str, ...],
+                 mid_relations: tuple[Polynomial, ...],
+                 top_relations: tuple[Polynomial, ...]):
+        self.algebra = algebra
+        self.mid_adjoined, self.top_adjoined = mid_adjoined, top_adjoined
+        self.mid_relations, self.top_relations = mid_relations, top_relations
 
 
 def tower_presentation(psi: AlgebraMap, phi: AlgebraMap) -> TowerPresentation:
@@ -261,12 +269,12 @@ def tower_presentation(psi: AlgebraMap, phi: AlgebraMap) -> TowerPresentation:
     )
 
 
-@dataclass
 class ExactSequenceReport:
-    maps: dict
-    exact_at_middle: bool
-    surjective_at_right: bool
-    detail: dict
+    def __init__(self, maps: dict, exact_at_middle: bool,
+                 surjective_at_right: bool, detail: dict):
+        self.maps, self.detail = maps, detail
+        self.exact_at_middle = exact_at_middle
+        self.surjective_at_right = surjective_at_right
 
     @property
     def ok(self) -> bool:

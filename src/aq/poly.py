@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 
-from .fields import AqError, Field, FieldError
+from .fields import AqError, Field, FieldError, echo
 from .orders import MonomialOrder, mono_deg, mono_mul
 
 
@@ -91,7 +91,7 @@ class PolyRing:
         try:
             return self._var_index[name]
         except KeyError:
-            raise PolyError(f"unknown variable {name!r}") from None
+            raise PolyError(f"unknown variable {echo(name)}") from None
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -113,7 +113,7 @@ class PolyRing:
         try:
             return self._vars[name]
         except KeyError:
-            raise PolyError(f"unknown variable {name!r}") from None
+            raise PolyError(f"unknown variable {echo(name)}") from None
 
     def monomial(self, expo: tuple[int, ...], coeff=None) -> "Polynomial":
         c = self.field.one() if coeff is None else coeff
@@ -463,7 +463,7 @@ class _PolyParser:
     def expect(self, kind: str):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
+            raise ParseError(f"expected {kind!r}, found {echo(tok[1])}", tok[2], tok[3])
         return tok
 
     def integer(self, tok) -> int:
@@ -484,7 +484,7 @@ class _PolyParser:
         p = self.expr()
         tok = self.peek()
         if tok is not None:
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+            raise ParseError(f"trailing input {echo(tok[1])}", tok[2], tok[3])
         return p
 
     def expr(self) -> Polynomial:
@@ -538,7 +538,7 @@ class _PolyParser:
             return self.ring.from_int(num)
         if tok[0] == "NAME":
             if tok[1] not in self.ring._var_index:
-                raise ParseError(f"unknown variable {tok[1]!r}", tok[2], tok[3])
+                raise ParseError(f"unknown variable {echo(tok[1])}", tok[2], tok[3])
             return self.ring.var(tok[1])
         if tok[0] == "(":
             if self.depth == MAX_NESTING:
@@ -549,7 +549,7 @@ class _PolyParser:
             self.depth -= 1
             self.expect(")")
             return p
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
+        raise ParseError(f"unexpected token {echo(tok[1])}", tok[2], tok[3])
 
 
 def parse_polynomial(src: str, ring: PolyRing, line: int = 1, col0: int = 0) -> Polynomial:

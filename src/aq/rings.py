@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .fields import AqError
+from .fields import AqError, echo
 from .groebner import ideal_groebner, lead_index, vp_normal_form
 from .orders import MonomialOrder
 from .poly import ParseError, Polynomial, PolyRing, _add_terms
@@ -350,15 +350,11 @@ def compose(second: AlgebraMap, first: AlgebraMap) -> AlgebraMap:
 
 
 _SCALAR = re.compile(r"\s*([+-]?)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
-MAX_ECHO = 40  # characters of a bad scalar that its message repeats
 
 
 def _bad_scalar(text: str) -> str:
-    """The message for a bad scalar: at most MAX_ECHO characters of its text,
-    then the length of a longer one."""
-    text = text.strip()
-    more = f"... ({len(text)} characters)" if len(text) > MAX_ECHO else ""
-    return f"bad scalar {text[:MAX_ECHO]!r}{more}"
+    """The message for a bad scalar, its text stripped and echoed."""
+    return f"bad scalar {echo(text.strip())}"
 
 
 def parse_scalar(text: str, field):

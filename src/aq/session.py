@@ -9,10 +9,8 @@ validated, so parsing the canonical lines again gives the same lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classify import PROPERTIES, RING_PROPERTIES
-from .fields import AqError, FieldError, field_from_spec
+from .fields import AqError, FieldError, echo, field_from_spec
 from .orders import MonomialOrder
 from .poly import ParseError, PolyRing, Polynomial, parse_polynomial, stable_str
 from .rings import AlgebraMap, PointError, PresentedAlgebra, _bad_scalar, parse_scalar
@@ -32,11 +30,32 @@ class SessionError(AqError):
         self.exit_code = exit_code
 
 
-@dataclass(frozen=True)
 class TaskDecl:
-    kind: str
-    payload: tuple
-    line: str  # the task's canonical line
+    """One parsed task: its kind, its payload and its canonical line.
+    Read-only, and equal to a task with the same three fields."""
+
+    __slots__ = ("kind", "payload", "line")
+
+    def __init__(self, kind: str, payload: tuple, line: str):
+        for name, value in zip(self.__slots__, (kind, payload, line)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a TaskDecl is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a TaskDecl is read-only: cannot delete {name!r}")
+
+    def _fields(self) -> tuple:
+        return self.kind, self.payload, self.line
+
+    def __eq__(self, other):
+        if type(other) is not TaskDecl:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 class Session:
@@ -80,7 +99,7 @@ class _Cursor:
 
     def expect_end(self):
         if not self.at_end():
-            self.error(f"trailing input {self.text[self.pos:].strip()!r}")
+            self.error(f"trailing input {echo(self.text[self.pos:].strip())}")
 
     def peek(self) -> str:
         self.skip_ws()
@@ -116,7 +135,7 @@ class _Cursor:
         """Read a name that must be a key of `table`."""
         word = self.name(f"{what} name")
         if word not in table:
-            self.error(f"unknown {what} {word!r}", self.word_col)
+            self.error(f"unknown {what} {echo(word)}", self.word_col)
         return word
 
     def integer(self, what: str = "integer") -> int:
@@ -134,7 +153,7 @@ class _Cursor:
     def keyword(self, word: str):
         got = self.name(f"keyword {word!r}")
         if got != word:
-            self.error(f"expected {word!r}, found {got!r}", self.word_col)
+            self.error(f"expected {word!r}, found {echo(got)}", self.word_col)
 
     def bound(self, word: str, what: str) -> int:
         """`word n`, where n above MAX_LEVEL is refused at its column."""
@@ -218,7 +237,7 @@ def _parse_field(cur: _Cursor, session: Session):
             cur.error(str(exc), cur.word_col)
         line = f"field GF {p}"
     else:
-        cur.error(f"unknown field {kind!r}; expected QQ or GF <p>",
+        cur.error(f"unknown field {echo(kind)}; expected QQ or GF <p>",
                   cur.word_col)
     cur.expect_end()
     session.lines.append(line)
@@ -228,7 +247,7 @@ def _new_name(cur: _Cursor, session: Session, what: str) -> str:
     """Read the name a statement declares; it must not be taken yet."""
     name = cur.name(what)
     if name in session.rings or name in session.maps or name in session.points:
-        cur.error(f"name {name!r} already declared", cur.word_col)
+        cur.error(f"name {echo(name)} already declared", cur.word_col)
     return name
 
 
@@ -246,7 +265,7 @@ def _parse_ring(cur: _Cursor, session: Session):
             for piece, pcol in _split_top_commas(inner, inner_col):
                 v = piece.strip()
                 if not v.isidentifier():
-                    cur.error(f"bad variable name {v!r}", pcol)
+                    cur.error(f"bad variable name {echo(v)}", pcol)
                 variables.append(v)
         if len(set(variables)) != len(variables):
             cur.error("duplicate variable names", inner_col)
@@ -255,7 +274,7 @@ def _parse_ring(cur: _Cursor, session: Session):
         line = f"ring {name} = poly({','.join(variables)})"
     else:
         if head not in session.rings:
-            cur.error(f"unknown ring {head!r}", head_col)
+            cur.error(f"unknown ring {echo(head)}", head_col)
         base = session.rings[head]
         cur.take("/")
         inner, inner_col = cur.paren_group()
@@ -290,9 +309,9 @@ def _parse_map(cur: _Cursor, session: Session):
             var, _, expr = piece.partition("->")
             v = var.strip()
             if v not in source.ring._var_index:
-                cur.error(f"{v!r} is not a source variable", pcol)
+                cur.error(f"{echo(v)} is not a source variable", pcol)
             if v in images:
-                cur.error(f"duplicate image for {v!r}", pcol)
+                cur.error(f"duplicate image for {echo(v)}", pcol)
             images[v] = cur.polynomial(expr, target.ring, pcol + len(var) + 2)
     cur.expect_end()
     try:
@@ -323,9 +342,9 @@ def _parse_point(cur: _Cursor, session: Session):
         var, _, val = piece.partition("=")
         v = var.strip()
         if v not in algebra.ring._var_index:
-            cur.error(f"{v!r} is not a variable of {ring_name}", pcol)
+            cur.error(f"{echo(v)} is not a variable of {ring_name}", pcol)
         if v in raw:
-            cur.error(f"duplicate assignment for {v!r}", pcol)
+            cur.error(f"duplicate assignment for {echo(v)}", pcol)
         try:
             raw[v] = parse_scalar(val, session.field)
         except AqError:
@@ -344,7 +363,7 @@ def _parse_point(cur: _Cursor, session: Session):
 def _parse_task(cur: _Cursor, session: Session):
     kind = cur.name("task kind")
     if kind not in VALID_TASKS:
-        cur.error(f"unknown task {kind!r}; valid tasks: "
+        cur.error(f"unknown task {echo(kind)}; valid tasks: "
                   f"{', '.join(VALID_TASKS)}", cur.word_col)
     if kind == "homology":
         map_name = cur.declared(session.maps, "map")
@@ -360,7 +379,7 @@ def _parse_task(cur: _Cursor, session: Session):
             coeff, spec = ("module", "self"), word
         else:
             if word not in session.rings:
-                cur.error(f"unknown coefficient spec {word!r}; expected "
+                cur.error(f"unknown coefficient spec {echo(word)}; expected "
                           "'self', 'residue <point>', or a ring name", ccol)
             if session.rings[word] != session.maps[map_name].target:
                 cur.error("coefficient ring must be the map's target", ccol)
@@ -371,7 +390,7 @@ def _parse_task(cur: _Cursor, session: Session):
     elif kind == "classify":
         prop = cur.name("property")
         if prop not in PROPERTIES:
-            cur.error(f"unknown property {prop!r}; expected one of "
+            cur.error(f"unknown property {echo(prop)}; expected one of "
                       f"{', '.join(PROPERTIES)}", cur.word_col)
         if prop in RING_PROPERTIES:
             subject = cur.declared(session.rings, "ring")
@@ -392,14 +411,14 @@ def _parse_task(cur: _Cursor, session: Session):
     elif kind == "resolve":
         rkind = cur.name("construction")
         if rkind not in RESOLVE_KINDS:
-            cur.error(f"unknown construction {rkind!r}; expected one of "
+            cur.error(f"unknown construction {echo(rkind)}; expected one of "
                       f"{', '.join(RESOLVE_KINDS)}", cur.word_col)
         ring_name = cur.declared(session.rings, "ring")
         algebra = session.rings[ring_name]
         if rkind == "bar":
             detail = cur.name("variable")
             if detail not in algebra.ring._var_index:
-                cur.error(f"{detail!r} is not a variable of {ring_name}",
+                cur.error(f"{echo(detail)} is not a variable of {ring_name}",
                           cur.word_col)
             mid = detail
         else:
@@ -433,7 +452,7 @@ def _check_point_on(cur: _Cursor, session: Session, pt_name: str,
     """The point just read must live on `algebra`."""
     ring_name, _ = session.points[pt_name]
     if session.rings[ring_name] != algebra:
-        cur.error(f"point {pt_name!r} lives on {ring_name}, not on the "
+        cur.error(f"point {echo(pt_name)} lives on {ring_name}, not on the "
                   "task's algebra", cur.word_col)
 
 
@@ -448,7 +467,7 @@ _STATEMENTS = {
 
 def parse_session(text: str, order_name: str = "degrevlex") -> Session:
     if order_name not in ("degrevlex", "lex"):
-        raise SessionError(f"unknown monomial order {order_name!r}")
+        raise SessionError(f"unknown monomial order {echo(order_name)}")
     session = Session(MonomialOrder(order_name))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].rstrip()
@@ -458,7 +477,7 @@ def parse_session(text: str, order_name: str = "degrevlex") -> Session:
         head = cur.name("statement")
         parser = _STATEMENTS.get(head)
         if parser is None:
-            cur.error(f"unknown statement {head!r}; expected one of "
+            cur.error(f"unknown statement {echo(head)}; expected one of "
                       f"{', '.join(sorted(_STATEMENTS))}", cur.word_col)
         parser(cur, session)
     return session

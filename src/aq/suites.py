@@ -22,6 +22,7 @@ from .cotangent import (
     jacobi_zariski_window,
     tor_modules,
 )
+from .fields import echo
 from .kahler import kahler_oracle_via_diagonal, kahler_presentation
 from .modules import (evaluate_matrix, koszul_homology_all_vanish,
                       normalize_matrix)
@@ -207,6 +208,6 @@ SUITES = {
 
 def run_suite(name: str) -> dict:
     if name not in SUITES:
-        raise SuiteError(f"unknown suite {name!r}; available: "
+        raise SuiteError(f"unknown suite {echo(name)}; available: "
                          f"{', '.join(sorted(SUITES))}")
     return SUITES[name]()

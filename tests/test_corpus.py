@@ -43,11 +43,34 @@ def test_two_calls_share_the_algebras_and_maps(name):
 
 
 def test_the_arguments_are_read_with_their_defaults():
-    shared = corpus.random_surjections()[3]["map"]
-    assert corpus.random_surjections(25)[3]["map"] is shared
-    assert corpus.random_surjections(seed=1105)[3]["map"] is shared
-    assert corpus.random_surjections(count=25, seed=1105)[3]["map"] is shared
-    assert corpus.random_surjections(25, 1107)[3]["map"] is not shared
+    """Every shape of a call (none, positional, keyword, mixed) that comes
+    to the same values shares one build; other values build anew."""
+    for builder, count, seed in [(corpus.random_surjections, 25, 1105),
+                                 (corpus.random_base_extensions, 25, 2207)]:
+        shared = _objects(builder()[3])
+        for args, kwargs in [((count,), {}), ((count, seed), {}),
+                             ((), {"count": count}), ((), {"seed": seed}),
+                             ((), {"seed": seed, "count": count}),
+                             ((count,), {"seed": seed})]:
+            case = builder(*args, **kwargs)[3]
+            assert all(case[key] is value for key, value in shared.items())
+        small = _objects(builder(4, seed)[3])
+        assert all(builder(seed=seed, count=4)[3][key] is value
+                   for key, value in small.items())
+        assert all(builder(4, seed + 2)[3][key] is not value
+                   for key, value in small.items())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: corpus.random_surjections(25, 1105, 7),
+    lambda: corpus.random_surjections(size=25),
+    lambda: corpus.random_surjections(25, count=25),
+    lambda: corpus.random_base_extensions(seed=2207, shuffle=True),
+    lambda: corpus.classifier_corpus(1),
+], ids=["too-many", "unknown-keyword", "twice", "one-unknown", "no-parameters"])
+def test_an_argument_a_builder_does_not_take_is_a_type_error(call):
+    with pytest.raises(TypeError, match="cannot bind"):
+        call()
 
 
 @pytest.mark.parametrize("name", CORPUS_BUILDERS)

@@ -7,7 +7,11 @@ from aq.corpus import (algebra, ground, inclusion_from_ground,
                        jacobi_zariski_instances)
 from aq.fields import GF, QQ
 from aq.kahler import (
+    ExactSequenceReport,
+    KahlerDifferentials,
     KahlerError,
+    RelativePresentation,
+    TowerPresentation,
     conormal_sequence,
     derivation_basis_at_point,
     jacobi_zariski_right_exact,
@@ -66,6 +70,38 @@ def test_stated_identity_images_reuse_the_target_presentation(images):
     assert rp.adjoined == ()
     assert [str(f) for f in rp.relation_polys] == ["x - y"]
     assert rp.algebra == C
+
+
+def test_the_presentation_classes_build_by_keyword():
+    C = cusp()
+    phi = inclusion_from_ground(C)
+    rp = relative_presentation(phi)
+    fields = {"phi": phi, "algebra": C, "base_algebra": rp.base_algebra,
+              "adjoined": rp.adjoined, "relation_polys": rp.relation_polys}
+    first, second = RelativePresentation(**fields), RelativePresentation(**fields)
+    assert all(getattr(first, key) is value for key, value in fields.items())
+    # each gets its own empty renaming
+    assert first.target_renaming == second.target_renaming == {}
+    first.target_renaming["x"] = "x_t"
+    assert second.target_renaming == {} and rp.target_renaming == {}
+    renamed = RelativePresentation(**fields, target_renaming={"x": "x_t"})
+    assert renamed.target_renaming == {"x": "x_t"}
+
+    kd = kahler_presentation(phi)
+    built = KahlerDifferentials(presentation=rp, module=kd.module,
+                                jacobian=kd.jacobian)
+    assert (built.presentation, built.module, built.jacobian) == (
+        rp, kd.module, kd.jacobian)
+    tower = TowerPresentation(algebra=C, mid_adjoined=(), top_adjoined=("x", "y"),
+                              mid_relations=(), top_relations=rp.relation_polys)
+    assert (tower.algebra, tower.mid_adjoined, tower.top_adjoined,
+            tower.mid_relations, tower.top_relations) == (
+        C, (), ("x", "y"), (), rp.relation_polys)
+    for middle, right in [(True, True), (True, False), (False, True)]:
+        report = ExactSequenceReport(maps={}, exact_at_middle=middle,
+                                     surjective_at_right=right, detail={"k": 1})
+        assert (report.maps, report.detail) == ({}, {"k": 1})
+        assert report.ok == (middle and right)
 
 
 def test_diagonal_oracle_matches_on_samples():

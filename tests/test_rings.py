@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aq.fields import GF, QQ, FieldError
+from aq.fields import GF, MAX_ECHO, QQ, FieldError
 from aq.groebner import module_groebner
 from aq.orders import MonomialOrder
 from aq.poly import MAX_PRODUCT_WORK, ParseError, PolyError, PolyRing, Polynomial
-from aq.rings import (MAX_ECHO, AlgebraError, AlgebraMap, PointError,
-                      PresentedAlgebra, compose, parse_scalar)
+from aq.rings import (AlgebraError, AlgebraMap, PointError, PresentedAlgebra,
+                      compose, parse_scalar)
 from aq.simplicial import bar_construction
 
 GF5 = GF(5)

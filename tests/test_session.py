@@ -13,11 +13,10 @@ import aq.corpus
 import aq.cotangent
 import aq.simplicial
 from aq.session import (MAX_KOSZUL_ELEMENTS, MAX_LEVEL, SessionError,
-                        parse_session)
+                        TaskDecl, parse_session)
 from aq.cli import main, run_session
-from aq.fields import FieldError
+from aq.fields import MAX_ECHO, FieldError
 from aq.poly import MAX_PRODUCT_WORK
-from aq.rings import MAX_ECHO
 
 
 BASIC = """\
@@ -79,6 +78,23 @@ def test_comments_and_blank_lines_are_skipped():
 def test_names_may_contain_dashes():
     s = parse_session("field QQ\nring R = poly(x)\ntask check five-term\n")
     assert s.tasks()[0].payload == ("five-term",)
+
+
+def test_a_task_is_read_only_and_compared_by_value():
+    task, = parse_session("field QQ\ntask check five-term\n").tasks()
+    again, = parse_session("field QQ\ntask check  five-term # again\n").tasks()
+    assert (task.kind, task.payload, task.line) == (
+        "check", ("five-term",), "task check five-term")
+    assert task == again and hash(task) == hash(again) and task is not again
+    assert task != TaskDecl("check", ("koszul-depth",), "task check koszul-depth")
+    assert task != ("check", ("five-term",), "task check five-term")
+    with pytest.raises(AttributeError, match="read-only"):
+        task.kind = "classify"
+    with pytest.raises(AttributeError, match="read-only"):
+        task.extra = 1
+    with pytest.raises(AttributeError, match="read-only"):
+        del task.line
+    assert task == again and {task, again} == {task}
 
 
 # -- parse errors carry position and exit code ------------------------------------
@@ -278,6 +294,23 @@ def test_an_overlong_point_value_is_echoed_in_part():
     assert e.message.startswith("bad scalar '" + LONG[:MAX_ECHO] + "'...")
     assert f"({len(LONG)} characters)" in e.message
     assert len(str(e)) < 2 * MAX_ECHO + 60
+
+
+WORD = "x" * 5000
+
+
+@pytest.mark.parametrize("text, word, line, col, message", [
+    ("field QQ\n" + WORD, WORD, 2, 1, "unknown statement"),
+    (HOSTILE_HEAD + "ring Q = poly(x) " + WORD, WORD, 3, 18, "trailing input"),
+    (HOSTILE_HEAD + f"ring C = P/(x - y{WORD})", "y" + WORD, 3, 17,
+     "unknown variable"),
+], ids=["statement", "tail", "variable"])
+def test_an_overlong_word_is_echoed_in_part(text, word, line, col, message):
+    e = err(text)
+    assert e.exit_code == 1 and (e.line, e.col) == (line, col)
+    assert e.message.startswith(f"{message} '{word[:MAX_ECHO]}'... "
+                                f"({len(word)} characters)")
+    assert len(str(e)) < 3 * MAX_ECHO + 60
 
 
 @pytest.mark.parametrize("line", [
