@@ -46,11 +46,10 @@ from .modules import (
     evaluate_matrix,
     koszul_columns,
     koszul_homology_all_vanish,
-    matrix_columns,
-    matrix_from_columns,
     matrix_to_json,
     present_subquotient,
     syzygies,
+    transpose,
 )
 from .poly import Polynomial, fresh_names
 from .rings import AlgebraError, AlgebraMap, Point, PresentedAlgebra, compose
@@ -163,7 +162,7 @@ def _column_complex(algebra: PresentedAlgebra, *stages) -> FreeComplex:
     for n, columns in enumerate(stages, start=1):
         ranks[n] = len(columns)
         if columns:
-            diffs[n] = matrix_from_columns(columns, ranks[n - 1])
+            diffs[n] = columns
     return FreeComplex(algebra, ranks, diffs)
 
 
@@ -239,9 +238,9 @@ def _build_trunc2(phi: AlgebraMap) -> CotangentComplexTrunc:
     if g and m:
         diffs[1] = jacobian_matrix(rp)
     if m and s:
-        diffs[2] = matrix_from_columns(data.syzygy_vectors, m)
+        diffs[2] = data.syzygy_vectors
     if top:
-        diffs[3] = matrix_from_columns(top, s)
+        diffs[3] = top
     return CotangentComplexTrunc(phi, MODE_TRUNC2, FreeComplex(S, ranks, diffs),
                                  {"stages": data}, cutoff=2)
 
@@ -270,7 +269,7 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise) -> CotangentComplexTr
     """Alternating sums of face Jacobians over the augmentation, in degrees
     0..max_level of the extension (reliable through max_level - 1).
 
-    The entry in row w, column x of the degree-n differential is
+    The entry in row w of column x of the degree-n differential is
     d/dw of sum_i (-1)^i d_i(x), pushed to the augmentation.  The sum is
     formed once per column and differentiated once per row: by linearity
     this is the alternating sum of the face Jacobians.
@@ -304,7 +303,7 @@ def cotangent_from_resolution(ext: FreeExtensionLevelwise) -> CotangentComplexTr
             for i, face in enumerate(faces):
                 acc = acc + face.images[x] if i % 2 == 0 else acc - face.images[x]
             sums.append(acc)
-        diffs[n] = [[push.apply(acc.derivative(w)) for acc in sums] for w in rows]
+        diffs[n] = [[push.apply(acc.derivative(w)) for w in rows] for acc in sums]
     phi = AlgebraMap(ext.base, aug, {})
     return CotangentComplexTrunc(phi, MODE_RESOLUTION,
                                  FreeComplex(aug, ranks, diffs), {}, cutoff=cutoff)
@@ -322,17 +321,18 @@ def hypersurface_rank_table(n: int) -> int:
 
 def hypersurface_closed_form_differential(algebra: PresentedAlgebra,
                                           n: int) -> Matrix:
-    """The (n-1) x n matrix with partial alternating-sum entries."""
+    """The (n-1) x n matrix with partial alternating-sum entries, as its n
+    columns."""
     if n < 1:
         raise CotangentError("closed form needs n >= 1")
     ring = algebra.ring
-    matrix = [[ring.zero() for _ in range(n)] for _ in range(n - 1)]
+    columns = [[ring.zero() for _ in range(n - 1)] for _ in range(n)]
     for k in range(n):
         if k >= 1:
-            matrix[k - 1][k] = ring.from_int(epsilon_entry(0, k))
+            columns[k][k - 1] = ring.from_int(epsilon_entry(0, k))
         if k <= n - 2:
-            matrix[k][k] = ring.from_int(epsilon_entry(k + 1, n))
-    return matrix
+            columns[k][k] = ring.from_int(epsilon_entry(k + 1, n))
+    return columns
 
 
 def _each_point(points: list, row) -> tuple[bool, list[dict]]:
@@ -396,8 +396,8 @@ class HomologyReport:
             if "module" in e:
                 mod = e["module"]
                 row["generators"] = mod.gens
-                row["presentation-matrix"] = matrix_to_json(
-                    mod.presentation_matrix())
+                row["presentation-matrix"] = matrix_to_json(mod.relations,
+                                                            mod.gens)
                 free = mod.free_rank()
                 if free is not None:
                     row["free-rank"] = free
@@ -483,7 +483,7 @@ def _hom_dual_complex(fc: FreeComplex) -> tuple[FreeComplex, int]:
         n = top - i + 1
         if fc.rank(n) == 0 or fc.rank(n - 1) == 0:
             continue
-        diffs[i] = matrix_columns(fc.differential(n))
+        diffs[i] = transpose(fc.differential(n), fc.rank(n - 1))
     return FreeComplex(fc.algebra, ranks, diffs), top
 
 

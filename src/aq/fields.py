@@ -28,11 +28,13 @@ class AqError(ValueError):
 MAX_ECHO = 40  # characters of input that an error message repeats
 
 
-def echo(text: str) -> str:
-    """`text` quoted for an error message: at most MAX_ECHO characters of
-    it, then the length of a longer one."""
+def echo(text: str, quote: bool = True) -> str:
+    """`text` for an error message: at most MAX_ECHO characters of it,
+    quoted unless `quote` is false (a declared name, a repr), then the
+    length of a longer one."""
     more = f"... ({len(text)} characters)" if len(text) > MAX_ECHO else ""
-    return f"{text[:MAX_ECHO]!r}{more}"
+    head = text[:MAX_ECHO]
+    return f"{head!r}{more}" if quote else head + more
 
 
 class FieldError(AqError):

@@ -15,11 +15,11 @@ from .modules import (
     FPModule,
     Matrix,
     evaluate_matrix,
-    matrix_columns,
-    matrix_from_columns,
     matrix_product,
+    matrix_to_json,
     span_contains,
     syzygies,
+    transpose,
 )
 from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, Point, PresentedAlgebra, compose
@@ -130,16 +130,16 @@ class KahlerDifferentials:
     def __init__(self, presentation: RelativePresentation, module: FPModule,
                  jacobian: Matrix):
         self.presentation, self.module = presentation, module
-        self.jacobian = jacobian  # rows = adjoined, cols = relation polys
+        self.jacobian = jacobian  # one column d(f) per relation f
 
     def dim_at_point(self, target_point: dict) -> int:
         return self.module.dim_at_point(self.presentation.transport_point(target_point))
 
 
 def jacobian(algebra: PresentedAlgebra, polys, variables) -> Matrix:
-    """One row per variable v, one column per p: the normal form of dp/dv."""
-    return [[algebra.normal_form(p.derivative(v)) for p in polys]
-            for v in variables]
+    """One column per p, one entry per variable v: the normal form of dp/dv."""
+    return [[algebra.normal_form(p.derivative(v)) for v in variables]
+            for p in polys]
 
 
 def jacobian_matrix(rp: RelativePresentation) -> Matrix:
@@ -155,7 +155,7 @@ def kahler_presentation(phi: AlgebraMap) -> KahlerDifferentials:
 def _kahler_presentation(phi: AlgebraMap) -> KahlerDifferentials:
     rp = relative_presentation(phi)
     jac = jacobian_matrix(rp)
-    module = FPModule(rp.algebra, rp.num_adjoined(), matrix_columns(jac))
+    module = FPModule(rp.algebra, rp.num_adjoined(), jac)
     return KahlerDifferentials(presentation=rp, module=module, jacobian=jac)
 
 
@@ -204,8 +204,8 @@ def _kahler_oracle_via_diagonal(phi: AlgebraMap):
 
 def jacobian_of_map(psi: AlgebraMap, base) -> Matrix:
     """Jacobian of a map of polynomial algebras relative to the variables
-    in `base`: rows are the target's other variables, columns the partials
-    of the images of the source's other variables."""
+    in `base`: one column per other variable of the source, the partials
+    of its image along the target's other variables."""
     own = [y for y in psi.source.variables if y not in base]
     return jacobian(psi.target, [psi.images[y] for y in own],
                     [v for v in psi.target.variables if v not in base])
@@ -220,10 +220,10 @@ def jacobian_chain_rule_holds(psi: AlgebraMap, sigma: AlgebraMap) -> bool:
             if all(v in f.target.ring._var_index
                    and f.images[v] == f.target.ring.var(v)
                    for f in (psi, composed))]
-    pushed = [[sigma.apply(p) for p in row]
-              for row in jacobian_of_map(psi, base)]
+    pushed = [[sigma.apply(p) for p in col]
+              for col in jacobian_of_map(psi, base)]
     product = matrix_product(sigma.target, jacobian_of_map(sigma, base),
-                             pushed, len(psi.source.variables) - len(base))
+                             pushed, len(sigma.target.variables) - len(base))
     return product == jacobian_of_map(composed, base)
 
 
@@ -290,42 +290,39 @@ def jacobi_zariski_right_exact(psi: AlgebraMap, phi: AlgebraMap) -> ExactSequenc
     g, f = tower.mid_relations, tower.top_relations
     nz, ny = len(Z), len(Y)
     # presentations: Omega_psi ox S on dZ; Omega_{phi psi} on dZ+dY; Omega_phi on dY
-    omega_mid = FPModule(S, nz, matrix_columns(jacobian(S, g, Z)))
-    omega_comp = FPModule(S, nz + ny, matrix_columns(
-        jacobian(S, list(g) + list(f), list(Z) + list(Y))))
-    omega_top = FPModule(S, ny, matrix_columns(jacobian(S, f, Y)))
+    omega_mid = FPModule(S, nz, jacobian(S, g, Z))
+    omega_comp = FPModule(S, nz + ny,
+                          jacobian(S, list(g) + list(f), list(Z) + list(Y)))
+    omega_top = FPModule(S, ny, jacobian(S, f, Y))
     zero = S.ring.zero()
     one = S.ring.one()
     # alpha: dz -> dz (inclusion); beta: dz -> d_phi(z) = 0, dy -> dy.
     # The columns of alpha and the rows of beta are unit vectors.
     units = linalg.unit_vectors(zero, one, nz + ny)
-    alpha_cols, beta = units[:nz], units[nz:]
+    alpha_cols, beta = units[:nz], transpose(units[nz:], nz + ny)
     # surjectivity: every generator dy of Omega_phi is hit
     if ny == 0:
         surj = True
     else:
-        hits = matrix_columns(beta) + omega_top.relations
+        hits = beta + omega_top.relations
         surj = span_contains(S, ny, hits, linalg.unit_vectors(zero, one, ny))
     # exactness at the middle
     if ny == 0:
         ker_beta = linalg.unit_vectors(zero, one, nz)
     else:
-        ker_beta = syzygies(matrix_columns(beta), ny, S,
-                            untracked=omega_top.relations)
+        ker_beta = syzygies(beta, ny, S, untracked=omega_top.relations)
     middle_haystack = alpha_cols + omega_comp.relations
     ker_in_im = span_contains(S, nz + ny, middle_haystack, ker_beta)
     if ny == 0:
         beta_alpha_zero = True
     else:
-        beta_alpha = matrix_columns(matrix_product(
-            S, beta, matrix_from_columns(alpha_cols, nz + ny)))
-        beta_alpha_zero = span_contains(
-            S, ny, omega_top.relations or [[zero] * ny], beta_alpha
-        )
+        beta_alpha = matrix_product(S, beta, alpha_cols)
+        beta_alpha_zero = span_contains(S, ny, omega_top.relations,
+                                        beta_alpha)
     return ExactSequenceReport(
         maps={
             "alpha_columns": [[str(p) for p in c] for c in alpha_cols],
-            "beta": [[str(p) for p in row] for row in beta],
+            "beta": matrix_to_json(beta, ny),
         },
         exact_at_middle=ker_in_im and beta_alpha_zero,
         surjective_at_right=surj,
@@ -356,13 +353,11 @@ def conormal_sequence(psi: AlgebraMap, ideal_gens) -> ExactSequenceReport:
     conormal = FPModule(S, len(lifted), syzygies(
         [[fi] for fi in lifted], 1, rp1.algebra, untracked=squares))
     g_mid = rp1.relation_polys
-    omega_mid = FPModule(S, nz, matrix_columns(jacobian(S, g_mid, Z)))
+    omega_mid = FPModule(S, nz, jacobian(S, g_mid, Z))
     # zeta: class of f_i -> d_psi(f_i), one (possibly empty) column per f_i;
     # alpha: identity on the dz generators, whose columns are the unit vectors
-    zeta_cols = (matrix_columns(jacobian(S, lifted, Z)) if Z
-                 else [[] for _ in lifted])
-    omega_comp = FPModule(S, nz, matrix_columns(
-        jacobian(S, list(g_mid) + lifted, Z)))
+    zeta_cols = jacobian(S, lifted, Z)
+    omega_comp = FPModule(S, nz, jacobian(S, list(g_mid) + lifted, Z))
     zero = S.ring.zero()
     one = S.ring.one()
     alpha = linalg.unit_vectors(zero, one, nz)
@@ -375,12 +370,9 @@ def conormal_sequence(psi: AlgebraMap, ideal_gens) -> ExactSequenceReport:
         surj = span_contains(S, nz, alpha + omega_comp.relations, alpha)
         ker_alpha = syzygies(alpha, nz, S, untracked=omega_comp.relations)
         middle = span_contains(S, nz, zeta_cols + omega_mid.relations, ker_alpha)
-        # relations of I/I^2 must map into the relations of Omega_mid; the
-        # rows of zeta_cols, read as a matrix, are the images of the f_i
-        images = matrix_product(S, conormal.relations, zeta_cols)
-        well_defined = span_contains(
-            S, nz, omega_mid.relations or [[zero] * nz], images
-        )
+        # relations of I/I^2 must map into the relations of Omega_mid
+        images = matrix_product(S, zeta_cols, conormal.relations)
+        well_defined = span_contains(S, nz, omega_mid.relations, images)
     return ExactSequenceReport(
         maps={"zeta_columns": [[str(p) for p in c] for c in zeta_cols]},
         exact_at_middle=middle and well_defined,
@@ -404,9 +396,10 @@ def derivation_basis_at_point(phi: AlgebraMap, target_point: dict):
     rp = kd.presentation
     pt = rp.transport_point(target_point)
     field = rp.algebra.field
-    jac = evaluate_matrix(kd.jacobian, pt)
-    # relations: J^T v = 0 where v assigns a value to each dy
-    return kd, linalg.nullspace(field, matrix_columns(jac), rp.num_adjoined())
+    # relations: J^T v = 0 where v assigns a value to each dy; the columns
+    # of J are the rows of J^T
+    return kd, linalg.nullspace(field, evaluate_matrix(kd.jacobian, pt),
+                                rp.num_adjoined())
 
 
 def derivation_value(kd: KahlerDifferentials, values, element, target_point: dict):

@@ -41,16 +41,6 @@ def mat_mul(field: Field, a, b):
     return out
 
 
-def mat_vec(field: Field, m, v):
-    out = []
-    for row in m:
-        s = field.zero()
-        for a, x in zip(row, v):
-            s = field.add(s, field.mul(a, x))
-        out.append(s)
-    return out
-
-
 def rref(field: Field, matrix):
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
     m = mat_copy(matrix)
@@ -108,7 +98,3 @@ def nullspace(field: Field, matrix, cols: int | None = None):
         basis.append(v)
     return basis
 
-
-def intersect_nullspaces(field: Field, matrices, cols: int):
-    """Basis of the intersection of the kernels of several matrices."""
-    return nullspace(field, [row for m in matrices for row in m], cols)

@@ -1,7 +1,8 @@
 """Finitely presented modules, free complexes, and their homology.
 
-Matrices over a presented algebra are lists of rows of ambient
-polynomials acting on column vectors, and vectors are dense lists.
+Vectors are dense lists, and a matrix over a presented algebra is the
+list of its columns: column j, a vector, is the image of the j-th source
+basis vector.  Only `matrix_to_json` writes rows.
 Syzygies, with some vectors untracked where only the coefficients of the
 others are read, are one elimination in groebner.py per call; nothing is
 kept between calls.  The homology of a free complex C with coefficients
@@ -24,7 +25,7 @@ from .groebner import SubmoduleEngine, vp_lead
 from .poly import Polynomial
 from .rings import AlgebraError, PresentedAlgebra
 
-Matrix = list  # list of rows of Polynomial
+Matrix = list  # list of columns of Polynomial
 
 
 class ModuleError(AlgebraError):
@@ -34,64 +35,53 @@ class ModuleError(AlgebraError):
 # -- matrix helpers ------------------------------------------------------
 
 
-def matrix_shape(m: Matrix) -> tuple[int, int]:
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    return rows, cols
-
-
-def zero_poly_matrix(algebra: PresentedAlgebra, rows: int, cols: int) -> Matrix:
-    z = algebra.ring.zero()
-    return [[z] * cols for _ in range(rows)]
-
-
 def normalize_matrix(algebra: PresentedAlgebra, m: Matrix) -> Matrix:
-    return [[algebra.normal_form(entry) for entry in row] for row in m]
+    return [[algebra.normal_form(entry) for entry in col] for col in m]
 
 
 def matrix_product(algebra: PresentedAlgebra, a: Matrix, b: Matrix,
-                   cols: int | None = None) -> Matrix:
-    """a . b in normal forms, multiplying only pairs of nonzero entries.
+                   rows: int | None = None) -> Matrix:
+    """a . b in normal forms, multiplying only pairs of nonzero entries:
+    column j is the sum over k of b[j][k] * a[k].
 
-    `cols` is the column count of b, read from b unless b has no rows; a b
-    without rows gives the len(a) x cols zero matrix.
+    `rows` is the length of a's columns, read from a unless a has no
+    columns; an a without columns gives len(b) zero columns of that length.
     """
-    if cols is None:
-        cols = len(b[0]) if b else 0
+    if rows is None:
+        rows = len(a[0]) if a else 0
     zero = algebra.ring.zero()
-    b_rows = [[(j, p) for j, p in enumerate(row) if not p.is_zero()]
-              for row in b]
+    a_cols = [[(i, p) for i, p in enumerate(col) if not p.is_zero()]
+              for col in a]
     out = []
-    for row in a:
+    for col in b:
         acc = {}
-        for k, p in enumerate(row):
-            if p.is_zero():
+        for k, q in enumerate(col):
+            if q.is_zero():
                 continue
-            for j, q in b_rows[k]:
-                acc[j] = acc[j] + p * q if j in acc else p * q
-        out_row = [zero] * cols
-        for j, s in acc.items():
-            out_row[j] = algebra.normal_form(s)
-        out.append(out_row)
+            for i, p in a_cols[k]:
+                acc[i] = acc[i] + p * q if i in acc else p * q
+        out_col = [zero] * rows
+        for i, s in acc.items():
+            out_col[i] = algebra.normal_form(s)
+        out.append(out_col)
     return out
 
 
-def matrix_columns(m: Matrix) -> list[list[Polynomial]]:
-    rows, cols = matrix_shape(m)
-    return [[m[i][j] for i in range(rows)] for j in range(cols)]
-
-
-def matrix_from_columns(cols: list[list[Polynomial]], rows: int) -> Matrix:
-    return [[col[i] for col in cols] for i in range(rows)]
+def transpose(vectors, length: int) -> list:
+    """The `length` lists whose i-th entries are the vectors' i-th
+    entries: the rows of a matrix from its columns, or the reverse."""
+    return [[v[i] for v in vectors] for i in range(length)]
 
 
 def evaluate_matrix(m: Matrix, point: dict):
     """Entries evaluated at a point: a matrix over the coefficient field."""
-    return [[entry.evaluate(point) for entry in row] for row in m]
+    return [[entry.evaluate(point) for entry in col] for col in m]
 
 
-def matrix_to_json(m: Matrix) -> list:
-    return [[str(entry) for entry in row] for row in m]
+def matrix_to_json(m: Matrix, rows: int) -> list:
+    """The matrix row by row, each entry a string; `rows` is the length of
+    its columns."""
+    return [[str(entry) for entry in row] for row in transpose(m, rows)]
 
 
 def dense_to_vp(vec: list[Polynomial]):
@@ -192,10 +182,6 @@ class FPModule:
         cols = evaluate_matrix(self.relations, pt)
         return self.gens - linalg.rank(self.algebra.field, cols)
 
-    def presentation_matrix(self) -> Matrix:
-        """gens x (#relations) matrix whose columns are the relations."""
-        return matrix_from_columns(self.relations, self.gens)
-
     def to_json(self) -> dict:
         return {
             "generators": self.gens,
@@ -225,7 +211,9 @@ def present_subquotient(algebra, ambient_rank, numerators, denominators) -> FPMo
 class FreeComplex:
     """Bounded complex of free modules; diffs[n] maps degree n to n-1.
 
-    dd = 0 is checked on construction.
+    diffs[n] is the list of its rank(n) columns, each of length
+    rank(n - 1): column j is the image of the j-th basis vector of degree
+    n.  dd = 0 is checked on construction.
     """
 
     def __init__(self, algebra: PresentedAlgebra, ranks: dict[int, int],
@@ -235,11 +223,12 @@ class FreeComplex:
         self.diffs = {}
         for n, m in diffs.items():
             mat = normalize_matrix(algebra, m)
-            rows, cols = matrix_shape(mat)
-            if rows != self.rank(n - 1) or cols != self.rank(n):
+            want = self.rank(n - 1)
+            rows = next((len(col) for col in mat if len(col) != want), want)
+            if rows != want or len(mat) != self.rank(n):
                 raise ModuleError(
-                    f"differential {n} has shape {rows}x{cols}, expected "
-                    f"{self.rank(n - 1)}x{self.rank(n)}"
+                    f"differential {n} has shape {rows}x{len(mat)}, expected "
+                    f"{want}x{self.rank(n)}"
                 )
             self.diffs[n] = mat
         self.check_dd_zero()
@@ -256,7 +245,8 @@ class FreeComplex:
     def differential(self, n: int) -> Matrix:
         if n in self.diffs:
             return self.diffs[n]
-        return zero_poly_matrix(self.algebra, self.rank(n - 1), self.rank(n))
+        return [[self.algebra.ring.zero()] * self.rank(n - 1)
+                for _ in range(self.rank(n))]
 
     def check_dd_zero(self):
         for n in list(self.diffs):
@@ -264,10 +254,12 @@ class FreeComplex:
                 continue
             product = matrix_product(self.algebra, self.differential(n),
                                      self.differential(n + 1))
-            for i, row in enumerate(product):
-                for j, entry in enumerate(row):
-                    if not entry.is_zero():
-                        raise ModuleError(f"d_{n} . d_{n + 1} != 0 at entry ({i},{j})")
+            nonzero = [(i, j) for j, col in enumerate(product)
+                       for i, entry in enumerate(col) if not entry.is_zero()]
+            if nonzero:
+                # the first in row-by-row order
+                i, j = min(nonzero)
+                raise ModuleError(f"d_{n} . d_{n + 1} != 0 at entry ({i},{j})")
 
     def homology(self, n: int, coefficients: FPModule | None = None) -> FPModule:
         """H_n(C tensor N) = ker(d_n tensor N)/im(d_{n+1} tensor N).
@@ -304,12 +296,11 @@ class FreeComplex:
 
         def tensored_columns(k: int):
             """Columns of d_k tensor id_N."""
-            mat = self.differential(k)
             cols = []
-            for j in range(self.rank(k)):
+            for column in self.differential(k):
                 for t in range(g):
                     col = [zero] * (self.rank(k - 1) * g)
-                    col[t::g] = [row[j] for row in mat]
+                    col[t::g] = column
                     cols.append(col)
             return cols
 
@@ -353,7 +344,7 @@ class FreeComplex:
             "ring": self.algebra.to_json(),
             "ranks": {str(n): r for n, r in sorted(self.ranks.items())},
             "differentials": {
-                str(n): matrix_to_json(self.differential(n))
+                str(n): matrix_to_json(self.differential(n), self.rank(n - 1))
                 for n in sorted(self.diffs)
             },
         }
@@ -375,9 +366,7 @@ def koszul_complex(algebra: PresentedAlgebra, elements) -> FreeComplex:
         elems.append(algebra.normal_form(e))
     c = len(elems)
     ranks = {n: comb(c, n) for n in range(c + 1)}
-    diffs = {n: matrix_from_columns(koszul_columns(algebra.ring, elems, n),
-                                    ranks[n - 1])
-             for n in range(1, c + 1)}
+    diffs = {n: koszul_columns(algebra.ring, elems, n) for n in range(1, c + 1)}
     return FreeComplex(algebra, ranks, diffs)
 
 

@@ -171,7 +171,7 @@ class PresentedAlgebra:
         field = self.field
         for v in self.variables:
             if v not in assignments:
-                raise PointError(f"point does not assign variable {v!r}")
+                raise PointError(f"point does not assign variable {echo(v)}")
             val = assignments[v]
             if isinstance(val, int) and not isinstance(val, bool):
                 val = field.from_int(val)
@@ -180,7 +180,8 @@ class PresentedAlgebra:
             elif isinstance(val, Fraction) and field.characteristic == 0:
                 val = field.fraction(val.numerator, val.denominator)
             else:
-                raise PointError(f"value of {v!r} is not a scalar of {field}: {val!r}")
+                raise PointError(f"value of {echo(v)} is not a scalar of "
+                                 f"{field}: {echo(repr(val), quote=False)}")
             parsed.append(val)
         point = Point(zip(self.variables, parsed))
         point.algebra = self

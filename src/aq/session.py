@@ -342,7 +342,8 @@ def _parse_point(cur: _Cursor, session: Session):
         var, _, val = piece.partition("=")
         v = var.strip()
         if v not in algebra.ring._var_index:
-            cur.error(f"{echo(v)} is not a variable of {ring_name}", pcol)
+            cur.error(f"{echo(v)} is not a variable of "
+                      f"{echo(ring_name, quote=False)}", pcol)
         if v in raw:
             cur.error(f"duplicate assignment for {echo(v)}", pcol)
         try:
@@ -418,8 +419,8 @@ def _parse_task(cur: _Cursor, session: Session):
         if rkind == "bar":
             detail = cur.name("variable")
             if detail not in algebra.ring._var_index:
-                cur.error(f"{echo(detail)} is not a variable of {ring_name}",
-                          cur.word_col)
+                cur.error(f"{echo(detail)} is not a variable of "
+                          f"{echo(ring_name, quote=False)}", cur.word_col)
             mid = detail
         else:
             inner, inner_col = cur.paren_group()
@@ -452,8 +453,9 @@ def _check_point_on(cur: _Cursor, session: Session, pt_name: str,
     """The point just read must live on `algebra`."""
     ring_name, _ = session.points[pt_name]
     if session.rings[ring_name] != algebra:
-        cur.error(f"point {echo(pt_name)} lives on {ring_name}, not on the "
-                  "task's algebra", cur.word_col)
+        cur.error(f"point {echo(pt_name)} lives on "
+                  f"{echo(ring_name, quote=False)}, not on the task's algebra",
+                  cur.word_col)
 
 
 _STATEMENTS = {

@@ -35,11 +35,12 @@ must agree (Dold-Kan), which is the main structural self-check.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from . import linalg
 from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra
-from .modules import FPModule, koszul_complex, matrix_columns
+from .modules import FPModule, koszul_complex, transpose
 
 
 class SimplicialError(AlgebraError):
@@ -648,28 +649,19 @@ class SimplicialModuleFR:
     # three homology computations that must agree
 
     def moore_homology_dims(self, up_to: int):
+        """N_n is the meet of the kernels of d_1..d_n, with differential d_0.
+        With K_n those faces stacked, dim N_n = dim C_n - rank(K_n) and d_0
+        has rank rank(d_0..d_n stacked) - rank(K_n) on N_n."""
         F = self.field
-        basis = {}
-        for n in range(0, min(up_to + 1, self.max_level) + 1):
-            if n == 0:
-                basis[0] = linalg.unit_vectors(F.zero(), F.one(), self.dims[0])
-            else:
-                mats = [self.operators[("d", n, i)] for i in range(1, n + 1)]
-                basis[n] = linalg.intersect_nullspaces(F, mats, self.dims[n])
-        dims = {}
-        for n in range(0, up_to + 1):
-            if n + 1 not in basis:
-                break
-            bn, bn1 = basis[n], basis[n + 1]
-            if n == 0:
-                knd = len(bn)
-            else:
-                d0b = [linalg.mat_vec(F, self.operators[("d", n, 0)], v) for v in bn]
-                knd = len(bn) - linalg.rank(F, d0b)
-            d0b1 = [linalg.mat_vec(F, self.operators[("d", n + 1, 0)], v) for v in bn1]
-            img = linalg.rank(F, d0b1)
-            dims[n] = knd - img
-        return dims
+
+        @cache
+        def faces_rank(n, first):
+            return linalg.rank(F, [row for i in range(first, n + 1)
+                                   for row in self.operators[("d", n, i)]])
+
+        return self._homology_dims(
+            up_to, lambda n: self.dims[n] - faces_rank(n, 1),
+            lambda n: faces_rank(n, 0) - faces_rank(n, 1))
 
     def alternating_differential(self, n: int):
         """d_0 - d_1 + ... + (-1)^n d_n out of level n."""
@@ -703,12 +695,13 @@ class SimplicialModuleFR:
         F = self.field
         # D_n as a list of vectors; no level below the top needs the top's
         degenerate = [[col for j in range(n)
-                       for col in matrix_columns(self.operators[("s", n - 1, j)])]
+                       for col in transpose(self.operators[("s", n - 1, j)],
+                                            self.dims[n - 1])]
                       for n in range(self.max_level)]
         rank_d = [linalg.rank(F, d) for d in degenerate]
 
         def induced_rank(n):
-            cols = matrix_columns(self.alternating_differential(n))
+            cols = transpose(self.alternating_differential(n), self.dims[n])
             return linalg.rank(F, cols + degenerate[n - 1]) - rank_d[n - 1]
 
         return self._homology_dims(up_to, lambda n: self.dims[n] - rank_d[n],

@@ -115,9 +115,10 @@ def test_closed_form_differentials_square_to_zero():
     for n in range(2, 7):
         a = hypersurface_closed_form_differential(S, n)
         b = hypersurface_closed_form_differential(S, n + 1)
-        prod = [[sum((a[i][k] * b[k][j] for k in range(len(b))), S.ring.zero())
-                 for j in range(len(b[0]))] for i in range(len(a))]
-        assert all(S.normal_form(e).is_zero() for row in prod for e in row)
+        # column j of a . b is the sum over k of b[j][k] * a[k]
+        prod = [[sum((b[j][k] * a[k][i] for k in range(len(a))), S.ring.zero())
+                 for i in range(len(a[0]))] for j in range(len(b))]
+        assert all(S.normal_form(e).is_zero() for col in prod for e in col)
 
 
 def test_resolution_complex_applies_once_per_entry(monkeypatch):

@@ -20,6 +20,7 @@ from aq.modules import (
     present_subquotient,
     span_contains,
     syzygies,
+    transpose,
 )
 from aq.orders import MonomialOrder
 from aq.poly import Polynomial, PolyRing
@@ -55,7 +56,8 @@ def test_nullspace_vectors_annihilate():
     basis = linalg.nullspace(QQ, m)
     assert len(basis) == 2  # rank 1, three columns
     for v in basis:
-        assert all(QQ.is_zero(e) for e in linalg.mat_vec(QQ, m, v))
+        assert all(QQ.is_zero(e) for row in linalg.mat_mul(QQ, m, [[x] for x in v])
+                   for e in row)
 
 
 @settings(max_examples=50, deadline=None)
@@ -136,13 +138,14 @@ def test_differential_composition_enforced():
     A = plane()
     cases = [
         ([["1"]], [["1"]], "(0,0)"),
-        # the first nonzero entry of d_1 . d_2 = [[0, y]], row by row
-        ([["x", "y"]], [["y", "0"], ["-x", "1"]], "(0,1)"),
+        # the first nonzero entry of d_1 . d_2 = [[0, y]], row by row; the
+        # matrices are given by their columns
+        ([["x"], ["y"]], [["y", "-x"], ["0", "1"]], "(0,1)"),
     ]
     for d1, d2, entry in cases:
-        diffs = {n: [[A.poly(e) for e in row] for row in m]
+        diffs = {n: [[A.poly(e) for e in col] for col in m]
                  for n, m in ((1, d1), (2, d2))}
-        ranks = {0: len(d1), 1: len(d2), 2: len(d2[0])}
+        ranks = {0: len(d1[0]), 1: len(d2[0]), 2: len(d2)}
         with pytest.raises(ModuleError) as exc:
             FreeComplex(A, ranks, diffs)
         assert str(exc.value) == f"d_1 . d_2 != 0 at entry {entry}"
@@ -162,8 +165,8 @@ def test_dd_check_multiplies_only_nonzero_pairs(monkeypatch):
     pairs = 0
     for n in range(1, kc.max_degree()):
         a, b = kc.differential(n), kc.differential(n + 1)
-        pairs += sum(1 for row in a for k, p in enumerate(row)
-                     if not p.is_zero() for e in b[k] if not e.is_zero())
+        pairs += sum(1 for col in b for k, q in enumerate(col)
+                     if not q.is_zero() for e in a[k] if not e.is_zero())
     products = []
     real = Polynomial.__mul__
 
@@ -178,12 +181,26 @@ def test_dd_check_multiplies_only_nonzero_pairs(monkeypatch):
 
 def test_matrix_product_in_normal_forms():
     A = PresentedAlgebra(PolyRing(QQ, ("x", "y")), ["x^2"])
-    a = [[A.poly("x"), A.poly("1")], [A.poly("0"), A.poly("y")]]
-    b = [[A.poly("x"), A.poly("y")], [A.poly("x"), A.poly("0")]]
+    # the rows [x, 1], [0, y] and [x, y], [x, 0], given by their columns
+    a = [[A.poly("x"), A.poly("0")], [A.poly("1"), A.poly("y")]]
+    b = [[A.poly("x"), A.poly("x")], [A.poly("y"), A.poly("0")]]
     assert matrix_product(A, a, b) == [[A.poly("x"), A.poly("x*y")],
                                        [A.poly("x*y"), A.poly("0")]]
     # an empty inner dimension gives the rows x cols zero matrix
-    assert matrix_product(A, [[], []], [], 3) == [[A.ring.zero()] * 3] * 2
+    assert matrix_product(A, [], [[], [], []], 2) == [[A.ring.zero()] * 2] * 3
+
+
+def test_shapes_without_columns_or_rows():
+    A = plane()
+    assert transpose([], 3) == [[], [], []]
+    assert transpose([[], []], 0) == []
+    # a factor with no columns cannot give its column length: rows does
+    assert matrix_product(A, [], [[], []], 4) == [[A.ring.zero()] * 4] * 2
+    assert matrix_product(A, [[A.poly("x")]], []) == []
+    # a differential into degree 0 from nothing, and from degree 1 to nothing
+    fc = FreeComplex(A, {0: 2, 1: 0, 2: 3}, {})
+    assert fc.differential(1) == [] and fc.differential(2) == [[], [], []]
+    assert fc.to_json()["differentials"] == {}
 
 
 def test_koszul_ranks_are_binomial():

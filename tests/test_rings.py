@@ -219,6 +219,18 @@ def test_a_bad_scalar_echoes_a_short_prefix_and_its_length():
     assert "characters" in str(info.value)
 
 
+def test_a_point_value_that_is_no_scalar_is_echoed_in_part():
+    A = PresentedAlgebra(PolyRing(QQ, ("x",)), [])
+    value = [0] * 5000
+    with pytest.raises(PointError) as info:
+        A.parse_point({"x": value})
+    message = str(info.value)
+    assert message.startswith("value of 'x' is not a scalar of QQ: "
+                              + repr(value)[:MAX_ECHO] + "... (")
+    assert f"({len(repr(value))} characters)" in message
+    assert len(message) < 2 * MAX_ECHO + 60
+
+
 def test_a_scalar_has_no_position_to_report():
     with pytest.raises(ParseError) as info:
         parse_scalar(" a/2 ", QQ)

@@ -313,6 +313,26 @@ def test_an_overlong_word_is_echoed_in_part(text, word, line, col, message):
     assert len(str(e)) < 3 * MAX_ECHO + 60
 
 
+NAME = "R" * 5000
+LONG_RING = f"field QQ\nring {NAME} = poly(x)\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (LONG_RING + f"point q on {NAME} (y=0)", "'y' is not a variable of "),
+    (LONG_RING + f"task resolve bar {NAME} zz levels 2",
+     "'zz' is not a variable of "),
+    (LONG_RING + f"ring Q = poly(y)\nmap f : {NAME} -> Q [x -> y]\n"
+     f"point p on {NAME} (x=0)\ntask classify smooth f at p",
+     "point 'p' lives on "),
+], ids=["point", "bar", "point-on"])
+def test_an_overlong_ring_name_is_echoed_in_part(text, message):
+    e = err(text + "\n")
+    assert e.exit_code == 1
+    assert e.message.startswith(f"{message}{NAME[:MAX_ECHO]}... "
+                                f"({len(NAME)} characters)")
+    assert len(str(e)) < 3 * MAX_ECHO + 80
+
+
 @pytest.mark.parametrize("line", [
     f"ring C = P/(x - {LONG})",
     f"ring C = P/(x - 1/{LONG})",

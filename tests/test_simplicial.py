@@ -734,6 +734,6 @@ def test_face_jacobians_match_the_per_face_formula(build):
         rows, cols = ext.levels[n - 1], ext.levels[n]
         if not rows or not cols:
             continue
-        want = [[_per_face_jacobian(ext, n, push[n - 1], w, x) for x in cols]
-                for w in rows]
+        want = [[_per_face_jacobian(ext, n, push[n - 1], w, x) for w in rows]
+                for x in cols]
         assert complex_.differential(n) == want, n
