@@ -7,6 +7,11 @@ independent cross-check presents the same module as I/I^2 for the kernel
 I of the multiplication map S tensor_R S -> S, built once per map by
 doubling the adjoined variables; the diagonal smoothness criterion reads
 the same S tensor_R S.
+
+Both right-exact sequences of differentials, Jacobi-Zariski and conormal,
+go through one check, `_right_exact`: the maps are well defined and
+compose to zero, the kernel at the middle lies in the image, and the
+last map is onto.
 """
 
 from __future__ import annotations
@@ -127,10 +132,8 @@ def _relative_presentation(phi: AlgebraMap) -> RelativePresentation:
 class KahlerDifferentials:
     """Presentation of Omega_phi on the symbols d(y), y adjoined."""
 
-    def __init__(self, presentation: RelativePresentation, module: FPModule,
-                 jacobian: Matrix):
+    def __init__(self, presentation: RelativePresentation, module: FPModule):
         self.presentation, self.module = presentation, module
-        self.jacobian = jacobian  # one column d(f) per relation f
 
     def dim_at_point(self, target_point: dict) -> int:
         return self.module.dim_at_point(self.presentation.transport_point(target_point))
@@ -154,9 +157,8 @@ def kahler_presentation(phi: AlgebraMap) -> KahlerDifferentials:
 
 def _kahler_presentation(phi: AlgebraMap) -> KahlerDifferentials:
     rp = relative_presentation(phi)
-    jac = jacobian_matrix(rp)
-    module = FPModule(rp.algebra, rp.num_adjoined(), jac)
-    return KahlerDifferentials(presentation=rp, module=module, jacobian=jac)
+    module = FPModule(rp.algebra, rp.num_adjoined(), jacobian_matrix(rp))
+    return KahlerDifferentials(presentation=rp, module=module)
 
 
 def kahler_oracle_via_diagonal(phi: AlgebraMap):
@@ -230,43 +232,20 @@ def jacobian_chain_rule_holds(psi: AlgebraMap, sigma: AlgebraMap) -> bool:
 # -- towers and exact sequences ---------------------------------------------
 
 
-class TowerPresentation:
-    """Q -> R -> S with both stages presented in one shared ambient ring.
-
-    `algebra` is S; R = Q[Z]/(g) and S = R[Y]/(f), with Z `mid_adjoined`,
-    g `mid_relations`, Y `top_adjoined` and f `top_relations`.
-    """
-
-    def __init__(self, algebra: PresentedAlgebra, mid_adjoined: tuple[str, ...],
-                 top_adjoined: tuple[str, ...],
-                 mid_relations: tuple[Polynomial, ...],
-                 top_relations: tuple[Polynomial, ...]):
-        self.algebra = algebra
-        self.mid_adjoined, self.top_adjoined = mid_adjoined, top_adjoined
-        self.mid_relations, self.top_relations = mid_relations, top_relations
-
-
-def tower_presentation(psi: AlgebraMap, phi: AlgebraMap) -> TowerPresentation:
+def tower_presentation(psi: AlgebraMap, phi: AlgebraMap):
+    """Q -> R -> S with both stages presented in one shared ambient ring:
+    (S, Z, Y, g, f) with R = Q[Z]/(g) and S = R[Y]/(f)."""
     if psi.target != phi.source:
         raise KahlerError("maps do not compose")
     rp1 = relative_presentation(psi)
     # identify rp1.algebra with R, then map on to S
-    iota_images = {}
-    for w in psi.source.variables:
-        iota_images[w] = phi.apply(psi.images[w])
-    for v in psi.target.variables:
-        iota_images[rp1.target_renaming.get(v, v)] = phi.images[v]
+    iota_images = {w: phi.apply(psi.images[w]) for w in psi.source.variables}
+    iota_images.update((rp1.target_renaming.get(v, v), phi.images[v])
+                       for v in psi.target.variables)
     chi = AlgebraMap(rp1.algebra, phi.target, iota_images)
     rp2 = relative_presentation(chi)
-    ambient = rp2.ambient
-    mid_rel = tuple(r.rename_into(ambient) for r in rp1.relation_polys)
-    return TowerPresentation(
-        algebra=rp2.algebra,
-        mid_adjoined=tuple(rp1.adjoined),
-        top_adjoined=tuple(rp2.adjoined),
-        mid_relations=mid_rel,
-        top_relations=tuple(rp2.relation_polys),
-    )
+    g = tuple(r.rename_into(rp2.ambient) for r in rp1.relation_polys)
+    return rp2.algebra, rp1.adjoined, rp2.adjoined, g, rp2.relation_polys
 
 
 class ExactSequenceReport:
@@ -281,51 +260,47 @@ class ExactSequenceReport:
         return self.exact_at_middle and self.surjective_at_right
 
 
+def _right_exact(S: PresentedAlgebra, first: FPModule, second: FPModule,
+                 third: FPModule, f: Matrix, g: Matrix):
+    """Groebner certificates for first --f--> second --g--> third -> 0 over
+    S, f and g given by their columns: (f and g send relations into
+    relations and g.f = 0, ker g lies in im f, g is onto, generators of
+    ker g).  With no generators in third, ker g is all of second."""
+    m, n = second.gens, third.gens
+    well_defined = (
+        span_contains(S, m, second.relations,
+                      matrix_product(S, f, first.relations, m))
+        and span_contains(S, n, third.relations,
+                          matrix_product(S, g, second.relations + f, n)))
+    zero, one = S.ring.zero(), S.ring.one()
+    ker_g = (syzygies(g, n, S, untracked=third.relations) if n
+             else linalg.unit_vectors(zero, one, m))
+    middle = span_contains(S, m, f + second.relations, ker_g)
+    onto = span_contains(S, n, g + third.relations,
+                         linalg.unit_vectors(zero, one, n))
+    return well_defined, middle, onto, ker_g
+
+
 def jacobi_zariski_right_exact(psi: AlgebraMap, phi: AlgebraMap) -> ExactSequenceReport:
     """Omega_psi ox S -> Omega_{phi.psi} -> Omega_phi -> 0, with Groebner
     certificates for exactness at the middle and surjectivity at the right."""
-    tower = tower_presentation(psi, phi)
-    S = tower.algebra
-    Z, Y = tower.mid_adjoined, tower.top_adjoined
-    g, f = tower.mid_relations, tower.top_relations
+    S, Z, Y, g, f = tower_presentation(psi, phi)
     nz, ny = len(Z), len(Y)
     # presentations: Omega_psi ox S on dZ; Omega_{phi psi} on dZ+dY; Omega_phi on dY
     omega_mid = FPModule(S, nz, jacobian(S, g, Z))
-    omega_comp = FPModule(S, nz + ny,
-                          jacobian(S, list(g) + list(f), list(Z) + list(Y)))
+    omega_comp = FPModule(S, nz + ny, jacobian(S, g + f, Z + Y))
     omega_top = FPModule(S, ny, jacobian(S, f, Y))
-    zero = S.ring.zero()
-    one = S.ring.one()
     # alpha: dz -> dz (inclusion); beta: dz -> d_phi(z) = 0, dy -> dy.
     # The columns of alpha and the rows of beta are unit vectors.
-    units = linalg.unit_vectors(zero, one, nz + ny)
+    units = linalg.unit_vectors(S.ring.zero(), S.ring.one(), nz + ny)
     alpha_cols, beta = units[:nz], transpose(units[nz:], nz + ny)
-    # surjectivity: every generator dy of Omega_phi is hit
-    if ny == 0:
-        surj = True
-    else:
-        hits = beta + omega_top.relations
-        surj = span_contains(S, ny, hits, linalg.unit_vectors(zero, one, ny))
-    # exactness at the middle
-    if ny == 0:
-        ker_beta = linalg.unit_vectors(zero, one, nz)
-    else:
-        ker_beta = syzygies(beta, ny, S, untracked=omega_top.relations)
-    middle_haystack = alpha_cols + omega_comp.relations
-    ker_in_im = span_contains(S, nz + ny, middle_haystack, ker_beta)
-    if ny == 0:
-        beta_alpha_zero = True
-    else:
-        beta_alpha = matrix_product(S, beta, alpha_cols)
-        beta_alpha_zero = span_contains(S, ny, omega_top.relations,
-                                        beta_alpha)
+    well_defined, middle, onto, ker_beta = _right_exact(
+        S, omega_mid, omega_comp, omega_top, alpha_cols, beta)
     return ExactSequenceReport(
-        maps={
-            "alpha_columns": [[str(p) for p in c] for c in alpha_cols],
-            "beta": matrix_to_json(beta, ny),
-        },
-        exact_at_middle=ker_in_im and beta_alpha_zero,
-        surjective_at_right=surj,
+        maps={"alpha_columns": [[str(p) for p in c] for c in alpha_cols],
+              "beta": matrix_to_json(beta, ny)},
+        exact_at_middle=middle and well_defined,
+        surjective_at_right=onto,
         detail={
             "omega_mid": omega_mid.to_json(),
             "omega_composite": omega_comp.to_json(),
@@ -337,46 +312,28 @@ def jacobi_zariski_right_exact(psi: AlgebraMap, phi: AlgebraMap) -> ExactSequenc
 
 def conormal_sequence(psi: AlgebraMap, ideal_gens) -> ExactSequenceReport:
     """I/I^2 -> Omega_psi ox S -> Omega_{Q -> R/I} -> 0 for I in R = psi's target."""
-    R = psi.target
-    gens = []
-    for g in ideal_gens:
-        gens.append(R.poly(g) if isinstance(g, str) else g)
     rp1 = relative_presentation(psi)
-    amb = rp1.ambient
-    Z = rp1.adjoined
-    nz = len(Z)
-    lifted = [rp1.lift_target(p) for p in gens]
-    S = PresentedAlgebra(amb, list(rp1.algebra.relations) + lifted)
+    Z, nz = rp1.adjoined, len(rp1.adjoined)
+    lifted = [rp1.lift_target(psi.target.poly(p) if isinstance(p, str) else p)
+              for p in ideal_gens]
+    S = PresentedAlgebra(rp1.ambient, list(rp1.algebra.relations) + lifted)
     # I/I^2 presented over R (generator order = given ideal generators),
     # then pushed forward to S = R/I
     squares = [[fi * fj] for i, fi in enumerate(lifted) for fj in lifted[i:]]
     conormal = FPModule(S, len(lifted), syzygies(
         [[fi] for fi in lifted], 1, rp1.algebra, untracked=squares))
-    g_mid = rp1.relation_polys
-    omega_mid = FPModule(S, nz, jacobian(S, g_mid, Z))
+    omega_mid = FPModule(S, nz, jacobian(S, rp1.relation_polys, Z))
+    omega_comp = FPModule(S, nz, jacobian(S, rp1.relation_polys + tuple(lifted), Z))
     # zeta: class of f_i -> d_psi(f_i), one (possibly empty) column per f_i;
     # alpha: identity on the dz generators, whose columns are the unit vectors
     zeta_cols = jacobian(S, lifted, Z)
-    omega_comp = FPModule(S, nz, jacobian(S, list(g_mid) + lifted, Z))
-    zero = S.ring.zero()
-    one = S.ring.one()
-    alpha = linalg.unit_vectors(zero, one, nz)
-    if nz == 0:
-        surj = True
-        middle = True
-        well_defined = True
-        ker_alpha = []
-    else:
-        surj = span_contains(S, nz, alpha + omega_comp.relations, alpha)
-        ker_alpha = syzygies(alpha, nz, S, untracked=omega_comp.relations)
-        middle = span_contains(S, nz, zeta_cols + omega_mid.relations, ker_alpha)
-        # relations of I/I^2 must map into the relations of Omega_mid
-        images = matrix_product(S, zeta_cols, conormal.relations)
-        well_defined = span_contains(S, nz, omega_mid.relations, images)
+    alpha = linalg.unit_vectors(S.ring.zero(), S.ring.one(), nz)
+    well_defined, middle, onto, ker_alpha = _right_exact(
+        S, conormal, omega_mid, omega_comp, zeta_cols, alpha)
     return ExactSequenceReport(
         maps={"zeta_columns": [[str(p) for p in c] for c in zeta_cols]},
         exact_at_middle=middle and well_defined,
-        surjective_at_right=surj,
+        surjective_at_right=onto,
         detail={
             "conormal": conormal.to_json(),
             "omega_mid": omega_mid.to_json(),
@@ -396,9 +353,9 @@ def derivation_basis_at_point(phi: AlgebraMap, target_point: dict):
     rp = kd.presentation
     pt = rp.transport_point(target_point)
     field = rp.algebra.field
-    # relations: J^T v = 0 where v assigns a value to each dy; the columns
-    # of J are the rows of J^T
-    return kd, linalg.nullspace(field, evaluate_matrix(kd.jacobian, pt),
+    # relations: J^T v = 0 where v assigns a value to each dy; the relation
+    # columns span the rows of J^T
+    return kd, linalg.nullspace(field, evaluate_matrix(kd.module.relations, pt),
                                 rp.num_adjoined())
 
 

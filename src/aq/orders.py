@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 
-from .fields import AqError
+from .fields import AqError, echo
 
 
 class OrderError(AqError):
@@ -49,7 +49,8 @@ class MonomialOrder:
 
     def __init__(self, name: str = "degrevlex"):
         if name not in ("degrevlex", "lex"):
-            raise OrderError(f"unknown monomial order {name!r}")
+            raise OrderError("unknown monomial order "
+                             f"{echo(repr(name), quote=False)}")
         self.name = name
         self.key = _KeyCache().__getitem__ if name == "degrevlex" else _lex_key
 

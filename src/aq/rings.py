@@ -250,14 +250,15 @@ class AlgebraMap:
                 # omitted images default to the same-named target variable
                 if v not in target.ring._var_index:
                     raise AlgebraError(
-                        f"no image given for {v!r} and target has no such variable"
+                        f"no image given for {echo(v)} and target has no such variable"
                     )
                 imgs[v] = target.ring.var(v)
         self.images = imgs
         self._derived: dict = {}
         bad = self.failing_relation()
         if bad is not None:
-            raise AlgebraError(f"map does not kill source relation {bad}")
+            raise AlgebraError("map does not kill source relation "
+                               f"{echo(str(bad), quote=False)}")
 
     def failing_relation(self):
         for rel in self.source.relations:

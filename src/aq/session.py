@@ -14,6 +14,7 @@ from .fields import AqError, FieldError, echo, field_from_spec
 from .orders import MonomialOrder
 from .poly import ParseError, PolyRing, Polynomial, parse_polynomial, stable_str
 from .rings import AlgebraMap, PointError, PresentedAlgebra, _bad_scalar, parse_scalar
+from .suites import SUITES
 
 VALID_TASKS = ("check", "classify", "homology", "resolve")
 RESOLVE_KINDS = ("bar", "koszul", "hypersurface", "killcycles")
@@ -440,6 +441,9 @@ def _parse_task(cur: _Cursor, session: Session):
         line = f"resolve {rkind} {ring_name} {mid} levels {levels}"
     else:
         suite = cur.name("suite name")
+        if suite not in SUITES:
+            cur.error(f"unknown suite {echo(suite)}; available: "
+                      f"{', '.join(sorted(SUITES))}", cur.word_col)
         payload = (suite,)
         line = f"check {suite}"
     cur.expect_end()

@@ -38,6 +38,7 @@ import itertools
 from functools import cache
 
 from . import linalg
+from .fields import echo
 from .poly import Polynomial, PolyRing, fresh_names
 from .rings import AlgebraError, AlgebraMap, PresentedAlgebra
 from .modules import FPModule, koszul_complex, transpose
@@ -383,7 +384,8 @@ def bar_construction(base: PresentedAlgebra, var_name: str,
                      max_level: int) -> FreeExtensionLevelwise:
     """Resolution of base/(v) obtained by freely contracting the variable v."""
     if var_name not in base.ring._var_index:
-        raise SimplicialError(f"{var_name!r} is not a variable of the base")
+        raise SimplicialError(f"{echo(repr(var_name), quote=False)} is not "
+                              "a variable of the base")
     return _bar_like(base, base.ring.var(var_name), max_level)
 
 

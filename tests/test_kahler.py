@@ -11,7 +11,7 @@ from aq.kahler import (
     KahlerDifferentials,
     KahlerError,
     RelativePresentation,
-    TowerPresentation,
+    _right_exact,
     conormal_sequence,
     derivation_basis_at_point,
     jacobi_zariski_right_exact,
@@ -22,6 +22,7 @@ from aq.kahler import (
     relative_presentation,
     tower_presentation,
 )
+from aq.modules import FPModule
 from aq.rings import AlgebraMap
 
 
@@ -88,15 +89,8 @@ def test_the_presentation_classes_build_by_keyword():
     assert renamed.target_renaming == {"x": "x_t"}
 
     kd = kahler_presentation(phi)
-    built = KahlerDifferentials(presentation=rp, module=kd.module,
-                                jacobian=kd.jacobian)
-    assert (built.presentation, built.module, built.jacobian) == (
-        rp, kd.module, kd.jacobian)
-    tower = TowerPresentation(algebra=C, mid_adjoined=(), top_adjoined=("x", "y"),
-                              mid_relations=(), top_relations=rp.relation_polys)
-    assert (tower.algebra, tower.mid_adjoined, tower.top_adjoined,
-            tower.mid_relations, tower.top_relations) == (
-        C, (), ("x", "y"), (), rp.relation_polys)
+    built = KahlerDifferentials(presentation=rp, module=kd.module)
+    assert (built.presentation, built.module) == (rp, kd.module)
     for middle, right in [(True, True), (True, False), (False, True)]:
         report = ExactSequenceReport(maps={}, exact_at_middle=middle,
                                      surjective_at_right=right, detail={"k": 1})
@@ -254,3 +248,42 @@ def test_conormal_zeta_keeps_a_column_per_generator_without_adjoined_variables()
     report = conormal_sequence(AlgebraMap(plane, plane, {}), ["x", "y^2"])
     assert report.maps["zeta_columns"] == [[], []]
     assert report.ok
+
+
+def _sequence(**changes):
+    """QQ[x] -> QQ[x]^2 -> QQ[x] -> 0, 1 -> (1, 0) and (a, b) -> b, with
+    the given parts replaced; a module is (generators, relations) and a
+    map its columns, entries as text."""
+    parts = {"first": (1, []), "f": [["1", "0"]], "second": (2, []),
+             "g": [["0"], ["1"]], "third": (1, [])}
+    parts.update(changes)
+    return parts
+
+
+@pytest.mark.parametrize("parts, verdicts", [
+    (_sequence(), (True, True, True)),
+    (_sequence(g=[["0"], ["x"]]), (True, True, False)),
+    (_sequence(f=[["x", "0"]]), (True, False, True)),
+    (_sequence(first=(1, [["x"]])), (False, True, True)),
+    (_sequence(second=(2, [["0", "x"]])), (False, True, True)),
+    (_sequence(first=(2, []), f=[["1", "0"], ["0", "1"]]), (False, True, True)),
+], ids=["exact", "g-misses-a-generator", "im-f-misses-ker-g",
+        "f-breaks-a-relation", "g-breaks-a-relation", "g-after-f-is-not-zero"])
+def test_each_right_exactness_verdict_can_fail(parts, verdicts):
+    # verdicts: (well defined, ker g in im f, g onto); each broken
+    # sequence flips exactly one of them
+    S = algebra(QQ, ("x",))
+
+    def matrix(columns):
+        return [[S.poly(p) for p in column] for column in columns]
+
+    def module(name):
+        gens, relations = parts[name]
+        return FPModule(S, gens, matrix(relations))
+
+    *got, kernel = _right_exact(S, module("first"), module("second"),
+                                module("third"), matrix(parts["f"]),
+                                matrix(parts["g"]))
+    assert tuple(got) == verdicts
+    # in every case ker g is generated by the first unit vector
+    assert [[str(p) for p in v] for v in kernel] == [["1", "0"]]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aq.fields import GF, MAX_ECHO, QQ, FieldError
+from aq.fields import GF, MAX_ECHO, QQ, AqError, FieldError
 from aq.groebner import module_groebner
 from aq.orders import MonomialOrder
 from aq.poly import MAX_PRODUCT_WORK, ParseError, PolyError, PolyRing, Polynomial
@@ -229,6 +229,23 @@ def test_a_point_value_that_is_no_scalar_is_echoed_in_part():
                               + repr(value)[:MAX_ECHO] + "... (")
     assert f"({len(repr(value))} characters)" in message
     assert len(message) < 2 * MAX_ECHO + 60
+
+
+@pytest.mark.parametrize("build, message", [
+    (MonomialOrder, "unknown monomial order {}"),
+    (lambda name: bar_construction(PresentedAlgebra(PolyRing(QQ, ("t",))),
+                                   name, 2),
+     "{} is not a variable of the base"),
+], ids=["order", "bar-variable"])
+@pytest.mark.parametrize("name, shown", [
+    ("q" * 5000, "'" + "q" * (MAX_ECHO - 1) + "... (5002 characters)"),
+    (5, "5"),
+], ids=["long", "no-string"])
+def test_a_bad_library_name_is_echoed_in_part(build, message, name, shown):
+    # the name's repr is echoed, so a name of any type is an AqError
+    with pytest.raises(AqError) as info:
+        build(name)
+    assert str(info.value) == message.format(shown)
 
 
 def test_a_scalar_has_no_position_to_report():

@@ -17,6 +17,7 @@ from aq.session import (MAX_KOSZUL_ELEMENTS, MAX_LEVEL, SessionError,
 from aq.cli import main, run_session
 from aq.fields import MAX_ECHO, FieldError
 from aq.poly import MAX_PRODUCT_WORK
+from aq.suites import SUITES
 
 
 BASIC = """\
@@ -205,6 +206,8 @@ DECLARED = ("field QQ\nring P = poly(x)\nring Q = poly(y)\n"
     ("point q on P (x=1/2/3)", "x=1/2/3", "bad scalar '1/2/3'"),
     ("point q on P (x=0.5)", "x=0.5", "bad scalar '0.5'"),
     ("task resolve bar P x levels many", "many", "expected a level bound"),
+    ("task check no-such-suite", "no-such-suite",
+     f"unknown suite 'no-such-suite'; available: {', '.join(sorted(SUITES))}"),
 ])
 def test_name_errors_point_at_the_name(line, name, message):
     e = err(DECLARED + line + "\n")
@@ -304,7 +307,9 @@ WORD = "x" * 5000
     (HOSTILE_HEAD + "ring Q = poly(x) " + WORD, WORD, 3, 18, "trailing input"),
     (HOSTILE_HEAD + f"ring C = P/(x - y{WORD})", "y" + WORD, 3, 17,
      "unknown variable"),
-], ids=["statement", "tail", "variable"])
+    (f"field QQ\nring P = poly({WORD})\nring G = poly()\nmap f : P -> G", WORD,
+     4, 5, "no image given for"),
+], ids=["statement", "tail", "variable", "no-image"])
 def test_an_overlong_word_is_echoed_in_part(text, word, line, col, message):
     e = err(text)
     assert e.exit_code == 1 and (e.line, e.col) == (line, col)
@@ -331,6 +336,15 @@ def test_an_overlong_ring_name_is_echoed_in_part(text, message):
     assert e.message.startswith(f"{message}{NAME[:MAX_ECHO]}... "
                                 f"({len(NAME)} characters)")
     assert len(str(e)) < 3 * MAX_ECHO + 80
+
+
+def test_an_overlong_relation_a_map_breaks_is_echoed_in_part():
+    relation = " + ".join(f"x^{i}" for i in range(899, 1, -1)) + " + x"
+    e = err(HOSTILE_HEAD + f"ring C = P/({relation})\nring Q = poly(x)\n"
+            "map f : C -> Q\n")
+    assert e.exit_code == 1 and (e.line, e.col) == (5, 5)
+    assert e.message == ("map does not kill source relation "
+                         f"{relation[:MAX_ECHO]}... ({len(relation)} characters)")
 
 
 @pytest.mark.parametrize("line", [
