@@ -5,10 +5,13 @@ arithmetic. A rational is an int when it is integral and a Fraction
 otherwise, never a Fraction with denominator 1; an element of GF(p) is an
 int in [0, p). No floats anywhere.
 
-Everything else goes through the Field methods, except the Groebner
-kernel: its subtraction loop (`groebner._sub_multiple`) inlines the
-arithmetic of the two field kinds, told apart by `characteristic`, and
-keeps both rules above by itself.
+Everything else goes through the Field methods, except three inner
+loops that inline the arithmetic of the two field kinds, told apart by
+`characteristic`: the Groebner kernel's subtraction loop
+(`groebner._sub_multiple`), which keeps both rules above by itself;
+`linalg.rank`, whose elimination runs on ints (mod p, or fraction-free
+over QQ) and returns only a count; and `Polynomial.evaluate`, which
+keeps both rules for the value it returns.
 """
 
 from __future__ import annotations

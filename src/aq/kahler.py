@@ -41,7 +41,8 @@ class RelativePresentation:
     `algebra` is S in the relative ambient, `base_algebra` is R[Y] (the same
     ambient, source relations only), `adjoined` is Y, `relation_polys` is f
     in the ambient ring, and `target_renaming` sends each target variable
-    to its name in the ambient (empty when none is renamed).
+    to its name in the ambient (empty when none is renamed).  Each
+    transported point is kept (`transport_point`).
     """
 
     def __init__(self, phi: AlgebraMap, algebra: PresentedAlgebra,
@@ -51,6 +52,7 @@ class RelativePresentation:
         self.phi, self.algebra, self.base_algebra = phi, algebra, base_algebra
         self.adjoined, self.relation_polys = adjoined, relation_polys
         self.target_renaming = {} if target_renaming is None else target_renaming
+        self._points: dict[tuple, Point] = {}  # see `transport_point`
 
     @property
     def ambient(self) -> PolyRing:
@@ -61,13 +63,19 @@ class RelativePresentation:
         return p.rename_into(self.ambient, self.target_renaming)
 
     def transport_point(self, target_point: dict) -> Point:
-        """Point of the original target as a point of the relative ambient."""
+        """Point of the original target as a point of the relative ambient.
+
+        The target point is validated on every call; its transport is kept
+        on the presentation, keyed by the parsed target values."""
         pt = self.phi.target.parse_point(target_point)
-        out = {self.target_renaming.get(v, v): c for v, c in pt.items()}
-        for w in self.phi.source.variables:
-            if w not in out:
-                out[w] = self.phi.images[w].evaluate(pt)
-        return self.algebra.parse_point(out)
+        key = tuple(pt.values())
+        if key not in self._points:
+            out = {self.target_renaming.get(v, v): c for v, c in pt.items()}
+            for w in self.phi.source.variables:
+                if w not in out:
+                    out[w] = self.phi.images[w].evaluate(pt)
+            self._points[key] = self.algebra.parse_point(out)
+        return self._points[key]
 
     def num_adjoined(self) -> int:
         return len(self.adjoined)

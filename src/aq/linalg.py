@@ -2,9 +2,18 @@
 
 Matrices are lists of rows of field elements and act on column vectors:
 column j holds the image of the j-th source basis vector.
+
+`rank`, the residue-field readers' kernel, eliminates on ints with no
+Field calls: mod p over GF(p), and fraction-free over QQ, each new row
+divided by its content (Geddes, Czapor and Labahn, Algorithms for
+Computer Algebra, 1992, ch. 9).  `rref` goes through the Field methods;
+it serves `nullspace`, and the tests compare `rank` against its pivot
+count.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .fields import Field
 
@@ -73,10 +82,57 @@ def rref(field: Field, matrix):
 def rank(field: Field, matrix) -> int:
     """Rank of a list of vectors of one length, read as rows or as
     columns alike (rank(M) = rank(M^T)); 0 when there are no vectors or
-    they have length 0."""
+    they have length 0.
+
+    The elimination is its own, on ints, with no Field calls: over GF(p)
+    mod p, and over QQ fraction-free, each row first scaled by the lcm of
+    its denominators and every new row divided by its content (the gcd of
+    its entries).  Scaling a row by a nonzero int and subtracting a
+    multiple of another row keep the rank.
+    """
     if not matrix or not matrix[0]:
         return 0
-    return len(rref(field, matrix)[1])
+    p = field.characteristic
+    if p:
+        rows = [[x % p for x in row] for row in matrix]
+    else:
+        rows = []
+        for row in matrix:
+            den = lcm(*[x.denominator for x in row])
+            rows.append([x.numerator * (den // x.denominator) for x in row])
+    rows = [row for row in rows if any(row)]
+    r = 0
+    for c in range(len(matrix[0])):
+        pivot = next((row for row in rows if row[c]), None)
+        if pivot is None:
+            continue
+        r += 1
+        a = pivot[c]
+        if p:
+            inv = pow(a, p - 2, p)
+        left = []
+        for row in rows:
+            if row is pivot:
+                continue
+            b = row[c]
+            if b:
+                if p:
+                    f = b * inv % p
+                    row = [(x - f * y) % p for x, y in zip(row, pivot)]
+                else:
+                    g = gcd(a, b)
+                    s, t = a // g, b // g
+                    row = [s * x - t * y for x, y in zip(row, pivot)]
+                    g = gcd(*row)
+                    if g > 1:
+                        row = [x // g for x in row]
+                if not any(row):
+                    continue
+            left.append(row)
+        rows = left
+        if not rows:
+            break
+    return r
 
 
 def nullspace(field: Field, matrix, cols: int | None = None):

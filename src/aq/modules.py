@@ -12,7 +12,9 @@ itself, is the default.  Vanishing has one reader, `homology_is_zero`:
 cycles in the span of the boundaries.  At a rational point, homology
 with residue-field coefficients is exact linear algebra over the field,
 and `FreeComplex.dims_through` is its only reader: every degree through
-n_max from one validated point and one rank per differential.
+n_max from one validated point and one rank per differential.  The
+point is validated on every call, and each differential's rank is kept
+per point on the complex, so a second call at a point ranks nothing new.
 """
 
 from __future__ import annotations
@@ -213,7 +215,8 @@ class FreeComplex:
 
     diffs[n] is the list of its rank(n) columns, each of length
     rank(n - 1): column j is the image of the j-th basis vector of degree
-    n.  dd = 0 is checked on construction.
+    n.  dd = 0 is checked on construction.  The ranks of the differentials
+    at each point `dims_through` is asked about are kept on the complex.
     """
 
     def __init__(self, algebra: PresentedAlgebra, ranks: dict[int, int],
@@ -232,6 +235,8 @@ class FreeComplex:
                 )
             self.diffs[n] = mat
         self.check_dd_zero()
+        # {point values: {k: rank of d_k there}}, see `dims_through`
+        self._point_ranks: dict[tuple, dict[int, int]] = {}
 
     def degrees(self):
         return sorted(self.ranks)
@@ -325,17 +330,21 @@ class FreeComplex:
     def dims_through(self, point: dict, n_max: int) -> list[int]:
         """dim_k H_n(C tensor k(point)) for n = 0..n_max; exact linear algebra.
 
-        This is the one residue-field reader: the point is validated once
-        and each differential d_1..d_{n_max+1} is ranked once, where both
-        of its adjacent ranks are nonzero.
+        This is the one residue-field reader.  The point is validated on
+        every call; each differential d_1..d_{n_max+1} with both adjacent
+        ranks nonzero is ranked at it once and kept on the complex, keyed
+        by the point's values, for later calls at the same point.
         """
         pt = self.algebra.parse_point(point)
-        field = self.algebra.field
+        kept = self._point_ranks.setdefault(tuple(pt.values()), {})
         rank_d = [0] * (n_max + 2)
         for k in range(1, n_max + 2):
             if self.rank(k - 1) and self.rank(k):
-                rank_d[k] = linalg.rank(
-                    field, evaluate_matrix(self.differential(k), pt))
+                if k not in kept:
+                    kept[k] = linalg.rank(
+                        self.algebra.field,
+                        evaluate_matrix(self.differential(k), pt))
+                rank_d[k] = kept[k]
         return [self.rank(n) - rank_d[n] - rank_d[n + 1]
                 for n in range(n_max + 1)]
 

@@ -294,20 +294,33 @@ class Polynomial:
             {}, ((moved(e), c) for e, c in self.terms.items()), target.field))
 
     def evaluate(self, point: dict[str, object]):
-        """Value at a point given as {var name: field element}."""
-        F = self.ring.field
+        """Value at a point given as {var name: field element}.
+
+        The arithmetic is inline, as in `groebner._sub_multiple`: over GF(p)
+        each power is `pow(x, k, p)` and the sum is reduced once at the end;
+        over QQ the int and Fraction operators are used, and an integral
+        value is returned as its int (the `fields` rules for elements)."""
         coords = []
         for v in self.ring.variables:
             if v not in point:
                 raise PolyError(f"point does not assign variable {v!r}")
             coords.append(point[v])
-        total = F.zero()
+        p = self.ring.field.characteristic
+        total = 0
+        if p:
+            for e, c in self.terms.items():
+                for x, k in zip(coords, e):
+                    if k:
+                        c *= pow(x, k, p)
+                total += c
+            return total % p
         for e, c in self.terms.items():
-            val = c
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    val = F.mul(val, coords[i])
-            total = F.add(total, val)
+            for x, k in zip(coords, e):
+                if k:
+                    c *= x ** k
+            total += c
+        if type(total) is not int and total.denominator == 1:
+            return total.numerator
         return total
 
     # -- identity ------------------------------------------------------
@@ -391,8 +404,8 @@ _OPS = set("+-*^()/,=")
 # default recursion limit.
 MAX_NESTING = 100
 
-# Powers are computed while parsing, and `evaluate` multiplies once per unit
-# of exponent, so an exponent past this bound is refused at its column.
+# Powers are computed while parsing, and `evaluate` raises a point's values
+# to them, so an exponent past this bound is refused at its column.
 MAX_EXPONENT = 1000
 
 # Products are computed while parsing too.  A product of a and b costs

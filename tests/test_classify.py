@@ -341,7 +341,7 @@ def test_a_report_parses_each_point_once(monkeypatch):
         real_parses.clear()
         classification_report(prop, subject, [{"x": 0, "y": 0}, {"x": 1, "y": 1}])
         counts[prop] = len(real_parses)
-    assert counts == {"regular": 12, "ci": 6, "smooth": 8, "etale": 12, "lci": 6}
+    assert counts == {"regular": 12, "ci": 6, "smooth": 8, "etale": 8, "lci": 6}
 
 
 def test_a_certificate_that_cannot_be_built_is_not_given(monkeypatch):

@@ -140,6 +140,37 @@ def test_evaluate_exactly():
     p = R.poly("x^2*y - 1/2")
     val = p.evaluate({"x": QQ.from_int(3), "y": QQ.fraction(1, 9)})
     assert val == QQ.fraction(1, 2)
+    # an integral sum of Fractions comes back as its int
+    whole = R.poly("1/2*x + 1/2*y").evaluate({"x": 1, "y": 1})
+    assert whole == 1 and type(whole) is int
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["QQ", "GF2", "GF7"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evaluate_is_the_field_sum_of_products(field, data):
+    """`evaluate` does its arithmetic inline; the reference goes through
+    the Field methods, one product per unit of exponent."""
+    if field.characteristic:
+        scalar = st.integers(0, field.characteristic - 1)
+    else:  # ints and Fractions mixed
+        scalar = st.builds(QQ.fraction, st.integers(-6, 6), st.integers(1, 4))
+    R = PolyRing(field, ("x", "y", "z"))
+    p = R.from_terms(data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * 3), scalar, max_size=5)))
+    pt = {v: data.draw(scalar) for v in R.variables}
+    want = field.zero()
+    for e, c in p.terms.items():
+        for v, k in zip(R.variables, e):
+            for _ in range(k):
+                c = field.mul(c, pt[v])
+        want = field.add(want, c)
+    value = p.evaluate(pt)
+    assert value == want and type(value) is type(want)
+    if field.characteristic:
+        assert 0 <= value < field.characteristic
+    else:
+        assert not (isinstance(value, Fraction) and value.denominator == 1)
 
 
 def test_derivative_leibniz():

@@ -23,7 +23,8 @@ from aq.kahler import (
     tower_presentation,
 )
 from aq.modules import FPModule
-from aq.rings import AlgebraMap
+from aq.poly import Polynomial
+from aq.rings import AlgebraMap, PointError
 
 
 def cusp():
@@ -184,6 +185,39 @@ def test_values_off_the_tangent_space_break_a_relation():
     # d(x^3 - y^2) = 3 dx - 2 dy at (1, 1) does not vanish on dx = 1, dy = 0
     assert not leibniz_holds(kahler_presentation(phi), (1, 0),
                              {"x": 1, "y": 1}, [("x", "y")])
+
+
+def test_the_leibniz_comparison_reads_evaluate(monkeypatch):
+    kd = kahler_presentation(inclusion_from_ground(cusp()))
+    # 3 dx - 2 dy vanishes on dx = 2/3, dy = 1: a derivation at (1, 1)
+    args = (kd, (QQ.fraction(2, 3), 1), {"x": 1, "y": 1}, [("x + 1", "y + 1")])
+    assert leibniz_holds(*args)
+    real = Polynomial.evaluate
+
+    def without_constants(self, point):
+        constant = (0,) * len(self.ring.variables)
+        return real(Polynomial(self.ring, {e: c for e, c in self.terms.items()
+                                           if e != constant}), point)
+
+    # the cusp's relation and its partials have no constant term, so only
+    # the comparison of delta((x + 1)(y + 1)) with its expansion can tell
+    monkeypatch.setattr(Polynomial, "evaluate", without_constants)
+    assert not leibniz_holds(*args)
+
+
+def test_transport_point_checks_the_point_on_every_call():
+    phi = AlgebraMap(algebra(QQ, ("t",)), cusp(), {"t": "x + y"})
+    rp = relative_presentation(phi)
+    assert rp.target_renaming  # the target's variables get fresh names
+    pt = rp.transport_point({"x": 1, "y": 1})
+    assert pt.algebra is rp.algebra and pt["t"] == 2
+    assert rp.transport_point(phi.target.parse_point({"x": "1", "y": "1"})) is pt
+    other = rp.transport_point({"x": 1, "y": -1})
+    assert other is not pt and other["t"] == 0
+    for _ in range(3):
+        with pytest.raises(PointError, match="not a rational point"):
+            rp.transport_point({"x": 1, "y": 2})
+    assert rp.transport_point({"x": 1, "y": 1}) is pt
 
 
 def test_derivations_over_a_base_with_variables_kill_the_base():

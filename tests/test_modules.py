@@ -1,7 +1,9 @@
 """Exact linear algebra, finitely presented modules, and free complexes."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
 
 import aq.modules
 from aq import linalg
@@ -24,7 +26,7 @@ from aq.modules import (
 )
 from aq.orders import MonomialOrder
 from aq.poly import Polynomial, PolyRing
-from aq.rings import PresentedAlgebra
+from aq.rings import PointError, PresentedAlgebra
 from aq.simplicial import hypersurface_resolution
 from aq.suites import run_suite
 
@@ -79,6 +81,39 @@ def test_rank_reads_rows_or_columns(field, length, rows):
     vecs = [[field.from_int(e) for e in row[:length]] for row in rows]
     transpose = [[v[i] for v in vecs] for i in range(length)]
     assert linalg.rank(field, vecs) == linalg.rank(field, transpose)
+
+
+def _scalars(field):
+    """Field elements in canonical form: over QQ ints and Fractions mixed."""
+    if field.characteristic:
+        return st.integers(0, field.characteristic - 1)
+    return st.builds(QQ.fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def _field_matrices(draw):
+    """(field, rows): up to five rows of one length 0..5, many entries and
+    whole rows zero."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(7)]))
+    length = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), _scalars(field))
+    row = st.one_of(st.just([0] * length),
+                    st.lists(entry, min_size=length, max_size=length))
+    return field, draw(st.lists(row, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_field_matrices())
+@example((QQ, []))
+@example((QQ, [[], []]))
+@example((GF(7), [[0, 0, 0], [0, 0, 0]]))
+@example((QQ, [[Fraction(1, 2), 3, Fraction(-2, 3)]]))
+@example((GF(2), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+def test_rank_equals_the_pivot_count_of_rref(case):
+    field, rows = case
+    before = [row[:] for row in rows]
+    assert linalg.rank(field, rows) == len(linalg.rref(field, rows)[1])
+    assert rows == before  # the input is not changed
 
 
 def test_rank_over_gf2_differs_from_qq():
@@ -242,6 +277,47 @@ def test_homology_dims_at_point_fiberwise():
     # away from the vanishing locus everything dies
     dims = kc.dims_through({"x": 1, "y": 1}, 2)
     assert dims == [0, 0, 0]
+
+
+def _cusp_koszul():
+    ring = PolyRing(QQ, ("x", "y"))
+    C = PresentedAlgebra(ring, [ring.poly("x^3 - y^2")])
+    return C, koszul_complex(C, [C.poly("x"), C.poly("y")])
+
+
+def test_dims_through_checks_the_point_on_every_call():
+    C, kc = _cusp_koszul()
+    assert kc.dims_through({"x": 1, "y": 1}, 2) == [0, 0, 0]
+    for _ in range(3):
+        with pytest.raises(PointError, match="not a rational point"):
+            kc.dims_through({"x": 1, "y": 2}, 2)
+    assert kc.dims_through({"x": 1, "y": 1}, 2) == [0, 0, 0]
+
+
+def test_dims_through_ranks_each_differential_once_per_point(monkeypatch):
+    C, kc = _cusp_koszul()
+    real, ranked = linalg.rank, []
+
+    def counting(field, matrix):
+        ranked.append(len(matrix))
+        return real(field, matrix)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    origin = C.parse_point({"x": 0, "y": 0})
+    assert kc.dims_through(origin, 2) == [1, 2, 1]
+    assert len(ranked) == 2  # d_1 and d_2; d_3 has no source
+    # the Point, a plain dict of it and its strings read the same entry
+    for same in (origin, dict(origin), {"x": "0", "y": "0"}):
+        assert kc.dims_through(same, 2) == [1, 2, 1]
+    assert len(ranked) == 2
+    # another point has its own entries, filled as far as it is asked
+    assert kc.dims_through({"x": 4, "y": 8}, 0) == [0]
+    assert len(ranked) == 3
+    assert kc.dims_through({"x": 4, "y": 8}, 2) == [0, 0, 0]
+    assert len(ranked) == 4
+    assert kc.dims_through(origin, 2) == [1, 2, 1]
+    assert kc.dims_through({"x": 4, "y": 8}, 1) == [0, 0]
+    assert len(ranked) == 4
 
 
 def test_nullspace_without_columns_is_empty():
